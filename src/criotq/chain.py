@@ -6,24 +6,27 @@ packet), true primary phase, and the action the AP committed for the
 coming slot.  Serving an empty queue is impossible, so the two states
 (0, phase, Serve) are excluded and the space has 6K + 4 states.
 
-A one-slot transition factors into independent pieces:
+A one-slot transition is a product of three independent laws:
 
-* a phase branch: which boundary phase the slot ends in, and for a
-  serving slot whether one OFF period covered the slot (the service
-  succeeds only then),
-* the Poisson arrival count, truncated by the free buffer space,
-* the next decision draw, conditioned on the end phase and on whether
-  the resulting queue is empty.
+* a phase branch w[ph, a, e, c]: the boundary phase e the slot ends in,
+  and c = 1 when a serving OFF slot was covered by one OFF period (the
+  service succeeds only then),
+* the arrival shift q_c[i, j]: the Poisson count, truncated by the free
+  buffer space, that takes queue i to j after c departures,
+* the next decision draw d[j, e, b], conditioned on the end phase and
+  on whether the resulting queue is empty.
 
-``build_transition_matrix`` assembles the dense row-stochastic matrix
-from those pieces; ``stationary_distribution`` solves mu = mu P with a
-direct dense solve and a damped power-iteration fallback, without
-assuming irreducibility.
+``build_transition_matrix`` forms the dense row-stochastic matrix as one
+array product over the full (K+1) x 2 x 3 grid,
+P[(i, ph, a), (j, e, b)] = sum_c (w[ph, a, e, c] q_c[i, j]) d[j, e, b],
+and then drops the two excluded states.  ``stationary_distribution``
+solves mu = mu P with a direct dense solve and a damped power-iteration
+fallback, without assuming irreducibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +37,11 @@ from .slot import (Action, Phase, SlotTransitionKernel, arrival_pmf, arrival_tai
 
 State = tuple[int, Phase, Action]
 
-#: Actions available in a state with an empty queue, in canonical order.
-_EMPTY_ACTIONS = (Action.IDLE, Action.CHARGE)
+_PHASES = (Phase.OFF, Phase.ON)
 _ALL_ACTIONS = (Action.IDLE, Action.SERVE, Action.CHARGE)
+#: Flat positions of (0, OFF, Serve) and (0, ON, Serve) in the full
+#: (K+1) x 2 x 3 grid, ordered queue-major, then phase, then action.
+_EXCLUDED = (int(Action.SERVE), 3 + int(Action.SERVE))
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,17 @@ class StateSpace:
     Ordering: the four i = 0 states first, grouped by phase then action
     [(0,OFF,Idle), (0,OFF,Charge), (0,ON,Idle), (0,ON,Charge)], then for
     each i >= 1 a block of six states, phase-major and action-minor.
+    This is the full grid order with the two (0, phase, Serve) states
+    removed.  ``queue``, ``phase`` and ``action`` hold the same triples
+    as read-only integer arrays, so metrics can mask and reduce over
+    states without touching ``states`` or ``index``.
     """
 
     capacity_k: int
     states: tuple[State, ...]
+    queue: np.ndarray = field(compare=False, repr=False)
+    phase: np.ndarray = field(compare=False, repr=False)
+    action: np.ndarray = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -60,7 +72,7 @@ class StateSpace:
         k = self.capacity_k
         if not (0 <= queue <= k):
             raise InvalidParameterError(f"queue {queue} outside 0..{k}")
-        if phase not in (Phase.OFF, Phase.ON) or action not in _ALL_ACTIONS:
+        if phase not in _PHASES or action not in _ALL_ACTIONS:
             raise InvalidParameterError(f"invalid phase/action ({phase}, {action})")
         if queue == 0:
             if action == Action.SERVE:
@@ -75,15 +87,23 @@ class StateSpace:
 def enumerate_states(capacity_k: int) -> StateSpace:
     if not isinstance(capacity_k, int) or capacity_k < 1:
         raise InvalidParameterError("capacity_k must be an integer >= 1")
-    states: list[State] = []
-    for phase in (Phase.OFF, Phase.ON):
-        for action in _EMPTY_ACTIONS:
-            states.append((0, phase, action))
-    for i in range(1, capacity_k + 1):
-        for phase in (Phase.OFF, Phase.ON):
-            for action in _ALL_ACTIONS:
-                states.append((i, phase, action))
-    return StateSpace(capacity_k=capacity_k, states=tuple(states))
+    grid = np.delete(np.indices((capacity_k + 1, 2, 3)).reshape(3, -1), _EXCLUDED, axis=1)
+    grid.setflags(write=False)
+    queue, phase, action = grid
+    states = tuple((i, _PHASES[ph], _ALL_ACTIONS[a])
+                   for i, ph, a in zip(*grid.tolist()))
+    return StateSpace(capacity_k=capacity_k, states=states,
+                      queue=queue, phase=phase, action=action)
+
+
+def _check_stochastic(p: np.ndarray) -> None:
+    """Raise unless p is square, with entries in [0, 1] and rows summing to 1."""
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise InvalidParameterError("matrix must be square")
+    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        raise InvalidParameterError("matrix entries outside [0, 1]")
+    if not np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-10):
+        raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
 
 
 @dataclass(frozen=True)
@@ -96,13 +116,9 @@ class TransitionMatrix:
     service_success: float
 
     def __post_init__(self):
-        p = self.matrix
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] != self.space.size:
+        _check_stochastic(self.matrix)
+        if self.matrix.shape[0] != self.space.size:
             raise InvalidParameterError("matrix shape does not match the state space")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise InvalidParameterError("matrix entries outside [0, 1]")
-        if not np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-10):
-            raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
 
 
 def build_transition_matrix(params: SystemParams,
@@ -124,50 +140,44 @@ def build_transition_matrix(params: SystemParams,
         raise InvalidParameterError("service_success must lie in [0, a00]")
 
     space = enumerate_states(k_cap)
-    pmf = [arrival_pmf(traffic, j) for j in range(k_cap + 1)]
-    tail = [arrival_tail(traffic, j) for j in range(k_cap + 1)]
+    levels = np.arange(k_cap + 1)
 
-    # Decision pmf depends only on the end phase and emptiness of the queue.
-    dec = {(phase, empty): decision_distribution(phase, params.sensing, params.policy, empty)
-           for phase in (Phase.OFF, Phase.ON) for empty in (False, True)}
+    # w[ph, a, e, c]: phase branches.  Only a serving OFF slot can clear a
+    # packet: success needs one OFF period covering the slot, and an
+    # interrupted attempt still ends OFF with the rest of a00 or ends ON
+    # with a01.  A branch of weight <= 0 contributes nothing.
+    w = np.zeros((2, 3, 2, 2))
+    w[Phase.OFF, :, :, 0] = (kernel.a00, kernel.a01)
+    w[Phase.ON, :, :, 0] = (kernel.a10, kernel.a11)
+    w[Phase.OFF, Action.SERVE, Phase.OFF] = (kernel.a00 - succ, succ)
+    w = np.maximum(w, 0.0)
 
-    p = np.zeros((space.size, space.size))
-    for src_idx, (i, phase, action) in enumerate(space.states):
-        if action == Action.SERVE and phase == Phase.OFF:
-            # Serving slot: success requires one OFF period covering the
-            # slot; an interrupted attempt still ends OFF with the
-            # complementary a00 mass, or ends ON with mass a01.
-            branches = ((succ, Phase.OFF, 1),
-                        (kernel.a00 - succ, Phase.OFF, 0),
-                        (kernel.a01, Phase.ON, 0))
-        elif phase == Phase.OFF:
-            branches = ((kernel.a00, Phase.OFF, 0), (kernel.a01, Phase.ON, 0))
-        else:
-            branches = ((kernel.a10, Phase.OFF, 0), (kernel.a11, Phase.ON, 0))
+    # q[c, i, j]: arrivals are admitted while the buffer (still holding any
+    # in-service packet) has room, so column K takes every count >= K - i
+    # (tail[0] = 1); a departure at the slot end shifts the row one column
+    # left.
+    pmf = np.array([arrival_pmf(traffic, n) for n in range(k_cap + 1)])
+    tail = np.array([arrival_tail(traffic, n) for n in range(k_cap + 1)])
+    gap = levels[None, :] - levels[:, None]
+    q = np.zeros((2, k_cap + 1, k_cap + 1))
+    q[0] = np.where(gap >= 0, pmf[np.maximum(gap, 0)], 0.0)
+    q[0, :, k_cap] = tail[k_cap - levels]
+    q[1, :, :-1] = q[0, :, 1:]
 
-        for weight, end_phase, cleared in branches:
-            if weight <= 0.0:
-                continue
-            # End-of-slot queue j: arrivals admitted while the buffer
-            # (still holding any in-service packet) has room, then one
-            # departure at the slot end on a successful serve.
-            j_lo = i - cleared
-            j_hi = k_cap - cleared
-            for j in range(j_lo, j_hi + 1):
-                if j == j_hi:
-                    # Capped column: any count >= K - i lands here (tail[0] = 1).
-                    mass = tail[k_cap - i]
-                else:
-                    mass = pmf[j - i + cleared]
-                if mass == 0.0:
-                    continue
-                d_idle, d_serve, d_charge = dec[(end_phase, j == 0)]
-                base = weight * mass
-                p[src_idx, space.index(j, end_phase, Action.IDLE)] += base * d_idle
-                if j > 0:
-                    p[src_idx, space.index(j, end_phase, Action.SERVE)] += base * d_serve
-                p[src_idx, space.index(j, end_phase, Action.CHARGE)] += base * d_charge
+    # d[j, e, b]: the decision law depends only on the end phase and on
+    # whether queue j is empty.
+    dec = np.array([[decision_distribution(e, params.sensing, params.policy, empty)
+                     for e in _PHASES] for empty in (False, True)])
+    d = dec[(levels == 0).astype(int)]
 
+    # Each product is formed as (w q) d, the same two roundings as
+    # weight * mass * decision, and at most two branches share a cell.
+    full = np.zeros((k_cap + 1, 2, 3, k_cap + 1, 2, 3))
+    for c in (0, 1):
+        full += (w[None, :, :, None, :, c, None] * q[c][:, None, None, :, None, None]) * d
+    n = full.shape[0] * 6
+    keep = np.delete(np.arange(n), _EXCLUDED)
+    p = full.reshape(n, n)[np.ix_(keep, keep)]
     return TransitionMatrix(matrix=p, space=space, kernel=kernel, service_success=succ)
 
 
@@ -261,12 +271,7 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDist
     else:
         p = np.asarray(tm, dtype=float)
         space = None
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise InvalidParameterError("matrix must be square")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise InvalidParameterError("matrix entries outside [0, 1]")
-        if not np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-10):
-            raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
+        _check_stochastic(p)
 
     direct = _direct_solve(p)
     if direct is not None:

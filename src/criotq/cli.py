@@ -9,8 +9,8 @@ A run is configured by a JSON file plus flat flag overrides; every
 output is CSV with fixed, documented columns, floats printed with 12
 significant digits, and written atomically (temp file then rename) so
 a failed run never leaves a truncated file.  The environment variable
-CRIOTQ_WORKERS sets the worker-thread count and changes nothing but
-wall-clock time.
+CRIOTQ_WORKERS is still accepted and must be an integer if set, but
+every command runs in one thread and its output never depends on it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ SWEEP_COLUMNS = ["axis_name", "axis_value", "critical_name", "critical_value",
 COMPARE_COLUMNS = ["lambda", "w_sim", "w_full_model", "w_sync_baseline"]
 
 
-def _workers() -> int:
+def _check_workers_env() -> None:
+    """Reject a non-integer CRIOTQ_WORKERS; any integer is accepted and changes nothing."""
     raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
     try:
-        return max(1, int(raw))
+        int(raw or "1")
     except ValueError as exc:
         raise InvalidParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
 
@@ -196,11 +195,13 @@ def _build_sim_config(cfg: dict, args, params: SystemParams) -> SimConfig:
                      replications=int(sec.get("replications", 1)))
 
 
-def _phase_name(phase) -> str:
-    return "on" if int(phase) == 1 else "off"
+_PHASE_NAMES = np.array(["off", "on"])
+_ACTION_NAMES = np.array(["idle", "serve", "charge"])
 
 
-_ACTION_NAMES = {0: "idle", 1: "serve", 2: "charge"}
+def _state_columns(space, idx: np.ndarray) -> list[np.ndarray]:
+    """queue, phase and action columns for the states at positions idx."""
+    return [space.queue[idx], _PHASE_NAMES[space.phase[idx]], _ACTION_NAMES[space.action[idx]]]
 
 
 def cmd_analyze(args) -> int:
@@ -225,18 +226,13 @@ def cmd_analyze(args) -> int:
         tm = build_transition_matrix(params)
         if args.emit_stationary:
             mu = stationary_distribution(tm)
-            rows = [[i, _phase_name(ph), _ACTION_NAMES[int(ac)], mu.vector[idx]]
-                    for idx, (i, ph, ac) in enumerate(tm.space.states)]
-            _write_csv(out / "stationary.csv",
-                       ["queue", "phase", "action", "probability"], rows)
+            states = _state_columns(tm.space, np.arange(tm.space.size))
+            _write_csv(out / "stationary.csv", ["queue", "phase", "action", "probability"],
+                       zip(*states, mu.vector))
         if args.emit_matrix:
-            rows = []
-            for si, (i, ph, ac) in enumerate(tm.space.states):
-                for di, (j, ph2, ac2) in enumerate(tm.space.states):
-                    v = tm.matrix[si, di]
-                    if v != 0.0:
-                        rows.append([i, _phase_name(ph), _ACTION_NAMES[int(ac)],
-                                     j, _phase_name(ph2), _ACTION_NAMES[int(ac2)], v])
+            src, dst = np.nonzero(tm.matrix)  # row-major: by source, then destination
+            rows = zip(*_state_columns(tm.space, src), *_state_columns(tm.space, dst),
+                       tm.matrix[src, dst])
             _write_csv(out / "matrix.csv",
                        ["src_queue", "src_phase", "src_action",
                         "dst_queue", "dst_phase", "dst_action", "probability"], rows)
@@ -253,7 +249,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     params = _build_params(cfg, args)
     sim_cfg = _build_sim_config(cfg, args, params)
-    result = run_simulation(sim_cfg, workers=_workers())
+    _check_workers_env()
+    result = run_simulation(sim_cfg)
 
     rows = []
     for rep in result.reps:
@@ -294,8 +291,9 @@ def cmd_sweep(args) -> int:
         raise InvalidParameterError("sweep grid is missing or empty")
     values = sorted(float(v) for v in grid)  # canonical order for stable output
 
+    _check_workers_env()
     rows_out = []
-    for row in sweep(params, constraints, axis, values, target, tol=tol, workers=_workers()):
+    for row in sweep(params, constraints, axis, values, target, tol=tol):
         rep = row.report
         if rep is None:
             metric_cells = [math.nan, math.nan, math.nan, math.nan, math.nan, False]
@@ -317,12 +315,12 @@ def cmd_compare(args) -> int:
         raise InvalidParameterError("compare lambda_grid is missing or empty")
     lam_grid = [float(v) for v in grid]  # echoed in caller order
 
-    workers = _workers()
+    _check_workers_env()
     rows = []
     for lam in lam_grid:
         p2 = replace(params, traffic=replace(params.traffic, lam=lam))
         sim_cfg = _build_sim_config(cfg, args, p2)
-        sim = run_simulation(sim_cfg, workers=workers)
+        sim = run_simulation(sim_cfg)
         full = evaluate_qos(p2)
         base = synchronized_baseline(p2)
         rows.append([lam, sim.mean_sojourn_hat, full.wait_slot_avg, base.wait_slot_avg])

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import StationaryDistribution, build_transition_matrix, stationary_distribution
+from .chain import (StateSpace, StationaryDistribution, build_transition_matrix,
+                    stationary_distribution)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, UndefinedLoadError, UndefinedWaitError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
@@ -33,6 +34,28 @@ def _clamp_probability(value: float, name: str) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _space(mu: StationaryDistribution) -> StateSpace:
+    if mu.space is None:
+        raise InvalidParameterError("distribution lacks a state space")
+    return mu.space
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Sum of values in state order, added left to right.
+
+    A running sum rather than numpy's pairwise one, so every metric has
+    the bits of a plain loop over the states.  That matters because
+    P_B = 1 - rho_c / rho turns a last-bit change of rho_c at light load
+    into a change in the printed digits of P_B.
+    """
+    return float(np.cumsum(values)[-1])
+
+
+def _serving_off(space: StateSpace) -> np.ndarray:
+    """Mask of the serving OFF states, one per queue level 1..K in order."""
+    return (space.phase == Phase.OFF) & (space.action == Action.SERVE)
+
+
 def carried_load(mu: StationaryDistribution, kernel: SlotTransitionKernel,
                  service_success: float | None = None) -> float:
     """Fraction of slots that deliver a packet.
@@ -42,12 +65,8 @@ def carried_load(mu: StationaryDistribution, kernel: SlotTransitionKernel,
     persistence (or an overridden success probability for variant
     chains built with one).
     """
-    if mu.space is None:
-        raise InvalidParameterError("distribution lacks a state space")
     succ = kernel.off_persist if service_success is None else float(service_success)
-    total = 0.0
-    for i in range(1, mu.space.capacity_k + 1):
-        total += mu.prob(i, Phase.OFF, Action.SERVE)
+    total = _running_sum(mu.vector[_serving_off(_space(mu))])
     return _clamp_probability(succ * total, "carried load")
 
 
@@ -105,20 +124,18 @@ def departure_distributions(mu: StationaryDistribution, kernel: SlotTransitionKe
     """
     if variant not in KAPPA_VARIANTS:
         raise InvalidParameterError(f"unknown variant {variant!r}")
-    if mu.space is None:
-        raise InvalidParameterError("distribution lacks a state space")
-    k_cap = mu.space.capacity_k
     succ = kernel.off_persist if service_success is None else float(service_success)
-
-    kappa = np.zeros(k_cap)
-    for i in range(k_cap):
-        acc = 0.0
-        for j in range(1, i + 2):
-            w = mu.prob(j, Phase.OFF, Action.SERVE)
-            if variant == "arrival-weighted":
-                w *= arrival_pmf(traffic, i - j + 1)
-            acc += w
-        kappa[i] = succ * acc
+    serving = mu.vector[_serving_off(_space(mu))]
+    k_cap = len(serving)
+    # weight[i, j]: share of serving level j + 1 that leaves i behind,
+    # i.e. after i - j arrivals.  Rows are summed left to right, as the
+    # running sums elsewhere in this module are.
+    lag = np.subtract.outer(np.arange(k_cap), np.arange(k_cap))
+    weight = (lag >= 0).astype(float)
+    if variant == "arrival-weighted":
+        pmf = np.array([arrival_pmf(traffic, n) for n in range(k_cap)])
+        weight *= pmf[np.maximum(lag, 0)]
+    kappa = succ * np.cumsum(weight * serving, axis=1)[:, -1]
 
     norm = float(kappa.sum())
     if norm <= 0.0:
@@ -158,32 +175,21 @@ def waiting_time(dd: DepartureDistributions | None, drop_prob: float,
         return drop_prob / lam_eff + float(dd.delta.sum()) / lam_agg
     if mu is None or mu.space is None:
         raise InvalidParameterError("slot-average estimator needs the stationary law")
-    mean_queue = 0.0
-    for idx, (i, _, _) in enumerate(mu.space.states):
-        mean_queue += i * float(mu.vector[idx])
+    mean_queue = _running_sum(mu.space.queue * mu.vector)
     return mean_queue / lam_eff
 
 
 def interference_probability(mu: StationaryDistribution) -> float:
     """Fraction of slots in which the AP transmits while the primary is ON."""
-    if mu.space is None:
-        raise InvalidParameterError("distribution lacks a state space")
-    total = 0.0
-    for idx, (_, phase, action) in enumerate(mu.space.states):
-        if phase == Phase.ON and action != Action.IDLE:
-            total += float(mu.vector[idx])
-    return _clamp_probability(total, "interference probability")
+    space = _space(mu)
+    transmitting = (space.phase == Phase.ON) & (space.action != Action.IDLE)
+    return _clamp_probability(_running_sum(mu.vector[transmitting]), "interference probability")
 
 
 def charge_fraction(mu: StationaryDistribution) -> float:
     """Stationary fraction of slots spent beaming power."""
-    if mu.space is None:
-        raise InvalidParameterError("distribution lacks a state space")
-    total = 0.0
-    for idx, (_, _, action) in enumerate(mu.space.states):
-        if action == Action.CHARGE:
-            total += float(mu.vector[idx])
-    return _clamp_probability(total, "charge fraction")
+    charging = _space(mu).action == Action.CHARGE
+    return _clamp_probability(_running_sum(mu.vector[charging]), "charge fraction")
 
 
 def nominal_charge_fraction(params: SystemParams) -> float:

@@ -11,8 +11,8 @@ a bogus bracket.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,8 +84,11 @@ class CriticalResult:
     report: QosReport | None
 
 
-def _largest_feasible(feasible, lo: float, hi: float, tol: float) -> tuple[float | None, bool, bool, bool]:
-    """Largest x in [lo, hi] with feasible(x), assuming a feasible prefix.
+def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult:
+    """Largest x in [lo, hi] with a feasible probe, assuming a feasible prefix.
+
+    probe(x) returns (ok, report), and the result carries the report of
+    the value it answers with, so the answer is never evaluated twice.
 
     Pre-scans a coarse grid first: an infeasible floor short-circuits to
     None, an all-feasible scan returns hi (capped), and a scan whose
@@ -93,23 +96,27 @@ def _largest_feasible(feasible, lo: float, hi: float, tol: float) -> tuple[float
     and answered with the last prefix-feasible grid point instead of a
     bisection that would be meaningless.
     """
-    xs = np.linspace(lo, hi, _PRESCAN_POINTS)
-    flags = [bool(feasible(float(x))) for x in xs]
+    xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
+    scan = [probe(x) for x in xs]
+    flags = [ok for ok, _ in scan]
     if not flags[0]:
-        return None, False, True, False
+        return CriticalResult(value=None, feasible_at_floor=False, monotone=True,
+                              capped=False, report=None)
     if all(flags):
-        return float(xs[-1]), True, True, True
+        return CriticalResult(value=xs[-1], feasible_at_floor=True, monotone=True,
+                              capped=True, report=scan[-1][1])
     first_bad = flags.index(False)
-    if any(flags[first_bad:]):
-        return float(xs[first_bad - 1]), True, False, False
-    a, b = float(xs[first_bad - 1]), float(xs[first_bad])
-    while b - a > tol:
+    a, b, report = xs[first_bad - 1], xs[first_bad], scan[first_bad - 1][1]
+    monotone = not any(flags[first_bad:])
+    while monotone and b - a > tol:
         mid = 0.5 * (a + b)
-        if feasible(mid):
-            a = mid
+        ok, mid_report = probe(mid)
+        if ok:
+            a, report = mid, mid_report
         else:
             b = mid
-    return a, True, True, False
+    return CriticalResult(value=a, feasible_at_floor=True, monotone=monotone,
+                          capped=False, report=report)
 
 
 def critical_beta(params: SystemParams, constraints: Constraints,
@@ -118,15 +125,10 @@ def critical_beta(params: SystemParams, constraints: Constraints,
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
-    def feas(beta: float) -> bool:
-        return feasibility_check(params_with_activity(params, beta), constraints)[0]
+    def probe(beta: float) -> tuple[bool, QosReport]:
+        return feasibility_check(params_with_activity(params, beta), constraints)
 
-    value, at_floor, monotone, capped = _largest_feasible(feas, BETA_FLOOR, BETA_CEIL, tol)
-    report = None
-    if value is not None:
-        report = feasibility_check(params_with_activity(params, value), constraints)[1]
-    return CriticalResult(value=value, feasible_at_floor=at_floor, monotone=monotone,
-                          capped=capped, report=report)
+    return _largest_feasible(probe, BETA_FLOOR, BETA_CEIL, tol)
 
 
 def critical_lambda(params: SystemParams, constraints: Constraints,
@@ -140,30 +142,25 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
-    def feas(lam: float) -> bool:
-        p2 = replace(params, traffic=replace(params.traffic, lam=lam))
-        return feasibility_check(p2, constraints)[0]
+    # Memoized: the pre-scan ends on the infeasible bracket end that the
+    # doubling has already probed.
+    @functools.cache
+    def probe(lam: float) -> tuple[bool, QosReport]:
+        return feasibility_check(replace(params, traffic=replace(params.traffic, lam=lam)),
+                                 constraints)
 
     lam0 = params.traffic.lam
     if lam0 <= 0:
         lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
     hi = lam0
     doublings = 0
-    while feas(hi):
+    while (probed := probe(hi))[0]:
         if doublings >= _LAMBDA_DOUBLING_CAP:
-            p2 = replace(params, traffic=replace(params.traffic, lam=hi))
             return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,
-                                  capped=True, report=feasibility_check(p2, constraints)[1])
+                                  capped=True, report=probed[1])
         hi *= 2.0
         doublings += 1
-
-    value, at_floor, monotone, capped = _largest_feasible(feas, 0.0, hi, tol)
-    report = None
-    if value is not None:
-        p2 = replace(params, traffic=replace(params.traffic, lam=value))
-        report = feasibility_check(p2, constraints)[1]
-    return CriticalResult(value=value, feasible_at_floor=at_floor, monotone=monotone,
-                          capped=capped, report=report)
+    return _largest_feasible(probe, 0.0, hi, tol)
 
 
 @dataclass(frozen=True)
@@ -179,13 +176,13 @@ class SweepRow:
 
 
 def sweep(params: SystemParams, constraints: Constraints, axis: str,
-          grid, target: str, tol: float = 1e-3, workers: int = 1) -> list[SweepRow]:
+          grid, target: str, tol: float = 1e-3) -> list[SweepRow]:
     """Critical-value curve along a sensing-quality axis.
 
     axis selects which sensing probability the grid drives ("detection"
-    or "false-alarm"); target picks the critical quantity.  Rows come
-    back in the caller's grid order regardless of evaluation order or
-    worker count.
+    or "false-alarm"); target picks the critical quantity.  Grid points
+    are searched one after another and rows come back in the caller's
+    grid order.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameterError(f"axis must be one of {SWEEP_AXES}")
@@ -209,9 +206,6 @@ def sweep(params: SystemParams, constraints: Constraints, axis: str,
                         feasible_at_zero=cr.feasible_at_floor, monotone=cr.monotone,
                         capped=cr.capped, report=cr.report)
 
-    if workers > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, values))
     return [one(v) for v in values]
 
 

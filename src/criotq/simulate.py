@@ -22,7 +22,6 @@ for a given seed regardless of how replications are scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -370,26 +369,18 @@ def _rep_result(tally: _Tally, rep_index: int) -> ReplicationResult:
         charge_fraction_hat=float(tally.b_charge.sum()) / slots)
 
 
-def run_simulation(config: SimConfig, workers: int = 1) -> SimResult:
-    """Run every replication and pool the tallies.
+def run_simulation(config: SimConfig) -> SimResult:
+    """Run every replication in turn and pool the tallies.
 
-    workers > 1 dispatches replications to a thread pool; the output is
-    identical for any worker count because each replication derives its
-    own generator from (seed, rep_index) and merging follows replication
-    order.
+    Each replication derives its own generator from (seed, rep_index)
+    and merging follows replication order, so the result depends on the
+    seed alone.
     """
     horizon = config.horizon_slots
     warmup = config.resolved_warmup
     reps = config.replications
-
-    def job(r: int) -> _Tally:
-        return _simulate_one(config.params, horizon, warmup, config.seed, r)
-
-    if workers > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            tallies = list(ex.map(job, range(reps)))
-    else:
-        tallies = [job(r) for r in range(reps)]
+    tallies = [_simulate_one(config.params, horizon, warmup, config.seed, r)
+               for r in range(reps)]
 
     merged = tallies[0]
     for t in tallies[1:]:

@@ -10,12 +10,14 @@ from criotq import (Action, InvalidParameterError, NoConvergenceError, Phase,
 from conftest import make_params
 
 
-def literal_transition_matrix(params):
+def literal_transition_matrix(params, service_success=None):
     """Second, deliberately naive route to the one-slot matrix.
 
     Every cell is written out as weight * arrival mass * next-decision
     probability with no shared code paths, so agreement with the vectorized
     builder checks the factorization rather than restating it.
+    service_success overrides the whole-slot OFF persistence as the
+    serving-slot success probability, as the builder's argument does.
     """
     pnp, tr, sen, pol = params.pnp, params.traffic, params.sensing, params.policy
     cap = tr.capacity_k
@@ -24,7 +26,7 @@ def literal_transition_matrix(params):
     a01 = pnp.mu_off * growth / sigma
     a10 = pnp.mu_on * growth / sigma
     alpha = ((1.0 - a01, a01), (a10, 1.0 - a10))
-    f_off = math.exp(-pnp.mu_off * tr.slot_d)
+    f_off = math.exp(-pnp.mu_off * tr.slot_d) if service_success is None else service_success
     mean = tr.n * tr.lam * tr.slot_d
 
     def pois(k):
@@ -84,6 +86,7 @@ def test_index_round_trip():
     for idx, (i, phi, psi) in enumerate(space.states):
         assert space.index(i, phi, psi) == idx
         assert space.state(idx) == (i, phi, psi)
+        assert (space.queue[idx], space.phase[idx], space.action[idx]) == (i, phi, psi)
 
 
 def test_index_rejects_invalid_states():
@@ -104,7 +107,7 @@ def test_index_rejects_invalid_states():
 
 def test_builder_agrees_with_literal_construction():
     rng = np.random.default_rng(41507)
-    for cap in (1, 2, 3):
+    for cap in (1, 2, 3, 12):
         for _ in range(5):
             n = int(rng.integers(1, 30))
             params = make_params(
@@ -123,6 +126,11 @@ def test_builder_agrees_with_literal_construction():
             mu = stationary_distribution(tm)
             mu2 = stationary_distribution(want)
             assert np.max(np.abs(mu.vector - mu2.vector)) <= 1e-9
+            # Success mass a00 leaves the interrupted OFF branch with weight 0.
+            a00 = slot_kernel(params.pnp, params.traffic.slot_d).a00
+            _, want_sync = literal_transition_matrix(params, service_success=a00)
+            sync = build_transition_matrix(params, service_success=a00)
+            assert np.max(np.abs(sync.matrix - want_sync)) <= 1e-12
 
 
 def test_frozen_entry_serve_success_then_charge(baseline_params):

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from criotq import (DegenerateDistributionError, InvalidParameterError,
-                    MetricRangeError, TrafficModel, UndefinedLoadError,
+from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
+                    MetricRangeError, Phase, TrafficModel, UndefinedLoadError,
                     UndefinedWaitError,
-                    activity_factor, build_transition_matrix, carried_load,
+                    activity_factor, arrival_pmf, build_transition_matrix, carried_load,
                     charge_fraction, departure_distributions, evaluate_qos,
                     interference_probability, nominal_charge_fraction,
                     packet_drop_probability, required_power, stationary_distribution,
@@ -30,6 +30,8 @@ def test_carried_load_zero_when_never_serving():
 def test_drop_probability_flow_balance(baseline_params):
     tm, mu = solve(baseline_params)
     rho_c = carried_load(mu, tm.kernel)
+    serving = sum(mu.prob(i, Phase.OFF, Action.SERVE) for i in range(1, 11))
+    assert rho_c == pytest.approx(tm.kernel.off_persist * serving, rel=1e-12)
     p_b = packet_drop_probability(rho_c, baseline_params.traffic)
     assert p_b == pytest.approx(1.0 - rho_c / 0.02, abs=1e-15)
     assert 0.0 < p_b < 1e-4
@@ -61,9 +63,18 @@ def test_drop_probability_overshoot_clamps_and_warns():
 
 def test_departure_distributions_basics(baseline_params):
     tm, mu = solve(baseline_params)
+    traffic = baseline_params.traffic
+    serving = [mu.prob(j, Phase.OFF, Action.SERVE) for j in range(1, 11)]
     for variant in ("cumulative", "arrival-weighted"):
         dd = departure_distributions(mu, tm.kernel, baseline_params.traffic, variant)
         assert dd.variant == variant
+        # kappa[i]: departures leaving i behind, from serving level j <= i + 1
+        # after i + 1 - j arrivals (weighted by their pmf in that variant).
+        weight = ((lambda n: arrival_pmf(traffic, n)) if variant == "arrival-weighted"
+                  else (lambda n: 1.0))
+        want = [tm.kernel.off_persist * sum(serving[j] * weight(i - j) for j in range(i + 1))
+                for i in range(10)]
+        assert dd.kappa == pytest.approx(want, rel=1e-12)
         assert dd.delta.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(dd.delta >= 0.0)
         assert dd.epsilon.sum() == pytest.approx(1.0, abs=1e-12)
@@ -137,6 +148,9 @@ def test_interference_zero_under_perfect_detection():
 def test_interference_positive_at_baseline(baseline_params):
     tm, mu = solve(baseline_params)
     p_i = interference_probability(mu)
+    transmitting_on = sum(mu.vector[idx] for idx, (_, phi, psi) in enumerate(tm.space.states)
+                          if phi == Phase.ON and psi != Action.IDLE)
+    assert p_i == pytest.approx(transmitting_on, rel=1e-12)
     # Acting on a missed detection needs the ON mass, a miss, and an
     # action coin: beta * (1 - P_D) * (1 - theta) bounds it from above.
     assert 0.0 < p_i <= 0.5 * 0.1 * 0.8 + 1e-12

@@ -51,6 +51,7 @@ def test_critical_beta_baseline_bracket(baseline_params):
     assert res.feasible_at_floor and res.monotone and not res.capped
     assert BETA_FLOOR < res.value < BETA_CEIL
     assert res.report.feasible is True
+    assert res.report.beta == pytest.approx(res.value, rel=1e-12)
     ok_above, _ = feasibility_check(
         params_with_activity(baseline_params, min(res.value + 2e-3, BETA_CEIL)),
         ANCHOR_CONSTRAINTS)
@@ -109,6 +110,8 @@ def test_critical_lambda_caps_when_everything_is_feasible(baseline_params):
     res = critical_lambda(baseline_params, lax, tol=1e-3)
     assert res.capped is True
     assert res.value == pytest.approx(0.001 * 2 ** 20, rel=1e-12)
+    assert res.report.feasible is True
+    assert res.report.offered_load == pytest.approx(20 * res.value, rel=1e-12)
 
 
 def test_critical_lambda_zero_under_certain_false_alarm():
@@ -141,14 +144,11 @@ def test_sweep_matches_pointwise_search(baseline_params):
     assert rows[0].critical_value == pytest.approx(single.value, abs=1e-12)
 
 
-def test_sweep_preserves_grid_order_and_workers(baseline_params):
+def test_sweep_preserves_grid_order(baseline_params):
     grid = [0.95, 0.85, 0.9]
-    serial = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection",
-                   grid=grid, target="beta_c", workers=1)
-    threaded = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection",
-                     grid=grid, target="beta_c", workers=3)
-    assert [r.swept_value for r in serial] == grid
-    assert [r.critical_value for r in serial] == [r.critical_value for r in threaded]
+    rows = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection",
+                 grid=grid, target="beta_c")
+    assert [r.swept_value for r in rows] == grid
 
 
 def test_sweep_false_alarm_axis(baseline_params):
