@@ -17,6 +17,27 @@ Randomness comes from numpy's PCG64; replication r of a run seeded s
 uses SeedSequence([s, r]) split into one stream for the phase process
 and one for everything else, so results are reproducible bit-for-bit
 for a given seed regardless of how replications are scheduled.
+
+The slots are processed _CHUNK at a time, as arrays, and memory does
+not grow with the horizon:
+
+* the phase durations are drawn in blocks that alternate between the
+  phases; their running sum gives the switch times, and counting the
+  switches before each slot boundary gives every slot's starting phase
+  (by parity) and whether one phase covered it;
+* each chunk draws its arrival counts, in-slot timestamps and sensing,
+  idle and charge coins, in that order;
+* only the queue recursion q' = min(q + a, K) - [departure] runs slot
+  by slot, and only on slots with an arrival or a possible departure;
+  actions, the state histogram and the batch counts follow from the
+  queue at each slot start;
+* packets leave in FIFO order, so the m-th departure takes the m-th
+  admitted timestamp, and sojourns are added to their batch sums in
+  slot order.
+
+These steps draw the same numbers and do the same floating-point
+operations as a loop over slots, so the tallies equal that loop's bit
+for bit (tests/test_simulate.py keeps the loop as the reference).
 """
 
 from __future__ import annotations
@@ -57,6 +78,14 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
+        for name in ("horizon_slots", "warmup_slots", "replications", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "warmup_slots":
+                continue
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
         if self.horizon_slots < 1:
             raise InvalidParameterError("horizon_slots must be >= 1")
         if self.replications < 1:
@@ -143,58 +172,75 @@ class SimResult:
             raise InvalidParameterError("post-departure histogram must sum to 1")
 
 
-class _DurationFeed:
-    """Buffered exponential phase durations, one stream per phase."""
+#: Columns of a tally's per-batch count array.  Every measured departure
+#: is both a served slot and a sojourn sample, so one column counts both.
+_GEN, _DROP, _INTERF, _SERVE, _CHARGE, _SLOTS = range(6)
 
-    __slots__ = ("_rng", "_scale", "_buf", "_pos", "_block")
-
-    def __init__(self, rng: np.random.Generator, mu_on: float, mu_off: float,
-                 block: int = 8192):
-        self._rng = rng
-        self._scale = (1.0 / mu_off, 1.0 / mu_on)  # index = phase being held
-        self._buf: list[list[float]] = [[], []]
-        self._pos = [0, 0]
-        self._block = block
-
-    def next(self, phase: int) -> float:
-        pos = self._pos[phase]
-        buf = self._buf[phase]
-        if pos >= len(buf):
-            buf = self._rng.exponential(self._scale[phase], self._block).tolist()
-            self._buf[phase] = buf
-            pos = 0
-        self._pos[phase] = pos + 1
-        return buf[pos]
+#: Phase durations drawn at a time for each phase.  The block size fixes
+#: how the two phases' draws interleave in the stream, so it is part of
+#: the result for a given seed.
+_BLOCK = 8192
 
 
-class _Tally:
-    """Raw accumulators of one replication; merging is associative."""
+class _Tally(NamedTuple):
+    """Raw accumulators of one or more replications.
 
-    __slots__ = ("hist", "post_dep", "b_gen", "b_drop", "b_interf", "b_serve",
-                 "b_charge", "b_slots", "b_soj_sum", "b_soj_n", "served_tagged")
+    batches has one row of integer counts per batch (columns _GEN.._SLOTS)
+    and soj_sum the matching per-batch sojourn sums; pooling replications
+    stacks their batches in replication order.
+    """
 
-    def __init__(self, n_states: int, k_cap: int, n_batches: int):
-        self.hist = np.zeros(n_states, dtype=np.int64)
-        self.post_dep = np.zeros(k_cap, dtype=np.int64)
-        self.b_gen = np.zeros(n_batches, dtype=np.int64)
-        self.b_drop = np.zeros(n_batches, dtype=np.int64)
-        self.b_interf = np.zeros(n_batches, dtype=np.int64)
-        self.b_serve = np.zeros(n_batches, dtype=np.int64)
-        self.b_charge = np.zeros(n_batches, dtype=np.int64)
-        self.b_slots = np.zeros(n_batches, dtype=np.int64)
-        self.b_soj_sum = np.zeros(n_batches)
-        self.b_soj_n = np.zeros(n_batches, dtype=np.int64)
-        self.served_tagged = 0
+    hist: np.ndarray
+    post_dep: np.ndarray
+    batches: np.ndarray
+    soj_sum: np.ndarray
+    served_tagged: int
 
-    def merge(self, other: "_Tally") -> "_Tally":
-        out = _Tally(len(self.hist), len(self.post_dep), 0)
-        for name in ("hist", "post_dep"):
-            setattr(out, name, getattr(self, name) + getattr(other, name))
-        for name in ("b_gen", "b_drop", "b_interf", "b_serve", "b_charge",
-                     "b_slots", "b_soj_sum", "b_soj_n"):
-            setattr(out, name, np.concatenate([getattr(self, name), getattr(other, name)]))
-        out.served_tagged = self.served_tagged + other.served_tagged
-        return out
+
+def _pool(tallies: list[_Tally]) -> _Tally:
+    return _Tally(hist=sum(t.hist for t in tallies),
+                  post_dep=sum(t.post_dep for t in tallies),
+                  batches=np.concatenate([t.batches for t in tallies]),
+                  soj_sum=np.concatenate([t.soj_sum for t in tallies]),
+                  served_tagged=sum(t.served_tagged for t in tallies))
+
+
+def _phase_path(rng: np.random.Generator, pnp: PnpModel, slot_d: float, horizon: int):
+    """Yield the starting phase and whole-slot flag of every slot, per chunk.
+
+    The phase alternates, so its durations are drawn in a fixed order:
+    _BLOCK for the start phase, _BLOCK for the other phase, and again.
+    Interleaved and summed left to right they give the switch times; a
+    slot starts in the start phase iff an even number of switches came
+    before its start, and stays in one phase iff none falls inside it.
+    """
+    start = 1 if rng.random() < activity_factor(pnp) else 0
+    scale = (1.0 / pnp.mu_off, 1.0 / pnp.mu_on)  # index = phase being held
+
+    def block(last: float) -> np.ndarray:
+        dur = np.empty(2 * _BLOCK)
+        dur[0::2] = rng.exponential(scale[start], _BLOCK)
+        dur[1::2] = rng.exponential(scale[1 - start], _BLOCK)
+        dur[0] += last
+        return np.cumsum(dur)
+
+    # Invariant: every switch before the current block precedes every
+    # bound not yet counted, so a bound's count is `passed` plus its rank
+    # in the first block that reaches it.
+    switches, passed = block(0.0), 0
+    for s0 in range(0, horizon, _CHUNK):
+        bounds = np.arange(s0, min(s0 + _CHUNK, horizon) + 1) * slot_d
+        before = np.empty(bounds.size, dtype=np.int64)  # switches strictly before each bound
+        done = 0
+        while True:
+            reached = int(np.searchsorted(bounds, switches[-1], "right"))
+            before[done:reached] = passed + np.searchsorted(switches, bounds[done:reached])
+            done = reached
+            if done == bounds.size:
+                break
+            passed += switches.size
+            switches = block(switches[-1])
+        yield start ^ (before[:-1] & 1), before[1:] == before[:-1]
 
 
 def _simulate_one(params: SystemParams, horizon: int, warmup: int,
@@ -207,132 +253,93 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
     tr = params.traffic
     k_cap = tr.capacity_k
     d = tr.slot_d
-    mean_per_slot = tr.mean_arrivals_per_slot
-    pd_, pf = params.sensing.p_detect, params.sensing.p_false_alarm
+    busy_by_phase = np.array([params.sensing.p_false_alarm, params.sensing.p_detect])
     theta, xi = params.policy.theta_idle, params.policy.xi_charge
-    busy_by_phase = (pf, pd_)
-    space = enumerate_states(k_cap)
     measured = horizon - warmup
     meas_t0 = warmup * d
+    # First slot of each batch, then the horizon.
+    edges = warmup + (np.arange(NUM_BATCHES + 1) * measured + NUM_BATCHES - 1) // NUM_BATCHES
 
-    tally = _Tally(space.size, k_cap, NUM_BATCHES)
-    hist = [0] * space.size
-    post_dep = [0] * k_cap
-    b_gen = [0] * NUM_BATCHES
-    b_drop = [0] * NUM_BATCHES
-    b_interf = [0] * NUM_BATCHES
-    b_serve = [0] * NUM_BATCHES
-    b_charge = [0] * NUM_BATCHES
-    b_slots = [0] * NUM_BATCHES
-    b_soj_sum = [0.0] * NUM_BATCHES
-    b_soj_n = [0] * NUM_BATCHES
+    cells = np.zeros(6 * (k_cap + 1), dtype=np.int64)  # slots per (queue, phase, action)
+    post_dep = np.zeros(k_cap, dtype=np.int64)
+    batches = np.zeros((NUM_BATCHES, _SLOTS + 1), dtype=np.int64)
+    soj_sum = np.zeros(NUM_BATCHES)
     served_tagged = 0
-
-    cur_phase = 1 if phase_rng.random() < activity_factor(params.pnp) else 0
-    feed = _DurationFeed(phase_rng, params.pnp.mu_on, params.pnp.mu_off)
-    next_switch = feed.next(cur_phase)
-
-    fifo: list[float] = []
-    head = 0
     qlen = 0
+    waiting = np.empty(0)  # arrival timestamps of the queued packets, head first
 
+    phases = _phase_path(phase_rng, params.pnp, d, horizon)
     for s0 in range(0, horizon, _CHUNK):
         chunk = min(_CHUNK, horizon - s0)
-        n_arr = flow_rng.poisson(mean_per_slot, chunk)
+        n_arr = flow_rng.poisson(tr.mean_arrivals_per_slot, chunk)
         total = int(n_arr.sum())
-        if total:
-            slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
-            ts = (slots_f + flow_rng.random(total)) * d
-            ts.sort()
-            ts_l = ts.tolist()
-        else:
-            flow_rng.random(0)
-            ts_l = []
-        offsets = np.zeros(chunk + 1, dtype=np.int64)
-        np.cumsum(n_arr, out=offsets[1:])
+        slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
+        ts = (slots_f + flow_rng.random(total)) * d
+        ts.sort()
         sense_u = flow_rng.random(chunk)
         theta_u = flow_rng.random(chunk)
         xi_u = flow_rng.random(chunk)
-        # Action before considering sensing/queue: 0 idle coin, 2 charge, 1 serve.
-        pre_act = np.where(theta_u < theta, 0, np.where(xi_u < xi, 2, 1))
-        bat = ((np.arange(s0, s0 + chunk, dtype=np.int64) - warmup) * NUM_BATCHES) // measured
+        phase, whole = next(phases)
 
-        n_arr_l = n_arr.tolist()
-        off_l = offsets.tolist()
-        sense_l = sense_u.tolist()
-        act_l = pre_act.tolist()
-        bat_l = bat.tolist()
+        # Action before considering the queue: 0 idle, 1 serve, 2 charge.
+        act = np.where(xi_u < xi, 2, 1)
+        act[(sense_u < busy_by_phase[phase]) | (theta_u < theta)] = 0
+        clears = (act == 1) & (phase == 0) & whole  # departs iff the queue is nonempty
 
-        for k in range(chunk):
-            s = s0 + k
-            phase = cur_phase
-            slot_end = (s + 1) * d
-            whole = next_switch >= slot_end
-            while next_switch < slot_end:
-                cur_phase = 1 - cur_phase
-                next_switch += feed.next(cur_phase)
+        # The queue only moves on slots with an arrival or a possible departure.
+        moves = (n_arr > 0) | clears
+        after = [qlen]
+        append = after.append
+        for c, clear in zip(n_arr[moves].tolist(), clears[moves].tolist()):
+            nxt = qlen + c
+            if nxt > k_cap:
+                nxt = k_cap
+            if clear and qlen:
+                nxt -= 1
+            qlen = nxt
+            append(qlen)
+        q = np.asarray(after)[np.cumsum(moves) - moves]  # queue at each slot start
 
-            if sense_l[k] < busy_by_phase[phase]:
-                act = 0
-            else:
-                act = act_l[k]
-                if act == 1 and qlen == 0:
-                    act = 0
+        act[(act == 1) & (q == 0)] = 0
+        adm = np.minimum(n_arr, k_cap - q)
+        dep = clears & (q > 0)
+        if adm.sum() < total:  # admit each slot's earliest arrivals only
+            slot_of = np.repeat(np.arange(chunk), n_arr)
+            rank = np.arange(total) - (np.cumsum(n_arr) - n_arr)[slot_of]
+            ts = ts[rank < adm[slot_of]]
+        queue = np.concatenate([waiting, ts])
+        n_dep = int(np.count_nonzero(dep))
+        leaving, waiting = queue[:n_dep], queue[n_dep:]
 
-            meas = s >= warmup
-            if meas:
-                b = bat_l[k]
-                b_slots[b] += 1
-                if qlen == 0:
-                    hist[2 * phase + (1 if act == 2 else 0)] += 1
-                else:
-                    hist[4 + 6 * (qlen - 1) + 3 * phase + act] += 1
-                if phase and act:
-                    b_interf[b] += 1
-                if act == 2:
-                    b_charge[b] += 1
+        m0 = max(warmup - s0, 0)
+        if m0 >= chunk:
+            continue
+        q, phase, act = q[m0:], phase[m0:], act[m0:]
+        dep, n_arr, adm = dep[m0:], n_arr[m0:], adm[m0:]
+        cells += np.bincount(6 * q + 3 * phase + act, minlength=cells.size)
+        cut = np.clip(edges, s0 + m0, s0 + chunk) - (s0 + m0)  # batch bounds in this window
+        held = np.flatnonzero(np.diff(cut))  # batches with slots in this window
+        for col, per_slot in enumerate((n_arr, n_arr - adm, (phase == 1) & (act != 0),
+                                        dep, act == 2)):
+            batches[held, col] += np.add.reduceat(per_slot, cut[held])
+        batches[:, _SLOTS] += np.diff(cut)
 
-            c = n_arr_l[k]
-            if c:
-                room = k_cap - qlen
-                adm = c if c <= room else room
-                if adm:
-                    lo = off_l[k]
-                    fifo.extend(ts_l[lo:lo + adm])
-                    qlen += adm
-                if meas:
-                    b_gen[b] += c
-                    if c > adm:
-                        b_drop[b] += c - adm
+        # Measured departures are the chunk's last ones.  Each batch sum
+        # starts from its running value and adds sojourns in slot order.
+        at = np.flatnonzero(dep)
+        t_arr = leaving[n_dep - at.size:]
+        s_at = s0 + m0 + at
+        soj = (s_at + 1) * d - t_arr
+        soj_sum = np.bincount(
+            np.concatenate([np.arange(NUM_BATCHES), ((s_at - warmup) * NUM_BATCHES) // measured]),
+            weights=np.concatenate([soj_sum, soj]), minlength=NUM_BATCHES)
+        post_dep += np.bincount((q + adm - 1)[at], minlength=k_cap)
+        served_tagged += int(np.count_nonzero(t_arr >= meas_t0))
 
-            if act == 1 and phase == 0 and whole:
-                t_arr = fifo[head]
-                head += 1
-                qlen -= 1
-                if meas:
-                    b_serve[b] += 1
-                    post_dep[qlen] += 1
-                    b_soj_sum[b] += slot_end - t_arr
-                    b_soj_n[b] += 1
-                    if t_arr >= meas_t0:
-                        served_tagged += 1
-
-        if head > 65536:
-            fifo = fifo[head:]
-            head = 0
-
-    tally.hist = np.asarray(hist, dtype=np.int64)
-    tally.post_dep = np.asarray(post_dep, dtype=np.int64)
-    tally.b_gen = np.asarray(b_gen, dtype=np.int64)
-    tally.b_drop = np.asarray(b_drop, dtype=np.int64)
-    tally.b_interf = np.asarray(b_interf, dtype=np.int64)
-    tally.b_serve = np.asarray(b_serve, dtype=np.int64)
-    tally.b_charge = np.asarray(b_charge, dtype=np.int64)
-    tally.b_slots = np.asarray(b_slots, dtype=np.int64)
-    tally.b_soj_sum = np.asarray(b_soj_sum)
-    tally.b_soj_n = np.asarray(b_soj_n, dtype=np.int64)
-    tally.served_tagged = served_tagged
-    return tally
+    space = enumerate_states(k_cap)
+    cell = 6 * space.queue + 3 * space.phase + space.action
+    return _Tally(hist=cells[cell], post_dep=post_dep, batches=batches, soj_sum=soj_sum,
+                  served_tagged=served_tagged)
 
 
 def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
@@ -348,32 +355,30 @@ def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     return point, se
 
 
-def _counts_of(tally: _Tally) -> Counts:
-    generated = int(tally.b_gen.sum())
-    dropped = int(tally.b_drop.sum())
-    return Counts(generated=generated, admitted=generated - dropped,
-                  dropped=dropped, served=tally.served_tagged)
-
-
-def _rep_result(tally: _Tally, rep_index: int) -> ReplicationResult:
-    drop, drop_se = _ratio_stats(tally.b_drop.astype(float), tally.b_gen.astype(float))
-    soj, soj_se = _ratio_stats(tally.b_soj_sum, tally.b_soj_n.astype(float))
-    interf, interf_se = _ratio_stats(tally.b_interf.astype(float), tally.b_slots.astype(float))
-    slots = float(tally.b_slots.sum())
-    return ReplicationResult(
-        rep_index=rep_index, counts=_counts_of(tally),
+def _estimates(tally: _Tally) -> dict:
+    """Point estimates, batch-means SEs and counts shared by reps and pools."""
+    b = tally.batches.astype(float)
+    drop, drop_se = _ratio_stats(b[:, _DROP], b[:, _GEN])
+    soj, soj_se = _ratio_stats(tally.soj_sum, b[:, _SERVE])
+    interf, interf_se = _ratio_stats(b[:, _INTERF], b[:, _SLOTS])
+    total = tally.batches.sum(axis=0)
+    slots = float(total[_SLOTS])
+    counts = Counts(generated=int(total[_GEN]), admitted=int(total[_GEN] - total[_DROP]),
+                    dropped=int(total[_DROP]), served=tally.served_tagged)
+    return dict(
+        counts=counts,
         drop_prob_hat=drop if not math.isnan(drop) else 0.0, drop_prob_se=drop_se,
         mean_sojourn_hat=soj, mean_sojourn_se=soj_se,
         interference_hat=interf, interference_se=interf_se,
-        carried_load_hat=float(tally.b_serve.sum()) / slots,
-        charge_fraction_hat=float(tally.b_charge.sum()) / slots)
+        carried_load_hat=float(total[_SERVE]) / slots,
+        charge_fraction_hat=float(total[_CHARGE]) / slots)
 
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Run every replication in turn and pool the tallies.
 
     Each replication derives its own generator from (seed, rep_index)
-    and merging follows replication order, so the result depends on the
+    and pooling follows replication order, so the result depends on the
     seed alone.
     """
     horizon = config.horizon_slots
@@ -381,31 +386,17 @@ def run_simulation(config: SimConfig) -> SimResult:
     reps = config.replications
     tallies = [_simulate_one(config.params, horizon, warmup, config.seed, r)
                for r in range(reps)]
-
-    merged = tallies[0]
-    for t in tallies[1:]:
-        merged = merged.merge(t)
-
-    space = enumerate_states(config.params.traffic.capacity_k)
-    counts = _counts_of(merged)
-    drop, drop_se = _ratio_stats(merged.b_drop.astype(float), merged.b_gen.astype(float))
-    soj, soj_se = _ratio_stats(merged.b_soj_sum, merged.b_soj_n.astype(float))
-    interf, interf_se = _ratio_stats(merged.b_interf.astype(float), merged.b_slots.astype(float))
-    slots = float(merged.b_slots.sum())
-    hist = merged.hist / merged.hist.sum()
-    n_dep = merged.post_dep.sum()
-    post = merged.post_dep / n_dep if n_dep > 0 else merged.post_dep.astype(float)
-
+    pooled = _pool(tallies)
+    n_dep = pooled.post_dep.sum()
+    post = pooled.post_dep / n_dep if n_dep > 0 else pooled.post_dep.astype(float)
     return SimResult(
-        drop_prob_hat=drop if not math.isnan(drop) else 0.0, drop_prob_se=drop_se,
-        mean_sojourn_hat=soj, mean_sojourn_se=soj_se,
-        interference_hat=interf, interference_se=interf_se,
-        carried_load_hat=float(merged.b_serve.sum()) / slots,
-        charge_fraction_hat=float(merged.b_charge.sum()) / slots,
-        slot_state_histogram=hist, post_departure_histogram=post,
-        counts=counts, space=space, seed=config.seed, generator=GENERATOR_NAME,
-        horizon_slots=horizon, warmup_slots=warmup, replications=reps,
-        reps=tuple(_rep_result(t, r) for r, t in enumerate(tallies)))
+        **_estimates(pooled),
+        slot_state_histogram=pooled.hist / pooled.hist.sum(), post_departure_histogram=post,
+        space=enumerate_states(config.params.traffic.capacity_k), seed=config.seed,
+        generator=GENERATOR_NAME, horizon_slots=horizon, warmup_slots=warmup,
+        replications=reps,
+        reps=tuple(ReplicationResult(rep_index=r, **_estimates(t))
+                   for r, t in enumerate(tallies)))
 
 
 def _renewal_endpoints(rng: np.random.Generator, pnp: PnpModel, start_phase: int,

@@ -165,6 +165,13 @@ def test_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
     assert "CRIOTQ_WORKERS" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_clean_error(tmp_path, capsys):
+    rc = main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(tmp_path),
+               "--horizon", "1000", "--warmup", "100", "--seed", "-3"])
+    assert rc == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
 def test_sweep_schema_and_grid_canonicalization(tmp_path):
     base = ["sweep", "--config", DEFAULT_CONFIG, "--axis", "detection",
             "--target", "beta_c", "--tol", "0.005"]

@@ -5,11 +5,172 @@ import pytest
 
 from criotq import (Action, InvalidParameterError, Phase, PnpModel, SimConfig,
                     activity_factor, build_transition_matrix,
-                    departure_distributions, estimate_slot_kernel,
-                    estimate_transition_row, evaluate_qos,
+                    departure_distributions, enumerate_states,
+                    estimate_slot_kernel, estimate_transition_row, evaluate_qos,
                     interference_probability, run_simulation, slot_kernel,
                     stationary_distribution)
+from criotq.simulate import (_CHARGE, _CHUNK, _DROP, _GEN, _INTERF, _SERVE, _SLOTS,
+                             NUM_BATCHES, _simulate_one)
 from conftest import make_params
+
+
+class _DurationFeed:
+    """Buffered exponential phase durations, one stream per phase."""
+
+    __slots__ = ("_rng", "_scale", "_buf", "_pos", "_block")
+
+    def __init__(self, rng: np.random.Generator, mu_on: float, mu_off: float,
+                 block: int = 8192):
+        self._rng = rng
+        self._scale = (1.0 / mu_off, 1.0 / mu_on)  # index = phase being held
+        self._buf: list[list[float]] = [[], []]
+        self._pos = [0, 0]
+        self._block = block
+
+    def next(self, phase: int) -> float:
+        pos = self._pos[phase]
+        buf = self._buf[phase]
+        if pos >= len(buf):
+            buf = self._rng.exponential(self._scale[phase], self._block).tolist()
+            self._buf[phase] = buf
+            pos = 0
+        self._pos[phase] = pos + 1
+        return buf[pos]
+
+
+def literal_simulate_one(params, horizon, warmup, seed, rep_index):
+    """Slot-by-slot reference for the simulator's array construction.
+
+    Walks every slot in Python: advances the renewal phase through each
+    switch inside the slot, draws the decision, admits arrivals into a
+    FIFO, and clears the head packet on a covered serving slot.  It
+    consumes the same random streams in the same order as
+    `_simulate_one`, so their tallies must agree bit for bit.
+    """
+    ss = np.random.SeedSequence([seed, rep_index])
+    phase_ss, flow_ss = ss.spawn(2)
+    phase_rng = np.random.Generator(np.random.PCG64(phase_ss))
+    flow_rng = np.random.Generator(np.random.PCG64(flow_ss))
+
+    tr = params.traffic
+    k_cap = tr.capacity_k
+    d = tr.slot_d
+    mean_per_slot = tr.mean_arrivals_per_slot
+    pd_, pf = params.sensing.p_detect, params.sensing.p_false_alarm
+    theta, xi = params.policy.theta_idle, params.policy.xi_charge
+    busy_by_phase = (pf, pd_)
+    space = enumerate_states(k_cap)
+    measured = horizon - warmup
+    meas_t0 = warmup * d
+
+    hist = [0] * space.size
+    post_dep = [0] * k_cap
+    b_gen = [0] * NUM_BATCHES
+    b_drop = [0] * NUM_BATCHES
+    b_interf = [0] * NUM_BATCHES
+    b_serve = [0] * NUM_BATCHES
+    b_charge = [0] * NUM_BATCHES
+    b_slots = [0] * NUM_BATCHES
+    b_soj_sum = [0.0] * NUM_BATCHES
+    b_soj_n = [0] * NUM_BATCHES
+    served_tagged = 0
+
+    cur_phase = 1 if phase_rng.random() < activity_factor(params.pnp) else 0
+    feed = _DurationFeed(phase_rng, params.pnp.mu_on, params.pnp.mu_off)
+    next_switch = feed.next(cur_phase)
+
+    fifo: list[float] = []
+    head = 0
+    qlen = 0
+
+    for s0 in range(0, horizon, _CHUNK):
+        chunk = min(_CHUNK, horizon - s0)
+        n_arr = flow_rng.poisson(mean_per_slot, chunk)
+        total = int(n_arr.sum())
+        if total:
+            slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
+            ts = (slots_f + flow_rng.random(total)) * d
+            ts.sort()
+            ts_l = ts.tolist()
+        else:
+            flow_rng.random(0)
+            ts_l = []
+        offsets = np.zeros(chunk + 1, dtype=np.int64)
+        np.cumsum(n_arr, out=offsets[1:])
+        sense_u = flow_rng.random(chunk)
+        theta_u = flow_rng.random(chunk)
+        xi_u = flow_rng.random(chunk)
+        # Action before considering sensing/queue: 0 idle coin, 2 charge, 1 serve.
+        pre_act = np.where(theta_u < theta, 0, np.where(xi_u < xi, 2, 1))
+        bat = ((np.arange(s0, s0 + chunk, dtype=np.int64) - warmup) * NUM_BATCHES) // measured
+
+        n_arr_l = n_arr.tolist()
+        off_l = offsets.tolist()
+        sense_l = sense_u.tolist()
+        act_l = pre_act.tolist()
+        bat_l = bat.tolist()
+
+        for k in range(chunk):
+            s = s0 + k
+            phase = cur_phase
+            slot_end = (s + 1) * d
+            whole = next_switch >= slot_end
+            while next_switch < slot_end:
+                cur_phase = 1 - cur_phase
+                next_switch += feed.next(cur_phase)
+
+            if sense_l[k] < busy_by_phase[phase]:
+                act = 0
+            else:
+                act = act_l[k]
+                if act == 1 and qlen == 0:
+                    act = 0
+
+            meas = s >= warmup
+            if meas:
+                b = bat_l[k]
+                b_slots[b] += 1
+                if qlen == 0:
+                    hist[2 * phase + (1 if act == 2 else 0)] += 1
+                else:
+                    hist[4 + 6 * (qlen - 1) + 3 * phase + act] += 1
+                if phase and act:
+                    b_interf[b] += 1
+                if act == 2:
+                    b_charge[b] += 1
+
+            c = n_arr_l[k]
+            if c:
+                room = k_cap - qlen
+                adm = c if c <= room else room
+                if adm:
+                    lo = off_l[k]
+                    fifo.extend(ts_l[lo:lo + adm])
+                    qlen += adm
+                if meas:
+                    b_gen[b] += c
+                    if c > adm:
+                        b_drop[b] += c - adm
+
+            if act == 1 and phase == 0 and whole:
+                t_arr = fifo[head]
+                head += 1
+                qlen -= 1
+                if meas:
+                    b_serve[b] += 1
+                    post_dep[qlen] += 1
+                    b_soj_sum[b] += slot_end - t_arr
+                    b_soj_n[b] += 1
+                    if t_arr >= meas_t0:
+                        served_tagged += 1
+
+        if head > 65536:
+            fifo = fifo[head:]
+            head = 0
+
+    return dict(hist=hist, post_dep=post_dep, b_gen=b_gen, b_drop=b_drop,
+                b_interf=b_interf, b_serve=b_serve, b_charge=b_charge, b_slots=b_slots,
+                b_soj_sum=b_soj_sum, b_soj_n=b_soj_n, served_tagged=served_tagged)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +187,53 @@ def test_config_validation():
         SimConfig(params=params, horizon_slots=100, seed=1, warmup_slots=100)
     with pytest.raises(InvalidParameterError):
         SimConfig(params=params, horizon_slots=100, seed=1, replications=0)
+    with pytest.raises(InvalidParameterError):
+        SimConfig(params=params, horizon_slots=100, seed=-3)
+    for field in ("horizon_slots", "warmup_slots", "replications", "seed"):
+        kwargs = dict(horizon_slots=1000, seed=1, warmup_slots=100, replications=1)
+        kwargs[field] = float(kwargs[field])
+        with pytest.raises(InvalidParameterError, match=field):
+            SimConfig(params=params, **kwargs)
     assert SimConfig(params=params, horizon_slots=1000, seed=1).resolved_warmup == 100
+
+
+def _assert_matches_literal(params, horizon, warmup, seed, rep_index):
+    got = _simulate_one(params, horizon, warmup, seed, rep_index)
+    want = literal_simulate_one(params, horizon, warmup, seed, rep_index)
+    columns = {"b_gen": _GEN, "b_drop": _DROP, "b_interf": _INTERF, "b_serve": _SERVE,
+               "b_charge": _CHARGE, "b_slots": _SLOTS, "b_soj_n": _SERVE}
+    for name, col in columns.items():
+        assert np.array_equal(got.batches[:, col], want[name]), name
+    assert np.array_equal(got.soj_sum, want["b_soj_sum"])
+    assert np.array_equal(got.hist, want["hist"])
+    assert np.array_equal(got.post_dep, want["post_dep"])
+    assert got.served_tagged == want["served_tagged"]
+
+
+LITERAL_CELLS = [dict(capacity_k=k, lam=lam) for k in (1, 10) for lam in (0.0, 0.001, 0.2)] + [
+    dict(lam=0.2, theta=1.0),
+    dict(lam=0.2, xi=0.0),
+    dict(lam=0.2, xi=1.0),
+    dict(lam=0.2, p_detect=1.0, p_false_alarm=0.0),
+]
+
+
+@pytest.mark.parametrize("cell", LITERAL_CELLS,
+                         ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_array_simulator_matches_literal_loop_on_short_horizons(cell):
+    params = make_params(**cell)
+    for horizon, warmup in ((1, 0), (7, 0), (7, 3)):
+        _assert_matches_literal(params, horizon, warmup, seed=31, rep_index=0)
+
+
+@pytest.mark.parametrize("cell,warmup", [
+    (dict(capacity_k=10, lam=0.01), _CHUNK + 1_000),  # warmup ends inside the second chunk
+    (dict(capacity_k=1, lam=0.2), 30_000),  # sojourn sums run across the chunk boundary
+])
+def test_array_simulator_matches_literal_loop_across_chunks(cell, warmup):
+    params = make_params(**cell)
+    for rep_index in range(2):
+        _assert_matches_literal(params, _CHUNK + 40_000, warmup, seed=77, rep_index=rep_index)
 
 
 def test_same_seed_reproduces_bit_for_bit():
