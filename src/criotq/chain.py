@@ -16,23 +16,27 @@ A one-slot transition is a product of three independent laws:
 * the next decision draw d[j, e, b], conditioned on the end phase and
   on whether the resulting queue is empty.
 
-``build_transition_matrix`` forms the dense row-stochastic matrix as one
-array product over the full (K+1) x 2 x 3 grid,
-P[(i, ph, a), (j, e, b)] = sum_c (w[ph, a, e, c] q_c[i, j]) d[j, e, b],
-and then drops the two excluded states.  ``stationary_distribution``
-solves mu = mu P with a direct dense solve and a damped power-iteration
-fallback, without assuming irreducibility.
+``build_transition_matrix`` forms the dense row-stochastic matrix
+P[(i, ph, a), (j, e, b)] = sum_c (w[ph, a, e, c] q_c[i, j]) d[j, e, b]
+as array products over whole (K+1) x (K+1) queue blocks, one per
+(ph, a, e, b), and then gathers them into state order, dropping the two
+excluded states.  Every entry has the bits of that formula evaluated
+cell by cell; the tests keep a broadcast over the full grid as the
+reference.  The state space of each K is built once and shared.
+``stationary_distribution`` solves mu = mu P with a direct dense solve
+and a damped power-iteration fallback, without assuming irreducibility.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError, NoConvergenceError
 from .params import SystemParams
-from .slot import (Action, Phase, SlotTransitionKernel, arrival_pmf, arrival_tail,
+from .slot import (Action, Phase, SlotTransitionKernel, arrival_pmf,
                    decision_distribution, slot_kernel)
 
 State = tuple[int, Phase, Action]
@@ -42,6 +46,10 @@ _ALL_ACTIONS = (Action.IDLE, Action.SERVE, Action.CHARGE)
 #: Flat positions of (0, OFF, Serve) and (0, ON, Serve) in the full
 #: (K+1) x 2 x 3 grid, ordered queue-major, then phase, then action.
 _EXCLUDED = (int(Action.SERVE), 3 + int(Action.SERVE))
+#: (matrix slice, (queue, phase, action) slice) for the four level-0 states
+#: (actions Idle and Charge only) and for the 6K states of levels 1..K.
+_LEVEL_BLOCKS = ((slice(None, 4), (slice(0, 1), slice(None), slice(None, None, 2))),
+                 (slice(4, None), (slice(1, None), slice(None), slice(None))))
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,19 @@ class StateSpace:
 
 
 def enumerate_states(capacity_k: int) -> StateSpace:
+    """The state space for buffer capacity K, built once per K and shared.
+
+    The argument is validated before the cache lookup and the cache is
+    typed, so 10.0 still raises and True gets its own entry rather than
+    the space of an equal int.
+    """
     if not isinstance(capacity_k, int) or capacity_k < 1:
         raise InvalidParameterError("capacity_k must be an integer >= 1")
+    return _state_space(capacity_k)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _state_space(capacity_k: int) -> StateSpace:
     grid = np.delete(np.indices((capacity_k + 1, 2, 3)).reshape(3, -1), _EXCLUDED, axis=1)
     grid.setflags(write=False)
     queue, phase, action = grid
@@ -98,11 +117,12 @@ def enumerate_states(capacity_k: int) -> StateSpace:
 
 def _check_stochastic(p: np.ndarray) -> None:
     """Raise unless p is square, with entries in [0, 1] and rows summing to 1."""
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise InvalidParameterError("matrix must be square")
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
+        raise InvalidParameterError("matrix must be square and nonempty")
+    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise InvalidParameterError("matrix entries outside [0, 1]")
-    if not np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-10):
+    # Written so that a NaN entry, and with it a NaN row sum, fails too.
+    if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-10):
         raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
 
 
@@ -153,31 +173,46 @@ def build_transition_matrix(params: SystemParams,
     w = np.maximum(w, 0.0)
 
     # q[c, i, j]: arrivals are admitted while the buffer (still holding any
-    # in-service packet) has room, so column K takes every count >= K - i
-    # (tail[0] = 1); a departure at the slot end shifts the row one column
-    # left.
+    # in-service packet) has room, so column K takes every count >= K - i;
+    # a departure at the slot end shifts the row one column left.  The
+    # tail is 1 - sum_{k < m} pmf(k) clamped into [0, 1], as arrival_tail
+    # forms it: cumsum adds in the same order as its loop.
     pmf = np.array([arrival_pmf(traffic, n) for n in range(k_cap + 1)])
-    tail = np.array([arrival_tail(traffic, n) for n in range(k_cap + 1)])
+    tail = np.empty(k_cap + 1)
+    tail[0] = 1.0
+    tail[1:] = np.minimum(1.0, np.maximum(0.0, 1.0 - np.cumsum(pmf[:-1])))
     gap = levels[None, :] - levels[:, None]
     q = np.zeros((2, k_cap + 1, k_cap + 1))
     q[0] = np.where(gap >= 0, pmf[np.maximum(gap, 0)], 0.0)
     q[0, :, k_cap] = tail[k_cap - levels]
     q[1, :, :-1] = q[0, :, 1:]
 
-    # d[j, e, b]: the decision law depends only on the end phase and on
+    # d[e, b, j]: the decision law depends only on the end phase and on
     # whether queue j is empty.
     dec = np.array([[decision_distribution(e, params.sensing, params.policy, empty)
                      for e in _PHASES] for empty in (False, True)])
-    d = dec[(levels == 0).astype(int)]
+    d = dec[(levels == 0).astype(int)].transpose(1, 2, 0)
 
-    # Each product is formed as (w q) d, the same two roundings as
-    # weight * mass * decision, and at most two branches share a cell.
-    full = np.zeros((k_cap + 1, 2, 3, k_cap + 1, 2, 3))
-    for c in (0, 1):
-        full += (w[None, :, :, None, :, c, None] * q[c][:, None, None, :, None, None]) * d
-    n = full.shape[0] * 6
-    keep = np.delete(np.arange(n), _EXCLUDED)
-    p = full.reshape(n, n)[np.ix_(keep, keep)]
+    # t[ph, a, e, b, i, j]: each product is formed as (w q) d, the same two
+    # roundings as weight * mass * decision, with the queue axes innermost.
+    # Only a serving OFF slot that ends OFF has a departure branch; every
+    # other c = 1 weight is 0 and adds nothing.
+    t = (w[:, :, :, 0, None, None, None] * q[0]) * d[:, :, None, :]
+    t[Phase.OFF, Action.SERVE, Phase.OFF] += (
+        (w[Phase.OFF, Action.SERVE, Phase.OFF, 1] * q[1]) * d[Phase.OFF, :, None, :])
+
+    # Reorder into (i, ph, a) x (j, e, b), one block per pair of queue
+    # ranges {0} and 1..K; level 0 keeps only actions Idle and Charge.
+    v = t.transpose(4, 0, 1, 5, 2, 3)
+    p = np.empty((space.size, space.size))
+    for rows, src_rows in _LEVEL_BLOCKS:
+        for cols, src_cols in _LEVEL_BLOCKS:
+            src = v[src_rows + src_cols]
+            p[rows, cols].reshape(src.shape)[...] = src
+    # Signed-zero inputs (xi_charge = -0.0, say) give -0.0 products; + 0.0
+    # stores them as the +0.0 that a sum of both branches started from 0
+    # gives, so no bit depends on which zero branches were skipped.
+    p += 0.0
     return TransitionMatrix(matrix=p, space=space, kernel=kernel, service_success=succ)
 
 

@@ -46,6 +46,8 @@ SIM_COLUMNS = ["row", "rep", "seed", "generator", "horizon_slots", "warmup_slots
                "charge_fraction_hat"]
 SWEEP_COLUMNS = ["axis_name", "axis_value", "critical_name", "critical_value",
                  "p_b", "p_i", "w_inverse_rate", "w_slot_avg", "p_th", "feasible"]
+#: Search diagnostics per sweep row, kept out of sweep.csv so its schema holds.
+SWEEP_DIAG_COLUMNS = ["axis_value", "feasible_at_zero", "monotone", "capped"]
 COMPARE_COLUMNS = ["lambda", "w_sim", "w_full_model", "w_sync_baseline"]
 
 
@@ -117,6 +119,29 @@ def _need(sec: dict, section: str, key: str):
     return sec[key]
 
 
+def _number(value, name: str, integral: bool = False):
+    """A config value as a float, or as an int when integral.
+
+    Raises InvalidParameterError naming the key where int()/float()
+    would raise a bare ValueError or silently truncate.  An integral
+    value must be an integer or a whole float (2e5 passes, 1000.9,
+    "12" and true do not).
+    """
+    if integral:
+        if isinstance(value, bool) or not (isinstance(value, int) or (
+                isinstance(value, float) and value.is_integer())):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _need_number(sec: dict, section: str, key: str, integral: bool = False):
+    return _number(_need(sec, section, key), f"{section}.{key}", integral)
+
+
 #: flag destination -> (config section, key) for scalar parameter overrides.
 _PARAM_OVERRIDES = {
     "mu_on": ("pnp", "mu_on"),
@@ -143,26 +168,27 @@ def _build_params(cfg: dict, args) -> SystemParams:
 
     pnp_sec, tr_sec = merged["pnp"], merged["traffic"]
     sen_sec, pol_sec, pow_sec = merged["sensing"], merged["policy"], merged["power"]
-    pnp = PnpModel(mu_on=float(_need(pnp_sec, "pnp", "mu_on")),
-                   mu_off=float(_need(pnp_sec, "pnp", "mu_off")))
-    traffic = TrafficModel(n=int(_need(tr_sec, "traffic", "n")),
-                           lam=float(_need(tr_sec, "traffic", "lambda")),
-                           capacity_k=int(_need(tr_sec, "traffic", "capacity_k")),
-                           slot_d=float(_need(tr_sec, "traffic", "slot_d")))
-    sensing = SensingModel(p_detect=float(_need(sen_sec, "sensing", "p_detect")),
-                           p_false_alarm=float(_need(sen_sec, "sensing", "p_false_alarm")))
-    policy = PolicyModel(theta_idle=float(_need(pol_sec, "policy", "theta_idle")),
-                         xi_charge=float(_need(pol_sec, "policy", "xi_charge")))
+    pnp = PnpModel(mu_on=_need_number(pnp_sec, "pnp", "mu_on"),
+                   mu_off=_need_number(pnp_sec, "pnp", "mu_off"))
+    traffic = TrafficModel(n=_need_number(tr_sec, "traffic", "n", integral=True),
+                           lam=_need_number(tr_sec, "traffic", "lambda"),
+                           capacity_k=_need_number(tr_sec, "traffic", "capacity_k", integral=True),
+                           slot_d=_need_number(tr_sec, "traffic", "slot_d"))
+    sensing = SensingModel(p_detect=_need_number(sen_sec, "sensing", "p_detect"),
+                           p_false_alarm=_need_number(sen_sec, "sensing", "p_false_alarm"))
+    policy = PolicyModel(theta_idle=_need_number(pol_sec, "policy", "theta_idle"),
+                         xi_charge=_need_number(pol_sec, "policy", "xi_charge"))
     radii = _need(pow_sec, "power", "node_radii")
     if not isinstance(radii, (list, tuple)):
         raise InvalidParameterError("power.node_radii must be a list of distances")
     charging_radius = pow_sec.get("charging_radius")
-    power = PowerModel(p_charge_min=float(_need(pow_sec, "power", "p_charge_min")),
-                       p_max=float(_need(pow_sec, "power", "p_max")),
-                       energy_per_packet=float(_need(pow_sec, "power", "energy_per_packet")),
-                       pathloss_exponent=float(_need(pow_sec, "power", "pathloss_exponent")),
-                       node_radii=tuple(float(r) for r in radii),
-                       charging_radius=None if charging_radius is None else float(charging_radius))
+    power = PowerModel(p_charge_min=_need_number(pow_sec, "power", "p_charge_min"),
+                       p_max=_need_number(pow_sec, "power", "p_max"),
+                       energy_per_packet=_need_number(pow_sec, "power", "energy_per_packet"),
+                       pathloss_exponent=_need_number(pow_sec, "power", "pathloss_exponent"),
+                       node_radii=tuple(_number(r, "power.node_radii") for r in radii),
+                       charging_radius=None if charging_radius is None
+                       else _number(charging_radius, "power.charging_radius"))
     params = SystemParams(pnp=pnp, traffic=traffic, sensing=sensing, policy=policy, power=power)
     if getattr(args, "beta", None) is not None:
         params = params_with_activity(params, args.beta)
@@ -176,8 +202,8 @@ def _build_constraints(cfg: dict, required: bool) -> Constraints | None:
             raise InvalidParameterError("this command needs a constraints section "
                                         "(max_drop, max_interference)")
         return None
-    return Constraints(max_drop=float(_need(sec, "constraints", "max_drop")),
-                       max_interference=float(_need(sec, "constraints", "max_interference")))
+    return Constraints(max_drop=_need_number(sec, "constraints", "max_drop"),
+                       max_interference=_need_number(sec, "constraints", "max_interference"))
 
 
 def _build_sim_config(cfg: dict, args, params: SystemParams) -> SimConfig:
@@ -189,10 +215,12 @@ def _build_sim_config(cfg: dict, args, params: SystemParams) -> SimConfig:
             sec[key] = value
     warmup = sec.get("warmup_slots")
     return SimConfig(params=params,
-                     horizon_slots=int(_need(sec, "sim", "horizon_slots")),
-                     seed=int(_need(sec, "sim", "seed")),
-                     warmup_slots=None if warmup is None else int(warmup),
-                     replications=int(sec.get("replications", 1)))
+                     horizon_slots=_need_number(sec, "sim", "horizon_slots", integral=True),
+                     seed=_need_number(sec, "sim", "seed", integral=True),
+                     warmup_slots=None if warmup is None
+                     else _number(warmup, "sim.warmup_slots", integral=True),
+                     replications=_number(sec.get("replications", 1), "sim.replications",
+                                          integral=True))
 
 
 _PHASE_NAMES = np.array(["off", "on"])
@@ -282,17 +310,18 @@ def cmd_sweep(args) -> int:
     axis = args.axis if args.axis is not None else sec.get("axis")
     target = args.target if args.target is not None else sec.get("target")
     grid = args.grid if args.grid is not None else sec.get("grid")
-    tol = args.tol if args.tol is not None else float(sec.get("tol", 1e-3))
+    tol = args.tol if args.tol is not None else _number(sec.get("tol", 1e-3), "sweep.tol")
     if axis not in SWEEP_AXES:
         raise InvalidParameterError(f"sweep axis must be one of {SWEEP_AXES}")
     if target not in SWEEP_TARGETS:
         raise InvalidParameterError(f"sweep target must be one of {SWEEP_TARGETS}")
     if not grid:
         raise InvalidParameterError("sweep grid is missing or empty")
-    values = sorted(float(v) for v in grid)  # canonical order for stable output
+    values = sorted(_number(v, "sweep.grid") for v in grid)  # canonical order for stable output
 
     _check_workers_env()
     rows_out = []
+    diag_rows = []
     for row in sweep(params, constraints, axis, values, target, tol=tol):
         rep = row.report
         if rep is None:
@@ -301,7 +330,9 @@ def cmd_sweep(args) -> int:
             metric_cells = [rep.drop_prob, rep.interference_prob, rep.wait_inverse_rate,
                             rep.wait_slot_avg, rep.power.total, rep.feasible]
         rows_out.append([axis, row.swept_value, target, row.critical_value] + metric_cells)
+        diag_rows.append([row.swept_value, row.feasible_at_zero, row.monotone, row.capped])
     _write_csv(Path(args.out) / "sweep.csv", SWEEP_COLUMNS, rows_out)
+    _write_csv(Path(args.out) / "sweep_diag.csv", SWEEP_DIAG_COLUMNS, diag_rows)
     print(f"sweep {axis} -> {target}: {len(rows_out)} rows")
     return 0
 
@@ -313,7 +344,7 @@ def cmd_compare(args) -> int:
     grid = args.lambda_grid if args.lambda_grid is not None else sec.get("lambda_grid")
     if not grid:
         raise InvalidParameterError("compare lambda_grid is missing or empty")
-    lam_grid = [float(v) for v in grid]  # echoed in caller order
+    lam_grid = [_number(v, "compare.lambda_grid") for v in grid]  # echoed in caller order
 
     _check_workers_env()
     rows = []

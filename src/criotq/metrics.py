@@ -6,17 +6,23 @@ blocked fraction follows by flow balance, the post-departure queue law
 yields two waiting-time estimates, and the power requirement converts
 the effective packet throughput into the transmit budget the access
 point needs to keep every node energy-neutral.
+
+The feasibility flag reads only the carried load, drop, interference and
+power.  One pass computes those; ``evaluate_qos`` runs it before the
+waits and charging fractions, and ``meets_constraints`` runs it alone,
+so both give the same flag.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .chain import (StateSpace, StationaryDistribution, build_transition_matrix,
-                    stationary_distribution)
+from .chain import (StateSpace, StationaryDistribution, TransitionMatrix,
+                    build_transition_matrix, stationary_distribution)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, UndefinedLoadError, UndefinedWaitError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
@@ -264,6 +270,51 @@ class QosReport:
     feasible: bool | None
 
 
+class _ConstraintMetrics(NamedTuple):
+    """The metrics the feasibility flag reads."""
+
+    carried_load: float
+    drop_prob: float
+    interference_prob: float
+    beta: float
+    power: PowerRequirement
+    feasible: bool | None
+
+
+def _constraint_metrics(params: SystemParams, tm: TransitionMatrix,
+                        mu: StationaryDistribution, max_drop: float | None,
+                        max_interference: float | None) -> _ConstraintMetrics:
+    """Carried load, P_B, interference and power, and the flag built from them.
+
+    P_B is 0 at zero offered load (there is nothing to drop).  The flag
+    is None unless both thresholds are supplied.
+    """
+    rho_c = carried_load(mu, tm.kernel, service_success=tm.service_success)
+    if params.traffic.mean_arrivals_per_slot == 0.0:
+        p_b = 0.0
+    else:
+        p_b = packet_drop_probability(rho_c, params.traffic)
+    p_i = interference_probability(mu)
+    beta = activity_factor(params.pnp)
+    pw = required_power(params.power, params.traffic, params.policy, beta, p_b)
+    feasible = None
+    if max_drop is not None and max_interference is not None:
+        feasible = bool(p_b <= max_drop and p_i <= max_interference and pw.feasible)
+    return _ConstraintMetrics(rho_c, p_b, p_i, beta, pw, feasible)
+
+
+def meets_constraints(params: SystemParams, max_drop: float, max_interference: float) -> bool:
+    """``evaluate_qos(params, max_drop, max_interference).feasible``, computed lean.
+
+    Builds and solves the same chain and runs the same constraint pass
+    as evaluate_qos, but skips the waits, departure laws and charging
+    fractions the flag does not read.  Region searches probe with it.
+    """
+    tm = build_transition_matrix(params)
+    mu = stationary_distribution(tm)
+    return bool(_constraint_metrics(params, tm, mu, max_drop, max_interference).feasible)
+
+
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,
                  max_interference: float | None = None, *,
                  kappa_variant: str = "cumulative",
@@ -279,20 +330,16 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
         raise InvalidParameterError("supply both constraint thresholds or neither")
     tm = build_transition_matrix(params, service_success=service_success)
     mu = stationary_distribution(tm)
-    succ = tm.service_success
+    core = _constraint_metrics(params, tm, mu, max_drop, max_interference)
+    p_b = core.drop_prob
 
-    rho = params.traffic.mean_arrivals_per_slot
-    rho_c = carried_load(mu, tm.kernel, service_success=succ)
-    if rho == 0.0:
-        p_b = 0.0
-        dd = None
-    else:
-        p_b = packet_drop_probability(rho_c, params.traffic)
+    dd = None
+    if params.traffic.mean_arrivals_per_slot != 0.0:
         try:
-            dd = departure_distributions(mu, tm.kernel, params.traffic,
-                                         variant=kappa_variant, service_success=succ)
+            dd = departure_distributions(mu, tm.kernel, params.traffic, variant=kappa_variant,
+                                         service_success=tm.service_success)
         except DegenerateDistributionError:
-            dd = None
+            pass
 
     w_inv: float | None
     w_slot: float | None
@@ -305,15 +352,9 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     except UndefinedWaitError:
         w_slot = None
 
-    p_i = interference_probability(mu)
-    beta = activity_factor(params.pnp)
-    pw = required_power(params.power, params.traffic, params.policy, beta, p_b)
-    feasible = None
-    if max_drop is not None and max_interference is not None:
-        feasible = bool(p_b <= max_drop and p_i <= max_interference and pw.feasible)
-
-    return QosReport(beta=beta, offered_load=rho, carried_load=rho_c, drop_prob=p_b,
+    return QosReport(beta=core.beta, offered_load=params.traffic.mean_arrivals_per_slot,
+                     carried_load=core.carried_load, drop_prob=p_b,
                      wait_inverse_rate=w_inv, wait_slot_avg=w_slot,
-                     interference_prob=p_i, charge_frac=charge_fraction(mu),
-                     charge_frac_nominal=nominal_charge_fraction(params), power=pw,
-                     residual=mu.residual, solver_method=mu.method, feasible=feasible)
+                     interference_prob=core.interference_prob, charge_frac=charge_fraction(mu),
+                     charge_frac_nominal=nominal_charge_fraction(params), power=core.power,
+                     residual=mu.residual, solver_method=mu.method, feasible=core.feasible)

@@ -7,6 +7,12 @@ primary-activity factor (beta_c) or per-node rate (lambda_c) that keeps
 a configuration sustainable, guarding the bisection with a coarse
 feasibility pre-scan so a non-monotone surface cannot silently produce
 a bogus bracket.
+
+A search probe needs only the feasibility flag, so each probe builds and
+solves the chain and stops at ``meets_constraints``'s constraint pass;
+the full ``QosReport`` is evaluated once, at the value the search
+answers with.  The pre-scan grid, the bisection midpoints and the
+answers are those of probing with ``feasibility_check`` throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .metrics import QosReport, evaluate_qos
+from .metrics import QosReport, evaluate_qos, meets_constraints
 from .params import PnpModel, SensingModel, SystemParams
 from .slot import slot_kernel
 
@@ -84,39 +90,48 @@ class CriticalResult:
     report: QosReport | None
 
 
-def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult:
-    """Largest x in [lo, hi] with a feasible probe, assuming a feasible prefix.
+def _largest_feasible(probe, lo: float, hi: float,
+                      tol: float) -> tuple[float | None, bool, bool]:
+    """Largest x in [lo, hi] with probe(x) true, assuming a feasible prefix.
 
-    probe(x) returns (ok, report), and the result carries the report of
-    the value it answers with, so the answer is never evaluated twice.
-
-    Pre-scans a coarse grid first: an infeasible floor short-circuits to
-    None, an all-feasible scan returns hi (capped), and a scan whose
-    feasibility flips back on after turning off is flagged non-monotone
-    and answered with the last prefix-feasible grid point instead of a
-    bisection that would be meaningless.
+    Returns (value, monotone, capped).  Pre-scans a coarse grid first: an
+    infeasible floor short-circuits to None, an all-feasible scan returns
+    hi (capped), and a scan whose feasibility flips back on after
+    turning off is flagged non-monotone and answered with the last
+    prefix-feasible grid point instead of a bisection that would be
+    meaningless.
     """
     xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
-    scan = [probe(x) for x in xs]
-    flags = [ok for ok, _ in scan]
+    flags = [probe(x) for x in xs]
     if not flags[0]:
-        return CriticalResult(value=None, feasible_at_floor=False, monotone=True,
-                              capped=False, report=None)
+        return None, True, False
     if all(flags):
-        return CriticalResult(value=xs[-1], feasible_at_floor=True, monotone=True,
-                              capped=True, report=scan[-1][1])
+        return xs[-1], True, True
     first_bad = flags.index(False)
-    a, b, report = xs[first_bad - 1], xs[first_bad], scan[first_bad - 1][1]
+    a, b = xs[first_bad - 1], xs[first_bad]
     monotone = not any(flags[first_bad:])
     while monotone and b - a > tol:
         mid = 0.5 * (a + b)
-        ok, mid_report = probe(mid)
-        if ok:
-            a, report = mid, mid_report
+        if probe(mid):
+            a = mid
         else:
             b = mid
-    return CriticalResult(value=a, feasible_at_floor=True, monotone=monotone,
-                          capped=False, report=report)
+    return a, monotone, False
+
+
+def _critical_result(at, constraints: Constraints, value: float | None,
+                     monotone: bool = True, capped: bool = False) -> CriticalResult:
+    """The answer of a search, with the one full report it carries.
+
+    at(x) gives the operating point of search value x; the report is
+    evaluate_qos there, the only full evaluation a search makes.
+    """
+    if value is None:
+        return CriticalResult(value=None, feasible_at_floor=False, monotone=True,
+                              capped=False, report=None)
+    report = evaluate_qos(at(value), constraints.max_drop, constraints.max_interference)
+    return CriticalResult(value=value, feasible_at_floor=True, monotone=monotone,
+                          capped=capped, report=report)
 
 
 def critical_beta(params: SystemParams, constraints: Constraints,
@@ -125,10 +140,14 @@ def critical_beta(params: SystemParams, constraints: Constraints,
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
-    def probe(beta: float) -> tuple[bool, QosReport]:
-        return feasibility_check(params_with_activity(params, beta), constraints)
+    def at(beta: float) -> SystemParams:
+        return params_with_activity(params, beta)
 
-    return _largest_feasible(probe, BETA_FLOOR, BETA_CEIL, tol)
+    def probe(beta: float) -> bool:
+        return meets_constraints(at(beta), constraints.max_drop, constraints.max_interference)
+
+    return _critical_result(at, constraints,
+                            *_largest_feasible(probe, BETA_FLOOR, BETA_CEIL, tol))
 
 
 def critical_lambda(params: SystemParams, constraints: Constraints,
@@ -142,25 +161,26 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
+    def at(lam: float) -> SystemParams:
+        return replace(params, traffic=replace(params.traffic, lam=lam))
+
     # Memoized: the pre-scan ends on the infeasible bracket end that the
     # doubling has already probed.
     @functools.cache
-    def probe(lam: float) -> tuple[bool, QosReport]:
-        return feasibility_check(replace(params, traffic=replace(params.traffic, lam=lam)),
-                                 constraints)
+    def probe(lam: float) -> bool:
+        return meets_constraints(at(lam), constraints.max_drop, constraints.max_interference)
 
     lam0 = params.traffic.lam
     if lam0 <= 0:
         lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
     hi = lam0
     doublings = 0
-    while (probed := probe(hi))[0]:
+    while probe(hi):
         if doublings >= _LAMBDA_DOUBLING_CAP:
-            return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,
-                                  capped=True, report=probed[1])
+            return _critical_result(at, constraints, hi, capped=True)
         hi *= 2.0
         doublings += 1
-    return _largest_feasible(probe, 0.0, hi, tol)
+    return _critical_result(at, constraints, *_largest_feasible(probe, 0.0, hi, tol))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ import pytest
 import scipy.stats
 
 from criotq import (Action, InvalidParameterError, NoConvergenceError, Phase,
-                    StateSpace, activity_factor, build_transition_matrix,
-                    enumerate_states, slot_kernel, stationary_distribution)
+                    StateSpace, activity_factor, arrival_pmf, arrival_tail,
+                    build_transition_matrix, decision_distribution, enumerate_states,
+                    slot_kernel, stationary_distribution)
 from conftest import make_params
 
 
@@ -69,6 +70,42 @@ def literal_transition_matrix(params, service_success=None):
     return space, mat
 
 
+def full_grid_transition_matrix(params, service_success=None):
+    """The builder as one broadcast over the full (K+1) x 2 x 3 grid.
+
+    Same factors and roundings as build_transition_matrix, laid out the
+    straightforward way: each cell summed from 0 over both branches, the
+    tail column from arrival_tail's loop, the excluded states dropped by
+    index.  The builder must match it bit for bit.
+    """
+    traffic = params.traffic
+    k_cap = traffic.capacity_k
+    kernel = slot_kernel(params.pnp, traffic.slot_d)
+    succ = kernel.off_persist if service_success is None else float(service_success)
+    levels = np.arange(k_cap + 1)
+    w = np.zeros((2, 3, 2, 2))
+    w[Phase.OFF, :, :, 0] = (kernel.a00, kernel.a01)
+    w[Phase.ON, :, :, 0] = (kernel.a10, kernel.a11)
+    w[Phase.OFF, Action.SERVE, Phase.OFF] = (kernel.a00 - succ, succ)
+    w = np.maximum(w, 0.0)
+    pmf = np.array([arrival_pmf(traffic, n) for n in range(k_cap + 1)])
+    tail = np.array([arrival_tail(traffic, n) for n in range(k_cap + 1)])
+    gap = levels[None, :] - levels[:, None]
+    q = np.zeros((2, k_cap + 1, k_cap + 1))
+    q[0] = np.where(gap >= 0, pmf[np.maximum(gap, 0)], 0.0)
+    q[0, :, k_cap] = tail[k_cap - levels]
+    q[1, :, :-1] = q[0, :, 1:]
+    dec = np.array([[decision_distribution(e, params.sensing, params.policy, empty)
+                     for e in (Phase.OFF, Phase.ON)] for empty in (False, True)])
+    d = dec[(levels == 0).astype(int)]
+    full = np.zeros((k_cap + 1, 2, 3, k_cap + 1, 2, 3))
+    for c in (0, 1):
+        full += (w[None, :, :, None, :, c, None] * q[c][:, None, None, :, None, None]) * d
+    n = full.shape[0] * 6
+    keep = np.delete(np.arange(n), (int(Action.SERVE), 3 + int(Action.SERVE)))
+    return full.reshape(n, n)[np.ix_(keep, keep)]
+
+
 def test_enumerate_sizes_and_order():
     small = enumerate_states(1)
     assert small.size == 10
@@ -105,6 +142,18 @@ def test_index_rejects_invalid_states():
         enumerate_states(0)
 
 
+def test_enumerate_states_validates_before_its_cache():
+    space = enumerate_states(10)
+    assert enumerate_states(10) is space
+    for bad in (10.0, 0, -1, "10", None):
+        with pytest.raises(InvalidParameterError):
+            enumerate_states(bad)
+    # True == 1 and hash(True) == hash(1): a cache keyed on value alone
+    # would hand one call's space to the other.
+    assert enumerate_states(True).capacity_k is True
+    assert type(enumerate_states(1).capacity_k) is int
+
+
 def test_builder_agrees_with_literal_construction():
     rng = np.random.default_rng(41507)
     for cap in (1, 2, 3, 12):
@@ -131,6 +180,30 @@ def test_builder_agrees_with_literal_construction():
             _, want_sync = literal_transition_matrix(params, service_success=a00)
             sync = build_transition_matrix(params, service_success=a00)
             assert np.max(np.abs(sync.matrix - want_sync)) <= 1e-12
+
+
+def test_builder_matches_full_grid_broadcast_bit_for_bit():
+    rng = np.random.default_rng(62013)
+    corners = [dict(lam=0.0), dict(lam=5.0), dict(lam=-0.0, xi=-0.0, theta=-0.0),
+               dict(p_detect=1.0, p_false_alarm=0.0, theta=0.0, xi=1.0),
+               dict(p_detect=0.0, p_false_alarm=1.0, theta=1.0, xi=0.0)]
+    cells = [make_params(capacity_k=cap, **kw) for cap in (1, 7) for kw in corners]
+    for _ in range(30):
+        cells.append(make_params(
+            mu_on=float(rng.uniform(0.05, 3.0)), mu_off=float(rng.uniform(0.05, 3.0)),
+            n=int(rng.integers(1, 30)), lam=float(10 ** rng.uniform(-4, 0)),
+            capacity_k=int(rng.integers(1, 41)), slot_d=float(rng.uniform(0.05, 4.0)),
+            p_detect=float(rng.choice([0.0, 1.0, rng.uniform()])),
+            p_false_alarm=float(rng.choice([0.0, 1.0, rng.uniform()])),
+            theta=float(rng.choice([0.0, 1.0, rng.uniform()])),
+            xi=float(rng.choice([0.0, 1.0, rng.uniform()]))))
+    for params in cells:
+        a00 = slot_kernel(params.pnp, params.traffic.slot_d).a00
+        for succ in (None, a00, 0.5 * a00):
+            got = build_transition_matrix(params, service_success=succ).matrix
+            want = full_grid_transition_matrix(params, service_success=succ)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_frozen_entry_serve_success_then_charge(baseline_params):
@@ -226,6 +299,22 @@ def test_stationary_rejects_bad_matrix():
         stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(InvalidParameterError):
         stationary_distribution(np.array([[0.5, 0.5]]))
+    with pytest.raises(InvalidParameterError):
+        stationary_distribution(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("bad_row", [
+    [0.5, 0.5, math.nan],       # a NaN entry in an otherwise stochastic row
+    [math.nan, math.nan, 1.0],  # a NaN row sum
+    [0.5, 0.5 + 2e-10, 0.0],    # a row off by 2e-10
+    [0.5, 0.5 - 2e-10, 0.0],
+])
+def test_stationary_rejects_nan_and_off_rows(bad_row):
+    p = np.array([[0.2, 0.3, 0.5], bad_row, [1.0, 0.0, 0.0]])
+    with pytest.raises(InvalidParameterError):
+        stationary_distribution(p)
+    p[1] = [0.5, 0.5 + 5e-11, 0.0]  # within the 1e-10 row-sum tolerance
+    assert stationary_distribution(p).residual <= 1e-10
 
 
 def test_no_convergence_error_carries_residual():

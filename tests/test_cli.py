@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from criotq.cli import (COMPARE_COLUMNS, METRICS_COLUMNS, SIM_COLUMNS,
-                        SWEEP_COLUMNS, main)
+                        SWEEP_COLUMNS, SWEEP_DIAG_COLUMNS, main)
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO / "configs" / "default.json")
@@ -187,6 +187,60 @@ def test_sweep_schema_and_grid_canonicalization(tmp_path):
     assert all(r["critical_name"] == "beta_c" for r in rows)
     crit = [float(r["critical_value"]) for r in rows]
     assert crit[0] <= crit[1] + 0.005 <= crit[2] + 0.01
+
+
+def test_sweep_diag_keeps_the_search_flags(tmp_path):
+    rc = main(["sweep", "--config", DEFAULT_CONFIG, "--axis", "detection",
+               "--target", "beta_c", "--tol", "0.005", "--grid", "0.9,0.7",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    header, rows = read_rows(tmp_path / "sweep_diag.csv")
+    assert header == SWEEP_DIAG_COLUMNS
+    assert [r["axis_value"] for r in rows] == ["0.7", "0.9"]
+    assert all((r["feasible_at_zero"], r["monotone"], r["capped"]) == ("true", "true", "false")
+               for r in rows)
+    # A relaxed cell is feasible over the whole beta range: the capped flag
+    # that sweep.csv cannot show lands here.
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    cfg["constraints"] = {"max_drop": 1.0, "max_interference": 1.0}
+    lax = tmp_path / "lax.json"
+    lax.write_text(json.dumps(cfg))
+    rc = main(["sweep", "--config", str(lax), "--axis", "detection", "--target", "beta_c",
+               "--grid", "0.9", "--out", str(tmp_path / "lax")])
+    assert rc == 0
+    _, rows = read_rows(tmp_path / "lax" / "sweep_diag.csv")
+    assert rows == [{"axis_value": "0.9", "feasible_at_zero": "true", "monotone": "true",
+                     "capped": "true"}]
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("sim", "seed", "abc", "sim.seed must be an integer"),
+    ("sim", "horizon_slots", 1000.9, "sim.horizon_slots must be an integer"),
+    ("traffic", "capacity_k", 10.5, "traffic.capacity_k must be an integer"),
+    ("traffic", "lambda", "fast", "traffic.lambda must be a number"),
+])
+def test_bad_config_number_names_its_key(tmp_path, capsys, section, key, value, message):
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    cfg[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sim.csv").exists()
+
+
+def test_whole_float_config_integers_are_accepted(tmp_path):
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    cfg["sim"].update(horizon_slots=2e3, warmup_slots=2e2, seed=7.0)
+    cfg["traffic"]["capacity_k"] = 4.0
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(whole), "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_rows(tmp_path / "sim.csv")
+    assert (rows[0]["horizon_slots"], rows[0]["warmup_slots"], rows[0]["seed"]) == (
+        "2000", "200", "7")
 
 
 def test_sweep_requires_constraints(tmp_path, capsys):

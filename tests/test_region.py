@@ -1,15 +1,138 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, InvalidParameterError,
-                    SensingModel, activity_factor, critical_beta, critical_lambda,
-                    evaluate_qos, feasibility_check, optimize_policy_grid,
+from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
+                    InvalidParameterError, SensingModel, activity_factor, critical_beta,
+                    critical_lambda, evaluate_qos, feasibility_check, optimize_policy_grid,
                     params_with_activity, sweep, synchronized_baseline)
+from criotq.metrics import meets_constraints
 from conftest import make_params
 
 ANCHOR_CONSTRAINTS = Constraints(max_drop=0.1, max_interference=0.1)
+
+
+# --- full-probe reference searches -----------------------------------------
+# The searches as they ran with every probe a full feasibility_check and the
+# answer carrying its own probe's report.  The lean searches must return the
+# same CriticalResult, repr for repr.
+
+def literal_largest_feasible(probe, lo, hi, tol):
+    xs = [float(x) for x in np.linspace(lo, hi, 32)]
+    scan = [probe(x) for x in xs]
+    flags = [ok for ok, _ in scan]
+    if not flags[0]:
+        return CriticalResult(value=None, feasible_at_floor=False, monotone=True,
+                              capped=False, report=None)
+    if all(flags):
+        return CriticalResult(value=xs[-1], feasible_at_floor=True, monotone=True,
+                              capped=True, report=scan[-1][1])
+    first_bad = flags.index(False)
+    a, b, report = xs[first_bad - 1], xs[first_bad], scan[first_bad - 1][1]
+    monotone = not any(flags[first_bad:])
+    while monotone and b - a > tol:
+        mid = 0.5 * (a + b)
+        ok, mid_report = probe(mid)
+        if ok:
+            a, report = mid, mid_report
+        else:
+            b = mid
+    return CriticalResult(value=a, feasible_at_floor=True, monotone=monotone,
+                          capped=False, report=report)
+
+
+def literal_critical_beta(params, constraints, tol=1e-3):
+    def probe(beta):
+        return feasibility_check(params_with_activity(params, beta), constraints)
+
+    return literal_largest_feasible(probe, BETA_FLOOR, BETA_CEIL, tol)
+
+
+def literal_critical_lambda(params, constraints, tol=1e-3):
+    @functools.cache
+    def probe(lam):
+        return feasibility_check(replace(params, traffic=replace(params.traffic, lam=lam)),
+                                 constraints)
+
+    lam0 = params.traffic.lam
+    if lam0 <= 0:
+        lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
+    hi = lam0
+    doublings = 0
+    while (probed := probe(hi))[0]:
+        if doublings >= 20:
+            return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,
+                                  capped=True, report=probed[1])
+        hi *= 2.0
+        doublings += 1
+    return literal_largest_feasible(probe, 0.0, hi, tol)
+
+
+def _hump_cell():
+    """A cell whose power need rises and then falls again with beta.
+
+    The charging budget scales with 1 - beta while the carried load
+    collapses faster near saturation, so with drop and interference
+    relaxed the feasible set in beta is not a prefix.
+    """
+    params = make_params(capacity_k=4, lam=0.005)
+    return replace(params, power=replace(params.power, energy_per_packet=1.0, p_max=0.14))
+
+
+def _random_cell(rng):
+    params = make_params(
+        mu_on=float(10 ** rng.uniform(-0.5, 0.5)), n=int(rng.integers(5, 30)),
+        lam=float(rng.choice([0.0, 10 ** rng.uniform(-3.5, -1.5)])),
+        capacity_k=int(rng.integers(1, 9)), slot_d=float(rng.choice([1.0, rng.uniform(0.2, 2)])),
+        p_detect=float(rng.uniform(0.6, 1.0)), p_false_alarm=float(rng.uniform(0.0, 0.4)),
+        theta=float(rng.uniform(0.0, 0.5)), xi=float(rng.uniform(0.1, 0.9)))
+    cons = Constraints(max_drop=float(rng.choice([1.0, rng.uniform(0.01, 0.5)])),
+                       max_interference=float(rng.choice([1.0, rng.uniform(0.0, 0.2)])))
+    return params, cons
+
+
+def test_lean_searches_match_full_probe_reference():
+    rng = np.random.default_rng(20231)
+    cases = [(_hump_cell(), Constraints(1.0, 1.0), 1e-3),
+             (make_params(capacity_k=3), Constraints(0.1, 0.0), 1e-3),
+             (make_params(capacity_k=3), Constraints(1.0, 1.0), 1e-3),
+             (make_params(capacity_k=5, lam=0.002), ANCHOR_CONSTRAINTS, 1e-5)]
+    cases += [(*_random_cell(rng), float(rng.choice([1e-2, 1e-3, 1e-4]))) for _ in range(10)]
+    seen = set()
+    for params, cons, tol in cases:
+        for lean, literal in ((critical_beta, literal_critical_beta),
+                              (critical_lambda, literal_critical_lambda)):
+            got = lean(params, cons, tol)
+            assert repr(got) == repr(literal(params, cons, tol))
+            if got.value is None:
+                seen.add("infeasible floor")
+            elif got.capped:
+                seen.add("capped")
+            elif not got.monotone:
+                seen.add("non-monotone")
+            else:
+                seen.add("bisected")
+    assert seen == {"infeasible floor", "capped", "non-monotone", "bisected"}
+
+
+def test_probe_flag_is_the_report_flag():
+    rng = np.random.default_rng(7121)
+    cells = [(make_params(lam=0.0), ANCHOR_CONSTRAINTS),
+             (make_params(lam=5.0), ANCHOR_CONSTRAINTS),
+             (make_params(theta=1.0, lam=0.01), ANCHOR_CONSTRAINTS),
+             (make_params(p_false_alarm=1.0, lam=0.01), Constraints(1.0, 1.0)),
+             (_hump_cell(), Constraints(1.0, 1.0))]
+    cells += [_random_cell(rng) for _ in range(25)]
+    flags = set()
+    for params, cons in cells:
+        for beta in (0.05, 0.5, 0.95):
+            at = params_with_activity(params, beta)
+            want = evaluate_qos(at, cons.max_drop, cons.max_interference).feasible
+            assert meets_constraints(at, cons.max_drop, cons.max_interference) is want
+            flags.add(want)
+    assert flags == {True, False}
 
 
 def test_constraints_validation():
