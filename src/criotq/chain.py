@@ -16,15 +16,39 @@ A one-slot transition is a product of three independent laws:
 * the next decision draw d[j, e, b], conditioned on the end phase and
   on whether the resulting queue is empty.
 
-``build_transition_matrix`` forms the dense row-stochastic matrix
-P[(i, ph, a), (j, e, b)] = sum_c (w[ph, a, e, c] q_c[i, j]) d[j, e, b]
-as array products over whole (K+1) x (K+1) queue blocks, one per
-(ph, a, e, b), and then gathers them into state order, dropping the two
-excluded states.  Every entry has the bits of that formula evaluated
-cell by cell; the tests keep a broadcast over the full grid as the
-reference.  The state space of each K is built once and shared.
-``stationary_distribution`` solves mu = mu P with a direct dense solve
-and a damped power-iteration fallback, without assuming irreducibility.
+so P[(i, ph, a), (j, e, b)] = sum_c (w[ph, a, e, c] q_c[i, j]) d[j, e, b].
+
+The next action b is drawn fresh, and its law d depends on the target
+(j, e) alone, not on the source state.  The action coordinate is
+therefore exactly lumpable (Kemeny and Snell, Finite Markov Chains,
+1960, section 6.3): every stationary vector has the form
+
+    pi(j, e, b) = nu(j, e) d[j, e, b],
+
+where nu is stationary for the 2(K+1)-state (queue, phase) chain
+
+    Q[(i, ph), (j, e)] = sum_c W_c[i, ph, e] q_c[i, j],
+    W_c[i, ph, e] = sum_a d[i, ph, a] w[ph, a, e, c],
+
+the action marginal sum_a d sum_b P of the full chain.  Summing the full
+balance equations over b gives nu Q = nu, and pi P = pi follows back
+from it, because pi P - pi = d (nu Q - nu) entrywise.
+
+``build_transition_matrix`` forms Q from the three factors and keeps
+them, so the dense (6K + 4)^2 matrix P is assembled only when something
+reads ``TransitionMatrix.matrix``: array products over whole
+(K+1) x (K+1) queue blocks, one per (ph, a, e, b), gathered into state
+order with the two excluded states dropped.  Every entry of P has the
+bits of the formula above evaluated cell by cell; the tests keep a
+broadcast over the full grid as the reference.  The state space of each
+K is built once and shared.
+
+``stationary_distribution`` solves nu = nu Q with a direct dense solve
+and a damped power-iteration fallback, without assuming
+irreducibility, and expands nu d into state order; the two excluded
+states carry exactly zero mass there and are dropped.  The residual it
+reports is ||nu Q - nu||_inf, which bounds ||pi P - pi||_inf by the
+identity above, since every entry of d lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -128,22 +152,71 @@ def _check_stochastic(p: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Dense one-slot transition matrix plus the context it was built from."""
+    """The one-slot chain, held as its lumped (queue, phase) form and its factors.
 
-    matrix: np.ndarray
+    Attributes:
+        lumped: the row-stochastic 2(K+1) x 2(K+1) matrix Q over
+            (queue, phase) pairs, queue-major then phase, that the
+            stationary solve works on.
+        decision: the decision law d[empty, e, b] of action b given the
+            end phase e and whether the queue is empty (0 = not empty).
+        space: the (queue, phase, action) state space of the full chain.
+        kernel: the slot phase kernel the branches come from.
+        service_success: the success probability of a serving OFF slot.
+        branches: the phase branch weights w[ph, a, e, c].
+        shifts: the arrival shifts q[c, i, j].
+
+    ``matrix`` is the dense (6K + 4) x (6K + 4) matrix over
+    (queue, phase, action) triples, assembled and validated on first
+    access and then kept.
+    """
+
+    lumped: np.ndarray
+    decision: np.ndarray
     space: StateSpace
     kernel: SlotTransitionKernel
     service_success: float
+    branches: np.ndarray = field(repr=False)
+    shifts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_stochastic(self.matrix)
-        if self.matrix.shape[0] != self.space.size:
-            raise InvalidParameterError("matrix shape does not match the state space")
+        _check_stochastic(self.lumped)
+        if self.lumped.shape[0] != 2 * (self.space.capacity_k + 1):
+            raise InvalidParameterError("lumped matrix shape does not match the state space")
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        w, q = self.branches, self.shifts
+        levels = np.arange(self.space.capacity_k + 1)
+        d = self.decision[(levels == 0).astype(int)].transpose(1, 2, 0)
+
+        # t[ph, a, e, b, i, j]: each product is formed as (w q) d, the same
+        # two roundings as weight * mass * decision, with the queue axes
+        # innermost.  Only a serving OFF slot that ends OFF has a departure
+        # branch; every other c = 1 weight is 0 and adds nothing.
+        t = (w[:, :, :, 0, None, None, None] * q[0]) * d[:, :, None, :]
+        t[Phase.OFF, Action.SERVE, Phase.OFF] += (
+            (w[Phase.OFF, Action.SERVE, Phase.OFF, 1] * q[1]) * d[Phase.OFF, :, None, :])
+
+        # Reorder into (i, ph, a) x (j, e, b), one block per pair of queue
+        # ranges {0} and 1..K; level 0 keeps only actions Idle and Charge.
+        v = t.transpose(4, 0, 1, 5, 2, 3)
+        p = np.empty((self.space.size, self.space.size))
+        for rows, src_rows in _LEVEL_BLOCKS:
+            for cols, src_cols in _LEVEL_BLOCKS:
+                src = v[src_rows + src_cols]
+                p[rows, cols].reshape(src.shape)[...] = src
+        # Signed-zero inputs (xi_charge = -0.0, say) give -0.0 products;
+        # + 0.0 stores them as the +0.0 that a sum of both branches started
+        # from 0 gives, so no bit depends on which zero branches were skipped.
+        p += 0.0
+        _check_stochastic(p)
+        return p
 
 
 def build_transition_matrix(params: SystemParams,
                             service_success: float | None = None) -> TransitionMatrix:
-    """Assemble the one-slot chain for the given parameters.
+    """Form the one-slot chain for the given parameters.
 
     ``service_success`` overrides the probability that a serving slot
     completes its transmission; the default is the whole-slot OFF
@@ -187,33 +260,19 @@ def build_transition_matrix(params: SystemParams,
     q[0, :, k_cap] = tail[k_cap - levels]
     q[1, :, :-1] = q[0, :, 1:]
 
-    # d[e, b, j]: the decision law depends only on the end phase and on
-    # whether queue j is empty.
+    # dec[empty, e, b]: the decision law depends only on the end phase and
+    # on whether the queue is empty.
     dec = np.array([[decision_distribution(e, params.sensing, params.policy, empty)
                      for e in _PHASES] for empty in (False, True)])
-    d = dec[(levels == 0).astype(int)].transpose(1, 2, 0)
 
-    # t[ph, a, e, b, i, j]: each product is formed as (w q) d, the same two
-    # roundings as weight * mass * decision, with the queue axes innermost.
-    # Only a serving OFF slot that ends OFF has a departure branch; every
-    # other c = 1 weight is 0 and adds nothing.
-    t = (w[:, :, :, 0, None, None, None] * q[0]) * d[:, :, None, :]
-    t[Phase.OFF, Action.SERVE, Phase.OFF] += (
-        (w[Phase.OFF, Action.SERVE, Phase.OFF, 1] * q[1]) * d[Phase.OFF, :, None, :])
-
-    # Reorder into (i, ph, a) x (j, e, b), one block per pair of queue
-    # ranges {0} and 1..K; level 0 keeps only actions Idle and Charge.
-    v = t.transpose(4, 0, 1, 5, 2, 3)
-    p = np.empty((space.size, space.size))
-    for rows, src_rows in _LEVEL_BLOCKS:
-        for cols, src_cols in _LEVEL_BLOCKS:
-            src = v[src_rows + src_cols]
-            p[rows, cols].reshape(src.shape)[...] = src
-    # Signed-zero inputs (xi_charge = -0.0, say) give -0.0 products; + 0.0
-    # stores them as the +0.0 that a sum of both branches started from 0
-    # gives, so no bit depends on which zero branches were skipped.
-    p += 0.0
-    return TransitionMatrix(matrix=p, space=space, kernel=kernel, service_success=succ)
+    # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
+    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j].
+    lumped_w = (dec[:, :, :, None, None] * w).sum(axis=2)[(levels == 0).astype(int)]
+    lumped = (lumped_w[:, :, None, :, 0] * q[0, :, None, :, None]
+              + lumped_w[:, :, None, :, 1] * q[1, :, None, :, None])
+    return TransitionMatrix(lumped=lumped.reshape(2 * (k_cap + 1), 2 * (k_cap + 1)),
+                            decision=dec, space=space, kernel=kernel, service_success=succ,
+                            branches=w, shifts=q)
 
 
 @dataclass(frozen=True)
@@ -221,9 +280,12 @@ class StationaryDistribution:
     """Stationary row vector of a transition matrix.
 
     Attributes:
-        vector: probabilities in canonical state order, entries clamped
-            to be nonnegative and normalized to sum 1.
-        residual: infinity-norm of vector @ P - vector after cleanup.
+        vector: probabilities in canonical state order, entries
+            nonnegative and summing to 1 up to rounding.
+        residual: infinity-norm of mu @ M - mu for the vector mu that
+            was solved for, after cleanup.  M is the lumped matrix Q
+            when solved from a TransitionMatrix, which bounds the same
+            norm for the full chain; otherwise the matrix given.
         method: "direct" (dense solve) or "power" (iterative fallback).
         space: the state space, when solved from a TransitionMatrix.
     """
@@ -289,6 +351,13 @@ def _power_solve(p: np.ndarray) -> tuple[np.ndarray, float]:
     return _cleanup(mu, p)
 
 
+def _solve(p: np.ndarray) -> tuple[np.ndarray, float, str]:
+    direct = _direct_solve(p)
+    if direct is not None:
+        return (*direct, "direct")
+    return (*_power_solve(p), "power")
+
+
 def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDistribution:
     """Solve mu = mu P for a row-stochastic matrix.
 
@@ -299,18 +368,23 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDist
     uniform vector takes over (tolerance 1e-12, capped at 1e6 steps).
     Reducible chains are solved as-is; whichever stationary vector the
     procedure lands on is returned.
-    """
-    if isinstance(tm, TransitionMatrix):
-        p = tm.matrix
-        space = tm.space
-    else:
-        p = np.asarray(tm, dtype=float)
-        space = None
-        _check_stochastic(p)
 
-    direct = _direct_solve(p)
-    if direct is not None:
-        mu, residual = direct
-        return StationaryDistribution(vector=mu, residual=residual, method="direct", space=space)
-    mu, residual = _power_solve(p)
-    return StationaryDistribution(vector=mu, residual=residual, method="power", space=space)
+    A TransitionMatrix is solved on its lumped (queue, phase) matrix Q,
+    and the answer nu is expanded to mu(i, ph, a) = nu(i, ph) d[i, ph, a]
+    in state order, so the two excluded states, whose decision mass is
+    exactly 0, are dropped.  The reported residual is that of nu under Q,
+    which bounds the residual of mu under the full matrix.
+    """
+    if not isinstance(tm, TransitionMatrix):
+        p = np.asarray(tm, dtype=float)
+        _check_stochastic(p)
+        mu, residual, method = _solve(p)
+        return StationaryDistribution(vector=mu, residual=residual, method=method)
+
+    nu, residual, method = _solve(tm.lumped)
+    k_cap = tm.space.capacity_k
+    grid = nu.reshape(k_cap + 1, 2, 1) * tm.decision[(np.arange(k_cap + 1) == 0).astype(int)]
+    # Level 0 keeps actions Idle and Charge only; + 0.0 turns a -0.0 product
+    # (from a -0.0 decision probability) into the +0.0 a solve would give.
+    mu = np.concatenate((grid[0, :, ::2].ravel(), grid[1:].ravel())) + 0.0
+    return StationaryDistribution(vector=mu, residual=residual, method=method, space=tm.space)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,7 +8,7 @@ import scipy.stats
 from criotq import (Action, InvalidParameterError, NoConvergenceError, Phase,
                     StateSpace, activity_factor, arrival_pmf, arrival_tail,
                     build_transition_matrix, decision_distribution, enumerate_states,
-                    slot_kernel, stationary_distribution)
+                    evaluate_qos, slot_kernel, stationary_distribution)
 from conftest import make_params
 
 
@@ -204,6 +205,108 @@ def test_builder_matches_full_grid_broadcast_bit_for_bit():
             want = full_grid_transition_matrix(params, service_success=succ)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _random_cells(rng, count):
+    """Seeded (params, service_success) pairs over K 1-40, lam from 0 to
+    saturated, sensing and policy corners at 0 and 1, and the default,
+    a00 and zero service success.
+
+    A cell that never completes a service (it never serves in an OFF
+    slot, or service_success is 0) keeps every queue level (almost)
+    closed at light load: at lam = 0 its stationary law is not unique,
+    and at lam near 0 the power fallback either stalls or stops at a
+    residual of 1e-12, short of a vector accurate to 1e-12.  Such cells
+    draw a load that fills the buffer.
+    """
+    def pick():
+        return float(rng.choice([0.0, 1.0, rng.uniform()]))
+
+    cells = []
+    while len(cells) < count:
+        kw = dict(mu_on=float(rng.uniform(0.05, 3.0)), mu_off=float(rng.uniform(0.05, 3.0)),
+                  n=int(rng.integers(1, 30)), capacity_k=int(rng.integers(1, 41)),
+                  slot_d=float(rng.uniform(0.05, 4.0)), p_detect=pick(),
+                  p_false_alarm=pick(), theta=pick(), xi=pick(),
+                  lam=float(rng.choice([0.0, 5.0, 10 ** rng.uniform(-5, 0)])))
+        a00 = slot_kernel(make_params(**kw).pnp, kw["slot_d"]).a00
+        succ = (None, a00, 0.0)[int(rng.integers(3))]
+        serves_off = (1.0 - kw["p_false_alarm"]) * (1.0 - kw["theta"]) * (1.0 - kw["xi"])
+        if (serves_off == 0.0 or succ == 0.0) and kw["lam"] < 0.01:
+            kw["lam"] = float(rng.uniform(0.01, 1.0))
+        cells.append((make_params(**kw), succ))
+    return cells
+
+
+def _action_marginal(tm):
+    """sum_a d[i, ph, a] sum_b P[(i, ph, a), (j, e, b)] from the dense matrix."""
+    space = tm.space
+    pair = 2 * space.queue + space.phase
+    onto_pairs = np.zeros((space.size, 2 * (space.capacity_k + 1)))
+    onto_pairs[np.arange(space.size), pair] = 1.0
+    d = tm.decision[(space.queue == 0).astype(int), space.phase, space.action]
+    return onto_pairs.T @ (d[:, None] * (tm.matrix @ onto_pairs))
+
+
+def test_lumped_chain_is_the_action_marginal_of_the_full_chain():
+    rng = np.random.default_rng(70411)
+    for params, succ in _random_cells(rng, 320):
+        tm = build_transition_matrix(params, service_success=succ)
+        assert np.max(np.abs(tm.lumped - _action_marginal(tm))) <= 1e-15
+        mu = stationary_distribution(tm)
+        dense = stationary_distribution(tm.matrix)
+        assert np.max(np.abs(mu.vector - dense.vector)) <= 1e-12
+        # pi P - pi = d (nu Q - nu) entrywise, so the lumped residual bounds
+        # the full one.  The full residual is formed in extended precision:
+        # in doubles its own rounding reaches an ulp of the largest mass.
+        pi, p = mu.vector.astype(np.longdouble), tm.matrix.astype(np.longdouble)
+        assert np.max(np.abs(pi @ p - pi)) <= mu.residual + 1e-16
+
+
+@pytest.mark.parametrize("lam", [3.2e-5, 1.6e-4, 2.3e-4])
+def test_certain_false_alarm_solves_directly(lam):
+    # A dense solve of the full 64-state chain is rejected at the first
+    # two rates, and its power fallback runs for about a second there.
+    report = evaluate_qos(make_params(p_false_alarm=1.0, lam=lam))
+    assert report.solver_method == "direct"
+    assert report.residual <= 1e-10
+
+
+def _oracle_stationary(matrix, digits=50):
+    """Stationary vector of the dense matrix by a 50-digit LU solve."""
+    with mpmath.workdps(digits):
+        n = matrix.shape[0]
+        a = mpmath.matrix(n, n)
+        for r in range(1, n):
+            for c in range(n):
+                a[r, c] = mpmath.mpf(float(matrix[c, r])) - (1 if r == c else 0)
+        for c in range(n):
+            a[0, c] = 1  # normalization in place of one balance equation
+        b = mpmath.matrix(n, 1)
+        b[0] = 1
+        return list(mpmath.lu_solve(a, b))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(capacity_k=2, lam=0.02),
+    dict(capacity_k=3, lam=0.004, mu_on=0.4, mu_off=1.7, p_detect=0.8, xi=0.3),
+    dict(capacity_k=4, lam=1e-4, slot_d=0.5, theta=0.05),  # masses from 2e-10 to 0.47
+])
+def test_lumped_solve_matches_high_precision_oracle(kw):
+    params = make_params(**kw)
+    tm = build_transition_matrix(params)
+    mu = stationary_distribution(tm)
+    want = _oracle_stationary(tm.matrix)
+    with mpmath.workdps(50):
+        for got, exact in zip(mu.vector, want):
+            assert exact > 0
+            assert abs((mpmath.mpf(float(got)) - exact) / exact) <= 1e-13
+        serving = np.flatnonzero((tm.space.phase == Phase.OFF)
+                                 & (tm.space.action == Action.SERVE))
+        rho = params.traffic.mean_arrivals_per_slot
+        p_b = 1 - mpmath.mpf(tm.service_success) * mpmath.fsum(
+            want[s] for s in serving) / mpmath.mpf(rho)
+        assert abs(evaluate_qos(params).drop_prob - p_b) <= 4e-15
 
 
 def test_frozen_entry_serve_success_then_charge(baseline_params):
