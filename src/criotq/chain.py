@@ -43,12 +43,14 @@ bits of the formula above evaluated cell by cell; the tests keep a
 broadcast over the full grid as the reference.  The state space of each
 K is built once and shared.
 
-``stationary_distribution`` solves nu = nu Q with a direct dense solve
-and a damped power-iteration fallback, without assuming
-irreducibility, and expands nu d into state order; the two excluded
-states carry exactly zero mass there and are dropped.  The residual it
-reports is ||nu Q - nu||_inf, which bounds ||pi P - pi||_inf by the
-identity above, since every entry of d lies in [0, 1].
+``stationary_distribution`` solves nu = nu Q with one direct dense
+solve and expands nu d into state order; the two excluded states carry
+exactly zero mass there and are dropped.  The residual it reports is
+||nu Q - nu||_inf, which bounds ||pi P - pi||_inf by the identity above,
+since every entry of d lies in [0, 1].  A solve whose residual exceeds
+1e-10 raises rather than iterating.  The one degenerate case with a
+fixed answer, a chain that admits no arrival, is solved on the closed
+empty level.
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ class StationaryDistribution:
             was solved for, after cleanup.  M is the lumped matrix Q
             when solved from a TransitionMatrix, which bounds the same
             norm for the full chain; otherwise the matrix given.
-        method: "direct" (dense solve) or "power" (iterative fallback).
+        method: "direct", the dense LU solve, the only path.
         space: the state space, when solved from a TransitionMatrix.
     """
 
@@ -295,96 +297,67 @@ class StationaryDistribution:
     method: str
     space: StateSpace | None = None
 
-    def prob(self, queue: int, phase: Phase, action: Action) -> float:
-        if self.space is None:
-            raise InvalidParameterError("no state space attached to this distribution")
-        return float(self.vector[self.space.index(queue, phase, action)])
+
+_RESIDUAL_BOUND = 1e-10
 
 
-_DIRECT_RESIDUAL = 1e-10
-_POWER_TOL = 1e-12
-_POWER_CAP = 1_000_000
+def _solve(p: np.ndarray, states: int) -> tuple[np.ndarray, float]:
+    """Stationary vector of p supported on its leading ``states`` states.
 
-
-def _cleanup(mu: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
-    mu = np.where(mu < 0.0, 0.0, mu)
-    total = mu.sum()
-    if total <= 0.0:
-        return mu, np.inf
-    mu = mu / total
-    residual = float(np.max(np.abs(mu @ p - mu)))
-    return mu, residual
-
-
-def _direct_solve(p: np.ndarray) -> tuple[np.ndarray, float] | None:
-    n = p.shape[0]
-    a = p.T - np.eye(n)
+    The balance equations of that block, one replaced by normalization,
+    are solved by LU; negative entries are clipped to 0, the rest
+    renormalized and padded with zeros.  The answer is accepted exactly
+    when ||mu p - mu||_inf <= 1e-10 over all of p.
+    """
+    a = p[:states, :states].T - np.eye(states)
     a[0, :] = 1.0  # replace one balance equation with normalization
-    b = np.zeros(n)
+    b = np.zeros(states)
     b[0] = 1.0
+    mu = np.zeros(p.shape[0])
     try:
-        mu = np.linalg.solve(a, b)
+        mu[:states] = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return None
-    if np.min(mu) < -1e-14 or abs(mu.sum() - 1.0) > 1e-12:
-        return None
-    mu, residual = _cleanup(mu, p)
-    if residual > _DIRECT_RESIDUAL:
-        return None
+        raise NoConvergenceError("singular balance equations", np.inf) from None
+    # The normalization row makes the sum 1 and clipping only raises it,
+    # so the division is safe; the test is written so that NaN fails too.
+    mu = np.where(mu < 0.0, 0.0, mu)
+    mu = mu / mu.sum()
+    residual = float(np.max(np.abs(mu @ p - mu)))
+    if not residual <= _RESIDUAL_BOUND:
+        raise NoConvergenceError(f"direct solve residual {residual:.3e}", residual)
     return mu, residual
-
-
-def _power_solve(p: np.ndarray) -> tuple[np.ndarray, float]:
-    n = p.shape[0]
-    mu = np.full(n, 1.0 / n)
-    residual = np.inf
-    for _ in range(_POWER_CAP):
-        step = mu @ p
-        residual = float(np.max(np.abs(step - mu)))
-        # Half step keeps fixed points and damps period-2 cycles.
-        mu = 0.5 * (mu + step)
-        if residual <= _POWER_TOL:
-            break
-    if residual > _DIRECT_RESIDUAL:
-        raise NoConvergenceError(
-            f"power iteration stalled at residual {residual:.3e}", residual)
-    return _cleanup(mu, p)
-
-
-def _solve(p: np.ndarray) -> tuple[np.ndarray, float, str]:
-    direct = _direct_solve(p)
-    if direct is not None:
-        return (*direct, "direct")
-    return (*_power_solve(p), "power")
 
 
 def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDistribution:
-    """Solve mu = mu P for a row-stochastic matrix.
+    """Solve mu = mu P for a row-stochastic matrix by one direct solve.
 
     Accepts either a built TransitionMatrix or a bare square ndarray.
-    The direct solve replaces one balance equation with normalization;
-    its result is accepted only if it is a near-exact probability vector
-    with residual <= 1e-10, otherwise a damped power iteration from the
-    uniform vector takes over (tolerance 1e-12, capped at 1e6 steps).
-    Reducible chains are solved as-is; whichever stationary vector the
-    procedure lands on is returned.
+    The dense solve replaces one balance equation with normalization,
+    clips negative rounding noise to 0 and renormalizes; the result is
+    accepted when its residual is <= 1e-10.  Otherwise, as when the
+    balance equations are singular because the stationary law is not
+    unique, NoConvergenceError is raised with that residual.
 
     A TransitionMatrix is solved on its lumped (queue, phase) matrix Q,
     and the answer nu is expanded to mu(i, ph, a) = nu(i, ph) d[i, ph, a]
     in state order, so the two excluded states, whose decision mass is
     exactly 0, are dropped.  The reported residual is that of nu under Q,
-    which bounds the residual of mu under the full matrix.
+    which bounds the residual of mu under the full matrix.  A chain that
+    admits no arrival (pmf(0) == 1, as at lam = 0) cannot leave the empty
+    level, and the queue starts empty: nu is then solved on the level-0
+    block and is zero above it.
     """
     if not isinstance(tm, TransitionMatrix):
         p = np.asarray(tm, dtype=float)
         _check_stochastic(p)
-        mu, residual, method = _solve(p)
-        return StationaryDistribution(vector=mu, residual=residual, method=method)
+        mu, residual = _solve(p, p.shape[0])
+        return StationaryDistribution(vector=mu, residual=residual, method="direct")
 
-    nu, residual, method = _solve(tm.lumped)
+    states = 2 if tm.shifts[0, 0, 0] == 1.0 else tm.lumped.shape[0]
+    nu, residual = _solve(tm.lumped, states)
     k_cap = tm.space.capacity_k
     grid = nu.reshape(k_cap + 1, 2, 1) * tm.decision[(np.arange(k_cap + 1) == 0).astype(int)]
     # Level 0 keeps actions Idle and Charge only; + 0.0 turns a -0.0 product
     # (from a -0.0 decision probability) into the +0.0 a solve would give.
     mu = np.concatenate((grid[0, :, ::2].ravel(), grid[1:].ravel())) + 0.0
-    return StationaryDistribution(vector=mu, residual=residual, method=method, space=tm.space)
+    return StationaryDistribution(vector=mu, residual=residual, method="direct", space=tm.space)

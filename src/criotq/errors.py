@@ -10,10 +10,15 @@ class InvalidParameterError(CriotqError, ValueError):
 
 
 class NoConvergenceError(CriotqError, RuntimeError):
-    """Iterative stationary solve failed to reach the target residual.
+    """The direct stationary solve gave no vector within the residual bound.
+
+    Raised when the balance equations are singular, as when the chain's
+    stationary law is not unique, or when the cleaned-up answer misses
+    ||mu P - mu||_inf <= 1e-10.
 
     Attributes:
-        residual: infinity-norm of mu @ P - mu at the point of failure.
+        residual: infinity-norm of mu @ P - mu of the rejected answer;
+            inf when the equations were singular.
     """
 
     def __init__(self, message: str, residual: float):

@@ -8,7 +8,8 @@ import scipy.stats
 from criotq import (Action, InvalidParameterError, NoConvergenceError, Phase,
                     StateSpace, activity_factor, arrival_pmf, arrival_tail,
                     build_transition_matrix, decision_distribution, enumerate_states,
-                    evaluate_qos, slot_kernel, stationary_distribution)
+                    evaluate_qos, params_with_activity, slot_kernel,
+                    stationary_distribution)
 from conftest import make_params
 
 
@@ -213,11 +214,13 @@ def _random_cells(rng, count):
     a00 and zero service success.
 
     A cell that never completes a service (it never serves in an OFF
-    slot, or service_success is 0) keeps every queue level (almost)
-    closed at light load: at lam = 0 its stationary law is not unique,
-    and at lam near 0 the power fallback either stalls or stops at a
-    residual of 1e-12, short of a vector accurate to 1e-12.  Such cells
-    draw a load that fills the buffer.
+    slot, or service_success is 0) keeps every queue level closed at
+    lam = 0, so its stationary law there is not unique and the balance
+    equations can be singular.  At light load such cells solve, but the
+    lumped LU can spread about 2e-13 of spurious mass over every
+    transient state: drawn down to lam = 0, two of the 320 cells here
+    differ from the dense solve by 1.2e-12 and 1.9e-12.  Until the lumped
+    solve is exact there, such cells draw a load that fills the buffer.
     """
     def pick():
         return float(rng.choice([0.0, 1.0, rng.uniform()]))
@@ -272,14 +275,50 @@ def test_certain_false_alarm_solves_directly(lam):
     assert report.residual <= 1e-10
 
 
-def _oracle_stationary(matrix, digits=50):
-    """Stationary vector of the dense matrix by a 50-digit LU solve."""
+def test_never_serving_light_load_solves_directly():
+    # Every level is all but closed: the queue only fills.  The LU answer
+    # dips to -6e-14 at transient levels; clipped, its residual is 0.
+    params = make_params(mu_on=1.888, mu_off=1.520, n=11, lam=1.53e-5, capacity_k=34,
+                         slot_d=0.254, p_detect=0.0, p_false_alarm=0.924, theta=1.0, xi=0.0)
+    tm = build_transition_matrix(params)
+    mu = stationary_distribution(tm)
+    assert mu.method == "direct"
+    assert mu.residual <= 1e-10
+    assert mu.vector[tm.space.queue == 34].sum() >= 1 - 1e-12
+
+
+def test_clipped_direct_answer_matches_oracle():
+    # A busy channel (beta = 0.94) keeps the queue near full.  The float
+    # rows sum to 1 +- 2e-16, and the exact solution of that float matrix
+    # already has entries down to -1.1e-14 at the low levels, as has the
+    # LU answer.  Clipped, the answer matches the chain with exactly
+    # stochastic rows.
+    params = make_params(mu_off=14.499790752824799, lam=0.0006307437909989518,
+                         capacity_k=15, p_detect=0.872838555547448,
+                         p_false_alarm=0.05676968418010617, theta=0.2994111097451574,
+                         xi=0.6560209460814055)
+    tm = build_transition_matrix(params)
+    mu = stationary_distribution(tm)
+    want = np.array([float(x) for x in _oracle_stationary(tm.lumped, exact_rows=True)])
+    nu = np.bincount(2 * tm.space.queue + tm.space.phase, weights=mu.vector)
+    assert np.max(np.abs(nu - want)) <= 1e-13
+
+
+def _oracle_stationary(matrix, digits=50, exact_rows=False):
+    """Stationary vector of the dense matrix by a 50-digit LU solve.
+
+    With exact_rows, each row is first divided by its exact sum, so the
+    oracle solves a chain whose rows sum to 1 exactly rather than to
+    1 +- an ulp as the float rows do.
+    """
     with mpmath.workdps(digits):
         n = matrix.shape[0]
+        scale = [mpmath.fsum(mpmath.mpf(float(x)) for x in row) if exact_rows else 1
+                 for row in matrix]
         a = mpmath.matrix(n, n)
         for r in range(1, n):
             for c in range(n):
-                a[r, c] = mpmath.mpf(float(matrix[c, r])) - (1 if r == c else 0)
+                a[r, c] = mpmath.mpf(float(matrix[c, r])) / scale[c] - (1 if r == c else 0)
         for c in range(n):
             a[0, c] = 1  # normalization in place of one balance equation
         b = mpmath.matrix(n, 1)
@@ -384,11 +423,11 @@ def test_stationary_two_state_swap():
     assert mu.residual <= 1e-10
 
 
-def test_stationary_identity_falls_back_to_power():
-    mu = stationary_distribution(np.eye(2))
-    assert mu.vector.sum() == pytest.approx(1.0, abs=1e-12)
-    assert mu.method == "power"
-    assert mu.residual <= 1e-10
+def test_stationary_identity_has_no_unique_law():
+    # Every vector is stationary; the balance equations are singular.
+    with pytest.raises(NoConvergenceError) as err:
+        stationary_distribution(np.eye(2))
+    assert err.value.residual == math.inf
 
 
 def test_stationary_biased_coin():
@@ -441,12 +480,24 @@ def test_stationary_phase_marginal_is_activity_factor(baseline_params):
     assert on2 == pytest.approx(activity_factor(tilted.pnp), abs=1e-8)
 
 
-def test_stationary_no_arrivals_drains_queue():
-    tm = build_transition_matrix(make_params(lam=0.0))
+@pytest.mark.parametrize("params", [
+    make_params(lam=0.0),
+    # Serving at beta = 0.95: the departure mass exp(-mu_off slot_d) is 6e-41,
+    # and the full balance equations are singular in floats.
+    params_with_activity(make_params(
+        mu_on=2.7902729921340557, n=5, lam=0.0, capacity_k=5, slot_d=1.7209583776135122,
+        p_detect=0.7074426813052044, p_false_alarm=0.00929629305419124,
+        theta=0.033113108523295354, xi=0.7286993197817435), 0.95),
+    # Never serving: every level is closed, and the full LU is singular.
+    make_params(mu_on=2.4, mu_off=1.6, capacity_k=4, slot_d=0.8, lam=0.0, theta=1.0),
+], ids=["default", "serving-beta-0.95", "never-serving"])
+def test_stationary_no_arrivals_keeps_queue_empty(params):
+    tm = build_transition_matrix(params)
     mu = stationary_distribution(tm)
-    queued = sum(mu.vector[idx] for idx, (i, _, _) in enumerate(tm.space.states)
-                 if i >= 1)
-    assert queued <= 1e-10
+    assert mu.method == "direct"
+    assert mu.residual <= 1e-10
+    assert mu.vector[tm.space.queue >= 1].sum() == 0.0
+    assert mu.vector.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_stationary_always_idle_policy_solves():
@@ -467,12 +518,12 @@ def test_stationary_certain_false_alarm_solves():
     assert served <= 1e-12
 
 
-def test_stationary_distribution_prob_accessor(baseline_params):
+def test_stationary_vector_indexed_through_space(baseline_params):
     tm = build_transition_matrix(baseline_params)
     mu = stationary_distribution(tm)
     total = 0.0
     for i, phi, psi in tm.space.states:
-        total += mu.prob(i, phi, psi)
+        total += mu.vector[tm.space.index(i, phi, psi)]
     assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -30,7 +30,7 @@ def test_carried_load_zero_when_never_serving():
 def test_drop_probability_flow_balance(baseline_params):
     tm, mu = solve(baseline_params)
     rho_c = carried_load(mu, tm.kernel)
-    serving = sum(mu.prob(i, Phase.OFF, Action.SERVE) for i in range(1, 11))
+    serving = sum(mu.vector[tm.space.index(i, Phase.OFF, Action.SERVE)] for i in range(1, 11))
     assert rho_c == pytest.approx(tm.kernel.off_persist * serving, rel=1e-12)
     p_b = packet_drop_probability(rho_c, baseline_params.traffic)
     assert p_b == pytest.approx(1.0 - rho_c / 0.02, abs=1e-15)
@@ -64,7 +64,7 @@ def test_drop_probability_overshoot_clamps_and_warns():
 def test_departure_distributions_basics(baseline_params):
     tm, mu = solve(baseline_params)
     traffic = baseline_params.traffic
-    serving = [mu.prob(j, Phase.OFF, Action.SERVE) for j in range(1, 11)]
+    serving = [mu.vector[tm.space.index(j, Phase.OFF, Action.SERVE)] for j in range(1, 11)]
     for variant in ("cumulative", "arrival-weighted"):
         dd = departure_distributions(mu, tm.kernel, baseline_params.traffic, variant)
         assert dd.variant == variant
