@@ -38,19 +38,19 @@ from it, because pi P - pi = d (nu Q - nu) entrywise.
 them, so the dense (6K + 4)^2 matrix P is assembled only when something
 reads ``TransitionMatrix.matrix``: array products over whole
 (K+1) x (K+1) queue blocks, one per (ph, a, e, b), gathered into state
-order with the two excluded states dropped.  Every entry of P has the
-bits of the formula above evaluated cell by cell; the tests keep a
-broadcast over the full grid as the reference.  The state space of each
-K is built once and shared.
+order through ``StateSpace.cell``, which drops the two excluded states.
+Every entry of P has the bits of the formula above evaluated cell by
+cell; the tests keep a broadcast over the full grid as the reference.
+The state space of each K is built once and shared.
 
 ``stationary_distribution`` solves nu = nu Q with one direct dense
-solve and expands nu d into state order; the two excluded states carry
-exactly zero mass there and are dropped.  The residual it reports is
-||nu Q - nu||_inf, which bounds ||pi P - pi||_inf by the identity above,
-since every entry of d lies in [0, 1].  A solve whose residual exceeds
-1e-10 raises rather than iterating.  The one degenerate case with a
-fixed answer, a chain that admits no arrival, is solved on the closed
-empty level.
+solve and gathers nu d into state order through the same ``cell``;
+the two excluded states carry exactly zero mass there and are dropped.
+The residual it reports is ||nu Q - nu||_inf, which bounds
+||pi P - pi||_inf by the identity above, since every entry of d lies in
+[0, 1].  A solve whose residual exceeds 1e-10 raises rather than
+iterating.  The one degenerate case with a fixed answer, a chain that
+admits no arrival, is solved on the closed empty level.
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ _ALL_ACTIONS = (Action.IDLE, Action.SERVE, Action.CHARGE)
 #: Flat positions of (0, OFF, Serve) and (0, ON, Serve) in the full
 #: (K+1) x 2 x 3 grid, ordered queue-major, then phase, then action.
 _EXCLUDED = (int(Action.SERVE), 3 + int(Action.SERVE))
-#: (matrix slice, (queue, phase, action) slice) for the four level-0 states
-#: (actions Idle and Charge only) and for the 6K states of levels 1..K.
-_LEVEL_BLOCKS = ((slice(None, 4), (slice(0, 1), slice(None), slice(None, None, 2))),
-                 (slice(4, None), (slice(1, None), slice(None), slice(None))))
 
 
 @dataclass(frozen=True)
@@ -86,13 +82,17 @@ class StateSpace:
     [(0,OFF,Idle), (0,OFF,Charge), (0,ON,Idle), (0,ON,Charge)], then for
     each i >= 1 a block of six states, phase-major and action-minor.
     This is the full grid order with the two (0, phase, Serve) states
-    removed.  ``queue``, ``phase`` and ``action`` hold the same triples
-    as read-only integer arrays, so metrics can mask and reduce over
-    states without touching ``states`` or ``index``.
+    removed, and ``cell`` says so once: state s sits at flat position
+    cell[s] = 6 queue + 3 phase + action of the (K+1) x 2 x 3 grid, and
+    cell is increasing.  Grid-shaped arrays are put into state order by
+    gathering through it.  ``queue``, ``phase`` and ``action`` hold the
+    same triples as read-only integer arrays, so metrics can mask and
+    reduce over states without touching ``states`` or ``index``.
     """
 
     capacity_k: int
     states: tuple[State, ...]
+    cell: np.ndarray = field(compare=False, repr=False)
     queue: np.ndarray = field(compare=False, repr=False)
     phase: np.ndarray = field(compare=False, repr=False)
     action: np.ndarray = field(compare=False, repr=False)
@@ -108,11 +108,9 @@ class StateSpace:
             raise InvalidParameterError(f"queue {queue} outside 0..{k}")
         if phase not in _PHASES or action not in _ALL_ACTIONS:
             raise InvalidParameterError(f"invalid phase/action ({phase}, {action})")
-        if queue == 0:
-            if action == Action.SERVE:
-                raise InvalidParameterError("state (0, phase, Serve) is excluded")
-            return 2 * int(phase) + (1 if action == Action.CHARGE else 0)
-        return 4 + 6 * (queue - 1) + 3 * int(phase) + int(action)
+        if queue == 0 and action == Action.SERVE:
+            raise InvalidParameterError("state (0, phase, Serve) is excluded")
+        return int(np.searchsorted(self.cell, 6 * queue + 3 * int(phase) + int(action)))
 
     def state(self, idx: int) -> State:
         return self.states[idx]
@@ -132,12 +130,14 @@ def enumerate_states(capacity_k: int) -> StateSpace:
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _state_space(capacity_k: int) -> StateSpace:
-    grid = np.delete(np.indices((capacity_k + 1, 2, 3)).reshape(3, -1), _EXCLUDED, axis=1)
+    cell = np.delete(np.arange(6 * (capacity_k + 1)), _EXCLUDED)
+    grid = np.indices((capacity_k + 1, 2, 3)).reshape(3, -1)[:, cell]
+    cell.setflags(write=False)
     grid.setflags(write=False)
     queue, phase, action = grid
     states = tuple((i, _PHASES[ph], _ALL_ACTIONS[a])
                    for i, ph, a in zip(*grid.tolist()))
-    return StateSpace(capacity_k=capacity_k, states=states,
+    return StateSpace(capacity_k=capacity_k, states=states, cell=cell,
                       queue=queue, phase=phase, action=action)
 
 
@@ -200,14 +200,10 @@ class TransitionMatrix:
         t[Phase.OFF, Action.SERVE, Phase.OFF] += (
             (w[Phase.OFF, Action.SERVE, Phase.OFF, 1] * q[1]) * d[Phase.OFF, :, None, :])
 
-        # Reorder into (i, ph, a) x (j, e, b), one block per pair of queue
-        # ranges {0} and 1..K; level 0 keeps only actions Idle and Charge.
-        v = t.transpose(4, 0, 1, 5, 2, 3)
-        p = np.empty((self.space.size, self.space.size))
-        for rows, src_rows in _LEVEL_BLOCKS:
-            for cols, src_cols in _LEVEL_BLOCKS:
-                src = v[src_rows + src_cols]
-                p[rows, cols].reshape(src.shape)[...] = src
+        # Reorder into the (i, ph, a) x (j, e, b) grid and gather the
+        # valid states of both axes.
+        n, cell = 6 * levels.size, self.space.cell
+        p = t.transpose(4, 0, 1, 5, 2, 3).reshape(n, n)[np.ix_(cell, cell)]
         # Signed-zero inputs (xi_charge = -0.0, say) give -0.0 products;
         # + 0.0 stores them as the +0.0 that a sum of both branches started
         # from 0 gives, so no bit depends on which zero branches were skipped.
@@ -357,7 +353,7 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDist
     nu, residual = _solve(tm.lumped, states)
     k_cap = tm.space.capacity_k
     grid = nu.reshape(k_cap + 1, 2, 1) * tm.decision[(np.arange(k_cap + 1) == 0).astype(int)]
-    # Level 0 keeps actions Idle and Charge only; + 0.0 turns a -0.0 product
-    # (from a -0.0 decision probability) into the +0.0 a solve would give.
-    mu = np.concatenate((grid[0, :, ::2].ravel(), grid[1:].ravel())) + 0.0
+    # + 0.0 turns a -0.0 product (from a -0.0 decision probability) into
+    # the +0.0 a solve would give.
+    mu = grid.ravel()[tm.space.cell] + 0.0
     return StationaryDistribution(vector=mu, residual=residual, method="direct", space=tm.space)

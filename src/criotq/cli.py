@@ -8,9 +8,8 @@ the full chain and the synchronized reference over a rate grid).
 A run is configured by a JSON file plus flat flag overrides; every
 output is CSV with fixed, documented columns, floats printed with 12
 significant digits, and written atomically (temp file then rename) so
-a failed run never leaves a truncated file.  The environment variable
-CRIOTQ_WORKERS is still accepted and must be an integer if set, but
-every command runs in one thread and its output never depends on it.
+a failed run never leaves a truncated file.  Every command runs in one
+thread, and its output depends only on its configuration and flags.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from .region import (Constraints, SWEEP_AXES, SWEEP_TARGETS, params_with_activit
                      sweep, synchronized_baseline)
 from .simulate import GENERATOR_NAME, SimConfig, run_simulation
 
-WORKERS_ENV = "CRIOTQ_WORKERS"
-
 METRICS_COLUMNS = ["beta", "offered_load", "carried_load", "p_b", "w_inverse_rate",
                    "w_slot_avg", "p_i", "charge_fraction", "charge_fraction_nominal",
                    "p_th", "p_th_clamped", "power_feasible", "solver_residual",
@@ -49,15 +46,6 @@ SWEEP_COLUMNS = ["axis_name", "axis_value", "critical_name", "critical_value",
 #: Search diagnostics per sweep row, kept out of sweep.csv so its schema holds.
 SWEEP_DIAG_COLUMNS = ["axis_value", "feasible_at_zero", "monotone", "capped"]
 COMPARE_COLUMNS = ["lambda", "w_sim", "w_full_model", "w_sync_baseline"]
-
-
-def _check_workers_env() -> None:
-    """Reject a non-integer CRIOTQ_WORKERS; any integer is accepted and changes nothing."""
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    try:
-        int(raw or "1")
-    except ValueError as exc:
-        raise InvalidParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
 
 
 def _fmt(value) -> str:
@@ -277,7 +265,6 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     params = _build_params(cfg, args)
     sim_cfg = _build_sim_config(cfg, args, params)
-    _check_workers_env()
     result = run_simulation(sim_cfg)
 
     rows = []
@@ -311,15 +298,10 @@ def cmd_sweep(args) -> int:
     target = args.target if args.target is not None else sec.get("target")
     grid = args.grid if args.grid is not None else sec.get("grid")
     tol = args.tol if args.tol is not None else _number(sec.get("tol", 1e-3), "sweep.tol")
-    if axis not in SWEEP_AXES:
-        raise InvalidParameterError(f"sweep axis must be one of {SWEEP_AXES}")
-    if target not in SWEEP_TARGETS:
-        raise InvalidParameterError(f"sweep target must be one of {SWEEP_TARGETS}")
     if not grid:
         raise InvalidParameterError("sweep grid is missing or empty")
     values = sorted(_number(v, "sweep.grid") for v in grid)  # canonical order for stable output
 
-    _check_workers_env()
     rows_out = []
     diag_rows = []
     for row in sweep(params, constraints, axis, values, target, tol=tol):
@@ -346,7 +328,6 @@ def cmd_compare(args) -> int:
         raise InvalidParameterError("compare lambda_grid is missing or empty")
     lam_grid = [_number(v, "compare.lambda_grid") for v in grid]  # echoed in caller order
 
-    _check_workers_env()
     rows = []
     for lam in lam_grid:
         p2 = replace(params, traffic=replace(params.traffic, lam=lam))

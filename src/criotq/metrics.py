@@ -2,10 +2,11 @@
 
 All metrics are functionals of the stationary law of the slot chain.
 The carried load counts only serving slots that actually complete, a
-blocked fraction follows by flow balance, the post-departure queue law
-yields two waiting-time estimates, and the power requirement converts
-the effective packet throughput into the transmit budget the access
-point needs to keep every node energy-neutral.
+blocked fraction follows by flow balance, the waits follow from P_B and
+the mean queue length, and the power requirement converts the effective
+packet throughput into the transmit budget the access point needs to
+keep every node energy-neutral.  The post-departure queue law is
+computed on its own by ``departure_distributions``; no report reads it.
 
 The feasibility flag reads only the carried load, drop, interference and
 power.  One pass computes those; ``evaluate_qos`` runs it before the
@@ -158,16 +159,16 @@ def departure_distributions(mu: StationaryDistribution, kernel: SlotTransitionKe
                                   epsilon=epsilon, variant=variant)
 
 
-def waiting_time(dd: DepartureDistributions | None, drop_prob: float,
-                 traffic: TrafficModel, estimator: str = "slot-average",
+def waiting_time(drop_prob: float, traffic: TrafficModel, estimator: str = "slot-average",
                  mu: StationaryDistribution | None = None) -> float:
     """Mean sojourn of an admitted packet, in seconds.
 
     "inverse-rate" composes the blocking and admission terms of the
-    renewal argument (algebraically 1 / (n lam (1 - P_B))); it needs the
-    departure distributions.  "slot-average" applies Little's law to
-    the mean slot-start queue length and needs the stationary law.
-    Raises when the effective admission rate is zero.
+    renewal argument, P_B / lam_eff + 1 / (n lam), algebraically
+    1 / (n lam (1 - P_B)); the admission term is the mass of the
+    normalized post-departure law, which is 1.  "slot-average" applies
+    Little's law to the mean slot-start queue length and needs the
+    stationary law.  Raises when the effective admission rate is zero.
     """
     if estimator not in WAIT_ESTIMATORS:
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
@@ -176,9 +177,7 @@ def waiting_time(dd: DepartureDistributions | None, drop_prob: float,
     if lam_eff <= 0.0:
         raise UndefinedWaitError("effective admission rate is zero")
     if estimator == "inverse-rate":
-        if dd is None:
-            raise InvalidParameterError("inverse-rate estimator needs departure distributions")
-        return drop_prob / lam_eff + float(dd.delta.sum()) / lam_agg
+        return drop_prob / lam_eff + 1.0 / lam_agg
     if mu is None or mu.space is None:
         raise InvalidParameterError("slot-average estimator needs the stationary law")
     mean_queue = _running_sum(mu.space.queue * mu.vector)
@@ -307,8 +306,8 @@ def meets_constraints(params: SystemParams, max_drop: float, max_interference: f
     """``evaluate_qos(params, max_drop, max_interference).feasible``, computed lean.
 
     Builds and solves the same chain and runs the same constraint pass
-    as evaluate_qos, but skips the waits, departure laws and charging
-    fractions the flag does not read.  Region searches probe with it.
+    as evaluate_qos, but skips the waits and charging fractions the flag
+    does not read.  Region searches probe with it.
     """
     tm = build_transition_matrix(params)
     mu = stationary_distribution(tm)
@@ -317,7 +316,6 @@ def meets_constraints(params: SystemParams, max_drop: float, max_interference: f
 
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,
                  max_interference: float | None = None, *,
-                 kappa_variant: str = "cumulative",
                  service_success: float | None = None) -> QosReport:
     """Build the chain, solve it, and evaluate every stationary metric.
 
@@ -333,24 +331,13 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     core = _constraint_metrics(params, tm, mu, max_drop, max_interference)
     p_b = core.drop_prob
 
-    dd = None
-    if params.traffic.mean_arrivals_per_slot != 0.0:
-        try:
-            dd = departure_distributions(mu, tm.kernel, params.traffic, variant=kappa_variant,
-                                         service_success=tm.service_success)
-        except DegenerateDistributionError:
-            pass
-
     w_inv: float | None
     w_slot: float | None
     try:
-        w_inv = waiting_time(dd, p_b, params.traffic, "inverse-rate")
-    except (UndefinedWaitError, InvalidParameterError):
-        w_inv = None
-    try:
-        w_slot = waiting_time(dd, p_b, params.traffic, "slot-average", mu=mu)
+        w_inv = waiting_time(p_b, params.traffic, "inverse-rate")
+        w_slot = waiting_time(p_b, params.traffic, "slot-average", mu=mu)
     except UndefinedWaitError:
-        w_slot = None
+        w_inv = w_slot = None
 
     return QosReport(beta=core.beta, offered_load=params.traffic.mean_arrivals_per_slot,
                      carried_load=core.carried_load, drop_prob=p_b,

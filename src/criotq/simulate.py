@@ -336,10 +336,8 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
         post_dep += np.bincount((q + adm - 1)[at], minlength=k_cap)
         served_tagged += int(np.count_nonzero(t_arr >= meas_t0))
 
-    space = enumerate_states(k_cap)
-    cell = 6 * space.queue + 3 * space.phase + space.action
-    return _Tally(hist=cells[cell], post_dep=post_dep, batches=batches, soj_sum=soj_sum,
-                  served_tagged=served_tagged)
+    return _Tally(hist=cells[enumerate_states(k_cap).cell], post_dep=post_dep, batches=batches,
+                  soj_sum=soj_sum, served_tagged=served_tagged)
 
 
 def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
@@ -511,8 +509,6 @@ def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Acti
     serve = go & ~charge & (j >= 1)
     acts = 2 * charge.astype(np.int64) + serve.astype(np.int64)
 
-    idx = np.where(j == 0,
-                   2 * end_phase + (acts == 2).astype(np.int64),
-                   4 + 6 * np.maximum(j - 1, 0) + 3 * end_phase + acts)
+    idx = np.searchsorted(space.cell, 6 * j + 3 * end_phase + acts)
     counts = np.bincount(idx, minlength=space.size)
     return RowEstimate(pmf=counts / trials, trials=trials, space=space)

@@ -121,11 +121,19 @@ def test_enumerate_sizes_and_order():
 
 
 def test_index_round_trip():
-    space = enumerate_states(5)
-    for idx, (i, phi, psi) in enumerate(space.states):
-        assert space.index(i, phi, psi) == idx
-        assert space.state(idx) == (i, phi, psi)
-        assert (space.queue[idx], space.phase[idx], space.action[idx]) == (i, phi, psi)
+    for k in (1, 5, 40):
+        space = enumerate_states(k)
+        for idx, (i, phi, psi) in enumerate(space.states):
+            assert space.index(i, phi, psi) == idx
+            assert space.state(idx) == (i, phi, psi)
+            assert (space.queue[idx], space.phase[idx], space.action[idx]) == (i, phi, psi)
+            assert space.cell[idx] == 6 * i + 3 * phi + psi
+        # cell is the full (K+1) x 2 x 3 grid order without the two
+        # (0, phase, Serve) cells.
+        assert np.all(np.diff(space.cell) > 0)
+        assert space.cell.size == space.size
+        assert set(range(6 * (k + 1))) - set(space.cell.tolist()) == {
+            3 * ph + int(Action.SERVE) for ph in (0, 1)}
 
 
 def test_index_rejects_invalid_states():

@@ -157,14 +157,6 @@ def test_simulate_deterministic_across_runs_and_workers(tmp_path, monkeypatch):
     assert serial == (tmp_path / "threaded" / "sim.csv").read_bytes()
 
 
-def test_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CRIOTQ_WORKERS", "many")
-    rc = main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(tmp_path),
-               "--horizon", "100", "--warmup", "10", "--seed", "1"])
-    assert rc == 1
-    assert "CRIOTQ_WORKERS" in capsys.readouterr().err
-
-
 def test_negative_seed_is_a_clean_error(tmp_path, capsys):
     rc = main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(tmp_path),
                "--horizon", "1000", "--warmup", "100", "--seed", "-3"])
@@ -252,6 +244,21 @@ def test_sweep_requires_constraints(tmp_path, capsys):
                "--target", "beta_c", "--grid", "0.9", "--out", str(tmp_path)])
     assert rc == 1
     assert "constraints" in capsys.readouterr().err
+
+
+def test_sweep_config_section_rejects_bad_axis_and_target(tmp_path, capsys):
+    # Flags are checked by argparse; values from the config's sweep
+    # section reach region.sweep, which must reject them before any search.
+    for key in ("axis", "target"):
+        cfg = json.loads((REPO / "configs" / "region_detection.json").read_text())
+        cfg["sweep"][key] = "sideways"
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / key)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be one of"), err
+        assert not (tmp_path / key / "sweep.csv").exists()
 
 
 def test_compare_schema_and_determinism(tmp_path):
