@@ -51,12 +51,25 @@ The residual it reports is ||nu Q - nu||_inf, which bounds
 [0, 1].  A solve whose residual exceeds 1e-10 raises rather than
 iterating.  The one degenerate case with a fixed answer, a chain that
 admits no arrival, is solved on the closed empty level.
+
+Region searches probe many points of one K whose chains do not depend
+on each other, so the builder and the solve work on stacks:
+``build_chains`` forms every factor and lumped matrix with a leading
+point axis, and ``stationary_vectors`` solves the whole stack with one
+batched LU per support size (the points that admit no arrival form
+their own group).  Every operation is elementwise or runs along one point's
+own axes, so each point gets the bits it gets alone, and the
+validation and the solve raise the error of the first failing point,
+as taking the points one at a time would.  ``build_transition_matrix``
+and ``stationary_distribution`` are the stacks of one point.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,15 +154,43 @@ def _state_space(capacity_k: int) -> StateSpace:
                       queue=queue, phase=phase, action=action)
 
 
+class _LevelIndex(NamedTuple):
+    """Index arrays over the queue levels 0..K that every build of a K reads."""
+
+    lag: np.ndarray      # lag[i, j] = j - i, clipped at 0
+    ahead: np.ndarray    # ahead[i, j] = j >= i
+    room: np.ndarray     # room[i] = K - i
+    empty: np.ndarray    # empty[i] = 1 on level 0, the decision row it uses
+
+
+@functools.lru_cache(maxsize=64)
+def _level_index(capacity_k: int) -> _LevelIndex:
+    levels = np.arange(capacity_k + 1)
+    gap = levels[None, :] - levels[:, None]
+    index = _LevelIndex(lag=np.maximum(gap, 0), ahead=gap >= 0, room=capacity_k - levels,
+                        empty=(levels == 0).astype(int))
+    for array in index:
+        array.setflags(write=False)
+    return index
+
+
 def _check_stochastic(p: np.ndarray) -> None:
-    """Raise unless p is square, with entries in [0, 1] and rows summing to 1."""
-    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
+    """Raise unless p stacks square matrices, entries in [0, 1], rows summing to 1.
+
+    p has shape (B, n, n).  The error raised is the one the first failing
+    matrix would raise if the matrices were checked one at a time in order.
+    """
+    if p.ndim != 3 or p.shape[1] != p.shape[2] or p.shape[1] == 0:
         raise InvalidParameterError("matrix must be square and nonempty")
-    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
-        raise InvalidParameterError("matrix entries outside [0, 1]")
     # Written so that a NaN entry, and with it a NaN row sum, fails too.
-    if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-10):
-        raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
+    rows_ok = np.abs(p.sum(axis=2) - 1.0) <= 1e-10
+    if p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12 and rows_ok.all():
+        return
+    out_of_range = (p.min(axis=(1, 2)) < -1e-12) | (p.max(axis=(1, 2)) > 1.0 + 1e-12)
+    first = int(np.argmax(out_of_range | ~rows_ok.all(axis=1)))
+    if out_of_range[first]:
+        raise InvalidParameterError("matrix entries outside [0, 1]")
+    raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
 
 
 @dataclass(frozen=True)
@@ -181,16 +222,11 @@ class TransitionMatrix:
     branches: np.ndarray = field(repr=False)
     shifts: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        _check_stochastic(self.lumped)
-        if self.lumped.shape[0] != 2 * (self.space.capacity_k + 1):
-            raise InvalidParameterError("lumped matrix shape does not match the state space")
-
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         w, q = self.branches, self.shifts
-        levels = np.arange(self.space.capacity_k + 1)
-        d = self.decision[(levels == 0).astype(int)].transpose(1, 2, 0)
+        empty = _level_index(self.space.capacity_k).empty
+        d = self.decision[empty].transpose(1, 2, 0)
 
         # t[ph, a, e, b, i, j]: each product is formed as (w q) d, the same
         # two roundings as weight * mass * decision, with the queue axes
@@ -202,14 +238,119 @@ class TransitionMatrix:
 
         # Reorder into the (i, ph, a) x (j, e, b) grid and gather the
         # valid states of both axes.
-        n, cell = 6 * levels.size, self.space.cell
+        n, cell = 6 * empty.size, self.space.cell
         p = t.transpose(4, 0, 1, 5, 2, 3).reshape(n, n)[np.ix_(cell, cell)]
         # Signed-zero inputs (xi_charge = -0.0, say) give -0.0 products;
         # + 0.0 stores them as the +0.0 that a sum of both branches started
         # from 0 gives, so no bit depends on which zero branches were skipped.
         p += 0.0
-        _check_stochastic(p)
+        _check_stochastic(p[None])
         return p
+
+
+def _per_distinct(points: Sequence[SystemParams], key, make) -> np.ndarray:
+    """np.array([make(p) for p in points]), calling make once per distinct key(p)."""
+    first: dict = {}
+    index = [first.setdefault(key(p), (len(first), p))[0] for p in points]
+    rows = np.array([make(p) for _, p in first.values()])
+    return rows if len(rows) == len(index) else rows[index]
+
+
+class ChainStack(NamedTuple):
+    """One-slot chains of one capacity K, their arrays stacked on a leading axis.
+
+    Along axis 0, ``lumped``, ``decision``, ``branches`` and ``shifts``
+    hold the arrays of each point's TransitionMatrix, ``kernels`` and
+    ``service_success`` its kernel and success probability.
+    """
+
+    lumped: np.ndarray
+    decision: np.ndarray
+    branches: np.ndarray
+    shifts: np.ndarray
+    kernels: tuple[SlotTransitionKernel, ...]
+    service_success: np.ndarray
+    space: StateSpace
+
+
+def build_chains(points: Sequence[SystemParams],
+                 service_success: float | None = None) -> ChainStack:
+    """Form the one-slot chains of points that share one capacity K, stacked.
+
+    Each chain has the bits it has when built alone.  The kernel, the
+    arrival pmf row and the decision law are computed once per distinct
+    (PnpModel, slot length), TrafficModel and (SensingModel, PolicyModel)
+    among the points.  An invalid kernel or success probability raises
+    at once; every lumped matrix is validated, and a failure raises the
+    error of the first failing point.  ``service_success`` is as for
+    build_transition_matrix and applies to every point.
+    """
+    if not points:
+        raise InvalidParameterError("build_chains needs at least one point")
+    k_cap = points[0].traffic.capacity_k
+    if any(p.traffic.capacity_k != k_cap for p in points):
+        raise InvalidParameterError("stacked chains must share capacity_k")
+    space = enumerate_states(k_cap)
+    index = _level_index(k_cap)
+
+    kernel_of = {}
+    kernels, succs = [], []
+    for p in points:
+        key = (p.pnp, p.traffic.slot_d)
+        if key not in kernel_of:
+            kernel_of[key] = slot_kernel(*key)
+        kernel = kernel_of[key]
+        succ = kernel.off_persist if service_success is None else float(service_success)
+        if not (0.0 <= succ <= kernel.a00 + 1e-12):
+            raise InvalidParameterError("service_success must lie in [0, a00]")
+        kernels.append(kernel)
+        succs.append(succ)
+    count = len(points)
+
+    # w[ph, a, e, c]: phase branches.  Only a serving OFF slot can clear a
+    # packet: success needs one OFF period covering the slot, and an
+    # interrupted attempt still ends OFF with the rest of a00 or ends ON
+    # with a01.  A branch of weight <= 0 contributes nothing.
+    kern = np.array([(k.a00, k.a01, k.a10, k.a11, k.a00 - s, s)
+                     for k, s in zip(kernels, succs)])
+    w = np.zeros((count, 2, 3, 2, 2))
+    w[..., 0] = kern[:, :4].reshape(count, 2, 1, 2)
+    w[:, Phase.OFF, Action.SERVE, Phase.OFF] = kern[:, 4:]
+    w = np.maximum(w, 0.0)
+
+    # q[c, i, j]: arrivals are admitted while the buffer (still holding any
+    # in-service packet) has room, so column K takes every count >= K - i;
+    # a departure at the slot end shifts the row one column left.  The
+    # tail is 1 - sum_{k < m} pmf(k) clamped into [0, 1], as arrival_tail
+    # forms it: cumsum adds in the same order as its loop.
+    pmf = _per_distinct(points, lambda p: p.traffic,
+                        lambda p: [arrival_pmf(p.traffic, n) for n in range(k_cap + 1)])
+    tail = np.empty((count, k_cap + 1))
+    tail[:, 0] = 1.0
+    tail[:, 1:] = np.minimum(1.0, np.maximum(0.0, 1.0 - np.cumsum(pmf[:, :-1], axis=1)))
+    q = np.zeros((count, 2, k_cap + 1, k_cap + 1))
+    q[:, 0] = np.where(index.ahead, pmf[:, index.lag], 0.0)
+    q[:, 0, :, k_cap] = tail[:, index.room]
+    q[:, 1, :, :-1] = q[:, 0, :, 1:]
+
+    # dec[empty, e, b]: the decision law depends only on the end phase and
+    # on whether the queue is empty.
+    dec = _per_distinct(points, lambda p: (p.sensing, p.policy),
+                        lambda p: [[decision_distribution(e, p.sensing, p.policy, empty)
+                                    for e in _PHASES] for empty in (False, True)])
+
+    # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
+    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], formed one end
+    # phase e at a time so that the inner loop runs along j.
+    lumped_w = (dec[..., None, None] * w[:, None]).sum(axis=3)[:, index.empty]
+    lumped = np.empty((count, k_cap + 1, 2, k_cap + 1, 2))
+    for e in range(2):
+        np.multiply(lumped_w[:, :, :, None, e, 0], q[:, 0, :, None, :], out=lumped[..., e])
+        lumped[..., e] += lumped_w[:, :, :, None, e, 1] * q[:, 1, :, None, :]
+    lumped = lumped.reshape(count, 2 * (k_cap + 1), 2 * (k_cap + 1))
+    _check_stochastic(lumped)
+    return ChainStack(lumped=lumped, decision=dec, branches=w, shifts=q,
+                      kernels=tuple(kernels), service_success=np.array(succs), space=space)
 
 
 def build_transition_matrix(params: SystemParams,
@@ -221,56 +362,14 @@ def build_transition_matrix(params: SystemParams,
     persistence (a transmission survives only if no primary activity
     interrupts it).  Passing the kernel's a00 instead models a cell
     whose transmissions fit the OFF periods exactly, which is the
-    collision-free reference used by the region comparison.
+    collision-free reference used by the region comparison.  This is
+    build_chains of the one point.
     """
-    traffic = params.traffic
-    k_cap = traffic.capacity_k
-    kernel = slot_kernel(params.pnp, traffic.slot_d)
-    succ = kernel.off_persist if service_success is None else float(service_success)
-    if not (0.0 <= succ <= kernel.a00 + 1e-12):
-        raise InvalidParameterError("service_success must lie in [0, a00]")
-
-    space = enumerate_states(k_cap)
-    levels = np.arange(k_cap + 1)
-
-    # w[ph, a, e, c]: phase branches.  Only a serving OFF slot can clear a
-    # packet: success needs one OFF period covering the slot, and an
-    # interrupted attempt still ends OFF with the rest of a00 or ends ON
-    # with a01.  A branch of weight <= 0 contributes nothing.
-    w = np.zeros((2, 3, 2, 2))
-    w[Phase.OFF, :, :, 0] = (kernel.a00, kernel.a01)
-    w[Phase.ON, :, :, 0] = (kernel.a10, kernel.a11)
-    w[Phase.OFF, Action.SERVE, Phase.OFF] = (kernel.a00 - succ, succ)
-    w = np.maximum(w, 0.0)
-
-    # q[c, i, j]: arrivals are admitted while the buffer (still holding any
-    # in-service packet) has room, so column K takes every count >= K - i;
-    # a departure at the slot end shifts the row one column left.  The
-    # tail is 1 - sum_{k < m} pmf(k) clamped into [0, 1], as arrival_tail
-    # forms it: cumsum adds in the same order as its loop.
-    pmf = np.array([arrival_pmf(traffic, n) for n in range(k_cap + 1)])
-    tail = np.empty(k_cap + 1)
-    tail[0] = 1.0
-    tail[1:] = np.minimum(1.0, np.maximum(0.0, 1.0 - np.cumsum(pmf[:-1])))
-    gap = levels[None, :] - levels[:, None]
-    q = np.zeros((2, k_cap + 1, k_cap + 1))
-    q[0] = np.where(gap >= 0, pmf[np.maximum(gap, 0)], 0.0)
-    q[0, :, k_cap] = tail[k_cap - levels]
-    q[1, :, :-1] = q[0, :, 1:]
-
-    # dec[empty, e, b]: the decision law depends only on the end phase and
-    # on whether the queue is empty.
-    dec = np.array([[decision_distribution(e, params.sensing, params.policy, empty)
-                     for e in _PHASES] for empty in (False, True)])
-
-    # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
-    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j].
-    lumped_w = (dec[:, :, :, None, None] * w).sum(axis=2)[(levels == 0).astype(int)]
-    lumped = (lumped_w[:, :, None, :, 0] * q[0, :, None, :, None]
-              + lumped_w[:, :, None, :, 1] * q[1, :, None, :, None])
-    return TransitionMatrix(lumped=lumped.reshape(2 * (k_cap + 1), 2 * (k_cap + 1)),
-                            decision=dec, space=space, kernel=kernel, service_success=succ,
-                            branches=w, shifts=q)
+    chains = build_chains([params], service_success)
+    return TransitionMatrix(lumped=chains.lumped[0], decision=chains.decision[0],
+                            space=chains.space, kernel=chains.kernels[0],
+                            service_success=float(chains.service_success[0]),
+                            branches=chains.branches[0], shifts=chains.shifts[0])
 
 
 @dataclass(frozen=True)
@@ -297,31 +396,69 @@ class StationaryDistribution:
 _RESIDUAL_BOUND = 1e-10
 
 
-def _solve(p: np.ndarray, states: int) -> tuple[np.ndarray, float]:
-    """Stationary vector of p supported on its leading ``states`` states.
+def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary vectors of the stack p, member b supported on its leading states[b].
 
-    The balance equations of that block, one replaced by normalization,
-    are solved by LU; negative entries are clipped to 0, the rest
-    renormalized and padded with zeros.  The answer is accepted exactly
-    when ||mu p - mu||_inf <= 1e-10 over all of p.
+    For each member the balance equations of that block, one replaced by
+    normalization, are solved by LU; negative entries are clipped to 0,
+    the rest renormalized and padded with zeros.  An answer is accepted
+    exactly when ||mu p - mu||_inf <= 1e-10 over all of p.  Otherwise
+    the first failing member in stack order raises, as solving the
+    members one at a time in order would.
     """
-    a = p[:states, :states].T - np.eye(states)
-    a[0, :] = 1.0  # replace one balance equation with normalization
-    b = np.zeros(states)
-    b[0] = 1.0
-    mu = np.zeros(p.shape[0])
-    try:
-        mu[:states] = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        raise NoConvergenceError("singular balance equations", np.inf) from None
-    # The normalization row makes the sum 1 and clipping only raises it,
+    mu = np.zeros(p.shape[:2])
+    singular = []
+    for n in set(states):
+        rows = [b for b, size in enumerate(states) if size == n]
+        if len(rows) == len(states):
+            rows = slice(None)  # the whole stack: no gather
+        a = p[rows, :n, :n].transpose(0, 2, 1) - np.eye(n)
+        a[:, 0, :] = 1.0  # replace one balance equation with normalization
+        b = np.zeros((len(a), n, 1))
+        b[:, 0] = 1.0
+        try:
+            mu[rows, :n] = np.linalg.solve(a, b)[..., 0]
+        except np.linalg.LinAlgError:
+            # A stack raises as a whole: solve it member by member to find
+            # the singular ones.
+            for row, a_row, b_row in zip(np.arange(len(p))[rows].tolist(), a, b):
+                try:
+                    mu[row, :n] = np.linalg.solve(a_row, b_row)[:, 0]
+                except np.linalg.LinAlgError:
+                    singular.append(row)
+                    mu[row, 0] = 1.0  # a placeholder; the member fails below
+    # The normalization row makes each sum 1 and clipping only raises it,
     # so the division is safe; the test is written so that NaN fails too.
     mu = np.where(mu < 0.0, 0.0, mu)
-    mu = mu / mu.sum()
-    residual = float(np.max(np.abs(mu @ p - mu)))
-    if not residual <= _RESIDUAL_BOUND:
-        raise NoConvergenceError(f"direct solve residual {residual:.3e}", residual)
+    mu = mu / mu.sum(axis=1, keepdims=True)
+    residual = np.abs((mu[:, None, :] @ p)[:, 0] - mu).max(axis=1)
+    if singular:
+        residual[singular] = np.inf
+    if not np.all(residual <= _RESIDUAL_BOUND):
+        first = int(np.argmin(residual <= _RESIDUAL_BOUND))
+        if first in singular:
+            raise NoConvergenceError("singular balance equations", np.inf)
+        raise NoConvergenceError(f"direct solve residual {residual[first]:.3e}",
+                                 float(residual[first]))
     return mu, residual
+
+
+def stationary_vectors(chains: ChainStack) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary laws of a chain stack in state order, and their residuals.
+
+    Row b of the first array is ``stationary_distribution`` of point b's
+    chain, with the same bits, and entry b of the second its residual.
+    The stack is solved as one; a failing point raises as it would alone.
+    """
+    k_cap = chains.space.capacity_k
+    # A chain that admits no arrival is solved on its closed empty level.
+    states = [2 if closed else 2 * (k_cap + 1)
+              for closed in (chains.shifts[:, 0, 0, 0] == 1.0).tolist()]
+    nu, residual = _solve(chains.lumped, states)
+    grid = nu.reshape(-1, k_cap + 1, 2, 1) * chains.decision[:, _level_index(k_cap).empty]
+    # + 0.0 turns a -0.0 product (from a -0.0 decision probability) into
+    # the +0.0 a solve would give.
+    return grid.reshape(len(nu), -1)[:, chains.space.cell] + 0.0, residual
 
 
 def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDistribution:
@@ -341,19 +478,19 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDist
     which bounds the residual of mu under the full matrix.  A chain that
     admits no arrival (pmf(0) == 1, as at lam = 0) cannot leave the empty
     level, and the queue starts empty: nu is then solved on the level-0
-    block and is zero above it.
+    block and is zero above it.  Both are the one-point case of
+    ``stationary_vectors``.
     """
     if not isinstance(tm, TransitionMatrix):
-        p = np.asarray(tm, dtype=float)
+        p = np.asarray(tm, dtype=float)[None]
         _check_stochastic(p)
-        mu, residual = _solve(p, p.shape[0])
-        return StationaryDistribution(vector=mu, residual=residual, method="direct")
+        mu, residual = _solve(p, [p.shape[1]])
+        return StationaryDistribution(vector=mu[0], residual=float(residual[0]),
+                                      method="direct")
 
-    states = 2 if tm.shifts[0, 0, 0] == 1.0 else tm.lumped.shape[0]
-    nu, residual = _solve(tm.lumped, states)
-    k_cap = tm.space.capacity_k
-    grid = nu.reshape(k_cap + 1, 2, 1) * tm.decision[(np.arange(k_cap + 1) == 0).astype(int)]
-    # + 0.0 turns a -0.0 product (from a -0.0 decision probability) into
-    # the +0.0 a solve would give.
-    mu = grid.ravel()[tm.space.cell] + 0.0
-    return StationaryDistribution(vector=mu, residual=residual, method="direct", space=tm.space)
+    one = ChainStack(lumped=tm.lumped[None], decision=tm.decision[None],
+                     branches=tm.branches[None], shifts=tm.shifts[None], kernels=(tm.kernel,),
+                     service_success=np.array([tm.service_success]), space=tm.space)
+    mu, residual = stationary_vectors(one)
+    return StationaryDistribution(vector=mu[0], residual=float(residual[0]), method="direct",
+                                  space=tm.space)

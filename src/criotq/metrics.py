@@ -10,22 +10,27 @@ computed on its own by ``departure_distributions``; no report reads it.
 
 The feasibility flag reads only the carried load, drop, interference and
 power.  One pass computes those; ``evaluate_qos`` runs it before the
-waits and charging fractions, and ``meets_constraints`` runs it alone,
-so both give the same flag.
+waits and charging fractions, and ``constraint_flags`` runs it alone,
+so both give the same flag.  ``constraint_flags`` takes a stack of
+points of one capacity K, builds and solves their chains as one stack,
+and runs the pass over the stacked laws; ``meets_constraints`` is its
+one-point case.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .chain import (StateSpace, StationaryDistribution, TransitionMatrix,
-                    build_transition_matrix, stationary_distribution)
+from .chain import (StateSpace, StationaryDistribution, build_chains,
+                    build_transition_matrix, stationary_distribution, stationary_vectors)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
-                     MetricRangeError, UndefinedLoadError, UndefinedWaitError)
+                     MetricRangeError, NoConvergenceError, UndefinedLoadError,
+                     UndefinedWaitError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
 from .slot import Action, Phase, SlotTransitionKernel, arrival_pmf
 
@@ -47,20 +52,31 @@ def _space(mu: StationaryDistribution) -> StateSpace:
     return mu.space
 
 
-def _running_sum(values: np.ndarray) -> float:
-    """Sum of values in state order, added left to right.
+def _running_sum(values: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, in state order, each added left to right.
 
     A running sum rather than numpy's pairwise one, so every metric has
-    the bits of a plain loop over the states.  That matters because
-    P_B = 1 - rho_c / rho turns a last-bit change of rho_c at light load
-    into a change in the printed digits of P_B.
+    the bits of a plain loop over the states, whether one law or a stack
+    of them is summed.  That matters because P_B = 1 - rho_c / rho turns
+    a last-bit change of rho_c at light load into a change in the
+    printed digits of P_B.
     """
-    return float(np.cumsum(values)[-1])
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
 def _serving_off(space: StateSpace) -> np.ndarray:
     """Mask of the serving OFF states, one per queue level 1..K in order."""
     return (space.phase == Phase.OFF) & (space.action == Action.SERVE)
+
+
+def _carried(pi: np.ndarray, space: StateSpace, succ) -> np.ndarray:
+    """Unclamped carried load of a law, or of each law of a stack (rows)."""
+    return succ * _running_sum(pi[..., _serving_off(space)])
+
+
+def _interfering(pi: np.ndarray, space: StateSpace) -> np.ndarray:
+    """Unclamped interference probability of a law, or of each law of a stack."""
+    return _running_sum(pi[..., (space.phase == Phase.ON) & (space.action != Action.IDLE)])
 
 
 def carried_load(mu: StationaryDistribution, kernel: SlotTransitionKernel,
@@ -73,8 +89,7 @@ def carried_load(mu: StationaryDistribution, kernel: SlotTransitionKernel,
     chains built with one).
     """
     succ = kernel.off_persist if service_success is None else float(service_success)
-    total = _running_sum(mu.vector[_serving_off(_space(mu))])
-    return _clamp_probability(succ * total, "carried load")
+    return _clamp_probability(float(_carried(mu.vector, _space(mu), succ)), "carried load")
 
 
 def packet_drop_probability(rho_c: float, traffic: TrafficModel) -> float:
@@ -180,21 +195,20 @@ def waiting_time(drop_prob: float, traffic: TrafficModel, estimator: str = "slot
         return drop_prob / lam_eff + 1.0 / lam_agg
     if mu is None or mu.space is None:
         raise InvalidParameterError("slot-average estimator needs the stationary law")
-    mean_queue = _running_sum(mu.space.queue * mu.vector)
+    mean_queue = float(_running_sum(mu.space.queue * mu.vector))
     return mean_queue / lam_eff
 
 
 def interference_probability(mu: StationaryDistribution) -> float:
     """Fraction of slots in which the AP transmits while the primary is ON."""
-    space = _space(mu)
-    transmitting = (space.phase == Phase.ON) & (space.action != Action.IDLE)
-    return _clamp_probability(_running_sum(mu.vector[transmitting]), "interference probability")
+    return _clamp_probability(float(_interfering(mu.vector, _space(mu))),
+                              "interference probability")
 
 
 def charge_fraction(mu: StationaryDistribution) -> float:
     """Stationary fraction of slots spent beaming power."""
     charging = _space(mu).action == Action.CHARGE
-    return _clamp_probability(_running_sum(mu.vector[charging]), "charge fraction")
+    return _clamp_probability(float(_running_sum(mu.vector[charging])), "charge fraction")
 
 
 def nominal_charge_fraction(params: SystemParams) -> float:
@@ -243,9 +257,7 @@ def required_power(power: PowerModel, traffic: TrafficModel, policy: PolicyModel
     else:
         dynamic = power.energy_per_packet * traffic.lam * (1.0 - drop_prob) / denom
     per_node = max(power.p_charge_min, dynamic)
-    scale = power.radius_scale
-    weight = sum((r / scale) ** power.pathloss_exponent for r in power.node_radii)
-    total = per_node * weight
+    total = per_node * power.path_loss_weight
     return PowerRequirement(total=total, clamped=min(power.p_max, total),
                             per_node=per_node, feasible=bool(total <= power.p_max))
 
@@ -280,26 +292,56 @@ class _ConstraintMetrics(NamedTuple):
     feasible: bool | None
 
 
-def _constraint_metrics(params: SystemParams, tm: TransitionMatrix,
-                        mu: StationaryDistribution, max_drop: float | None,
-                        max_interference: float | None) -> _ConstraintMetrics:
-    """Carried load, P_B, interference and power, and the flag built from them.
+def _constraint_metrics(points: Sequence[SystemParams], service_success,
+                        pi: np.ndarray, space: StateSpace, max_drop: float | None,
+                        max_interference: float | None) -> list[_ConstraintMetrics]:
+    """Carried load, P_B, interference and power of each point, and its flag.
 
-    P_B is 0 at zero offered load (there is nothing to drop).  The flag
-    is None unless both thresholds are supplied.
+    pi stacks the points' stationary laws, one row each, and
+    service_success holds their success probabilities (or one for all).
+    The sums run along the rows, so each point gets the bits it gets
+    alone; the points are then taken in order, so a point that fails
+    raises after the points before it have warned.  P_B is 0 at zero
+    offered load (there is nothing to drop).  The flag is None unless
+    both thresholds are supplied.
     """
-    rho_c = carried_load(mu, tm.kernel, service_success=tm.service_success)
-    if params.traffic.mean_arrivals_per_slot == 0.0:
-        p_b = 0.0
-    else:
-        p_b = packet_drop_probability(rho_c, params.traffic)
-    p_i = interference_probability(mu)
-    beta = activity_factor(params.pnp)
-    pw = required_power(params.power, params.traffic, params.policy, beta, p_b)
-    feasible = None
-    if max_drop is not None and max_interference is not None:
-        feasible = bool(p_b <= max_drop and p_i <= max_interference and pw.feasible)
-    return _ConstraintMetrics(rho_c, p_b, p_i, beta, pw, feasible)
+    carried = _carried(pi, space, service_success).tolist()
+    interfering = _interfering(pi, space).tolist()
+    out = []
+    for params, rho_c, p_i in zip(points, carried, interfering):
+        rho_c = _clamp_probability(rho_c, "carried load")
+        if params.traffic.mean_arrivals_per_slot == 0.0:
+            p_b = 0.0
+        else:
+            p_b = packet_drop_probability(rho_c, params.traffic)
+        p_i = _clamp_probability(p_i, "interference probability")
+        beta = activity_factor(params.pnp)
+        pw = required_power(params.power, params.traffic, params.policy, beta, p_b)
+        feasible = None
+        if max_drop is not None and max_interference is not None:
+            feasible = bool(p_b <= max_drop and p_i <= max_interference and pw.feasible)
+        out.append(_ConstraintMetrics(rho_c, p_b, p_i, beta, pw, feasible))
+    return out
+
+
+def constraint_flags(points: Sequence[SystemParams], max_drop: float,
+                     max_interference: float) -> list[bool]:
+    """``meets_constraints`` of each point, from one stacked build, solve and pass.
+
+    The points share the capacity K.  Every flag is the one the point
+    gets alone.  So is every error: a stack whose build or solve fails
+    is run again one point at a time, so that the first failing point
+    in order raises, after the points before it have run (and warned).
+    """
+    try:
+        chains = build_chains(points)
+        pi, _ = stationary_vectors(chains)
+    except (InvalidParameterError, NoConvergenceError):
+        if len(points) == 1:
+            raise
+        return [flag for p in points for flag in constraint_flags([p], max_drop, max_interference)]
+    return [bool(m.feasible) for m in _constraint_metrics(
+        points, chains.service_success, pi, chains.space, max_drop, max_interference)]
 
 
 def meets_constraints(params: SystemParams, max_drop: float, max_interference: float) -> bool:
@@ -307,11 +349,10 @@ def meets_constraints(params: SystemParams, max_drop: float, max_interference: f
 
     Builds and solves the same chain and runs the same constraint pass
     as evaluate_qos, but skips the waits and charging fractions the flag
-    does not read.  Region searches probe with it.
+    does not read.  It is the one-point case of ``constraint_flags``,
+    which region searches probe with.
     """
-    tm = build_transition_matrix(params)
-    mu = stationary_distribution(tm)
-    return bool(_constraint_metrics(params, tm, mu, max_drop, max_interference).feasible)
+    return constraint_flags([params], max_drop, max_interference)[0]
 
 
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,
@@ -328,18 +369,22 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
         raise InvalidParameterError("supply both constraint thresholds or neither")
     tm = build_transition_matrix(params, service_success=service_success)
     mu = stationary_distribution(tm)
-    core = _constraint_metrics(params, tm, mu, max_drop, max_interference)
+    core, = _constraint_metrics([params], tm.service_success, mu.vector[None], tm.space,
+                                max_drop, max_interference)
     p_b = core.drop_prob
 
-    w_inv: float | None
-    w_slot: float | None
-    try:
-        w_inv = waiting_time(p_b, params.traffic, "inverse-rate")
-        w_slot = waiting_time(p_b, params.traffic, "slot-average", mu=mu)
-    except UndefinedWaitError:
-        w_inv = w_slot = None
+    # Zero offered load is decided by the same test that sets P_B to 0.
+    offered = params.traffic.mean_arrivals_per_slot
+    w_inv: float | None = None
+    w_slot: float | None = None
+    if offered != 0.0:
+        try:
+            w_inv = waiting_time(p_b, params.traffic, "inverse-rate")
+            w_slot = waiting_time(p_b, params.traffic, "slot-average", mu=mu)
+        except UndefinedWaitError:
+            w_inv = w_slot = None
 
-    return QosReport(beta=core.beta, offered_load=params.traffic.mean_arrivals_per_slot,
+    return QosReport(beta=core.beta, offered_load=offered,
                      carried_load=core.carried_load, drop_prob=p_b,
                      wait_inverse_rate=w_inv, wait_slot_avg=w_slot,
                      interference_prob=core.interference_prob, charge_frac=charge_fraction(mu),

@@ -11,6 +11,7 @@ nodes.  Each record below groups the parameters of one ingredient;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -176,6 +177,12 @@ class PowerModel:
         if self.charging_radius is not None:
             return self.charging_radius
         return max(self.node_radii)
+
+    @functools.cached_property
+    def path_loss_weight(self) -> float:
+        """Sum over the nodes of (r / radius_scale) ** pathloss_exponent."""
+        scale = self.radius_scale
+        return sum((r / scale) ** self.pathloss_exponent for r in self.node_radii)
 
 
 @dataclass(frozen=True)

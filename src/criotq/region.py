@@ -8,23 +8,28 @@ a configuration sustainable, guarding the bisection with a coarse
 feasibility pre-scan so a non-monotone surface cannot silently produce
 a bogus bracket.
 
-A search probe needs only the feasibility flag, so each probe builds and
-solves the chain and stops at ``meets_constraints``'s constraint pass;
-the full ``QosReport`` is evaluated once, at the value the search
-answers with.  The pre-scan grid, the bisection midpoints and the
-answers are those of probing with ``feasibility_check`` throughout.
+A search probe needs only the feasibility flag, so a probe builds and
+solves the chains and stops at the constraint pass
+(``metrics.constraint_flags``); the full ``QosReport`` is evaluated
+once, at the value the search answers with.  The 32 pre-scan points do
+not depend on each other, so they are built, solved and checked as one
+stack; the bisection then probes one midpoint at a time.  Every flag is
+the one the point gets alone, so the pre-scan grid, the bisection
+midpoints and the answers are those of probing with
+``feasibility_check`` point by point.  A lambda search's pre-scan ends
+on the bracket end its doubling has already probed, and probes it again
+within the stack.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .metrics import QosReport, evaluate_qos, meets_constraints
+from .metrics import QosReport, constraint_flags, evaluate_qos
 from .params import PnpModel, SensingModel, SystemParams
 from .slot import slot_kernel
 
@@ -92,17 +97,18 @@ class CriticalResult:
 
 def _largest_feasible(probe, lo: float, hi: float,
                       tol: float) -> tuple[float | None, bool, bool]:
-    """Largest x in [lo, hi] with probe(x) true, assuming a feasible prefix.
+    """Largest x in [lo, hi] with a true flag, assuming a feasible prefix.
 
-    Returns (value, monotone, capped).  Pre-scans a coarse grid first: an
-    infeasible floor short-circuits to None, an all-feasible scan returns
-    hi (capped), and a scan whose feasibility flips back on after
+    probe(xs) gives the flag of each x in the list xs.  Returns (value,
+    monotone, capped).  Pre-scans a coarse grid first, in one probe call:
+    an infeasible floor short-circuits to None, an all-feasible scan
+    returns hi (capped), and a scan whose feasibility flips back on after
     turning off is flagged non-monotone and answered with the last
     prefix-feasible grid point instead of a bisection that would be
-    meaningless.
+    meaningless.  Each bisection step probes its one midpoint.
     """
     xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
-    flags = [probe(x) for x in xs]
+    flags = probe(xs)
     if not flags[0]:
         return None, True, False
     if all(flags):
@@ -112,11 +118,19 @@ def _largest_feasible(probe, lo: float, hi: float,
     monotone = not any(flags[first_bad:])
     while monotone and b - a > tol:
         mid = 0.5 * (a + b)
-        if probe(mid):
+        if probe([mid])[0]:
             a = mid
         else:
             b = mid
     return a, monotone, False
+
+
+def _prober(at, constraints: Constraints):
+    """probe(xs): the flag of each operating point at(x), the list probed as one stack."""
+    def probe(xs: list[float]) -> list[bool]:
+        return constraint_flags([at(x) for x in xs], constraints.max_drop,
+                                constraints.max_interference)
+    return probe
 
 
 def _critical_result(at, constraints: Constraints, value: float | None,
@@ -143,11 +157,9 @@ def critical_beta(params: SystemParams, constraints: Constraints,
     def at(beta: float) -> SystemParams:
         return params_with_activity(params, beta)
 
-    def probe(beta: float) -> bool:
-        return meets_constraints(at(beta), constraints.max_drop, constraints.max_interference)
-
     return _critical_result(at, constraints,
-                            *_largest_feasible(probe, BETA_FLOOR, BETA_CEIL, tol))
+                            *_largest_feasible(_prober(at, constraints), BETA_FLOOR,
+                                               BETA_CEIL, tol))
 
 
 def critical_lambda(params: SystemParams, constraints: Constraints,
@@ -164,18 +176,13 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     def at(lam: float) -> SystemParams:
         return replace(params, traffic=replace(params.traffic, lam=lam))
 
-    # Memoized: the pre-scan ends on the infeasible bracket end that the
-    # doubling has already probed.
-    @functools.cache
-    def probe(lam: float) -> bool:
-        return meets_constraints(at(lam), constraints.max_drop, constraints.max_interference)
-
+    probe = _prober(at, constraints)
     lam0 = params.traffic.lam
     if lam0 <= 0:
         lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
     hi = lam0
     doublings = 0
-    while probe(hi):
+    while probe([hi])[0]:
         if doublings >= _LAMBDA_DOUBLING_CAP:
             return _critical_result(at, constraints, hi, capped=True)
         hi *= 2.0

@@ -3,15 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
-                    MetricRangeError, Phase, TrafficModel, UndefinedLoadError,
-                    UndefinedWaitError,
+                    MetricRangeError, NoConvergenceError, Phase, TrafficModel,
+                    UndefinedLoadError, UndefinedWaitError,
                     activity_factor, arrival_pmf, build_transition_matrix, carried_load,
                     charge_fraction, departure_distributions, evaluate_qos,
                     interference_probability, nominal_charge_fraction,
                     packet_drop_probability, required_power, stationary_distribution,
                     waiting_time)
+from criotq.chain import build_chains, stationary_vectors
+from criotq.metrics import _constraint_metrics, constraint_flags, meets_constraints
 from conftest import make_params
 
 
@@ -236,6 +240,18 @@ def test_evaluate_qos_zero_load():
     assert r.power.per_node == pytest.approx(50e-6, abs=1e-18)
 
 
+@pytest.mark.parametrize("lam, slot_d", [(1e-310, 1e-20), (1e-200, 1e-150)])
+def test_evaluate_qos_underflowing_load_is_zero_load(lam, slot_d):
+    # n lam slot_d underflows to 0 while n lam stays positive: the report
+    # is the zero-load one, with no waits, not an infinite or huge wait.
+    params = make_params(lam=lam, slot_d=slot_d)
+    assert params.traffic.mean_arrivals_per_slot == 0.0 < params.traffic.aggregate_rate
+    r = evaluate_qos(params, 0.1, 0.1)
+    assert r.offered_load == 0.0 and r.drop_prob == 0.0
+    assert r.wait_inverse_rate is None
+    assert r.wait_slot_avg is None
+
+
 def test_evaluate_qos_saturated_policy():
     r = evaluate_qos(make_params(theta=1.0, lam=0.05), 0.1, 0.1)
     assert r.drop_prob == 1.0
@@ -274,3 +290,60 @@ def test_interference_increases_with_miss_rate():
             for pd in (1.0, 0.9, 0.7, 0.5)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _stacks(draw):
+    """Cells sharing one K, with thresholds: the shape of a region pre-scan."""
+    k = draw(st.integers(1, 25))
+    points = [make_params(mu_on=draw(st.floats(0.1, 10.0)), mu_off=draw(st.floats(0.1, 10.0)),
+                          n=draw(st.integers(1, 30)),
+                          # about one point in four at zero load, as where a
+                          # lambda pre-scan starts
+                          lam=0.0 if draw(st.integers(0, 3)) == 3 else draw(st.floats(1e-5, 0.05)),
+                          capacity_k=k, slot_d=draw(st.floats(0.2, 2.0)),
+                          p_detect=draw(_PROBABILITY), p_false_alarm=draw(_PROBABILITY),
+                          theta=draw(_PROBABILITY), xi=draw(_PROBABILITY))
+              for _ in range(draw(st.integers(1, 8)))]
+    return points, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_stacks())
+def test_stacked_constraint_pass_matches_one_point(case):
+    points, max_drop, max_interference = case
+    chains = build_chains(points)
+    pi, _ = stationary_vectors(chains)
+    stacked = _constraint_metrics(points, chains.service_success, pi, chains.space,
+                                  max_drop, max_interference)
+    flags = constraint_flags(points, max_drop, max_interference)
+    for params, got, flag in zip(points, stacked, flags):
+        one = evaluate_qos(params, max_drop, max_interference)
+        assert flag is got.feasible is one.feasible
+        assert meets_constraints(params, max_drop, max_interference) is flag
+        assert got.carried_load.hex() == one.carried_load.hex()
+        assert got.drop_prob.hex() == one.drop_prob.hex()
+        assert got.interference_prob.hex() == one.interference_prob.hex()
+
+
+def test_stack_with_a_singular_point_raises_like_one_point():
+    # The phase never moves within such a short slot and nothing arrives,
+    # so every law on the empty level is stationary.
+    singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
+    with pytest.raises(NoConvergenceError) as alone:
+        meets_constraints(singular, 0.1, 0.1)
+    # At this light load flow balance overshoots by more than 1e-12 and
+    # warns, so the warnings show which points ran before the failing one.
+    noisy = make_params(lam=1.4e-6)
+    with pytest.warns(RuntimeWarning):
+        meets_constraints(noisy, 0.1, 0.1)
+    stack = [make_params(lam=0.0), noisy, make_params(lam=0.01), singular, noisy]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NoConvergenceError) as stacked:
+            constraint_flags(stack, 0.1, 0.1)
+    assert alone.value.residual == stacked.value.residual == math.inf
+    assert len(caught) == 1

@@ -1,4 +1,5 @@
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,20 @@ def _random_cell(rng):
     return params, cons
 
 
+def _benchmark_sized_cell(rng, capacity_k, tol):
+    """A cell of the region benchmark's size and ranges, with either tolerance.
+
+    "abs" is the beta search's 1e-3; "rel" is 1e-3 of the rate, the lambda
+    search's, which makes the bisection run for about ten steps.
+    """
+    lam = float(10 ** rng.uniform(math.log10(5e-4), math.log10(2e-3)))
+    params = make_params(lam=lam, capacity_k=capacity_k, p_detect=float(rng.uniform(0.8, 1.0)),
+                         p_false_alarm=float(rng.uniform(0.0, 0.3)),
+                         theta=float(rng.uniform(0.0, 0.4)), xi=float(rng.uniform(0.2, 0.7)))
+    params = params_with_activity(params, float(rng.uniform(0.1, 0.5)))
+    return params, ANCHOR_CONSTRAINTS, 1e-3 if tol == "abs" else 1e-3 * lam
+
+
 def test_lean_searches_match_full_probe_reference():
     rng = np.random.default_rng(20231)
     cases = [(_hump_cell(), Constraints(1.0, 1.0), 1e-3),
@@ -100,6 +115,7 @@ def test_lean_searches_match_full_probe_reference():
              (make_params(capacity_k=3), Constraints(1.0, 1.0), 1e-3),
              (make_params(capacity_k=5, lam=0.002), ANCHOR_CONSTRAINTS, 1e-5)]
     cases += [(*_random_cell(rng), float(rng.choice([1e-2, 1e-3, 1e-4]))) for _ in range(10)]
+    cases += [_benchmark_sized_cell(rng, k, tol) for k in (10, 15, 20) for tol in ("abs", "rel")]
     seen = set()
     for params, cons, tol in cases:
         for lean, literal in ((critical_beta, literal_critical_beta),
