@@ -1,0 +1,94 @@
+"""Write the outputs that must not change when the program is only reshaped.
+
+Usage, from any directory:
+
+    python3 scripts/same_outputs.py OUT
+
+criotq is imported from the ``src/`` of the checkout this script sits in.
+Under OUT it writes:
+
+* ``cli/<name>/``: the files and the stdout of each command of a fixed
+  list of CLI commands (``analyze --emit-stationary --emit-matrix`` of
+  every ``configs/*.json``, the sweeps of the region configs, a
+  false-alarm lambda_c sweep, compare runs, a zero-load analyze and a
+  simulate), each with its exit status;
+* ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
+  the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
+  11 to 13 (144 searches, each with its full report).
+
+Run it on two checkouts and compare with ``diff -r OUT_A OUT_B``: an
+empty diff means every CLI output and every region-search answer, with
+its report, is the same to the last byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from criotq import cli  # noqa: E402
+import workloads  # noqa: E402
+
+REGION_SEEDS = (11, 12, 13)
+REGION_ROUNDS = 8
+
+COMMANDS = [
+    *((f"analyze-{config.stem}",
+       ["analyze", "--config", f"configs/{config.name}", "--emit-stationary", "--emit-matrix"])
+      for config in sorted((ROOT / "configs").glob("*.json"))),
+    ("sweep-region_detection", ["sweep", "--config", "configs/region_detection.json"]),
+    ("sweep-region_false_alarm", ["sweep", "--config", "configs/region_false_alarm.json"]),
+    ("sweep-false-alarm-lambda_c",
+     ["sweep", "--config", "configs/default.json", "--axis", "false-alarm",
+      "--target", "lambda_c", "--grid", "0.1,0.5,0.9,1.0"]),
+    ("compare-default",
+     ["compare", "--config", "configs/default.json", "--lambda-grid", "0.0,0.0005,0.002"]),
+    ("compare-sync_compare", ["compare", "--config", "configs/sync_compare.json"]),
+    ("analyze-zero-load",
+     ["analyze", "--config", "configs/default.json", "--lambda", "0", "--emit-stationary"]),
+    ("simulate-default", ["simulate", "--config", "configs/default.json"]),
+]
+
+
+def run_cli(out: Path) -> None:
+    for name, argv in COMMANDS:
+        target = out / "cli" / name
+        target.mkdir(parents=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stdout):
+            status = cli.main([*argv, "--out", str(target)])
+        (target / "stdout.txt").write_text(f"{stdout.getvalue()}exit status {status}\n")
+
+
+def run_region_searches(out: Path) -> None:
+    target = out / "region-small-k"
+    target.mkdir(parents=True)
+    for seed in REGION_SEEDS:
+        rounds = itertools.islice(workloads.region_rounds(seed), REGION_ROUNDS)
+        lines = [repr(workloads.region_run(inp)) for inp in itertools.chain.from_iterable(rounds)]
+        (target / f"seed{seed}.txt").write_text("\n".join(lines) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 scripts/same_outputs.py OUT", file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 1
+    os.chdir(ROOT)  # the commands name their configs relative to the checkout
+    run_cli(out)
+    run_region_searches(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

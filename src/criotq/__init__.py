@@ -13,7 +13,7 @@ from .chain import (StateSpace, StationaryDistribution, TransitionMatrix,
 from .errors import (CriotqError, DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError, UndefinedLoadError,
                      UndefinedWaitError)
-from .metrics import (KAPPA_VARIANTS, WAIT_ESTIMATORS, DepartureDistributions,
+from .metrics import (WAIT_ESTIMATORS, DepartureDistributions,
                       PowerRequirement, QosReport, carried_load,
                       charge_fraction, departure_distributions, evaluate_qos,
                       interference_probability, nominal_charge_fraction,
@@ -34,7 +34,7 @@ from .slot import (Action, ActionPmf, Phase, SlotTransitionKernel, arrival_pmf,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BETA_CEIL", "BETA_FLOOR", "GENERATOR_NAME", "KAPPA_VARIANTS", "NUM_BATCHES",
+    "BETA_CEIL", "BETA_FLOOR", "GENERATOR_NAME", "NUM_BATCHES",
     "SWEEP_AXES", "SWEEP_TARGETS", "WAIT_ESTIMATORS",
     "Action", "ActionPmf", "Constraints", "Counts", "CriotqError", "CriticalResult",
     "DegenerateDistributionError", "DepartureDistributions", "EmpiricalKernel",

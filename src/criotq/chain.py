@@ -99,8 +99,17 @@ class StateSpace:
     cell[s] = 6 queue + 3 phase + action of the (K+1) x 2 x 3 grid, and
     cell is increasing.  Grid-shaped arrays are put into state order by
     gathering through it.  ``queue``, ``phase`` and ``action`` hold the
-    same triples as read-only integer arrays, so metrics can mask and
-    reduce over states without touching ``states`` or ``index``.
+    same triples as integer arrays.
+
+    Every array a build, a solve or a metric of this K reads is formed
+    here once, read-only:
+
+    * per state, the masks the metrics reduce over: ``serving`` (OFF and
+      Serve, one state per level 1..K in order), ``interfering`` (ON and
+      not Idle) and ``charging`` (Charge);
+    * per queue level, the index arrays of the build: ``lag[i, j]`` =
+      j - i clipped at 0, ``ahead[i, j]`` = j >= i, ``room[i]`` = K - i,
+      and ``empty[i]`` = 1 on level 0, the decision row the level uses.
     """
 
     capacity_k: int
@@ -109,6 +118,13 @@ class StateSpace:
     queue: np.ndarray = field(compare=False, repr=False)
     phase: np.ndarray = field(compare=False, repr=False)
     action: np.ndarray = field(compare=False, repr=False)
+    serving: np.ndarray = field(compare=False, repr=False)
+    interfering: np.ndarray = field(compare=False, repr=False)
+    charging: np.ndarray = field(compare=False, repr=False)
+    lag: np.ndarray = field(compare=False, repr=False)
+    ahead: np.ndarray = field(compare=False, repr=False)
+    room: np.ndarray = field(compare=False, repr=False)
+    empty: np.ndarray = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -144,34 +160,20 @@ def enumerate_states(capacity_k: int) -> StateSpace:
 @functools.lru_cache(maxsize=64, typed=True)
 def _state_space(capacity_k: int) -> StateSpace:
     cell = np.delete(np.arange(6 * (capacity_k + 1)), _EXCLUDED)
-    grid = np.indices((capacity_k + 1, 2, 3)).reshape(3, -1)[:, cell]
-    cell.setflags(write=False)
-    grid.setflags(write=False)
-    queue, phase, action = grid
-    states = tuple((i, _PHASES[ph], _ALL_ACTIONS[a])
-                   for i, ph, a in zip(*grid.tolist()))
-    return StateSpace(capacity_k=capacity_k, states=states, cell=cell,
-                      queue=queue, phase=phase, action=action)
-
-
-class _LevelIndex(NamedTuple):
-    """Index arrays over the queue levels 0..K that every build of a K reads."""
-
-    lag: np.ndarray      # lag[i, j] = j - i, clipped at 0
-    ahead: np.ndarray    # ahead[i, j] = j >= i
-    room: np.ndarray     # room[i] = K - i
-    empty: np.ndarray    # empty[i] = 1 on level 0, the decision row it uses
-
-
-@functools.lru_cache(maxsize=64)
-def _level_index(capacity_k: int) -> _LevelIndex:
+    queue, phase, action = np.indices((capacity_k + 1, 2, 3)).reshape(3, -1)[:, cell]
     levels = np.arange(capacity_k + 1)
     gap = levels[None, :] - levels[:, None]
-    index = _LevelIndex(lag=np.maximum(gap, 0), ahead=gap >= 0, room=capacity_k - levels,
-                        empty=(levels == 0).astype(int))
-    for array in index:
+    arrays = dict(cell=cell, queue=queue, phase=phase, action=action,
+                  serving=(phase == Phase.OFF) & (action == Action.SERVE),
+                  interfering=(phase == Phase.ON) & (action != Action.IDLE),
+                  charging=action == Action.CHARGE,
+                  lag=np.maximum(gap, 0), ahead=gap >= 0, room=capacity_k - levels,
+                  empty=(levels == 0).astype(int))
+    for array in arrays.values():
         array.setflags(write=False)
-    return index
+    states = tuple((i, _PHASES[ph], _ALL_ACTIONS[a])
+                   for i, ph, a in zip(queue.tolist(), phase.tolist(), action.tolist()))
+    return StateSpace(capacity_k=capacity_k, states=states, **arrays)
 
 
 def _check_stochastic(p: np.ndarray) -> None:
@@ -225,7 +227,7 @@ class TransitionMatrix:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         w, q = self.branches, self.shifts
-        empty = _level_index(self.space.capacity_k).empty
+        empty = self.space.empty
         d = self.decision[empty].transpose(1, 2, 0)
 
         # t[ph, a, e, b, i, j]: each product is formed as (w q) d, the same
@@ -291,7 +293,6 @@ def build_chains(points: Sequence[SystemParams],
     if any(p.traffic.capacity_k != k_cap for p in points):
         raise InvalidParameterError("stacked chains must share capacity_k")
     space = enumerate_states(k_cap)
-    index = _level_index(k_cap)
 
     kernel_of = {}
     kernels, succs = [], []
@@ -329,8 +330,8 @@ def build_chains(points: Sequence[SystemParams],
     tail[:, 0] = 1.0
     tail[:, 1:] = np.minimum(1.0, np.maximum(0.0, 1.0 - np.cumsum(pmf[:, :-1], axis=1)))
     q = np.zeros((count, 2, k_cap + 1, k_cap + 1))
-    q[:, 0] = np.where(index.ahead, pmf[:, index.lag], 0.0)
-    q[:, 0, :, k_cap] = tail[:, index.room]
+    q[:, 0] = np.where(space.ahead, pmf[:, space.lag], 0.0)
+    q[:, 0, :, k_cap] = tail[:, space.room]
     q[:, 1, :, :-1] = q[:, 0, :, 1:]
 
     # dec[empty, e, b]: the decision law depends only on the end phase and
@@ -342,7 +343,7 @@ def build_chains(points: Sequence[SystemParams],
     # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
     # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], formed one end
     # phase e at a time so that the inner loop runs along j.
-    lumped_w = (dec[..., None, None] * w[:, None]).sum(axis=3)[:, index.empty]
+    lumped_w = (dec[..., None, None] * w[:, None]).sum(axis=3)[:, space.empty]
     lumped = np.empty((count, k_cap + 1, 2, k_cap + 1, 2))
     for e in range(2):
         np.multiply(lumped_w[:, :, :, None, e, 0], q[:, 0, :, None, :], out=lumped[..., e])
@@ -455,7 +456,7 @@ def stationary_vectors(chains: ChainStack) -> tuple[np.ndarray, np.ndarray]:
     states = [2 if closed else 2 * (k_cap + 1)
               for closed in (chains.shifts[:, 0, 0, 0] == 1.0).tolist()]
     nu, residual = _solve(chains.lumped, states)
-    grid = nu.reshape(-1, k_cap + 1, 2, 1) * chains.decision[:, _level_index(k_cap).empty]
+    grid = nu.reshape(-1, k_cap + 1, 2, 1) * chains.decision[:, chains.space.empty]
     # + 0.0 turns a -0.0 product (from a -0.0 decision probability) into
     # the +0.0 a solve would give.
     return grid.reshape(len(nu), -1)[:, chains.space.cell] + 0.0, residual

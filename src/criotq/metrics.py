@@ -1,20 +1,24 @@
 """Stationary QoS, interference and charging-power metrics.
 
 All metrics are functionals of the stationary law of the slot chain.
-The carried load counts only serving slots that actually complete, a
-blocked fraction follows by flow balance, the waits follow from P_B and
-the mean queue length, and the power requirement converts the effective
-packet throughput into the transmit budget the access point needs to
-keep every node energy-neutral.  The post-departure queue law is
-computed on its own by ``departure_distributions``; no report reads it.
+Every stationary sum is a masked reduction over the arrays of the
+chain's ``StateSpace``; the metrics that depend on the chain beyond its
+law (the carried load and the post-departure law) take the built
+``TransitionMatrix`` and read its success probability and arrival
+shifts, so the chain states each of these facts once.  The carried load
+counts only serving slots that actually complete, a blocked fraction
+follows by flow balance, the waits follow from P_B and the mean queue
+length, and the power requirement converts the effective packet
+throughput into the transmit budget the access point needs to keep
+every node energy-neutral.  The post-departure queue law is computed on
+its own by ``departure_distributions``; no report reads it.
 
 The feasibility flag reads only the carried load, drop, interference and
 power.  One pass computes those; ``evaluate_qos`` runs it before the
 waits and charging fractions, and ``constraint_flags`` runs it alone,
 so both give the same flag.  ``constraint_flags`` takes a stack of
 points of one capacity K, builds and solves their chains as one stack,
-and runs the pass over the stacked laws; ``meets_constraints`` is its
-one-point case.
+and runs the pass over the stacked laws.
 """
 
 from __future__ import annotations
@@ -26,17 +30,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import (StateSpace, StationaryDistribution, build_chains,
+from .chain import (StateSpace, StationaryDistribution, TransitionMatrix, build_chains,
                     build_transition_matrix, stationary_distribution, stationary_vectors)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError, UndefinedLoadError,
                      UndefinedWaitError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
-from .slot import Action, Phase, SlotTransitionKernel, arrival_pmf
 
 _RANGE_SLACK = 1e-9
 
-KAPPA_VARIANTS = ("cumulative", "arrival-weighted")
 WAIT_ESTIMATORS = ("inverse-rate", "slot-average")
 
 
@@ -64,32 +66,25 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=-1)[..., -1]
 
 
-def _serving_off(space: StateSpace) -> np.ndarray:
-    """Mask of the serving OFF states, one per queue level 1..K in order."""
-    return (space.phase == Phase.OFF) & (space.action == Action.SERVE)
-
-
 def _carried(pi: np.ndarray, space: StateSpace, succ) -> np.ndarray:
     """Unclamped carried load of a law, or of each law of a stack (rows)."""
-    return succ * _running_sum(pi[..., _serving_off(space)])
+    return succ * _running_sum(pi[..., space.serving])
 
 
 def _interfering(pi: np.ndarray, space: StateSpace) -> np.ndarray:
     """Unclamped interference probability of a law, or of each law of a stack."""
-    return _running_sum(pi[..., (space.phase == Phase.ON) & (space.action != Action.IDLE)])
+    return _running_sum(pi[..., space.interfering])
 
 
-def carried_load(mu: StationaryDistribution, kernel: SlotTransitionKernel,
-                 service_success: float | None = None) -> float:
+def carried_load(mu: StationaryDistribution, tm: TransitionMatrix) -> float:
     """Fraction of slots that deliver a packet.
 
     A slot delivers iff the chain sits in a serving OFF state and the
-    transmission completes, which happens with the whole-slot OFF
-    persistence (or an overridden success probability for variant
-    chains built with one).
+    transmission completes, which happens with the success probability
+    the chain tm was built with.  mu is tm's stationary law.
     """
-    succ = kernel.off_persist if service_success is None else float(service_success)
-    return _clamp_probability(float(_carried(mu.vector, _space(mu), succ)), "carried load")
+    return _clamp_probability(float(_carried(mu.vector, tm.space, tm.service_success)),
+                              "carried load")
 
 
 def packet_drop_probability(rho_c: float, traffic: TrafficModel) -> float:
@@ -121,57 +116,36 @@ class DepartureDistributions:
     """Queue laws seen at service completions.
 
     kappa holds the unnormalized weights of leaving i packets behind
-    right after a departure, delta their normalization, gamma the law
-    used for admitted packets (identical to delta here), and epsilon
-    the full admitted-or-dropped split: epsilon[i] = (1 - P_B) *
-    gamma[i] for i < K and epsilon[K] = P_B.
+    right after a departure, delta their normalization, and epsilon the
+    full admitted-or-dropped split: epsilon[i] = (1 - P_B) delta[i] for
+    i < K and epsilon[K] = P_B.
     """
 
     kappa: np.ndarray
     delta: np.ndarray
-    gamma: np.ndarray
     epsilon: np.ndarray
-    variant: str
 
 
-def departure_distributions(mu: StationaryDistribution, kernel: SlotTransitionKernel,
-                            traffic: TrafficModel, variant: str = "cumulative",
-                            service_success: float | None = None) -> DepartureDistributions:
-    """Post-departure and admission queue laws.
+def departure_distributions(mu: StationaryDistribution, tm: TransitionMatrix,
+                            traffic: TrafficModel) -> DepartureDistributions:
+    """Post-departure and admission queue laws of the chain tm, whose law is mu.
 
-    variant "cumulative" accumulates the serving-state masses up to each
-    level; "arrival-weighted" additionally weights each serving state by
-    the probability of the arrival count that lands the post-departure
-    queue exactly at that level.
+    A departure comes from a serving OFF state at level j = 1..K with
+    tm's success probability, and leaves behind the level the chain's
+    own one-departure shift q[1, j, i] gives: the slot's arrivals are
+    admitted up to the buffer limit, then the served packet leaves.  So
+    kappa[i] = succ sum_j pi(j, OFF, Serve) q[1, j, i], which at level
+    K - 1 takes every arrival count the full buffer turns away.
     """
-    if variant not in KAPPA_VARIANTS:
-        raise InvalidParameterError(f"unknown variant {variant!r}")
-    succ = kernel.off_persist if service_success is None else float(service_success)
-    serving = mu.vector[_serving_off(_space(mu))]
-    k_cap = len(serving)
-    # weight[i, j]: share of serving level j + 1 that leaves i behind,
-    # i.e. after i - j arrivals.  Rows are summed left to right, as the
-    # running sums elsewhere in this module are.
-    lag = np.subtract.outer(np.arange(k_cap), np.arange(k_cap))
-    weight = (lag >= 0).astype(float)
-    if variant == "arrival-weighted":
-        pmf = np.array([arrival_pmf(traffic, n) for n in range(k_cap)])
-        weight *= pmf[np.maximum(lag, 0)]
-    kappa = succ * np.cumsum(weight * serving, axis=1)[:, -1]
-
+    kappa = tm.service_success * (mu.vector[tm.space.serving] @ tm.shifts[1, 1:, :-1])
     norm = float(kappa.sum())
     if norm <= 0.0:
         raise DegenerateDistributionError("no departure mass; distributions undefined")
     delta = kappa / norm
-    gamma = delta.copy()
 
-    rho_c = carried_load(mu, kernel, service_success=succ)
-    p_b = packet_drop_probability(rho_c, traffic)
-    epsilon = np.empty(k_cap + 1)
-    epsilon[:k_cap] = (1.0 - p_b) * gamma
-    epsilon[k_cap] = p_b
-    return DepartureDistributions(kappa=kappa, delta=delta, gamma=gamma,
-                                  epsilon=epsilon, variant=variant)
+    p_b = packet_drop_probability(carried_load(mu, tm), traffic)
+    epsilon = np.append((1.0 - p_b) * delta, p_b)
+    return DepartureDistributions(kappa=kappa, delta=delta, epsilon=epsilon)
 
 
 def waiting_time(drop_prob: float, traffic: TrafficModel, estimator: str = "slot-average",
@@ -207,8 +181,8 @@ def interference_probability(mu: StationaryDistribution) -> float:
 
 def charge_fraction(mu: StationaryDistribution) -> float:
     """Stationary fraction of slots spent beaming power."""
-    charging = _space(mu).action == Action.CHARGE
-    return _clamp_probability(float(_running_sum(mu.vector[charging])), "charge fraction")
+    return _clamp_probability(float(_running_sum(mu.vector[_space(mu).charging])),
+                              "charge fraction")
 
 
 def nominal_charge_fraction(params: SystemParams) -> float:
@@ -326,10 +300,13 @@ def _constraint_metrics(points: Sequence[SystemParams], service_success,
 
 def constraint_flags(points: Sequence[SystemParams], max_drop: float,
                      max_interference: float) -> list[bool]:
-    """``meets_constraints`` of each point, from one stacked build, solve and pass.
+    """``evaluate_qos(p, max_drop, max_interference).feasible`` of each point p, lean.
 
-    The points share the capacity K.  Every flag is the one the point
-    gets alone.  So is every error: a stack whose build or solve fails
+    Builds and solves the same chains and runs the same constraint pass
+    as evaluate_qos, but skips the waits and charging fractions the flag
+    does not read: one stacked build, solve and pass for all points,
+    which share the capacity K.  Every flag is the one the point gets
+    alone.  So is every error: a stack whose build or solve fails
     is run again one point at a time, so that the first failing point
     in order raises, after the points before it have run (and warned).
     """
@@ -342,17 +319,6 @@ def constraint_flags(points: Sequence[SystemParams], max_drop: float,
         return [flag for p in points for flag in constraint_flags([p], max_drop, max_interference)]
     return [bool(m.feasible) for m in _constraint_metrics(
         points, chains.service_success, pi, chains.space, max_drop, max_interference)]
-
-
-def meets_constraints(params: SystemParams, max_drop: float, max_interference: float) -> bool:
-    """``evaluate_qos(params, max_drop, max_interference).feasible``, computed lean.
-
-    Builds and solves the same chain and runs the same constraint pass
-    as evaluate_qos, but skips the waits and charging fractions the flag
-    does not read.  It is the one-point case of ``constraint_flags``,
-    which region searches probe with.
-    """
-    return constraint_flags([params], max_drop, max_interference)[0]
 
 
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,

@@ -137,7 +137,7 @@ def test_criterion_03_stationary_matches_long_run(anchor, big_run):
 
 def test_criterion_04_metrics_match_long_run(anchor, big_run):
     params, tm, mu = anchor
-    rho_c = carried_load(mu, tm.kernel)
+    rho_c = carried_load(mu, tm)
     d_pb = abs(big_run.drop_prob_hat - packet_drop_probability(rho_c, params.traffic))
     d_pi = abs(big_run.interference_hat - interference_probability(mu))
     d_rho = abs(big_run.carried_load_hat - rho_c)

@@ -137,6 +137,29 @@ def test_index_round_trip():
             3 * ph + int(Action.SERVE) for ph in (0, 1)}
 
 
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_state_space_masks_and_level_arrays(k):
+    space = enumerate_states(k)
+    states = space.states
+    masks = {"serving": [ph == Phase.OFF and a == Action.SERVE for _, ph, a in states],
+             "interfering": [ph == Phase.ON and a != Action.IDLE for _, ph, a in states],
+             "charging": [a == Action.CHARGE for _, _, a in states]}
+    for name, want in masks.items():
+        assert getattr(space, name).tolist() == want, name
+    # One serving state per level 1..K, in level order.
+    assert space.queue[space.serving].tolist() == list(range(1, k + 1))
+    levels = range(k + 1)
+    assert space.lag.tolist() == [[max(j - i, 0) for j in levels] for i in levels]
+    assert space.ahead.tolist() == [[j >= i for j in levels] for i in levels]
+    assert space.room.tolist() == [k - i for i in levels]
+    assert space.empty.tolist() == [int(i == 0) for i in levels]
+    for name in ("cell", "queue", "phase", "action", *masks, "lag", "ahead", "room", "empty"):
+        array = getattr(space, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
 def test_index_rejects_invalid_states():
     space = enumerate_states(3)
     with pytest.raises(InvalidParameterError):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
                     MetricRangeError, NoConvergenceError, Phase, TrafficModel,
                     UndefinedLoadError, UndefinedWaitError,
-                    activity_factor, arrival_pmf, build_transition_matrix, carried_load,
-                    charge_fraction, departure_distributions, evaluate_qos,
+                    activity_factor, arrival_pmf, arrival_tail, build_transition_matrix,
+                    carried_load, charge_fraction, departure_distributions, evaluate_qos,
                     interference_probability, nominal_charge_fraction,
                     packet_drop_probability, required_power, stationary_distribution,
                     waiting_time)
 from criotq.chain import build_chains, stationary_vectors
-from criotq.metrics import _constraint_metrics, constraint_flags, meets_constraints
+from criotq.metrics import _constraint_metrics, constraint_flags
 from conftest import make_params
 
 
@@ -26,14 +26,14 @@ def solve(params):
 
 def test_carried_load_zero_when_never_serving():
     tm, mu = solve(make_params(theta=1.0, lam=0.05))
-    assert carried_load(mu, tm.kernel) == 0.0
+    assert carried_load(mu, tm) == 0.0
     tm2, mu2 = solve(make_params(lam=0.0))
-    assert carried_load(mu2, tm2.kernel) <= 1e-12
+    assert carried_load(mu2, tm2) <= 1e-12
 
 
 def test_drop_probability_flow_balance(baseline_params):
     tm, mu = solve(baseline_params)
-    rho_c = carried_load(mu, tm.kernel)
+    rho_c = carried_load(mu, tm)
     serving = sum(mu.vector[tm.space.index(i, Phase.OFF, Action.SERVE)] for i in range(1, 11))
     assert rho_c == pytest.approx(tm.kernel.off_persist * serving, rel=1e-12)
     p_b = packet_drop_probability(rho_c, baseline_params.traffic)
@@ -65,54 +65,48 @@ def test_drop_probability_overshoot_clamps_and_warns():
         packet_drop_probability(0.04, traffic)
 
 
-def test_departure_distributions_basics(baseline_params):
-    tm, mu = solve(baseline_params)
-    traffic = baseline_params.traffic
-    serving = [mu.vector[tm.space.index(j, Phase.OFF, Action.SERVE)] for j in range(1, 11)]
-    for variant in ("cumulative", "arrival-weighted"):
-        dd = departure_distributions(mu, tm.kernel, baseline_params.traffic, variant)
-        assert dd.variant == variant
-        # kappa[i]: departures leaving i behind, from serving level j <= i + 1
-        # after i + 1 - j arrivals (weighted by their pmf in that variant).
-        weight = ((lambda n: arrival_pmf(traffic, n)) if variant == "arrival-weighted"
-                  else (lambda n: 1.0))
-        want = [tm.kernel.off_persist * sum(serving[j] * weight(i - j) for j in range(i + 1))
-                for i in range(10)]
+def test_departure_distributions_basics():
+    # At K = 1 every departure leaves the queue empty: delta is [1].
+    for k_cap, lam in ((10, 0.001), (10, 0.02), (1, 0.03)):
+        params = make_params(capacity_k=k_cap, lam=lam)
+        tm, mu = solve(params)
+        traffic = params.traffic
+        serving = [mu.vector[tm.space.index(j, Phase.OFF, Action.SERVE)]
+                   for j in range(1, k_cap + 1)]
+        dd = departure_distributions(mu, tm, traffic)
+
+        # kappa[i]: departures from serving level j <= i + 1 that leave i
+        # behind, after i + 1 - j admitted arrivals; at the top level
+        # i = K - 1 every count of K - j or more, the excess turned away.
+        def weight(i, j):
+            if i == k_cap - 1:
+                return arrival_tail(traffic, k_cap - j)
+            return arrival_pmf(traffic, i + 1 - j)
+
+        want = [tm.service_success * sum(serving[j - 1] * weight(i, j) for j in range(1, i + 2))
+                for i in range(k_cap)]
         assert dd.kappa == pytest.approx(want, rel=1e-12)
+        # Every completed service is one departure.
+        rho_c = carried_load(mu, tm)
+        assert dd.kappa.sum() == pytest.approx(rho_c, rel=1e-12)
         assert dd.delta.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(dd.delta >= 0.0)
         assert dd.epsilon.sum() == pytest.approx(1.0, abs=1e-12)
-        rho_c = carried_load(mu, tm.kernel)
-        p_b = packet_drop_probability(rho_c, baseline_params.traffic)
+        p_b = packet_drop_probability(rho_c, traffic)
         assert dd.epsilon[-1] == pytest.approx(p_b, abs=1e-15)
-        assert np.allclose(dd.gamma, dd.delta)
-    with pytest.raises(InvalidParameterError):
-        departure_distributions(mu, tm.kernel, baseline_params.traffic, "median")
-
-
-def test_departure_variants_coincide_up_to_weights_at_capacity_one():
-    # With K = 1 a departure always leaves an empty queue; the weighted
-    # variant only rescales kappa by the no-arrival mass.
-    params = make_params(capacity_k=1, lam=0.03)
-    tm, mu = solve(params)
-    plain = departure_distributions(mu, tm.kernel, params.traffic, "cumulative")
-    weighted = departure_distributions(mu, tm.kernel, params.traffic, "arrival-weighted")
-    assert plain.delta == pytest.approx([1.0], abs=1e-15)
-    assert weighted.delta == pytest.approx([1.0], abs=1e-15)
-    a0 = math.exp(-params.traffic.mean_arrivals_per_slot)
-    assert weighted.kappa[0] == pytest.approx(plain.kappa[0] * a0, rel=1e-12)
+        assert dd.epsilon[:-1] == pytest.approx((1.0 - p_b) * dd.delta, abs=1e-15)
 
 
 def test_departure_distributions_degenerate():
     params = make_params(theta=1.0, lam=0.05)
     tm, mu = solve(params)
     with pytest.raises(DegenerateDistributionError):
-        departure_distributions(mu, tm.kernel, params.traffic)
+        departure_distributions(mu, tm, params.traffic)
 
 
 def test_waiting_time_inverse_rate_identity(baseline_params):
     tm, mu = solve(baseline_params)
-    rho_c = carried_load(mu, tm.kernel)
+    rho_c = carried_load(mu, tm)
     p_b = packet_drop_probability(rho_c, baseline_params.traffic)
     w = waiting_time(p_b, baseline_params.traffic, "inverse-rate")
     lam_agg = 0.02
@@ -123,7 +117,7 @@ def test_waiting_time_inverse_rate_identity(baseline_params):
 
 def test_waiting_time_slot_average_identity(baseline_params):
     tm, mu = solve(baseline_params)
-    rho_c = carried_load(mu, tm.kernel)
+    rho_c = carried_load(mu, tm)
     p_b = packet_drop_probability(rho_c, baseline_params.traffic)
     w = waiting_time(p_b, baseline_params.traffic, "slot-average", mu=mu)
     mean_q = sum(i * mu.vector[idx] for idx, (i, _, _) in enumerate(tm.space.states))
@@ -264,18 +258,17 @@ def test_evaluate_qos_saturated_policy():
 
 def test_evaluate_qos_inverse_rate_wait_matches_departure_law(baseline_params):
     # The admission term of the inverse-rate wait is the mass of the
-    # normalized post-departure law; either kappa variant gives mass 1,
-    # so the closed form agrees with the composition through delta.
+    # normalized post-departure law, which is 1, so the closed form agrees
+    # with the composition through delta.
     r = evaluate_qos(baseline_params)
     tm, mu = solve(baseline_params)
     lam_agg = baseline_params.traffic.aggregate_rate
     lam_eff = lam_agg * (1.0 - r.drop_prob)
     assert r.wait_inverse_rate == r.drop_prob / lam_eff + 1.0 / lam_agg
-    for variant in ("cumulative", "arrival-weighted"):
-        dd = departure_distributions(mu, tm.kernel, baseline_params.traffic, variant)
-        assert dd.delta.sum() == pytest.approx(1.0, abs=1e-12)
-        composed = r.drop_prob / lam_eff + dd.delta.sum() / lam_agg
-        assert r.wait_inverse_rate == pytest.approx(composed, rel=1e-12)
+    dd = departure_distributions(mu, tm, baseline_params.traffic)
+    assert dd.delta.sum() == pytest.approx(1.0, abs=1e-12)
+    composed = r.drop_prob / lam_eff + dd.delta.sum() / lam_agg
+    assert r.wait_inverse_rate == pytest.approx(composed, rel=1e-12)
 
 
 def test_drop_probability_increases_with_load():
@@ -323,7 +316,7 @@ def test_stacked_constraint_pass_matches_one_point(case):
     for params, got, flag in zip(points, stacked, flags):
         one = evaluate_qos(params, max_drop, max_interference)
         assert flag is got.feasible is one.feasible
-        assert meets_constraints(params, max_drop, max_interference) is flag
+        assert constraint_flags([params], max_drop, max_interference) == [flag]
         assert got.carried_load.hex() == one.carried_load.hex()
         assert got.drop_prob.hex() == one.drop_prob.hex()
         assert got.interference_prob.hex() == one.interference_prob.hex()
@@ -334,12 +327,12 @@ def test_stack_with_a_singular_point_raises_like_one_point():
     # so every law on the empty level is stationary.
     singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
     with pytest.raises(NoConvergenceError) as alone:
-        meets_constraints(singular, 0.1, 0.1)
+        constraint_flags([singular], 0.1, 0.1)
     # At this light load flow balance overshoots by more than 1e-12 and
     # warns, so the warnings show which points ran before the failing one.
     noisy = make_params(lam=1.4e-6)
     with pytest.warns(RuntimeWarning):
-        meets_constraints(noisy, 0.1, 0.1)
+        constraint_flags([noisy], 0.1, 0.1)
     stack = [make_params(lam=0.0), noisy, make_params(lam=0.01), singular, noisy]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

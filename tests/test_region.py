@@ -9,7 +9,7 @@ from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     InvalidParameterError, SensingModel, activity_factor, critical_beta,
                     critical_lambda, evaluate_qos, feasibility_check, optimize_policy_grid,
                     params_with_activity, sweep, synchronized_baseline)
-from criotq.metrics import meets_constraints
+from criotq.metrics import constraint_flags
 from conftest import make_params
 
 ANCHOR_CONSTRAINTS = Constraints(max_drop=0.1, max_interference=0.1)
@@ -146,7 +146,7 @@ def test_probe_flag_is_the_report_flag():
         for beta in (0.05, 0.5, 0.95):
             at = params_with_activity(params, beta)
             want = evaluate_qos(at, cons.max_drop, cons.max_interference).feasible
-            assert meets_constraints(at, cons.max_drop, cons.max_interference) is want
+            assert constraint_flags([at], cons.max_drop, cons.max_interference) == [want]
             flags.add(want)
     assert flags == {True, False}
 
