@@ -11,13 +11,11 @@ and an independent event-level Monte Carlo used to validate the chain.
 from .chain import (StateSpace, StationaryDistribution, TransitionMatrix,
                     build_transition_matrix, enumerate_states, stationary_distribution)
 from .errors import (CriotqError, DegenerateDistributionError, InvalidParameterError,
-                     MetricRangeError, NoConvergenceError, UndefinedLoadError,
-                     UndefinedWaitError)
-from .metrics import (WAIT_ESTIMATORS, DepartureDistributions,
-                      PowerRequirement, QosReport, carried_load,
+                     MetricRangeError, NoConvergenceError, UndefinedLoadError)
+from .metrics import (DepartureDistributions, PowerRequirement, QosReport, carried_load,
                       charge_fraction, departure_distributions, evaluate_qos,
                       interference_probability, nominal_charge_fraction,
-                      packet_drop_probability, required_power, waiting_time)
+                      packet_drop_probability, required_power)
 from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemParams,
                      TrafficModel, activity_factor)
 from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constraints,
@@ -35,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BETA_CEIL", "BETA_FLOOR", "GENERATOR_NAME", "NUM_BATCHES",
-    "SWEEP_AXES", "SWEEP_TARGETS", "WAIT_ESTIMATORS",
+    "SWEEP_AXES", "SWEEP_TARGETS",
     "Action", "ActionPmf", "Constraints", "Counts", "CriotqError", "CriticalResult",
     "DegenerateDistributionError", "DepartureDistributions", "EmpiricalKernel",
     "InvalidParameterError", "MetricRangeError", "NoConvergenceError", "Phase",
@@ -43,12 +41,12 @@ __all__ = [
     "ReplicationResult", "RowEstimate", "SensingModel", "SimConfig", "SimResult",
     "SlotTransitionKernel", "StateSpace", "StationaryDistribution", "SweepRow",
     "SystemParams", "TrafficModel", "TransitionMatrix", "UndefinedLoadError",
-    "UndefinedWaitError", "activity_factor", "arrival_pmf", "arrival_tail",
+    "activity_factor", "arrival_pmf", "arrival_tail",
     "build_transition_matrix", "carried_load", "charge_fraction", "critical_beta",
     "critical_lambda", "decision_distribution", "departure_distributions",
     "enumerate_states", "estimate_slot_kernel", "estimate_transition_row",
     "evaluate_qos", "feasibility_check", "interference_probability",
     "nominal_charge_fraction", "optimize_policy_grid", "packet_drop_probability",
     "params_with_activity", "required_power", "run_simulation", "slot_kernel",
-    "stationary_distribution", "sweep", "synchronized_baseline", "waiting_time",
+    "stationary_distribution", "sweep", "synchronized_baseline",
 ]

@@ -58,10 +58,11 @@ on each other, so the builder and the solve work on stacks:
 point axis, and ``stationary_vectors`` solves the whole stack with one
 batched LU per support size (the points that admit no arrival form
 their own group).  Every operation is elementwise or runs along one point's
-own axes, so each point gets the bits it gets alone, and the
-validation and the solve raise the error of the first failing point,
-as taking the points one at a time would.  ``build_transition_matrix``
-and ``stationary_distribution`` are the stacks of one point.
+own axes, so each point gets the bits it gets alone.  A stack fails as
+a whole: the validation and the solve raise for the stack, not for a
+chosen member; a caller that needs the error of the first failing point
+takes the points one at a time.  ``build_transition_matrix`` and
+``stationary_distribution`` are the stacks of one point.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NoConvergenceError
 from .params import SystemParams
-from .slot import (Action, Phase, SlotTransitionKernel, arrival_pmf,
-                   decision_distribution, slot_kernel)
+from .slot import Action, Phase, arrival_pmf, decision_distribution, slot_kernel
 
 State = tuple[int, Phase, Action]
 
@@ -179,20 +179,15 @@ def _state_space(capacity_k: int) -> StateSpace:
 def _check_stochastic(p: np.ndarray) -> None:
     """Raise unless p stacks square matrices, entries in [0, 1], rows summing to 1.
 
-    p has shape (B, n, n).  The error raised is the one the first failing
-    matrix would raise if the matrices were checked one at a time in order.
+    p has shape (B, n, n) and is checked as a whole, entries first.
     """
     if p.ndim != 3 or p.shape[1] != p.shape[2] or p.shape[1] == 0:
         raise InvalidParameterError("matrix must be square and nonempty")
-    # Written so that a NaN entry, and with it a NaN row sum, fails too.
-    rows_ok = np.abs(p.sum(axis=2) - 1.0) <= 1e-10
-    if p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12 and rows_ok.all():
-        return
-    out_of_range = (p.min(axis=(1, 2)) < -1e-12) | (p.max(axis=(1, 2)) > 1.0 + 1e-12)
-    first = int(np.argmax(out_of_range | ~rows_ok.all(axis=1)))
-    if out_of_range[first]:
+    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise InvalidParameterError("matrix entries outside [0, 1]")
-    raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
+    # Written so that a NaN entry, and with it a NaN row sum, fails here.
+    if not np.all(np.abs(p.sum(axis=2) - 1.0) <= 1e-10):
+        raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,6 @@ class TransitionMatrix:
         decision: the decision law d[empty, e, b] of action b given the
             end phase e and whether the queue is empty (0 = not empty).
         space: the (queue, phase, action) state space of the full chain.
-        kernel: the slot phase kernel the branches come from.
         service_success: the success probability of a serving OFF slot.
         branches: the phase branch weights w[ph, a, e, c].
         shifts: the arrival shifts q[c, i, j].
@@ -219,7 +213,6 @@ class TransitionMatrix:
     lumped: np.ndarray
     decision: np.ndarray
     space: StateSpace
-    kernel: SlotTransitionKernel
     service_success: float
     branches: np.ndarray = field(repr=False)
     shifts: np.ndarray = field(repr=False)
@@ -261,16 +254,15 @@ def _per_distinct(points: Sequence[SystemParams], key, make) -> np.ndarray:
 class ChainStack(NamedTuple):
     """One-slot chains of one capacity K, their arrays stacked on a leading axis.
 
-    Along axis 0, ``lumped``, ``decision``, ``branches`` and ``shifts``
-    hold the arrays of each point's TransitionMatrix, ``kernels`` and
-    ``service_success`` its kernel and success probability.
+    Along axis 0, ``lumped``, ``decision``, ``branches``, ``shifts`` and
+    ``service_success`` hold the arrays and the success probability of
+    each point's TransitionMatrix.
     """
 
     lumped: np.ndarray
     decision: np.ndarray
     branches: np.ndarray
     shifts: np.ndarray
-    kernels: tuple[SlotTransitionKernel, ...]
     service_success: np.ndarray
     space: StateSpace
 
@@ -282,10 +274,10 @@ def build_chains(points: Sequence[SystemParams],
     Each chain has the bits it has when built alone.  The kernel, the
     arrival pmf row and the decision law are computed once per distinct
     (PnpModel, slot length), TrafficModel and (SensingModel, PolicyModel)
-    among the points.  An invalid kernel or success probability raises
-    at once; every lumped matrix is validated, and a failure raises the
-    error of the first failing point.  ``service_success`` is as for
-    build_transition_matrix and applies to every point.
+    among the points.  ``service_success`` is as for
+    build_transition_matrix and applies to every point; a value outside
+    [0, a00] of any point raises.  The lumped matrices are validated as
+    one stack, which raises as a whole.
     """
     if not points:
         raise InvalidParameterError("build_chains needs at least one point")
@@ -294,29 +286,27 @@ def build_chains(points: Sequence[SystemParams],
         raise InvalidParameterError("stacked chains must share capacity_k")
     space = enumerate_states(k_cap)
 
-    kernel_of = {}
-    kernels, succs = [], []
-    for p in points:
-        key = (p.pnp, p.traffic.slot_d)
-        if key not in kernel_of:
-            kernel_of[key] = slot_kernel(*key)
-        kernel = kernel_of[key]
-        succ = kernel.off_persist if service_success is None else float(service_success)
-        if not (0.0 <= succ <= kernel.a00 + 1e-12):
+    # kern[:, :4] = (a00, a01, a10, a11); the default success probability,
+    # off_persist, lies in [0, a00] by the kernel's own validation.
+    def kernel_row(p):
+        k = slot_kernel(p.pnp, p.traffic.slot_d)
+        return k.a00, k.a01, k.a10, k.a11, k.off_persist
+    kern = _per_distinct(points, lambda p: (p.pnp, p.traffic.slot_d), kernel_row)
+    succ = kern[:, 4]
+    if service_success is not None:
+        succ = np.full(len(points), float(service_success))
+        if not np.all((0.0 <= succ) & (succ <= kern[:, 0] + 1e-12)):
             raise InvalidParameterError("service_success must lie in [0, a00]")
-        kernels.append(kernel)
-        succs.append(succ)
     count = len(points)
 
     # w[ph, a, e, c]: phase branches.  Only a serving OFF slot can clear a
     # packet: success needs one OFF period covering the slot, and an
     # interrupted attempt still ends OFF with the rest of a00 or ends ON
     # with a01.  A branch of weight <= 0 contributes nothing.
-    kern = np.array([(k.a00, k.a01, k.a10, k.a11, k.a00 - s, s)
-                     for k, s in zip(kernels, succs)])
     w = np.zeros((count, 2, 3, 2, 2))
     w[..., 0] = kern[:, :4].reshape(count, 2, 1, 2)
-    w[:, Phase.OFF, Action.SERVE, Phase.OFF] = kern[:, 4:]
+    w[:, Phase.OFF, Action.SERVE, Phase.OFF, 0] = kern[:, 0] - succ
+    w[:, Phase.OFF, Action.SERVE, Phase.OFF, 1] = succ
     w = np.maximum(w, 0.0)
 
     # q[c, i, j]: arrivals are admitted while the buffer (still holding any
@@ -351,7 +341,7 @@ def build_chains(points: Sequence[SystemParams],
     lumped = lumped.reshape(count, 2 * (k_cap + 1), 2 * (k_cap + 1))
     _check_stochastic(lumped)
     return ChainStack(lumped=lumped, decision=dec, branches=w, shifts=q,
-                      kernels=tuple(kernels), service_success=np.array(succs), space=space)
+                      service_success=succ, space=space)
 
 
 def build_transition_matrix(params: SystemParams,
@@ -368,8 +358,7 @@ def build_transition_matrix(params: SystemParams,
     """
     chains = build_chains([params], service_success)
     return TransitionMatrix(lumped=chains.lumped[0], decision=chains.decision[0],
-                            space=chains.space, kernel=chains.kernels[0],
-                            service_success=float(chains.service_success[0]),
+                            space=chains.space, service_success=float(chains.service_success[0]),
                             branches=chains.branches[0], shifts=chains.shifts[0])
 
 
@@ -403,12 +392,11 @@ def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
     For each member the balance equations of that block, one replaced by
     normalization, are solved by LU; negative entries are clipped to 0,
     the rest renormalized and padded with zeros.  An answer is accepted
-    exactly when ||mu p - mu||_inf <= 1e-10 over all of p.  Otherwise
-    the first failing member in stack order raises, as solving the
-    members one at a time in order would.
+    exactly when ||mu p - mu||_inf <= 1e-10 over all of p.  Otherwise the
+    stack raises NoConvergenceError, with residual inf as soon as any
+    member's balance equations are singular.
     """
     mu = np.zeros(p.shape[:2])
-    singular = []
     for n in set(states):
         rows = [b for b, size in enumerate(states) if size == n]
         if len(rows) == len(states):
@@ -420,25 +408,14 @@ def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
         try:
             mu[rows, :n] = np.linalg.solve(a, b)[..., 0]
         except np.linalg.LinAlgError:
-            # A stack raises as a whole: solve it member by member to find
-            # the singular ones.
-            for row, a_row, b_row in zip(np.arange(len(p))[rows].tolist(), a, b):
-                try:
-                    mu[row, :n] = np.linalg.solve(a_row, b_row)[:, 0]
-                except np.linalg.LinAlgError:
-                    singular.append(row)
-                    mu[row, 0] = 1.0  # a placeholder; the member fails below
+            raise NoConvergenceError("singular balance equations", np.inf) from None
     # The normalization row makes each sum 1 and clipping only raises it,
     # so the division is safe; the test is written so that NaN fails too.
     mu = np.where(mu < 0.0, 0.0, mu)
     mu = mu / mu.sum(axis=1, keepdims=True)
     residual = np.abs((mu[:, None, :] @ p)[:, 0] - mu).max(axis=1)
-    if singular:
-        residual[singular] = np.inf
     if not np.all(residual <= _RESIDUAL_BOUND):
         first = int(np.argmin(residual <= _RESIDUAL_BOUND))
-        if first in singular:
-            raise NoConvergenceError("singular balance equations", np.inf)
         raise NoConvergenceError(f"direct solve residual {residual[first]:.3e}",
                                  float(residual[first]))
     return mu, residual
@@ -449,7 +426,7 @@ def stationary_vectors(chains: ChainStack) -> tuple[np.ndarray, np.ndarray]:
 
     Row b of the first array is ``stationary_distribution`` of point b's
     chain, with the same bits, and entry b of the second its residual.
-    The stack is solved as one; a failing point raises as it would alone.
+    The stack is solved as one, and fails as one.
     """
     k_cap = chains.space.capacity_k
     # A chain that admits no arrival is solved on its closed empty level.
@@ -490,7 +467,7 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDist
                                       method="direct")
 
     one = ChainStack(lumped=tm.lumped[None], decision=tm.decision[None],
-                     branches=tm.branches[None], shifts=tm.shifts[None], kernels=(tm.kernel,),
+                     branches=tm.branches[None], shifts=tm.shifts[None],
                      service_success=np.array([tm.service_success]), space=tm.space)
     mu, residual = stationary_vectors(one)
     return StationaryDistribution(vector=mu[0], residual=float(residual[0]), method="direct",

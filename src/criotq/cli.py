@@ -31,7 +31,7 @@ from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemPara
                      TrafficModel)
 from .region import (Constraints, SWEEP_AXES, SWEEP_TARGETS, params_with_activity,
                      sweep, synchronized_baseline)
-from .simulate import GENERATOR_NAME, SimConfig, run_simulation
+from .simulate import SimConfig, run_simulation
 
 METRICS_COLUMNS = ["beta", "offered_load", "carried_load", "p_b", "w_inverse_rate",
                    "w_slot_avg", "p_i", "charge_fraction", "charge_fraction_nominal",
@@ -267,20 +267,14 @@ def cmd_simulate(args) -> int:
     sim_cfg = _build_sim_config(cfg, args, params)
     result = run_simulation(sim_cfg)
 
-    rows = []
-    for rep in result.reps:
-        c = rep.counts
-        rows.append(["rep", rep.rep_index, result.seed, result.generator,
-                     result.horizon_slots, result.warmup_slots, c.generated, c.admitted,
-                     c.dropped, c.served, rep.drop_prob_hat, rep.drop_prob_se,
-                     rep.mean_sojourn_hat, rep.mean_sojourn_se, rep.interference_hat,
-                     rep.interference_se, rep.carried_load_hat, rep.charge_fraction_hat])
-    c = result.counts
-    rows.append(["pooled", -1, result.seed, result.generator, result.horizon_slots,
-                 result.warmup_slots, c.generated, c.admitted, c.dropped, c.served,
-                 result.drop_prob_hat, result.drop_prob_se, result.mean_sojourn_hat,
-                 result.mean_sojourn_se, result.interference_hat, result.interference_se,
-                 result.carried_load_hat, result.charge_fraction_hat])
+    # A replication and the pooled result share the estimate fields.
+    estimates = [("rep", rep.rep_index, rep) for rep in result.reps] + [("pooled", -1, result)]
+    rows = [[kind, index, result.seed, result.generator, result.horizon_slots,
+             result.warmup_slots, est.counts.generated, est.counts.admitted,
+             est.counts.dropped, est.counts.served, est.drop_prob_hat, est.drop_prob_se,
+             est.mean_sojourn_hat, est.mean_sojourn_se, est.interference_hat,
+             est.interference_se, est.carried_load_hat, est.charge_fraction_hat]
+            for kind, index, est in estimates]
     _write_csv(Path(args.out) / "sim.csv", SIM_COLUMNS, rows)
 
     print(f"p_b_hat={_fmt(result.drop_prob_hat)} (se {_fmt(result.drop_prob_se)}) "
@@ -305,14 +299,14 @@ def cmd_sweep(args) -> int:
     rows_out = []
     diag_rows = []
     for row in sweep(params, constraints, axis, values, target, tol=tol):
-        rep = row.report
+        cr, rep = row.result, row.result.report
         if rep is None:
             metric_cells = [math.nan, math.nan, math.nan, math.nan, math.nan, False]
         else:
             metric_cells = [rep.drop_prob, rep.interference_prob, rep.wait_inverse_rate,
                             rep.wait_slot_avg, rep.power.total, rep.feasible]
-        rows_out.append([axis, row.swept_value, target, row.critical_value] + metric_cells)
-        diag_rows.append([row.swept_value, row.feasible_at_zero, row.monotone, row.capped])
+        rows_out.append([axis, row.swept_value, target, cr.value] + metric_cells)
+        diag_rows.append([row.swept_value, cr.feasible_at_floor, cr.monotone, cr.capped])
     _write_csv(Path(args.out) / "sweep.csv", SWEEP_COLUMNS, rows_out)
     _write_csv(Path(args.out) / "sweep_diag.csv", SWEEP_DIAG_COLUMNS, diag_rows)
     print(f"sweep {axis} -> {target}: {len(rows_out)} rows")

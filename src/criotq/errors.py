@@ -30,10 +30,6 @@ class UndefinedLoadError(CriotqError, ZeroDivisionError):
     """A load-based metric was requested with zero offered load."""
 
 
-class UndefinedWaitError(CriotqError, ZeroDivisionError):
-    """A waiting-time estimate was requested with zero effective admission rate."""
-
-
 class DegenerateDistributionError(CriotqError, ValueError):
     """A conditional distribution was requested but its normalizer is zero."""
 

@@ -7,10 +7,10 @@ law (the carried load and the post-departure law) take the built
 ``TransitionMatrix`` and read its success probability and arrival
 shifts, so the chain states each of these facts once.  The carried load
 counts only serving slots that actually complete, a blocked fraction
-follows by flow balance, the waits follow from P_B and the mean queue
-length, and the power requirement converts the effective packet
-throughput into the transmit budget the access point needs to keep
-every node energy-neutral.  The post-departure queue law is computed on
+follows by flow balance, ``evaluate_qos`` forms the waits from P_B and
+the mean queue length, and the power requirement converts the effective
+packet throughput into the transmit budget the access point needs to
+keep every node energy-neutral.  The post-departure queue law is computed on
 its own by ``departure_distributions``; no report reads it.
 
 The feasibility flag reads only the carried load, drop, interference and
@@ -18,7 +18,9 @@ power.  One pass computes those; ``evaluate_qos`` runs it before the
 waits and charging fractions, and ``constraint_flags`` runs it alone,
 so both give the same flag.  ``constraint_flags`` takes a stack of
 points of one capacity K, builds and solves their chains as one stack,
-and runs the pass over the stacked laws.
+and runs the pass over the stacked laws.  A stack fails as a whole, and
+``constraint_flags`` is the one place that replays it point by point to
+raise the error of the first failing point.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ import numpy as np
 from .chain import (StateSpace, StationaryDistribution, TransitionMatrix, build_chains,
                     build_transition_matrix, stationary_distribution, stationary_vectors)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
-                     MetricRangeError, NoConvergenceError, UndefinedLoadError,
-                     UndefinedWaitError)
+                     MetricRangeError, NoConvergenceError, UndefinedLoadError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
 
 _RANGE_SLACK = 1e-9
-
-WAIT_ESTIMATORS = ("inverse-rate", "slot-average")
 
 
 def _clamp_probability(value: float, name: str) -> float:
@@ -146,31 +145,6 @@ def departure_distributions(mu: StationaryDistribution, tm: TransitionMatrix,
     p_b = packet_drop_probability(carried_load(mu, tm), traffic)
     epsilon = np.append((1.0 - p_b) * delta, p_b)
     return DepartureDistributions(kappa=kappa, delta=delta, epsilon=epsilon)
-
-
-def waiting_time(drop_prob: float, traffic: TrafficModel, estimator: str = "slot-average",
-                 mu: StationaryDistribution | None = None) -> float:
-    """Mean sojourn of an admitted packet, in seconds.
-
-    "inverse-rate" composes the blocking and admission terms of the
-    renewal argument, P_B / lam_eff + 1 / (n lam), algebraically
-    1 / (n lam (1 - P_B)); the admission term is the mass of the
-    normalized post-departure law, which is 1.  "slot-average" applies
-    Little's law to the mean slot-start queue length and needs the
-    stationary law.  Raises when the effective admission rate is zero.
-    """
-    if estimator not in WAIT_ESTIMATORS:
-        raise InvalidParameterError(f"unknown estimator {estimator!r}")
-    lam_agg = traffic.aggregate_rate
-    lam_eff = lam_agg * (1.0 - drop_prob)
-    if lam_eff <= 0.0:
-        raise UndefinedWaitError("effective admission rate is zero")
-    if estimator == "inverse-rate":
-        return drop_prob / lam_eff + 1.0 / lam_agg
-    if mu is None or mu.space is None:
-        raise InvalidParameterError("slot-average estimator needs the stationary law")
-    mean_queue = float(_running_sum(mu.space.queue * mu.vector))
-    return mean_queue / lam_eff
 
 
 def interference_probability(mu: StationaryDistribution) -> float:
@@ -330,6 +304,14 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     is nothing to drop) and both waiting times as None; a saturated
     point (P_B = 1) likewise reports None waits.  The feasibility flag
     is filled only when both constraint thresholds are supplied.
+
+    The waits are those of an admitted packet, in seconds.  The
+    inverse-rate wait composes the blocking and admission terms of the
+    renewal argument, P_B / lam_eff + 1 / (n lam), algebraically
+    1 / (n lam (1 - P_B)), where lam_eff = n lam (1 - P_B); the
+    admission term is the mass of the normalized post-departure law,
+    which is 1.  The slot-average wait applies Little's law to the mean slot-start queue
+    length, sum_s queue(s) pi(s) / lam_eff.
     """
     if (max_drop is None) != (max_interference is None):
         raise InvalidParameterError("supply both constraint thresholds or neither")
@@ -341,14 +323,13 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
 
     # Zero offered load is decided by the same test that sets P_B to 0.
     offered = params.traffic.mean_arrivals_per_slot
+    lam_agg = params.traffic.aggregate_rate
+    lam_eff = lam_agg * (1.0 - p_b)
     w_inv: float | None = None
     w_slot: float | None = None
-    if offered != 0.0:
-        try:
-            w_inv = waiting_time(p_b, params.traffic, "inverse-rate")
-            w_slot = waiting_time(p_b, params.traffic, "slot-average", mu=mu)
-        except UndefinedWaitError:
-            w_inv = w_slot = None
+    if offered != 0.0 and lam_eff > 0.0:
+        w_inv = p_b / lam_eff + 1.0 / lam_agg
+        w_slot = float(_running_sum(tm.space.queue * mu.vector)) / lam_eff
 
     return QosReport(beta=core.beta, offered_load=offered,
                      carried_load=core.carried_load, drop_prob=p_b,

@@ -192,14 +192,10 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a region sweep."""
+    """One grid point of a region sweep: the swept value and its search result."""
 
     swept_value: float
-    critical_value: float | None
-    feasible_at_zero: bool
-    monotone: bool
-    capped: bool
-    report: QosReport | None
+    result: CriticalResult
 
 
 def sweep(params: SystemParams, constraints: Constraints, axis: str,
@@ -225,13 +221,8 @@ def sweep(params: SystemParams, constraints: Constraints, axis: str,
         else:
             sensing = SensingModel(p_detect=params.sensing.p_detect, p_false_alarm=v)
         p2 = replace(params, sensing=sensing)
-        if target == "beta_c":
-            cr = critical_beta(p2, constraints, tol)
-        else:
-            cr = critical_lambda(p2, constraints, tol)
-        return SweepRow(swept_value=v, critical_value=cr.value,
-                        feasible_at_zero=cr.feasible_at_floor, monotone=cr.monotone,
-                        capped=cr.capped, report=cr.report)
+        search = critical_beta if target == "beta_c" else critical_lambda
+        return SweepRow(swept_value=v, result=search(p2, constraints, tol))
 
     return [one(v) for v in values]
 

@@ -10,7 +10,7 @@ from criotq import (Action, InvalidParameterError, NoConvergenceError, Phase,
                     build_transition_matrix, decision_distribution, enumerate_states,
                     evaluate_qos, params_with_activity, slot_kernel,
                     stationary_distribution)
-from criotq.chain import _check_stochastic, _solve
+from criotq.chain import _solve
 from conftest import make_params
 
 
@@ -469,8 +469,11 @@ def test_stationary_biased_coin():
 
 
 def test_stationary_rejects_bad_matrix():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="rows must sum"):
         stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
+    # Entries are checked before row sums: these rows sum to 1.
+    with pytest.raises(InvalidParameterError, match="outside"):
+        stationary_distribution(np.array([[-0.5, 1.5], [0.5, 0.5]]))
     with pytest.raises(InvalidParameterError):
         stationary_distribution(np.array([[0.5, 0.5]]))
     with pytest.raises(InvalidParameterError):
@@ -485,32 +488,21 @@ def test_stationary_rejects_bad_matrix():
 ])
 def test_stationary_rejects_nan_and_off_rows(bad_row):
     p = np.array([[0.2, 0.3, 0.5], bad_row, [1.0, 0.0, 0.0]])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="rows must sum"):
         stationary_distribution(p)
     p[1] = [0.5, 0.5 + 5e-11, 0.0]  # within the 1e-10 row-sum tolerance
     assert stationary_distribution(p).residual <= 1e-10
 
 
-def test_stacked_check_raises_for_its_first_failing_member():
-    good = np.eye(2)
-    off_rows = np.array([[0.5, 0.4], [0.5, 0.5]])
-    out_of_range = np.array([[-0.5, 1.5], [0.5, 0.5]])  # rows still sum to 1
-    _check_stochastic(np.stack([good, good]))
-    with pytest.raises(InvalidParameterError, match="rows must sum"):
-        _check_stochastic(np.stack([good, off_rows, out_of_range]))
-    with pytest.raises(InvalidParameterError, match="outside"):
-        _check_stochastic(np.stack([good, out_of_range, off_rows]))
-
-
-def test_stacked_solve_raises_for_its_first_failing_member():
+def test_stacked_solve_gives_lone_bits_and_a_singular_stack_raises():
     coin = np.array([[0.9, 0.1], [0.3, 0.7]])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     mu, residual = _solve(np.stack([coin, swap]), [2, 2])
     for row, res, p in zip(mu, residual, (coin, swap)):
         alone = stationary_distribution(p)
         assert row.tobytes() == alone.vector.tobytes() and res == alone.residual
-    # The identity has no unique law: it raises as it does alone, and the
-    # ordinary members before it do not hide that.
+    # The identity has no unique law: the whole stack raises as the
+    # identity does alone, whatever ordinary members surround it.
     with pytest.raises(NoConvergenceError) as err:
         _solve(np.stack([coin, swap, np.eye(2), coin]), [2, 2, 2, 2])
     assert err.value.residual == math.inf

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
                     MetricRangeError, NoConvergenceError, Phase, TrafficModel,
-                    UndefinedLoadError, UndefinedWaitError,
-                    activity_factor, arrival_pmf, arrival_tail, build_transition_matrix,
+                    UndefinedLoadError, activity_factor, arrival_pmf, arrival_tail, build_transition_matrix,
                     carried_load, charge_fraction, departure_distributions, evaluate_qos,
                     interference_probability, nominal_charge_fraction,
-                    packet_drop_probability, required_power, stationary_distribution,
-                    waiting_time)
+                    packet_drop_probability, required_power, slot_kernel,
+                    stationary_distribution)
 from criotq.chain import build_chains, stationary_vectors
 from criotq.metrics import _constraint_metrics, constraint_flags
 from conftest import make_params
@@ -35,7 +34,8 @@ def test_drop_probability_flow_balance(baseline_params):
     tm, mu = solve(baseline_params)
     rho_c = carried_load(mu, tm)
     serving = sum(mu.vector[tm.space.index(i, Phase.OFF, Action.SERVE)] for i in range(1, 11))
-    assert rho_c == pytest.approx(tm.kernel.off_persist * serving, rel=1e-12)
+    off_persist = slot_kernel(baseline_params.pnp, baseline_params.traffic.slot_d).off_persist
+    assert rho_c == pytest.approx(off_persist * serving, rel=1e-12)
     p_b = packet_drop_probability(rho_c, baseline_params.traffic)
     assert p_b == pytest.approx(1.0 - rho_c / 0.02, abs=1e-15)
     assert 0.0 < p_b < 1e-4
@@ -104,33 +104,22 @@ def test_departure_distributions_degenerate():
         departure_distributions(mu, tm, params.traffic)
 
 
-def test_waiting_time_inverse_rate_identity(baseline_params):
+def test_evaluate_qos_wait_identities(baseline_params):
+    # Both waits are those of an admitted packet at rate lam_eff =
+    # n lam (1 - P_B); a saturated point, with lam_eff = 0, has none
+    # (test_evaluate_qos_saturated_policy).
+    r = evaluate_qos(baseline_params)
     tm, mu = solve(baseline_params)
-    rho_c = carried_load(mu, tm)
-    p_b = packet_drop_probability(rho_c, baseline_params.traffic)
-    w = waiting_time(p_b, baseline_params.traffic, "inverse-rate")
+    p_b = packet_drop_probability(carried_load(mu, tm), baseline_params.traffic)
+    assert r.drop_prob == p_b
     lam_agg = 0.02
     want = p_b / (lam_agg * (1.0 - p_b)) + 1.0 / lam_agg
-    assert w == pytest.approx(want, rel=1e-12)
-    assert w == pytest.approx(50.0, rel=1e-4)
-
-
-def test_waiting_time_slot_average_identity(baseline_params):
-    tm, mu = solve(baseline_params)
-    rho_c = carried_load(mu, tm)
-    p_b = packet_drop_probability(rho_c, baseline_params.traffic)
-    w = waiting_time(p_b, baseline_params.traffic, "slot-average", mu=mu)
+    assert r.wait_inverse_rate == pytest.approx(want, rel=1e-12)
+    assert r.wait_inverse_rate == pytest.approx(50.0, rel=1e-4)
+    # Little's law on the mean slot-start queue length.
     mean_q = sum(i * mu.vector[idx] for idx, (i, _, _) in enumerate(tm.space.states))
-    assert w == pytest.approx(mean_q / (0.02 * (1.0 - p_b)), rel=1e-12)
-    assert 10.0 < w < 40.0
-
-
-def test_waiting_time_errors(baseline_params):
-    tm, mu = solve(baseline_params)
-    with pytest.raises(UndefinedWaitError):
-        waiting_time(1.0, baseline_params.traffic, "slot-average", mu=mu)
-    with pytest.raises(InvalidParameterError):
-        waiting_time(0.0, baseline_params.traffic, "harmonic", mu=mu)
+    assert r.wait_slot_avg == pytest.approx(mean_q / (lam_agg * (1.0 - p_b)), rel=1e-12)
+    assert 10.0 < r.wait_slot_avg < 40.0
 
 
 def test_interference_zero_under_perfect_detection():

@@ -280,7 +280,7 @@ def test_sweep_matches_pointwise_search(baseline_params):
     single = critical_beta(baseline_params, ANCHOR_CONSTRAINTS, tol=1e-3)
     assert len(rows) == 1
     assert rows[0].swept_value == 0.9
-    assert rows[0].critical_value == pytest.approx(single.value, abs=1e-12)
+    assert rows[0].result.value == pytest.approx(single.value, abs=1e-12)
 
 
 def test_sweep_preserves_grid_order(baseline_params):
@@ -293,8 +293,8 @@ def test_sweep_preserves_grid_order(baseline_params):
 def test_sweep_false_alarm_axis(baseline_params):
     rows = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="false-alarm",
                  grid=[0.0, 0.4], target="lambda_c", tol=1e-3)
-    assert all(r.critical_value is not None for r in rows)
-    assert rows[1].critical_value <= rows[0].critical_value + 1e-3
+    assert all(r.result.value is not None for r in rows)
+    assert rows[1].result.value <= rows[0].result.value + 1e-3
 
 
 def test_sweep_rejects_bad_arguments(baseline_params):
