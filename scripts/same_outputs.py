@@ -10,8 +10,10 @@ Under OUT it writes:
 * ``cli/<name>/``: the files and the stdout of each command of a fixed
   list of CLI commands (``analyze --emit-stationary --emit-matrix`` of
   every ``configs/*.json``, the sweeps of the region configs, a
-  false-alarm lambda_c sweep, compare runs, a zero-load analyze and a
-  simulate), each with its exit status;
+  false-alarm lambda_c sweep, compare runs, a zero-load analyze, a
+  simulate, an analyze that sets every parameter flag, a simulate that
+  sets every sim flag and a sweep with --tol and --beta), each with its
+  exit status;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
   11 to 13 (144 searches, each with its full report).
@@ -54,6 +56,16 @@ COMMANDS = [
     ("analyze-zero-load",
      ["analyze", "--config", "configs/default.json", "--lambda", "0", "--emit-stationary"]),
     ("simulate-default", ["simulate", "--config", "configs/default.json"]),
+    ("analyze-all-flags",
+     ["analyze", "--config", "configs/default.json", "--mu-on", "1.5", "--mu-off", "0.8",
+      "--n", "20", "--lambda", "0.002", "--capacity-k", "6", "--slot-d", "0.5",
+      "--p-d", "0.8", "--p-f", "0.2", "--theta", "0.3", "--xi", "0.4", "--p-max", "5",
+      "--beta", "0.4"]),
+    ("simulate-sim-flags",
+     ["simulate", "--config", "configs/default.json", "--horizon", "5000", "--warmup", "500",
+      "--seed", "7", "--replications", "2"]),
+    ("sweep-tol-beta",
+     ["sweep", "--config", "configs/region_detection.json", "--tol", "0.01", "--beta", "0.3"]),
 ]
 
 

@@ -5,11 +5,13 @@ simulate (Monte Carlo validation run), sweep (critical-value curve
 along a sensing axis), compare (waiting-time curves of the simulator,
 the full chain and the synchronized reference over a rate grid).
 
-A run is configured by a JSON file plus flat flag overrides; every
-output is CSV with fixed, documented columns, floats printed with 12
-significant digits, and written atomically (temp file then rename) so
-a failed run never leaves a truncated file.  Every command runs in one
-thread, and its output depends only on its configuration and flags.
+A run is configured by a JSON file plus flags.  Every setting has one
+name, ``section.key``, which is also the dest of the flag that
+overrides it.  Every output is CSV with fixed, documented columns,
+floats printed with 12 significant digits, and written atomically (temp
+file then rename) so a failed run never leaves a truncated file.  Every
+command runs in one thread, and its output depends only on its
+configuration and flags.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .chain import build_transition_matrix, stationary_distribution
 from .errors import CriotqError, InvalidParameterError
 from .metrics import evaluate_qos
 from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemParams,
@@ -80,31 +83,43 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         raise
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InvalidParameterError(f"config {path} must hold a JSON object at top level")
+#: The config sections the commands read; other top-level keys are ignored.
+_SECTIONS = ("pnp", "traffic", "sensing", "policy", "power", "constraints", "sim", "sweep",
+             "compare")
+
+
+def _settings(args) -> dict:
+    """Every setting of a run by its ``section.key`` name.
+
+    The config file's values come first; each flag given on the command
+    line replaces the value named by its argparse dest.
+    """
+    cfg = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidParameterError(
+                    f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidParameterError(
+                f"config {args.config} must hold a JSON object at top level")
+        for section in _SECTIONS:
+            sec = raw.get(section, {})
+            if not isinstance(sec, dict):
+                raise InvalidParameterError(f"config section {section!r} must be an object")
+            cfg.update((f"{section}.{key}", value) for key, value in sec.items())
+    cfg.update((dest, value) for dest, value in vars(args).items()
+               if "." in dest and value is not None)
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise InvalidParameterError(f"config section {name!r} must be an object")
-    return dict(sec)
-
-
-def _need(sec: dict, section: str, key: str):
-    if key not in sec or sec[key] is None:
-        raise InvalidParameterError(f"missing required config value {section}.{key} "
+def _need(cfg: dict, name: str):
+    if cfg.get(name) is None:
+        raise InvalidParameterError(f"missing required config value {name} "
                                     f"(set it in the config file or by flag)")
-    return sec[key]
+    return cfg[name]
 
 
 def _number(value, name: str, integral: bool = False):
@@ -126,89 +141,60 @@ def _number(value, name: str, integral: bool = False):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}") from exc
 
 
-def _need_number(sec: dict, section: str, key: str, integral: bool = False):
-    return _number(_need(sec, section, key), f"{section}.{key}", integral)
+def _need_number(cfg: dict, name: str, integral: bool = False):
+    return _number(_need(cfg, name), name, integral)
 
 
-#: flag destination -> (config section, key) for scalar parameter overrides.
-_PARAM_OVERRIDES = {
-    "mu_on": ("pnp", "mu_on"),
-    "mu_off": ("pnp", "mu_off"),
-    "n": ("traffic", "n"),
-    "lam": ("traffic", "lambda"),
-    "capacity_k": ("traffic", "capacity_k"),
-    "slot_d": ("traffic", "slot_d"),
-    "p_d": ("sensing", "p_detect"),
-    "p_f": ("sensing", "p_false_alarm"),
-    "theta": ("policy", "theta_idle"),
-    "xi": ("policy", "xi_charge"),
-    "p_max": ("power", "p_max"),
-}
+def _optional_number(cfg: dict, name: str, default=None, integral: bool = False):
+    """An unset (absent or null) value gives default, any other must be a number."""
+    value = cfg.get(name)
+    return default if value is None else _number(value, name, integral)
 
 
-def _build_params(cfg: dict, args) -> SystemParams:
-    merged = {name: _section(cfg, name) for name in
-              ("pnp", "traffic", "sensing", "policy", "power")}
-    for dest, (section, key) in _PARAM_OVERRIDES.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            merged[section][key] = value
+def _need_numbers(cfg: dict, name: str) -> list:
+    values = cfg.get(name)
+    if not isinstance(values, list) or not values:
+        raise InvalidParameterError(f"{name} must be a nonempty list of numbers")
+    return [_number(v, name) for v in values]
 
-    pnp_sec, tr_sec = merged["pnp"], merged["traffic"]
-    sen_sec, pol_sec, pow_sec = merged["sensing"], merged["policy"], merged["power"]
-    pnp = PnpModel(mu_on=_need_number(pnp_sec, "pnp", "mu_on"),
-                   mu_off=_need_number(pnp_sec, "pnp", "mu_off"))
-    traffic = TrafficModel(n=_need_number(tr_sec, "traffic", "n", integral=True),
-                           lam=_need_number(tr_sec, "traffic", "lambda"),
-                           capacity_k=_need_number(tr_sec, "traffic", "capacity_k", integral=True),
-                           slot_d=_need_number(tr_sec, "traffic", "slot_d"))
-    sensing = SensingModel(p_detect=_need_number(sen_sec, "sensing", "p_detect"),
-                           p_false_alarm=_need_number(sen_sec, "sensing", "p_false_alarm"))
-    policy = PolicyModel(theta_idle=_need_number(pol_sec, "policy", "theta_idle"),
-                         xi_charge=_need_number(pol_sec, "policy", "xi_charge"))
-    radii = _need(pow_sec, "power", "node_radii")
-    if not isinstance(radii, (list, tuple)):
-        raise InvalidParameterError("power.node_radii must be a list of distances")
-    charging_radius = pow_sec.get("charging_radius")
-    power = PowerModel(p_charge_min=_need_number(pow_sec, "power", "p_charge_min"),
-                       p_max=_need_number(pow_sec, "power", "p_max"),
-                       energy_per_packet=_need_number(pow_sec, "power", "energy_per_packet"),
-                       pathloss_exponent=_need_number(pow_sec, "power", "pathloss_exponent"),
-                       node_radii=tuple(_number(r, "power.node_radii") for r in radii),
-                       charging_radius=None if charging_radius is None
-                       else _number(charging_radius, "power.charging_radius"))
+
+def _build_params(cfg: dict, beta: float | None) -> SystemParams:
+    pnp = PnpModel(mu_on=_need_number(cfg, "pnp.mu_on"),
+                   mu_off=_need_number(cfg, "pnp.mu_off"))
+    traffic = TrafficModel(n=_need_number(cfg, "traffic.n", integral=True),
+                           lam=_need_number(cfg, "traffic.lambda"),
+                           capacity_k=_need_number(cfg, "traffic.capacity_k", integral=True),
+                           slot_d=_need_number(cfg, "traffic.slot_d"))
+    sensing = SensingModel(p_detect=_need_number(cfg, "sensing.p_detect"),
+                           p_false_alarm=_need_number(cfg, "sensing.p_false_alarm"))
+    policy = PolicyModel(theta_idle=_need_number(cfg, "policy.theta_idle"),
+                         xi_charge=_need_number(cfg, "policy.xi_charge"))
+    power = PowerModel(p_charge_min=_need_number(cfg, "power.p_charge_min"),
+                       p_max=_need_number(cfg, "power.p_max"),
+                       energy_per_packet=_need_number(cfg, "power.energy_per_packet"),
+                       pathloss_exponent=_need_number(cfg, "power.pathloss_exponent"),
+                       node_radii=tuple(_need_numbers(cfg, "power.node_radii")),
+                       charging_radius=_optional_number(cfg, "power.charging_radius"))
     params = SystemParams(pnp=pnp, traffic=traffic, sensing=sensing, policy=policy, power=power)
-    if getattr(args, "beta", None) is not None:
-        params = params_with_activity(params, args.beta)
-    return params
+    return params if beta is None else params_with_activity(params, beta)
 
 
 def _build_constraints(cfg: dict, required: bool) -> Constraints | None:
-    sec = _section(cfg, "constraints")
-    if not sec:
+    if not any(name.startswith("constraints.") for name in cfg):
         if required:
             raise InvalidParameterError("this command needs a constraints section "
                                         "(max_drop, max_interference)")
         return None
-    return Constraints(max_drop=_need_number(sec, "constraints", "max_drop"),
-                       max_interference=_need_number(sec, "constraints", "max_interference"))
+    return Constraints(max_drop=_need_number(cfg, "constraints.max_drop"),
+                       max_interference=_need_number(cfg, "constraints.max_interference"))
 
 
-def _build_sim_config(cfg: dict, args, params: SystemParams) -> SimConfig:
-    sec = _section(cfg, "sim")
-    for dest, key in (("horizon", "horizon_slots"), ("warmup", "warmup_slots"),
-                      ("seed", "seed"), ("replications", "replications")):
-        value = getattr(args, dest, None)
-        if value is not None:
-            sec[key] = value
-    warmup = sec.get("warmup_slots")
+def _build_sim_config(cfg: dict, params: SystemParams) -> SimConfig:
     return SimConfig(params=params,
-                     horizon_slots=_need_number(sec, "sim", "horizon_slots", integral=True),
-                     seed=_need_number(sec, "sim", "seed", integral=True),
-                     warmup_slots=None if warmup is None
-                     else _number(warmup, "sim.warmup_slots", integral=True),
-                     replications=_number(sec.get("replications", 1), "sim.replications",
-                                          integral=True))
+                     horizon_slots=_need_number(cfg, "sim.horizon_slots", integral=True),
+                     seed=_need_number(cfg, "sim.seed", integral=True),
+                     warmup_slots=_optional_number(cfg, "sim.warmup_slots", integral=True),
+                     replications=_optional_number(cfg, "sim.replications", 1, integral=True))
 
 
 _PHASE_NAMES = np.array(["off", "on"])
@@ -221,8 +207,8 @@ def _state_columns(space, idx: np.ndarray) -> list[np.ndarray]:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    params = _build_params(cfg, args)
+    cfg = _settings(args)
+    params = _build_params(cfg, args.beta)
     constraints = _build_constraints(cfg, required=False)
     if constraints is None:
         report = evaluate_qos(params)
@@ -238,7 +224,6 @@ def cmd_analyze(args) -> int:
     _write_csv(out / "metrics.csv", METRICS_COLUMNS, [row])
 
     if args.emit_stationary or args.emit_matrix:
-        from .chain import build_transition_matrix, stationary_distribution
         tm = build_transition_matrix(params)
         if args.emit_stationary:
             mu = stationary_distribution(tm)
@@ -262,9 +247,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    params = _build_params(cfg, args)
-    sim_cfg = _build_sim_config(cfg, args, params)
+    cfg = _settings(args)
+    sim_cfg = _build_sim_config(cfg, _build_params(cfg, args.beta))
     result = run_simulation(sim_cfg)
 
     # A replication and the pooled result share the estimate fields.
@@ -284,17 +268,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    params = _build_params(cfg, args)
+    cfg = _settings(args)
+    params = _build_params(cfg, args.beta)
     constraints = _build_constraints(cfg, required=True)
-    sec = _section(cfg, "sweep")
-    axis = args.axis if args.axis is not None else sec.get("axis")
-    target = args.target if args.target is not None else sec.get("target")
-    grid = args.grid if args.grid is not None else sec.get("grid")
-    tol = args.tol if args.tol is not None else _number(sec.get("tol", 1e-3), "sweep.tol")
-    if not grid:
-        raise InvalidParameterError("sweep grid is missing or empty")
-    values = sorted(_number(v, "sweep.grid") for v in grid)  # canonical order for stable output
+    axis, target = cfg.get("sweep.axis"), cfg.get("sweep.target")
+    tol = _optional_number(cfg, "sweep.tol", 1e-3)
+    values = sorted(_need_numbers(cfg, "sweep.grid"))  # canonical order for stable output
 
     rows_out = []
     diag_rows = []
@@ -314,19 +293,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    params = _build_params(cfg, args)
-    sec = _section(cfg, "compare")
-    grid = args.lambda_grid if args.lambda_grid is not None else sec.get("lambda_grid")
-    if not grid:
-        raise InvalidParameterError("compare lambda_grid is missing or empty")
-    lam_grid = [_number(v, "compare.lambda_grid") for v in grid]  # echoed in caller order
-
+    cfg = _settings(args)
+    params = _build_params(cfg, args.beta)
     rows = []
-    for lam in lam_grid:
+    for lam in _need_numbers(cfg, "compare.lambda_grid"):  # echoed in caller order
         p2 = replace(params, traffic=replace(params.traffic, lam=lam))
-        sim_cfg = _build_sim_config(cfg, args, p2)
-        sim = run_simulation(sim_cfg)
+        sim = run_simulation(_build_sim_config(cfg, p2))
         full = evaluate_qos(p2)
         base = synchronized_baseline(p2)
         rows.append([lam, sim.mean_sojourn_hat, full.wait_slot_avg, base.wait_slot_avg])
@@ -338,26 +310,26 @@ def cmd_compare(args) -> int:
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.add_argument("--mu-on", dest="mu_on", type=float)
-    p.add_argument("--mu-off", dest="mu_off", type=float)
+    p.add_argument("--mu-on", dest="pnp.mu_on", type=float)
+    p.add_argument("--mu-off", dest="pnp.mu_off", type=float)
     p.add_argument("--beta", type=float,
                    help="set the primary activity factor by scaling mu_off")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--capacity-k", dest="capacity_k", type=int)
-    p.add_argument("--slot-d", dest="slot_d", type=float)
-    p.add_argument("--p-d", dest="p_d", type=float)
-    p.add_argument("--p-f", dest="p_f", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--p-max", dest="p_max", type=float)
+    p.add_argument("--n", dest="traffic.n", type=int)
+    p.add_argument("--lambda", dest="traffic.lambda", type=float)
+    p.add_argument("--capacity-k", dest="traffic.capacity_k", type=int)
+    p.add_argument("--slot-d", dest="traffic.slot_d", type=float)
+    p.add_argument("--p-d", dest="sensing.p_detect", type=float)
+    p.add_argument("--p-f", dest="sensing.p_false_alarm", type=float)
+    p.add_argument("--theta", dest="policy.theta_idle", type=float)
+    p.add_argument("--xi", dest="policy.xi_charge", type=float)
+    p.add_argument("--p-max", dest="power.p_max", type=float)
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--replications", type=int)
+    p.add_argument("--horizon", dest="sim.horizon_slots", type=int)
+    p.add_argument("--warmup", dest="sim.warmup_slots", type=int)
+    p.add_argument("--seed", dest="sim.seed", type=int)
+    p.add_argument("--replications", dest="sim.replications", type=int)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -385,16 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="critical-value curve along a sensing axis")
     _add_param_flags(p)
-    p.add_argument("--axis", choices=list(SWEEP_AXES))
-    p.add_argument("--target", choices=list(SWEEP_TARGETS))
-    p.add_argument("--grid", type=_parse_grid, help="comma-separated axis values")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--axis", dest="sweep.axis", choices=list(SWEEP_AXES))
+    p.add_argument("--target", dest="sweep.target", choices=list(SWEEP_TARGETS))
+    p.add_argument("--grid", dest="sweep.grid", type=_parse_grid,
+                   help="comma-separated axis values")
+    p.add_argument("--tol", dest="sweep.tol", type=float)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="waiting-time curves over a rate grid")
     _add_param_flags(p)
     _add_sim_flags(p)
-    p.add_argument("--lambda-grid", dest="lambda_grid", type=_parse_grid,
+    p.add_argument("--lambda-grid", dest="compare.lambda_grid", type=_parse_grid,
                    help="comma-separated per-node rates")
     p.set_defaults(func=cmd_compare)
     return parser

@@ -40,7 +40,9 @@ BETA_CEIL = 1.0 - 1e-6
 _PRESCAN_POINTS = 32
 _LAMBDA_DOUBLING_CAP = 20
 
-SWEEP_AXES = ("detection", "false-alarm")
+#: Sweep axis -> the SensingModel field its grid drives.
+_AXIS_FIELDS = {"detection": "p_detect", "false-alarm": "p_false_alarm"}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 SWEEP_TARGETS = ("beta_c", "lambda_c")
 
 
@@ -214,17 +216,13 @@ def sweep(params: SystemParams, constraints: Constraints, axis: str,
     values = [float(v) for v in grid]
     if not values:
         raise InvalidParameterError("grid must be nonempty")
-
-    def one(v: float) -> SweepRow:
-        if axis == "detection":
-            sensing = SensingModel(p_detect=v, p_false_alarm=params.sensing.p_false_alarm)
-        else:
-            sensing = SensingModel(p_detect=params.sensing.p_detect, p_false_alarm=v)
-        p2 = replace(params, sensing=sensing)
-        search = critical_beta if target == "beta_c" else critical_lambda
-        return SweepRow(swept_value=v, result=search(p2, constraints, tol))
-
-    return [one(v) for v in values]
+    field = _AXIS_FIELDS[axis]
+    search = critical_beta if target == "beta_c" else critical_lambda
+    rows = []
+    for v in values:
+        at = replace(params, sensing=replace(params.sensing, **{field: v}))
+        rows.append(SweepRow(swept_value=v, result=search(at, constraints, tol)))
+    return rows
 
 
 def synchronized_baseline(params: SystemParams) -> QosReport:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -276,6 +277,99 @@ def test_compare_schema_and_determinism(tmp_path):
     for r in rows:
         assert float(r["w_sync_baseline"]) <= float(r["w_full_model"]) + 1e-9
         assert math.isfinite(float(r["w_sim"]))
+
+
+#: Each parameter flag and the config key it overrides.
+PARAM_FLAGS = [("--mu-on", "pnp.mu_on"), ("--mu-off", "pnp.mu_off"), ("--n", "traffic.n"),
+               ("--lambda", "traffic.lambda"), ("--capacity-k", "traffic.capacity_k"),
+               ("--slot-d", "traffic.slot_d"), ("--p-d", "sensing.p_detect"),
+               ("--p-f", "sensing.p_false_alarm"), ("--theta", "policy.theta_idle"),
+               ("--xi", "policy.xi_charge"), ("--p-max", "power.p_max")]
+#: The output file of each command that has run flags.
+RUN_OUTPUTS = {"simulate": "sim.csv", "sweep": "sweep.csv", "compare": "compare.csv"}
+
+
+def short_run_config() -> dict:
+    """The default config with short simulations and two-point sweep and compare grids."""
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    cfg["sim"] = {"horizon_slots": 4000, "warmup_slots": 300, "seed": 5, "replications": 2}
+    cfg["sweep"] = {"axis": "detection", "target": "beta_c", "grid": [0.7, 0.9], "tol": 0.01}
+    cfg["compare"] = {"lambda_grid": [0.001, 0.002]}
+    return cfg
+
+
+def key_by_flag(tmp_path: Path, cfg: dict, flag: str, name: str) -> list[str]:
+    """Arguments that load cfg without the key `name` and give its value by flag."""
+    cfg = copy.deepcopy(cfg)
+    section, key = name.split(".")
+    value = cfg[section].pop(key)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(cfg))
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    return ["--config", str(path), flag, text]
+
+
+@pytest.mark.parametrize("flag,name", PARAM_FLAGS)
+def test_param_flag_supplies_its_config_key(tmp_path, flag, name):
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    rc = main(["analyze", *key_by_flag(tmp_path, cfg, flag, name), "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "metrics.csv").read_bytes() == GOLDEN_METRICS.read_bytes()
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    ("simulate", "--horizon", "sim.horizon_slots"),
+    ("simulate", "--warmup", "sim.warmup_slots"),
+    ("simulate", "--seed", "sim.seed"),
+    ("simulate", "--replications", "sim.replications"),
+    ("sweep", "--axis", "sweep.axis"),
+    ("sweep", "--target", "sweep.target"),
+    ("sweep", "--grid", "sweep.grid"),
+    ("sweep", "--tol", "sweep.tol"),
+    ("compare", "--lambda-grid", "compare.lambda_grid"),
+])
+def test_run_flag_supplies_its_config_key(tmp_path, command, flag, name):
+    cfg = short_run_config()
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(full), "--out", str(tmp_path / "file")]) == 0
+    rc = main([command, *key_by_flag(tmp_path, cfg, flag, name), "--out", str(tmp_path / "flag")])
+    assert rc == 0
+    output = RUN_OUTPUTS[command]
+    assert (tmp_path / "flag" / output).read_bytes() == (tmp_path / "file" / output).read_bytes()
+
+
+@pytest.mark.parametrize("command,name,value", [
+    ("sweep", "sweep.grid", 0.9),
+    ("compare", "compare.lambda_grid", 0.001),
+    ("compare", "compare.lambda_grid", "12"),
+    ("analyze", "power.node_radii", "5"),
+])
+def test_list_value_must_be_a_json_list(tmp_path, capsys, command, name, value):
+    cfg = short_run_config()
+    section, key = name.split(".")
+    cfg[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert f"error: {name} must be a nonempty list of numbers" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_every_command_checks_every_known_section(tmp_path, capsys):
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    cfg["notes"] = "top-level keys outside the known sections are ignored"
+    cfg["sweep"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["analyze", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: config section 'sweep' must be an object" in capsys.readouterr().err
+    del cfg["sweep"]
+    bad.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(bad), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_unknown_command_exits_2():
