@@ -22,10 +22,8 @@ from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constrain
                      CriticalResult, SweepRow, critical_beta,
                      critical_lambda, feasibility_check, optimize_policy_grid,
                      params_with_activity, sweep, synchronized_baseline)
-from .simulate import (GENERATOR_NAME, NUM_BATCHES, Counts, EmpiricalKernel,
-                       ReplicationResult, RowEstimate,
-                       SimConfig, SimResult, estimate_slot_kernel,
-                       estimate_transition_row, run_simulation)
+from .simulate import (GENERATOR_NAME, NUM_BATCHES, Counts, Estimates, SimConfig, SimResult,
+                       estimate_slot_kernel, estimate_transition_row, run_simulation)
 from .slot import (Action, ActionPmf, Phase, SlotTransitionKernel, arrival_pmf,
                    arrival_tail, decision_distribution, slot_kernel)
 
@@ -35,12 +33,12 @@ __all__ = [
     "BETA_CEIL", "BETA_FLOOR", "GENERATOR_NAME", "NUM_BATCHES",
     "SWEEP_AXES", "SWEEP_TARGETS",
     "Action", "ActionPmf", "Constraints", "Counts", "CriotqError", "CriticalResult",
-    "DegenerateDistributionError", "DepartureDistributions", "EmpiricalKernel",
+    "DegenerateDistributionError", "DepartureDistributions", "Estimates",
     "InvalidParameterError", "MetricRangeError", "NoConvergenceError", "Phase",
     "PnpModel", "PolicyModel", "PowerModel", "PowerRequirement", "QosReport",
-    "ReplicationResult", "RowEstimate", "SensingModel", "SimConfig", "SimResult",
-    "SlotTransitionKernel", "StateSpace", "StationaryDistribution", "SweepRow",
-    "SystemParams", "TrafficModel", "TransitionMatrix", "UndefinedLoadError",
+    "SensingModel", "SimConfig", "SimResult", "SlotTransitionKernel", "StateSpace",
+    "StationaryDistribution", "SweepRow", "SystemParams", "TrafficModel", "TransitionMatrix",
+    "UndefinedLoadError",
     "activity_factor", "arrival_pmf", "arrival_tail",
     "build_transition_matrix", "carried_load", "charge_fraction", "critical_beta",
     "critical_lambda", "decision_distribution", "departure_distributions",

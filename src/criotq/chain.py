@@ -141,9 +141,6 @@ class StateSpace:
             raise InvalidParameterError("state (0, phase, Serve) is excluded")
         return int(np.searchsorted(self.cell, 6 * queue + 3 * int(phase) + int(action)))
 
-    def state(self, idx: int) -> State:
-        return self.states[idx]
-
 
 def enumerate_states(capacity_k: int) -> StateSpace:
     """The state space for buffer capacity K, built once per K and shared.

@@ -125,20 +125,19 @@ def _need(cfg: dict, name: str):
 def _number(value, name: str, integral: bool = False):
     """A config value as a float, or as an int when integral.
 
-    Raises InvalidParameterError naming the key where int()/float()
-    would raise a bare ValueError or silently truncate.  An integral
-    value must be an integer or a whole float (2e5 passes, 1000.9,
-    "12" and true do not).
+    Raises InvalidParameterError naming the key unless the value is a
+    JSON number: true and "0.001" are not, though float() takes them.
+    An integral value must be an integer or a whole float (2e5 passes,
+    1000.9, "12" and true do not).
     """
     if integral:
         if isinstance(value, bool) or not (isinstance(value, int) or (
                 isinstance(value, float) and value.is_integer())):
             raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         return int(value)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name} must be a number, got {value!r}") from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _need_number(cfg: dict, name: str, integral: bool = False):
@@ -251,8 +250,8 @@ def cmd_simulate(args) -> int:
     sim_cfg = _build_sim_config(cfg, _build_params(cfg, args.beta))
     result = run_simulation(sim_cfg)
 
-    # A replication and the pooled result share the estimate fields.
-    estimates = [("rep", rep.rep_index, rep) for rep in result.reps] + [("pooled", -1, result)]
+    # Each replication and the pooled result are Estimates.
+    estimates = [("rep", r, rep) for r, rep in enumerate(result.reps)] + [("pooled", -1, result)]
     rows = [[kind, index, result.seed, result.generator, result.horizon_slots,
              result.warmup_slots, est.counts.generated, est.counts.admitted,
              est.counts.dropped, est.counts.served, est.drop_prob_hat, est.drop_prob_se,
@@ -336,7 +335,7 @@ def _parse_grid(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise InvalidParameterError(f"grid must be comma-separated numbers: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"grid must be comma-separated numbers: {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,7 +51,7 @@ import numpy as np
 from .chain import StateSpace, enumerate_states
 from .errors import InvalidParameterError
 from .params import PnpModel, SystemParams, activity_factor
-from .slot import Action, Phase
+from .slot import Action, Phase, SlotTransitionKernel
 
 GENERATOR_NAME = "PCG64"
 
@@ -116,10 +116,9 @@ class Counts(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ReplicationResult:
-    """Point estimates of a single replication."""
+class Estimates:
+    """Counts, point estimates and batch-means SEs of one or more replications."""
 
-    rep_index: int
     counts: Counts
     drop_prob_hat: float
     drop_prob_se: float
@@ -132,33 +131,26 @@ class ReplicationResult:
 
 
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(Estimates):
     """Pooled simulation output.
 
-    Histograms are pmfs: slot_state_histogram over the canonical state
-    order of the analytic chain, post_departure_histogram over the queue
-    left behind at departures (0..K-1).  Standard errors come from batch
-    means over the measured window (all replications concatenated).
+    The estimate fields pool every replication; reps holds each
+    replication's own Estimates in replication order.  Histograms are
+    pmfs: slot_state_histogram over the canonical state order of the
+    analytic chain, post_departure_histogram over the queue left behind
+    at departures (0..K-1).  Standard errors come from batch means over
+    the measured window (all replications concatenated).
     """
 
-    drop_prob_hat: float
-    drop_prob_se: float
-    mean_sojourn_hat: float
-    mean_sojourn_se: float
-    interference_hat: float
-    interference_se: float
-    carried_load_hat: float
-    charge_fraction_hat: float
     slot_state_histogram: np.ndarray
     post_departure_histogram: np.ndarray
-    counts: Counts
     space: StateSpace
     seed: int
     generator: str
     horizon_slots: int
     warmup_slots: int
     replications: int
-    reps: tuple[ReplicationResult, ...]
+    reps: tuple[Estimates, ...]
 
     def __post_init__(self):
         c = self.counts
@@ -354,7 +346,7 @@ def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
 
 
 def _estimates(tally: _Tally) -> dict:
-    """Point estimates, batch-means SEs and counts shared by reps and pools."""
+    """The Estimates fields of one replication's tally or of a pool."""
     b = tally.batches.astype(float)
     drop, drop_se = _ratio_stats(b[:, _DROP], b[:, _GEN])
     soj, soj_se = _ratio_stats(tally.soj_sum, b[:, _SERVE])
@@ -393,8 +385,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         space=enumerate_states(config.params.traffic.capacity_k), seed=config.seed,
         generator=GENERATOR_NAME, horizon_slots=horizon, warmup_slots=warmup,
         replications=reps,
-        reps=tuple(ReplicationResult(rep_index=r, **_estimates(t))
-                   for r, t in enumerate(tallies)))
+        reps=tuple(Estimates(**_estimates(t)) for t in tallies))
 
 
 def _renewal_endpoints(rng: np.random.Generator, pnp: PnpModel, start_phase: int,
@@ -421,31 +412,13 @@ def _renewal_endpoints(rng: np.random.Generator, pnp: PnpModel, start_phase: int
     return cur, whole
 
 
-@dataclass(frozen=True)
-class EmpiricalKernel:
-    """Monte Carlo estimate of the slot phase kernel, with binomial SEs."""
+def estimate_slot_kernel(pnp: PnpModel, slot_d: float, trials: int,
+                         seed: int) -> SlotTransitionKernel:
+    """Estimate the phase kernel by simulating `trials` slots from each phase.
 
-    a00: float
-    a01: float
-    a10: float
-    a11: float
-    off_persist: float
-    on_persist: float
-    se_a00: float
-    se_a01: float
-    se_a10: float
-    se_a11: float
-    se_off_persist: float
-    se_on_persist: float
-    trials: int
-
-
-def _binom_se(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def estimate_slot_kernel(pnp: PnpModel, slot_d: float, trials: int, seed: int) -> EmpiricalKernel:
-    """Estimate the phase kernel by simulating `trials` slots from each phase."""
+    The fields are the observed frequencies, in the record slot_kernel
+    returns for the closed form.
+    """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -455,33 +428,19 @@ def estimate_slot_kernel(pnp: PnpModel, slot_d: float, trials: int, seed: int) -
     a10 = float(np.count_nonzero(end_on == 0)) / trials
     offp = float(np.count_nonzero(whole_off)) / trials
     onp = float(np.count_nonzero(whole_on)) / trials
-    return EmpiricalKernel(
-        a00=1.0 - a01, a01=a01, a10=a10, a11=1.0 - a10,
-        off_persist=offp, on_persist=onp,
-        se_a00=_binom_se(a01, trials), se_a01=_binom_se(a01, trials),
-        se_a10=_binom_se(a10, trials), se_a11=_binom_se(a10, trials),
-        se_off_persist=_binom_se(offp, trials), se_on_persist=_binom_se(onp, trials),
-        trials=trials)
-
-
-@dataclass(frozen=True)
-class RowEstimate:
-    """Empirical pmf over destination states from one source state."""
-
-    pmf: np.ndarray
-    trials: int
-    space: StateSpace
+    return SlotTransitionKernel(a00=1.0 - a01, a01=a01, a10=a10, a11=1.0 - a10,
+                                off_persist=offp, on_persist=onp)
 
 
 def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Action],
-                            trials: int, seed: int) -> RowEstimate:
+                            trials: int, seed: int) -> np.ndarray:
     """Monte Carlo one-slot transition row from a fixed source state.
 
     Simulates `trials` independent slots started in `source`: a renewal
     phase path, a Poisson arrival count capped by the free buffer, the
     head-of-line departure on a covered serving slot, and the next
-    decision draw.  Destination frequencies are returned in canonical
-    state order.
+    decision draw.  Returns the destination frequencies in canonical
+    state order, shaped like the analytic row ``tm.matrix[src]``.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
@@ -511,4 +470,4 @@ def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Acti
 
     idx = np.searchsorted(space.cell, 6 * j + 3 * end_phase + acts)
     counts = np.bincount(idx, minlength=space.size)
-    return RowEstimate(pmf=counts / trials, trials=trials, space=space)
+    return counts / trials

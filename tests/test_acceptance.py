@@ -108,9 +108,9 @@ def test_criterion_02_transition_rows_monte_carlo(anchor):
         for attempt in range(MAX_SEED_ATTEMPTS):
             est = estimate_transition_row(params, src, MC_TRIALS,
                                           seed=1000 * row_idx + attempt)
-            assert abs(est.pmf.sum() - 1.0) <= 1e-10, f"estimated row {src} sum"
+            assert abs(est.sum() - 1.0) <= 1e-10, f"estimated row {src} sum"
             se = np.maximum(np.sqrt(p_row * (1.0 - p_row) / MC_TRIALS), SE_FLOOR)
-            zmax = float(np.max(np.abs(est.pmf - p_row) / se))
+            zmax = float(np.max(np.abs(est - p_row) / se))
             if zmax <= 3.0:
                 accepted = zmax
                 retried += attempt

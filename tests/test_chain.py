@@ -126,7 +126,7 @@ def test_index_round_trip():
         space = enumerate_states(k)
         for idx, (i, phi, psi) in enumerate(space.states):
             assert space.index(i, phi, psi) == idx
-            assert space.state(idx) == (i, phi, psi)
+            assert space.states[idx] == (i, phi, psi)
             assert (space.queue[idx], space.phase[idx], space.action[idx]) == (i, phi, psi)
             assert space.cell[idx] == 6 * i + 3 * phi + psi
         # cell is the full (K+1) x 2 x 3 grid order without the two

@@ -211,6 +211,8 @@ def test_sweep_diag_keeps_the_search_flags(tmp_path):
     ("sim", "horizon_slots", 1000.9, "sim.horizon_slots must be an integer"),
     ("traffic", "capacity_k", 10.5, "traffic.capacity_k must be an integer"),
     ("traffic", "lambda", "fast", "traffic.lambda must be a number"),
+    ("sensing", "p_detect", True, "sensing.p_detect must be a number"),
+    ("traffic", "lambda", "0.001", "traffic.lambda must be a number"),
 ])
 def test_bad_config_number_names_its_key(tmp_path, capsys, section, key, value, message):
     cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
@@ -370,6 +372,14 @@ def test_every_command_checks_every_known_section(tmp_path, capsys):
     del cfg["sweep"]
     bad.write_text(json.dumps(cfg))
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command,flag", [("sweep", "--grid"), ("compare", "--lambda-grid")])
+def test_bad_grid_flag_shows_its_message(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", DEFAULT_CONFIG, flag, "0.5,abc"])
+    assert exc.value.code == 2
+    assert "grid must be comma-separated numbers: '0.5,abc'" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

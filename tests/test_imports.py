@@ -1,6 +1,7 @@
 """Every name a module imports is read somewhere in that module.
 
-``__init__.py`` is skipped: it imports names to re-export them.
+``__init__.py`` is checked apart: it imports names to re-export them, so
+what it imports must be exactly what ``__all__`` lists.
 """
 
 import ast
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).resolve().parent.parent / "src" / "criotq").glob("*.py")
-                 if p.name != "__init__.py")
+import criotq
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "criotq"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +39,14 @@ def test_finder_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    assert len(set(imported)) == len(imported)
+    assert len(set(criotq.__all__)) == len(criotq.__all__)
+    assert set(imported) == set(criotq.__all__)
+    assert all(hasattr(criotq, name) for name in criotq.__all__)

@@ -366,10 +366,11 @@ def test_kernel_estimate_matches_closed_form():
     pnp = PnpModel(mu_on=1.3, mu_off=0.6)
     d = 0.8
     want = slot_kernel(pnp, d)
-    est = estimate_slot_kernel(pnp, d, trials=200_000, seed=90817)
+    trials = 200_000
+    est = estimate_slot_kernel(pnp, d, trials=trials, seed=90817)
     for name in ("a00", "a01", "a10", "a11", "off_persist", "on_persist"):
         p = getattr(want, name)
-        se = math.sqrt(p * (1.0 - p) / est.trials)
+        se = math.sqrt(p * (1.0 - p) / trials)
         assert abs(getattr(est, name) - p) <= 4.0 * se, name
     with pytest.raises(InvalidParameterError):
         estimate_slot_kernel(pnp, d, trials=0, seed=1)
@@ -379,10 +380,10 @@ def test_transition_row_without_arrivals_stays_put():
     params = make_params(lam=0.0)
     est = estimate_transition_row(params, (2, Phase.OFF, Action.IDLE),
                                   trials=20_000, seed=11)
-    for idx, (j, _, _) in enumerate(est.space.states):
+    for idx, (j, _, _) in enumerate(enumerate_states(params.traffic.capacity_k).states):
         if j != 2:
-            assert est.pmf[idx] == 0.0
-    assert est.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            assert est[idx] == 0.0
+    assert est.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transition_row_collided_serve_never_clears():
@@ -390,20 +391,21 @@ def test_transition_row_collided_serve_never_clears():
     params = make_params(lam=0.0)
     est = estimate_transition_row(params, (2, Phase.ON, Action.SERVE),
                                   trials=20_000, seed=12)
-    for idx, (j, _, _) in enumerate(est.space.states):
+    for idx, (j, _, _) in enumerate(enumerate_states(params.traffic.capacity_k).states):
         if j < 2:
-            assert est.pmf[idx] == 0.0
+            assert est[idx] == 0.0
 
 
 def test_transition_row_matches_analytic_row():
     params = make_params(lam=0.05)
     tm = build_transition_matrix(params)
     src = tm.space.index(1, int(Phase.OFF), int(Action.SERVE))
+    trials = 300_000
     est = estimate_transition_row(params, (1, Phase.OFF, Action.SERVE),
-                                  trials=300_000, seed=260801)
+                                  trials=trials, seed=260801)
     for dst in range(tm.space.size):
         p = tm.matrix[src, dst]
         # Count-space bound: 4 sigma plus discreteness slack so cells with
         # expected counts near zero admit a stray hit or two.
-        tol_counts = 4.0 * math.sqrt(est.trials * p * (1.0 - p)) + 5.0
-        assert abs(est.pmf[dst] - p) * est.trials <= tol_counts, tm.space.state(dst)
+        tol_counts = 4.0 * math.sqrt(trials * p * (1.0 - p)) + 5.0
+        assert abs(est[dst] - p) * trials <= tol_counts, tm.space.states[dst]
