@@ -370,7 +370,7 @@ class StationaryDistribution:
             was solved for, after cleanup.  M is the lumped matrix Q
             when solved from a TransitionMatrix, which bounds the same
             norm for the full chain; otherwise the matrix given.
-        method: "direct", the dense LU solve, the only path.
+        method: SOLVER_METHOD ("direct"), the dense LU solve, the only path.
         space: the state space, when solved from a TransitionMatrix.
     """
 
@@ -381,6 +381,8 @@ class StationaryDistribution:
 
 
 _RESIDUAL_BOUND = 1e-10
+#: The method every stationary law is solved with, as reports name it.
+SOLVER_METHOD = "direct"
 
 
 def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -461,11 +463,11 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDist
         _check_stochastic(p)
         mu, residual = _solve(p, [p.shape[1]])
         return StationaryDistribution(vector=mu[0], residual=float(residual[0]),
-                                      method="direct")
+                                      method=SOLVER_METHOD)
 
     one = ChainStack(lumped=tm.lumped[None], decision=tm.decision[None],
                      branches=tm.branches[None], shifts=tm.shifts[None],
                      service_success=np.array([tm.service_success]), space=tm.space)
     mu, residual = stationary_vectors(one)
-    return StationaryDistribution(vector=mu[0], residual=float(residual[0]), method="direct",
-                                  space=tm.space)
+    return StationaryDistribution(vector=mu[0], residual=float(residual[0]),
+                                  method=SOLVER_METHOD, space=tm.space)

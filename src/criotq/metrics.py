@@ -7,33 +7,32 @@ law (the carried load and the post-departure law) take the built
 ``TransitionMatrix`` and read its success probability and arrival
 shifts, so the chain states each of these facts once.  The carried load
 counts only serving slots that actually complete, a blocked fraction
-follows by flow balance, ``evaluate_qos`` forms the waits from P_B and
+follows by flow balance, a report forms the waits from P_B and
 the mean queue length, and the power requirement converts the effective
 packet throughput into the transmit budget the access point needs to
 keep every node energy-neutral.  The post-departure queue law is computed on
 its own by ``departure_distributions``; no report reads it.
 
-The feasibility flag reads only the carried load, drop, interference and
-power.  One pass computes those; ``evaluate_qos`` runs it before the
-waits and charging fractions, and ``constraint_flags`` runs it alone,
-so both give the same flag.  ``constraint_flags`` takes a stack of
-points of one capacity K, builds and solves their chains as one stack,
-and runs the pass over the stacked laws.  A stack fails as a whole, and
-``constraint_flags`` is the one place that replays it point by point to
-raise the error of the first failing point.
+One pass, ``_reports``, forms every field of a ``QosReport`` from the
+stationary laws of a stack of points: ``evaluate_qos`` runs it on one
+point, and ``qos_reports`` on a stack of points of one capacity K,
+whose chains it builds and solves as one stack.  A stack fails as a
+whole, and ``qos_reports`` is the one place that replays it point by
+point to raise the error of the first failing point.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .chain import (StateSpace, StationaryDistribution, TransitionMatrix, build_chains,
-                    build_transition_matrix, stationary_distribution, stationary_vectors)
+from .chain import (SOLVER_METHOD, StateSpace, StationaryDistribution, TransitionMatrix,
+                    build_chains, build_transition_matrix, stationary_distribution,
+                    stationary_vectors)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError, UndefinedLoadError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
@@ -229,70 +228,85 @@ class QosReport:
     feasible: bool | None
 
 
-class _ConstraintMetrics(NamedTuple):
-    """The metrics the feasibility flag reads."""
+@dataclass(frozen=True)
+class Constraints:
+    """QoS thresholds defining the sustainable region."""
 
-    carried_load: float
-    drop_prob: float
-    interference_prob: float
-    beta: float
-    power: PowerRequirement
-    feasible: bool | None
+    max_drop: float
+    max_interference: float
+
+    def __post_init__(self):
+        for name in ("max_drop", "max_interference"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+                raise InvalidParameterError(f"{name} must lie in [0, 1]")
 
 
-def _constraint_metrics(points: Sequence[SystemParams], service_success,
-                        pi: np.ndarray, space: StateSpace, max_drop: float | None,
-                        max_interference: float | None) -> list[_ConstraintMetrics]:
-    """Carried load, P_B, interference and power of each point, and its flag.
+def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
+             residual: Sequence[float], space: StateSpace,
+             constraints: Constraints | None) -> list[QosReport]:
+    """The full report of each point, from its stationary law and residual.
 
     pi stacks the points' stationary laws, one row each, and
     service_success holds their success probabilities (or one for all).
     The sums run along the rows, so each point gets the bits it gets
     alone; the points are then taken in order, so a point that fails
     raises after the points before it have warned.  P_B is 0 at zero
-    offered load (there is nothing to drop).  The flag is None unless
-    both thresholds are supplied.
+    offered load (there is nothing to drop); the flag is None without
+    constraints.
     """
     carried = _carried(pi, space, service_success).tolist()
     interfering = _interfering(pi, space).tolist()
+    charging = _running_sum(pi[..., space.charging]).tolist()
+    queued = _running_sum(space.queue * pi).tolist()
     out = []
-    for params, rho_c, p_i in zip(points, carried, interfering):
+    for params, rho_c, p_i, charge, queue, res in zip(points, carried, interfering, charging,
+                                                      queued, residual):
         rho_c = _clamp_probability(rho_c, "carried load")
-        if params.traffic.mean_arrivals_per_slot == 0.0:
-            p_b = 0.0
-        else:
-            p_b = packet_drop_probability(rho_c, params.traffic)
+        offered = params.traffic.mean_arrivals_per_slot
+        p_b = 0.0 if offered == 0.0 else packet_drop_probability(rho_c, params.traffic)
         p_i = _clamp_probability(p_i, "interference probability")
         beta = activity_factor(params.pnp)
         pw = required_power(params.power, params.traffic, params.policy, beta, p_b)
         feasible = None
-        if max_drop is not None and max_interference is not None:
-            feasible = bool(p_b <= max_drop and p_i <= max_interference and pw.feasible)
-        out.append(_ConstraintMetrics(rho_c, p_b, p_i, beta, pw, feasible))
+        if constraints is not None:
+            feasible = bool(p_b <= constraints.max_drop
+                            and p_i <= constraints.max_interference and pw.feasible)
+        lam_agg = params.traffic.aggregate_rate
+        lam_eff = lam_agg * (1.0 - p_b)
+        w_inv: float | None = None
+        w_slot: float | None = None
+        if offered != 0.0 and lam_eff > 0.0:
+            w_inv = p_b / lam_eff + 1.0 / lam_agg
+            w_slot = queue / lam_eff
+        out.append(QosReport(
+            beta=beta, offered_load=offered, carried_load=rho_c, drop_prob=p_b,
+            wait_inverse_rate=w_inv, wait_slot_avg=w_slot, interference_prob=p_i,
+            charge_frac=_clamp_probability(charge, "charge fraction"),
+            charge_frac_nominal=nominal_charge_fraction(params), power=pw, residual=res,
+            solver_method=SOLVER_METHOD, feasible=feasible))
     return out
 
 
-def constraint_flags(points: Sequence[SystemParams], max_drop: float,
-                     max_interference: float) -> list[bool]:
-    """``evaluate_qos(p, max_drop, max_interference).feasible`` of each point p, lean.
+def qos_reports(points: Sequence[SystemParams],
+                constraints: Constraints | None) -> list[QosReport]:
+    """``evaluate_qos`` of each point, thresholds from constraints, as one stack.
 
-    Builds and solves the same chains and runs the same constraint pass
-    as evaluate_qos, but skips the waits and charging fractions the flag
-    does not read: one stacked build, solve and pass for all points,
-    which share the capacity K.  Every flag is the one the point gets
-    alone.  So is every error: a stack whose build or solve fails
-    is run again one point at a time, so that the first failing point
-    in order raises, after the points before it have run (and warned).
+    One stacked build, solve and metrics pass for all points, which
+    share the capacity K.  Every report is the one the point gets alone.
+    So is every error: a stack whose build or solve fails is run again
+    one point at a time, so that the first failing point in order
+    raises, after the points before it have run (and warned).
     """
     try:
         chains = build_chains(points)
-        pi, _ = stationary_vectors(chains)
+        pi, residual = stationary_vectors(chains)
     except (InvalidParameterError, NoConvergenceError):
         if len(points) == 1:
             raise
-        return [flag for p in points for flag in constraint_flags([p], max_drop, max_interference)]
-    return [bool(m.feasible) for m in _constraint_metrics(
-        points, chains.service_success, pi, chains.space, max_drop, max_interference)]
+        return [report for p in points for report in qos_reports([p], constraints)]
+    return _reports(points, chains.service_success, pi, residual.tolist(), chains.space,
+                    constraints)
 
 
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,
@@ -303,7 +317,8 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     With zero offered load the drop probability is reported as 0 (there
     is nothing to drop) and both waiting times as None; a saturated
     point (P_B = 1) likewise reports None waits.  The feasibility flag
-    is filled only when both constraint thresholds are supplied.
+    is filled only when both constraint thresholds are supplied, and
+    they are checked as ``Constraints`` checks them.
 
     The waits are those of an admitted packet, in seconds.  The
     inverse-rate wait composes the blocking and admission terms of the
@@ -315,25 +330,8 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     """
     if (max_drop is None) != (max_interference is None):
         raise InvalidParameterError("supply both constraint thresholds or neither")
+    constraints = None if max_drop is None else Constraints(max_drop, max_interference)
     tm = build_transition_matrix(params, service_success=service_success)
     mu = stationary_distribution(tm)
-    core, = _constraint_metrics([params], tm.service_success, mu.vector[None], tm.space,
-                                max_drop, max_interference)
-    p_b = core.drop_prob
-
-    # Zero offered load is decided by the same test that sets P_B to 0.
-    offered = params.traffic.mean_arrivals_per_slot
-    lam_agg = params.traffic.aggregate_rate
-    lam_eff = lam_agg * (1.0 - p_b)
-    w_inv: float | None = None
-    w_slot: float | None = None
-    if offered != 0.0 and lam_eff > 0.0:
-        w_inv = p_b / lam_eff + 1.0 / lam_agg
-        w_slot = float(_running_sum(tm.space.queue * mu.vector)) / lam_eff
-
-    return QosReport(beta=core.beta, offered_load=offered,
-                     carried_load=core.carried_load, drop_prob=p_b,
-                     wait_inverse_rate=w_inv, wait_slot_avg=w_slot,
-                     interference_prob=core.interference_prob, charge_frac=charge_fraction(mu),
-                     charge_frac_nominal=nominal_charge_fraction(params), power=core.power,
-                     residual=mu.residual, solver_method=mu.method, feasible=core.feasible)
+    return _reports([params], tm.service_success, mu.vector[None], [mu.residual], tm.space,
+                    constraints)[0]

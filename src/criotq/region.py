@@ -8,17 +8,16 @@ a configuration sustainable, guarding the bisection with a coarse
 feasibility pre-scan so a non-monotone surface cannot silently produce
 a bogus bracket.
 
-A search probe needs only the feasibility flag, so a probe builds and
-solves the chains and stops at the constraint pass
-(``metrics.constraint_flags``); the full ``QosReport`` is evaluated
-once, at the value the search answers with.  The 32 pre-scan points do
-not depend on each other, so they are built, solved and checked as one
-stack; the bisection then probes one midpoint at a time.  Every flag is
-the one the point gets alone, so the pre-scan grid, the bisection
-midpoints and the answers are those of probing with
-``feasibility_check`` point by point.  A lambda search's pre-scan ends
-on the bracket end its doubling has already probed, and probes it again
-within the stack.
+A probe builds and solves the chains of its points and returns their
+full ``QosReport``s (``metrics.qos_reports``), and a search answers
+with the report of the point it chose, as probed: no report is
+evaluated again.  The 32 pre-scan points do not depend on each other,
+so they are built, solved and evaluated as one stack; the bisection
+then probes one midpoint at a time.  Every report is the one the point
+gets alone, so the pre-scan grid, the bisection midpoints and the
+answers are those of probing with ``feasibility_check`` point by point.
+A lambda search's pre-scan ends on the bracket end its doubling has
+already probed, and probes it again within the stack.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .metrics import QosReport, constraint_flags, evaluate_qos
+from .metrics import Constraints, QosReport, evaluate_qos, qos_reports
 from .params import PnpModel, SensingModel, SystemParams
 from .slot import slot_kernel
 
@@ -44,20 +43,6 @@ _LAMBDA_DOUBLING_CAP = 20
 _AXIS_FIELDS = {"detection": "p_detect", "false-alarm": "p_false_alarm"}
 SWEEP_AXES = tuple(_AXIS_FIELDS)
 SWEEP_TARGETS = ("beta_c", "lambda_c")
-
-
-@dataclass(frozen=True)
-class Constraints:
-    """QoS thresholds defining the sustainable region."""
-
-    max_drop: float
-    max_interference: float
-
-    def __post_init__(self):
-        for name in ("max_drop", "max_interference"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise InvalidParameterError(f"{name} must lie in [0, 1]")
 
 
 def feasibility_check(params: SystemParams, constraints: Constraints) -> tuple[bool, QosReport]:
@@ -87,7 +72,8 @@ class CriticalResult:
     infeasible.  monotone reports whether the feasibility pre-scan was
     a clean feasible-prefix pattern; when it is not, value is the
     conservative largest prefix-feasible grid point.  capped flags a
-    search that never found an infeasible upper bound.
+    search that never found an infeasible upper bound.  report is the
+    report of the point at value, as its probe returned it.
     """
 
     value: float | None
@@ -97,71 +83,58 @@ class CriticalResult:
     report: QosReport | None
 
 
-def _largest_feasible(probe, lo: float, hi: float,
-                      tol: float) -> tuple[float | None, bool, bool]:
-    """Largest x in [lo, hi] with a true flag, assuming a feasible prefix.
+def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult:
+    """Largest x in [lo, hi] with a feasible report, assuming a feasible prefix.
 
-    probe(xs) gives the flag of each x in the list xs.  Returns (value,
-    monotone, capped).  Pre-scans a coarse grid first, in one probe call:
-    an infeasible floor short-circuits to None, an all-feasible scan
-    returns hi (capped), and a scan whose feasibility flips back on after
-    turning off is flagged non-monotone and answered with the last
-    prefix-feasible grid point instead of a bisection that would be
-    meaningless.  Each bisection step probes its one midpoint.
+    probe(xs) gives the report of each x in the list xs.  Pre-scans a
+    coarse grid first, in one probe call: an infeasible floor
+    short-circuits to None, an all-feasible scan returns hi (capped), and
+    a scan whose feasibility flips back on after turning off is flagged
+    non-monotone and answered with the last prefix-feasible grid point
+    instead of a bisection that would be meaningless.  Each bisection
+    step probes its one midpoint.  The result carries the report of the
+    grid point or midpoint it answers with, as probed.
     """
     xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
-    flags = probe(xs)
+    scan = probe(xs)
+    flags = [r.feasible for r in scan]
     if not flags[0]:
-        return None, True, False
+        return CriticalResult(value=None, feasible_at_floor=False, monotone=True,
+                              capped=False, report=None)
     if all(flags):
-        return xs[-1], True, True
+        return CriticalResult(value=xs[-1], feasible_at_floor=True, monotone=True,
+                              capped=True, report=scan[-1])
     first_bad = flags.index(False)
-    a, b = xs[first_bad - 1], xs[first_bad]
+    a, b, report = xs[first_bad - 1], xs[first_bad], scan[first_bad - 1]
     monotone = not any(flags[first_bad:])
     while monotone and b - a > tol:
         mid = 0.5 * (a + b)
-        if probe([mid])[0]:
-            a = mid
+        mid_report, = probe([mid])
+        if mid_report.feasible:
+            a, report = mid, mid_report
         else:
             b = mid
-    return a, monotone, False
+    return CriticalResult(value=a, feasible_at_floor=True, monotone=monotone,
+                          capped=False, report=report)
 
 
 def _prober(at, constraints: Constraints):
-    """probe(xs): the flag of each operating point at(x), the list probed as one stack."""
-    def probe(xs: list[float]) -> list[bool]:
-        return constraint_flags([at(x) for x in xs], constraints.max_drop,
-                                constraints.max_interference)
+    """probe(xs): the report of each operating point at(x), the list probed as one stack."""
+    def probe(xs: list[float]) -> list[QosReport]:
+        return qos_reports([at(x) for x in xs], constraints)
     return probe
-
-
-def _critical_result(at, constraints: Constraints, value: float | None,
-                     monotone: bool = True, capped: bool = False) -> CriticalResult:
-    """The answer of a search, with the one full report it carries.
-
-    at(x) gives the operating point of search value x; the report is
-    evaluate_qos there, the only full evaluation a search makes.
-    """
-    if value is None:
-        return CriticalResult(value=None, feasible_at_floor=False, monotone=True,
-                              capped=False, report=None)
-    report = evaluate_qos(at(value), constraints.max_drop, constraints.max_interference)
-    return CriticalResult(value=value, feasible_at_floor=True, monotone=monotone,
-                          capped=capped, report=report)
 
 
 def critical_beta(params: SystemParams, constraints: Constraints,
                   tol: float = 1e-3) -> CriticalResult:
     """Largest sustainable activity factor, to absolute tolerance tol."""
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError("tol must be finite and positive")
 
     def at(beta: float) -> SystemParams:
         return params_with_activity(params, beta)
 
-    return _critical_result(at, constraints,
-                            *_largest_feasible(_prober(at, constraints), BETA_FLOOR,
-                                               BETA_CEIL, tol))
+    return _largest_feasible(_prober(at, constraints), BETA_FLOOR, BETA_CEIL, tol)
 
 
 def critical_lambda(params: SystemParams, constraints: Constraints,
@@ -172,8 +145,8 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     node-slot when that is zero) and doubles until infeasible, capped at
     2**20 times the start; a still-feasible cap is returned as capped.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError("tol must be finite and positive")
 
     def at(lam: float) -> SystemParams:
         return replace(params, traffic=replace(params.traffic, lam=lam))
@@ -184,12 +157,13 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
         lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
     hi = lam0
     doublings = 0
-    while probe([hi])[0]:
+    while (report := probe([hi])[0]).feasible:
         if doublings >= _LAMBDA_DOUBLING_CAP:
-            return _critical_result(at, constraints, hi, capped=True)
+            return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,
+                                  capped=True, report=report)
         hi *= 2.0
         doublings += 1
-    return _critical_result(at, constraints, *_largest_feasible(probe, 0.0, hi, tol))
+    return _largest_feasible(probe, 0.0, hi, tol)
 
 
 @dataclass(frozen=True)
@@ -248,18 +222,12 @@ def optimize_policy_grid(params: SystemParams, constraints: Constraints,
     minimizes the slot-average waiting time among feasible points,
     breaking ties by lower interference.
     """
-    best_key = None
-    best_pair = None
-    table = []
-    for th in theta_grid:
-        for x in xi_grid:
-            p2 = replace(params, policy=replace(params.policy, theta_idle=float(th),
-                                                xi_charge=float(x)))
-            ok, rep = feasibility_check(p2, constraints)
-            table.append((float(th), float(x), ok, rep))
-            if ok and rep.wait_slot_avg is not None:
-                key = (rep.wait_slot_avg, rep.interference_prob)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (float(th), float(x))
+    pairs = [(float(th), float(x)) for th in theta_grid for x in xi_grid]
+    points = [replace(params, policy=replace(params.policy, theta_idle=th, xi_charge=x))
+              for th, x in pairs]
+    table = [(th, x, rep.feasible, rep)
+             for (th, x), rep in zip(pairs, qos_reports(points, constraints))]
+    ranked = [((rep.wait_slot_avg, rep.interference_prob), (th, x))
+              for th, x, ok, rep in table if ok and rep.wait_slot_avg is not None]
+    best_pair = min(ranked, key=lambda kv: kv[0])[1] if ranked else None
     return best_pair, table

@@ -238,6 +238,14 @@ def test_whole_float_config_integers_are_accepted(tmp_path):
         "2000", "200", "7")
 
 
+def test_sweep_rejects_a_nan_tolerance(tmp_path, capsys):
+    rc = main(["sweep", "--config", str(REPO / "configs" / "region_detection.json"),
+               "--tol", "nan", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_requires_constraints(tmp_path, capsys):
     cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
     del cfg["constraints"]

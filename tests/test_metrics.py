@@ -14,7 +14,7 @@ from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
                     packet_drop_probability, required_power, slot_kernel,
                     stationary_distribution)
 from criotq.chain import build_chains, stationary_vectors
-from criotq.metrics import _constraint_metrics, constraint_flags
+from criotq.metrics import Constraints, _reports, qos_reports
 from conftest import make_params
 
 
@@ -206,6 +206,14 @@ def test_evaluate_qos_baseline_frozen(baseline_params):
     assert r.feasible is True
 
 
+@pytest.mark.parametrize("max_drop, max_interference",
+                         [(math.nan, 0.1), (1.5, -0.2), (math.inf, math.inf)])
+def test_evaluate_qos_checks_thresholds_like_constraints(baseline_params, max_drop,
+                                                          max_interference):
+    with pytest.raises(InvalidParameterError, match="must lie in"):
+        evaluate_qos(baseline_params, max_drop, max_interference)
+
+
 def test_evaluate_qos_threshold_pairing(baseline_params):
     with pytest.raises(InvalidParameterError):
         evaluate_qos(baseline_params, max_drop=0.1)
@@ -297,18 +305,15 @@ def _stacks(draw):
 @given(_stacks())
 def test_stacked_constraint_pass_matches_one_point(case):
     points, max_drop, max_interference = case
+    constraints = Constraints(max_drop, max_interference)
     chains = build_chains(points)
-    pi, _ = stationary_vectors(chains)
-    stacked = _constraint_metrics(points, chains.service_success, pi, chains.space,
-                                  max_drop, max_interference)
-    flags = constraint_flags(points, max_drop, max_interference)
-    for params, got, flag in zip(points, stacked, flags):
-        one = evaluate_qos(params, max_drop, max_interference)
-        assert flag is got.feasible is one.feasible
-        assert constraint_flags([params], max_drop, max_interference) == [flag]
-        assert got.carried_load.hex() == one.carried_load.hex()
-        assert got.drop_prob.hex() == one.drop_prob.hex()
-        assert got.interference_prob.hex() == one.interference_prob.hex()
+    pi, residual = stationary_vectors(chains)
+    stacked = _reports(points, chains.service_success, pi, residual.tolist(), chains.space,
+                       constraints)
+    for params, got, probed in zip(points, stacked, qos_reports(points, constraints)):
+        one = repr(evaluate_qos(params, max_drop, max_interference))
+        assert repr(got) == repr(probed) == one
+        assert repr(qos_reports([params], constraints)) == f"[{one}]"
 
 
 def test_stack_with_a_singular_point_raises_like_one_point():
@@ -316,16 +321,16 @@ def test_stack_with_a_singular_point_raises_like_one_point():
     # so every law on the empty level is stationary.
     singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
     with pytest.raises(NoConvergenceError) as alone:
-        constraint_flags([singular], 0.1, 0.1)
+        qos_reports([singular], Constraints(0.1, 0.1))
     # At this light load flow balance overshoots by more than 1e-12 and
     # warns, so the warnings show which points ran before the failing one.
     noisy = make_params(lam=1.4e-6)
     with pytest.warns(RuntimeWarning):
-        constraint_flags([noisy], 0.1, 0.1)
+        qos_reports([noisy], Constraints(0.1, 0.1))
     stack = [make_params(lam=0.0), noisy, make_params(lam=0.01), singular, noisy]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NoConvergenceError) as stacked:
-            constraint_flags(stack, 0.1, 0.1)
+            qos_reports(stack, Constraints(0.1, 0.1))
     assert alone.value.residual == stacked.value.residual == math.inf
     assert len(caught) == 1

@@ -9,7 +9,7 @@ from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     InvalidParameterError, SensingModel, activity_factor, critical_beta,
                     critical_lambda, evaluate_qos, feasibility_check, optimize_policy_grid,
                     params_with_activity, sweep, synchronized_baseline)
-from criotq.metrics import constraint_flags
+from criotq.metrics import qos_reports
 from conftest import make_params
 
 ANCHOR_CONSTRAINTS = Constraints(max_drop=0.1, max_interference=0.1)
@@ -17,7 +17,7 @@ ANCHOR_CONSTRAINTS = Constraints(max_drop=0.1, max_interference=0.1)
 
 # --- full-probe reference searches -----------------------------------------
 # The searches as they ran with every probe a full feasibility_check and the
-# answer carrying its own probe's report.  The lean searches must return the
+# answer carrying its own probe's report.  The searches must return the
 # same CriticalResult, repr for repr.
 
 def literal_largest_feasible(probe, lo, hi, tol):
@@ -108,7 +108,7 @@ def _benchmark_sized_cell(rng, capacity_k, tol):
     return params, ANCHOR_CONSTRAINTS, 1e-3 if tol == "abs" else 1e-3 * lam
 
 
-def test_lean_searches_match_full_probe_reference():
+def test_searches_match_full_probe_reference():
     rng = np.random.default_rng(20231)
     cases = [(_hump_cell(), Constraints(1.0, 1.0), 1e-3),
              (make_params(capacity_k=3), Constraints(0.1, 0.0), 1e-3),
@@ -118,9 +118,9 @@ def test_lean_searches_match_full_probe_reference():
     cases += [_benchmark_sized_cell(rng, k, tol) for k in (10, 15, 20) for tol in ("abs", "rel")]
     seen = set()
     for params, cons, tol in cases:
-        for lean, literal in ((critical_beta, literal_critical_beta),
-                              (critical_lambda, literal_critical_lambda)):
-            got = lean(params, cons, tol)
+        for search, literal in ((critical_beta, literal_critical_beta),
+                                (critical_lambda, literal_critical_lambda)):
+            got = search(params, cons, tol)
             assert repr(got) == repr(literal(params, cons, tol))
             if got.value is None:
                 seen.add("infeasible floor")
@@ -145,9 +145,9 @@ def test_probe_flag_is_the_report_flag():
     for params, cons in cells:
         for beta in (0.05, 0.5, 0.95):
             at = params_with_activity(params, beta)
-            want = evaluate_qos(at, cons.max_drop, cons.max_interference).feasible
-            assert constraint_flags([at], cons.max_drop, cons.max_interference) == [want]
-            flags.add(want)
+            want = evaluate_qos(at, cons.max_drop, cons.max_interference)
+            assert repr(qos_reports([at], cons)) == f"[{want!r}]"
+            flags.add(want.feasible)
     assert flags == {True, False}
 
 
@@ -197,6 +197,13 @@ def test_critical_beta_baseline_bracket(baseline_params):
     assert ok_above is False
     with pytest.raises(InvalidParameterError):
         critical_beta(baseline_params, ANCHOR_CONSTRAINTS, tol=0.0)
+
+
+@pytest.mark.parametrize("search", [critical_beta, critical_lambda])
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_searches_reject_a_non_finite_tolerance(baseline_params, search, tol):
+    with pytest.raises(InvalidParameterError, match="tol must be finite and positive"):
+        search(baseline_params, ANCHOR_CONSTRAINTS, tol)
 
 
 def test_critical_beta_agrees_with_grid_scan():
