@@ -12,9 +12,8 @@ from .chain import (StateSpace, StationaryDistribution, TransitionMatrix,
                     build_transition_matrix, enumerate_states, stationary_distribution)
 from .errors import (CriotqError, DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError, UndefinedLoadError)
-from .metrics import (DepartureDistributions, PowerRequirement, QosReport, carried_load,
-                      charge_fraction, departure_distributions, evaluate_qos,
-                      interference_probability, nominal_charge_fraction,
+from .metrics import (DepartureDistributions, PowerRequirement, QosReport,
+                      departure_distributions, evaluate_qos, nominal_charge_fraction,
                       packet_drop_probability, required_power)
 from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemParams,
                      TrafficModel, activity_factor)
@@ -40,10 +39,10 @@ __all__ = [
     "StationaryDistribution", "SweepRow", "SystemParams", "TrafficModel", "TransitionMatrix",
     "UndefinedLoadError",
     "activity_factor", "arrival_pmf", "arrival_tail",
-    "build_transition_matrix", "carried_load", "charge_fraction", "critical_beta",
-    "critical_lambda", "decision_distribution", "departure_distributions",
+    "build_transition_matrix", "critical_beta", "critical_lambda",
+    "decision_distribution", "departure_distributions",
     "enumerate_states", "estimate_slot_kernel", "estimate_transition_row",
-    "evaluate_qos", "feasibility_check", "interference_probability",
+    "evaluate_qos", "feasibility_check",
     "nominal_charge_fraction", "optimize_policy_grid", "packet_drop_probability",
     "params_with_activity", "required_power", "run_simulation", "slot_kernel",
     "stationary_distribution", "sweep", "synchronized_baseline",

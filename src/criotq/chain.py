@@ -145,16 +145,15 @@ class StateSpace:
 def enumerate_states(capacity_k: int) -> StateSpace:
     """The state space for buffer capacity K, built once per K and shared.
 
-    The argument is validated before the cache lookup and the cache is
-    typed, so 10.0 still raises and True gets its own entry rather than
-    the space of an equal int.
+    The argument is validated before the cache lookup, so 10.0 and True
+    raise rather than find the space of an equal int.
     """
-    if not isinstance(capacity_k, int) or capacity_k < 1:
+    if not isinstance(capacity_k, int) or isinstance(capacity_k, bool) or capacity_k < 1:
         raise InvalidParameterError("capacity_k must be an integer >= 1")
     return _state_space(capacity_k)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _state_space(capacity_k: int) -> StateSpace:
     cell = np.delete(np.arange(6 * (capacity_k + 1)), _EXCLUDED)
     queue, phase, action = np.indices((capacity_k + 1, 2, 3)).reshape(3, -1)[:, cell]
@@ -371,13 +370,11 @@ class StationaryDistribution:
             when solved from a TransitionMatrix, which bounds the same
             norm for the full chain; otherwise the matrix given.
         method: SOLVER_METHOD ("direct"), the dense LU solve, the only path.
-        space: the state space, when solved from a TransitionMatrix.
     """
 
     vector: np.ndarray
     residual: float
     method: str
-    space: StateSpace | None = None
 
 
 _RESIDUAL_BOUND = 1e-10
@@ -470,4 +467,4 @@ def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDist
                      service_success=np.array([tm.service_success]), space=tm.space)
     mu, residual = stationary_vectors(one)
     return StationaryDistribution(vector=mu[0], residual=float(residual[0]),
-                                  method=SOLVER_METHOD, space=tm.space)
+                                  method=SOLVER_METHOD)

@@ -2,23 +2,21 @@
 
 All metrics are functionals of the stationary law of the slot chain.
 Every stationary sum is a masked reduction over the arrays of the
-chain's ``StateSpace``; the metrics that depend on the chain beyond its
-law (the carried load and the post-departure law) take the built
-``TransitionMatrix`` and read its success probability and arrival
-shifts, so the chain states each of these facts once.  The carried load
-counts only serving slots that actually complete, a blocked fraction
-follows by flow balance, a report forms the waits from P_B and
-the mean queue length, and the power requirement converts the effective
-packet throughput into the transmit budget the access point needs to
-keep every node energy-neutral.  The post-departure queue law is computed on
-its own by ``departure_distributions``; no report reads it.
+chain's ``StateSpace``.  The carried load counts only serving slots that
+actually complete, with the success probability the chain was built
+with; a blocked fraction follows by flow balance, a report forms the
+waits from P_B and the mean queue length, and the power requirement
+converts the effective packet throughput into the transmit budget the
+access point needs to keep every node energy-neutral.
 
-One pass, ``_reports``, forms every field of a ``QosReport`` from the
-stationary laws of a stack of points: ``evaluate_qos`` runs it on one
-point, and ``qos_reports`` on a stack of points of one capacity K,
-whose chains it builds and solves as one stack.  A stack fails as a
-whole, and ``qos_reports`` is the one place that replays it point by
-point to raise the error of the first failing point.
+One pass, ``_reports``, forms every stationary metric: each field of a
+``QosReport`` from the stationary laws of a stack of points.
+``evaluate_qos`` runs it on one point, and ``qos_reports`` on a stack of
+points of one capacity K, whose chains it builds and solves as one
+stack.  A stack fails as a whole, and ``qos_reports`` is the one place
+that replays it point by point to raise the error of the first failing
+point.  The post-departure queue law is computed on its own by
+``departure_distributions`` from the built chain; no report reads it.
 """
 
 from __future__ import annotations
@@ -46,12 +44,6 @@ def _clamp_probability(value: float, name: str) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _space(mu: StationaryDistribution) -> StateSpace:
-    if mu.space is None:
-        raise InvalidParameterError("distribution lacks a state space")
-    return mu.space
-
-
 def _running_sum(values: np.ndarray) -> np.ndarray:
     """Sums along the last axis, in state order, each added left to right.
 
@@ -62,27 +54,6 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     printed digits of P_B.
     """
     return np.cumsum(values, axis=-1)[..., -1]
-
-
-def _carried(pi: np.ndarray, space: StateSpace, succ) -> np.ndarray:
-    """Unclamped carried load of a law, or of each law of a stack (rows)."""
-    return succ * _running_sum(pi[..., space.serving])
-
-
-def _interfering(pi: np.ndarray, space: StateSpace) -> np.ndarray:
-    """Unclamped interference probability of a law, or of each law of a stack."""
-    return _running_sum(pi[..., space.interfering])
-
-
-def carried_load(mu: StationaryDistribution, tm: TransitionMatrix) -> float:
-    """Fraction of slots that deliver a packet.
-
-    A slot delivers iff the chain sits in a serving OFF state and the
-    transmission completes, which happens with the success probability
-    the chain tm was built with.  mu is tm's stationary law.
-    """
-    return _clamp_probability(float(_carried(mu.vector, tm.space, tm.service_success)),
-                              "carried load")
 
 
 def packet_drop_probability(rho_c: float, traffic: TrafficModel) -> float:
@@ -111,22 +82,21 @@ def packet_drop_probability(rho_c: float, traffic: TrafficModel) -> float:
 
 @dataclass(frozen=True)
 class DepartureDistributions:
-    """Queue laws seen at service completions.
+    """Queue law seen at service completions.
 
-    kappa holds the unnormalized weights of leaving i packets behind
-    right after a departure, delta their normalization, and epsilon the
-    full admitted-or-dropped split: epsilon[i] = (1 - P_B) delta[i] for
-    i < K and epsilon[K] = P_B.
+    kappa holds the unnormalized weights of leaving i = 0..K-1 packets
+    behind right after a departure, and delta their normalization.  The
+    admitted-or-dropped split of an arrival is ((1 - P_B) delta, P_B),
+    with P_B the report's ``drop_prob``.
     """
 
     kappa: np.ndarray
     delta: np.ndarray
-    epsilon: np.ndarray
 
 
-def departure_distributions(mu: StationaryDistribution, tm: TransitionMatrix,
-                            traffic: TrafficModel) -> DepartureDistributions:
-    """Post-departure and admission queue laws of the chain tm, whose law is mu.
+def departure_distributions(mu: StationaryDistribution,
+                            tm: TransitionMatrix) -> DepartureDistributions:
+    """Post-departure queue law of the chain tm, whose law is mu.
 
     A departure comes from a serving OFF state at level j = 1..K with
     tm's success probability, and leaves behind the level the chain's
@@ -139,23 +109,7 @@ def departure_distributions(mu: StationaryDistribution, tm: TransitionMatrix,
     norm = float(kappa.sum())
     if norm <= 0.0:
         raise DegenerateDistributionError("no departure mass; distributions undefined")
-    delta = kappa / norm
-
-    p_b = packet_drop_probability(carried_load(mu, tm), traffic)
-    epsilon = np.append((1.0 - p_b) * delta, p_b)
-    return DepartureDistributions(kappa=kappa, delta=delta, epsilon=epsilon)
-
-
-def interference_probability(mu: StationaryDistribution) -> float:
-    """Fraction of slots in which the AP transmits while the primary is ON."""
-    return _clamp_probability(float(_interfering(mu.vector, _space(mu))),
-                              "interference probability")
-
-
-def charge_fraction(mu: StationaryDistribution) -> float:
-    """Stationary fraction of slots spent beaming power."""
-    return _clamp_probability(float(_running_sum(mu.vector[_space(mu).charging])),
-                              "charge fraction")
+    return DepartureDistributions(kappa=kappa, delta=kappa / norm)
 
 
 def nominal_charge_fraction(params: SystemParams) -> float:
@@ -247,6 +201,8 @@ def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
              constraints: Constraints | None) -> list[QosReport]:
     """The full report of each point, from its stationary law and residual.
 
+    This is the one place a stationary metric is formed.
+
     pi stacks the points' stationary laws, one row each, and
     service_success holds their success probabilities (or one for all).
     The sums run along the rows, so each point gets the bits it gets
@@ -255,8 +211,8 @@ def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
     offered load (there is nothing to drop); the flag is None without
     constraints.
     """
-    carried = _carried(pi, space, service_success).tolist()
-    interfering = _interfering(pi, space).tolist()
+    carried = (service_success * _running_sum(pi[..., space.serving])).tolist()
+    interfering = _running_sum(pi[..., space.interfering]).tolist()
     charging = _running_sum(pi[..., space.charging]).tolist()
     queued = _running_sum(space.queue * pi).tolist()
     out = []

@@ -27,6 +27,11 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
+def _is_int(value) -> bool:
+    """True for a Python int; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PnpModel:
     """Alternating-renewal activity of the licensed primary network.
@@ -78,10 +83,10 @@ class TrafficModel:
     slot_d: float
 
     def __post_init__(self):
-        _require(isinstance(self.n, int) and self.n >= 1, "n must be an integer >= 1")
+        _require(_is_int(self.n) and self.n >= 1, "n must be an integer >= 1")
         _require(_finite(self.lam, self.slot_d), "traffic parameters must be finite")
         _require(self.lam >= 0, "lam must be nonnegative")
-        _require(isinstance(self.capacity_k, int) and self.capacity_k >= 1,
+        _require(_is_int(self.capacity_k) and self.capacity_k >= 1,
                  "capacity_k must be an integer >= 1")
         _require(self.slot_d > 0, "slot_d must be positive")
 

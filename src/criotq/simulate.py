@@ -82,7 +82,7 @@ class SimConfig:
             value = getattr(self, name)
             if value is None and name == "warmup_slots":
                 continue
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise InvalidParameterError("seed must be >= 0")

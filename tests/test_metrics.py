@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
                     MetricRangeError, NoConvergenceError, Phase, TrafficModel,
                     UndefinedLoadError, activity_factor, arrival_pmf, arrival_tail, build_transition_matrix,
-                    carried_load, charge_fraction, departure_distributions, evaluate_qos,
-                    interference_probability, nominal_charge_fraction,
+                    departure_distributions, evaluate_qos, nominal_charge_fraction,
                     packet_drop_probability, required_power, slot_kernel,
                     stationary_distribution)
 from criotq.chain import build_chains, stationary_vectors
@@ -24,15 +23,13 @@ def solve(params):
 
 
 def test_carried_load_zero_when_never_serving():
-    tm, mu = solve(make_params(theta=1.0, lam=0.05))
-    assert carried_load(mu, tm) == 0.0
-    tm2, mu2 = solve(make_params(lam=0.0))
-    assert carried_load(mu2, tm2) <= 1e-12
+    assert evaluate_qos(make_params(theta=1.0, lam=0.05)).carried_load == 0.0
+    assert evaluate_qos(make_params(lam=0.0)).carried_load <= 1e-12
 
 
 def test_drop_probability_flow_balance(baseline_params):
     tm, mu = solve(baseline_params)
-    rho_c = carried_load(mu, tm)
+    rho_c = evaluate_qos(baseline_params).carried_load
     serving = sum(mu.vector[tm.space.index(i, Phase.OFF, Action.SERVE)] for i in range(1, 11))
     off_persist = slot_kernel(baseline_params.pnp, baseline_params.traffic.slot_d).off_persist
     assert rho_c == pytest.approx(off_persist * serving, rel=1e-12)
@@ -73,7 +70,7 @@ def test_departure_distributions_basics():
         traffic = params.traffic
         serving = [mu.vector[tm.space.index(j, Phase.OFF, Action.SERVE)]
                    for j in range(1, k_cap + 1)]
-        dd = departure_distributions(mu, tm, traffic)
+        dd = departure_distributions(mu, tm)
 
         # kappa[i]: departures from serving level j <= i + 1 that leave i
         # behind, after i + 1 - j admitted arrivals; at the top level
@@ -87,21 +84,17 @@ def test_departure_distributions_basics():
                 for i in range(k_cap)]
         assert dd.kappa == pytest.approx(want, rel=1e-12)
         # Every completed service is one departure.
-        rho_c = carried_load(mu, tm)
+        rho_c = evaluate_qos(params).carried_load
         assert dd.kappa.sum() == pytest.approx(rho_c, rel=1e-12)
         assert dd.delta.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(dd.delta >= 0.0)
-        assert dd.epsilon.sum() == pytest.approx(1.0, abs=1e-12)
-        p_b = packet_drop_probability(rho_c, traffic)
-        assert dd.epsilon[-1] == pytest.approx(p_b, abs=1e-15)
-        assert dd.epsilon[:-1] == pytest.approx((1.0 - p_b) * dd.delta, abs=1e-15)
 
 
 def test_departure_distributions_degenerate():
     params = make_params(theta=1.0, lam=0.05)
     tm, mu = solve(params)
     with pytest.raises(DegenerateDistributionError):
-        departure_distributions(mu, tm, params.traffic)
+        departure_distributions(mu, tm)
 
 
 def test_evaluate_qos_wait_identities(baseline_params):
@@ -110,7 +103,7 @@ def test_evaluate_qos_wait_identities(baseline_params):
     # (test_evaluate_qos_saturated_policy).
     r = evaluate_qos(baseline_params)
     tm, mu = solve(baseline_params)
-    p_b = packet_drop_probability(carried_load(mu, tm), baseline_params.traffic)
+    p_b = packet_drop_probability(r.carried_load, baseline_params.traffic)
     assert r.drop_prob == p_b
     lam_agg = 0.02
     want = p_b / (lam_agg * (1.0 - p_b)) + 1.0 / lam_agg
@@ -123,15 +116,13 @@ def test_evaluate_qos_wait_identities(baseline_params):
 
 
 def test_interference_zero_under_perfect_detection():
-    tm, mu = solve(make_params(p_detect=1.0, lam=0.05))
-    assert interference_probability(mu) <= 1e-12
-    tm2, mu2 = solve(make_params(theta=1.0, lam=0.05))
-    assert interference_probability(mu2) == 0.0
+    assert evaluate_qos(make_params(p_detect=1.0, lam=0.05)).interference_prob <= 1e-12
+    assert evaluate_qos(make_params(theta=1.0, lam=0.05)).interference_prob == 0.0
 
 
 def test_interference_positive_at_baseline(baseline_params):
     tm, mu = solve(baseline_params)
-    p_i = interference_probability(mu)
+    p_i = evaluate_qos(baseline_params).interference_prob
     transmitting_on = sum(mu.vector[idx] for idx, (_, phi, psi) in enumerate(tm.space.states)
                           if phi == Phase.ON and psi != Action.IDLE)
     assert p_i == pytest.approx(transmitting_on, rel=1e-12)
@@ -147,12 +138,11 @@ def test_charge_fraction_closed_form():
     for kwargs in (dict(), dict(mu_on=0.6, mu_off=1.7, p_detect=0.7,
                                p_false_alarm=0.25, theta=0.35, xi=0.8, lam=0.02)):
         params = make_params(**kwargs)
-        tm, mu = solve(params)
         beta = activity_factor(params.pnp)
         free = ((1.0 - beta) * (1.0 - params.sensing.p_false_alarm)
                 + beta * (1.0 - params.sensing.p_detect))
         want = free * (1.0 - params.policy.theta_idle) * params.policy.xi_charge
-        assert charge_fraction(mu) == pytest.approx(want, abs=1e-10)
+        assert evaluate_qos(params).charge_frac == pytest.approx(want, abs=1e-10)
 
 
 def test_nominal_charge_fraction(baseline_params):
@@ -262,7 +252,7 @@ def test_evaluate_qos_inverse_rate_wait_matches_departure_law(baseline_params):
     lam_agg = baseline_params.traffic.aggregate_rate
     lam_eff = lam_agg * (1.0 - r.drop_prob)
     assert r.wait_inverse_rate == r.drop_prob / lam_eff + 1.0 / lam_agg
-    dd = departure_distributions(mu, tm, baseline_params.traffic)
+    dd = departure_distributions(mu, tm)
     assert dd.delta.sum() == pytest.approx(1.0, abs=1e-12)
     composed = r.drop_prob / lam_eff + dd.delta.sum() / lam_agg
     assert r.wait_inverse_rate == pytest.approx(composed, rel=1e-12)

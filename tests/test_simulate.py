@@ -7,8 +7,7 @@ from criotq import (Action, InvalidParameterError, Phase, PnpModel, SimConfig,
                     activity_factor, build_transition_matrix,
                     departure_distributions, enumerate_states,
                     estimate_slot_kernel, estimate_transition_row, evaluate_qos,
-                    interference_probability, run_simulation, slot_kernel,
-                    stationary_distribution)
+                    run_simulation, slot_kernel, stationary_distribution)
 from criotq.simulate import (_CHARGE, _CHUNK, _DROP, _GEN, _INTERF, _SERVE, _SLOTS,
                              NUM_BATCHES, _simulate_one)
 from conftest import make_params
@@ -190,10 +189,12 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         SimConfig(params=params, horizon_slots=100, seed=-3)
     for field in ("horizon_slots", "warmup_slots", "replications", "seed"):
-        kwargs = dict(horizon_slots=1000, seed=1, warmup_slots=100, replications=1)
-        kwargs[field] = float(kwargs[field])
-        with pytest.raises(InvalidParameterError, match=field):
-            SimConfig(params=params, **kwargs)
+        # A bool is an int to Python, but not a count.
+        for bad in (float, lambda _: True):
+            kwargs = dict(horizon_slots=1000, seed=1, warmup_slots=100, replications=1)
+            kwargs[field] = bad(kwargs[field])
+            with pytest.raises(InvalidParameterError, match=field):
+                SimConfig(params=params, **kwargs)
     assert SimConfig(params=params, horizon_slots=1000, seed=1).resolved_warmup == 100
 
 
@@ -327,15 +328,13 @@ def test_post_departure_histogram_matches_departure_law(lam):
     params = make_params(lam=lam)
     run = run_simulation(SimConfig(params=params, horizon_slots=200_000, seed=999331))
     tm = build_transition_matrix(params)
-    dd = departure_distributions(stationary_distribution(tm), tm, params.traffic)
+    dd = departure_distributions(stationary_distribution(tm), tm)
     tv = 0.5 * float(np.abs(run.post_departure_histogram - dd.delta).sum())
     assert tv <= 0.03
 
 
 def test_interference_within_sampling_error(anchor_run):
-    params = make_params()
-    mu = stationary_distribution(build_transition_matrix(params))
-    want = interference_probability(mu)
+    want = evaluate_qos(make_params()).interference_prob
     assert abs(anchor_run.interference_hat - want) <= 4.0 * anchor_run.interference_se
 
 

@@ -25,6 +25,17 @@ def test_pnp_model_rejects_bad_rates():
         PnpModel(mu_on=math.nan, mu_off=1.0)
 
 
+def test_traffic_model_rejects_non_integer_counts():
+    # A bool is an int to Python; as K it would index the chain's arrays
+    # as a mask, so it is rejected with the floats.
+    for field in ("n", "capacity_k"):
+        for bad in (0, 10.0, True, False):
+            kwargs = dict(n=20, lam=0.001, capacity_k=10, slot_d=1.0)
+            kwargs[field] = bad
+            with pytest.raises(InvalidParameterError, match=field):
+                TrafficModel(**kwargs)
+
+
 def test_kernel_hand_values_symmetric_unit_rates():
     # mu_on = mu_off = 1, d = 1: growth = 1 - exp(-2), each cross term is half.
     k = slot_kernel(PnpModel(1.0, 1.0), 1.0)
