@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NoConvergenceError
 from .params import SystemParams
-from .slot import Action, Phase, arrival_pmf, decision_distribution, slot_kernel
+from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_kernel
 
 State = tuple[int, Phase, Action]
 
@@ -311,7 +311,7 @@ def build_chains(points: Sequence[SystemParams],
     # tail is 1 - sum_{k < m} pmf(k) clamped into [0, 1], as arrival_tail
     # forms it: cumsum adds in the same order as its loop.
     pmf = _per_distinct(points, lambda p: p.traffic,
-                        lambda p: [arrival_pmf(p.traffic, n) for n in range(k_cap + 1)])
+                        lambda p: arrival_pmf_row(p.traffic, k_cap))
     tail = np.empty((count, k_cap + 1))
     tail[:, 0] = 1.0
     tail[:, 1:] = np.minimum(1.0, np.maximum(0.0, 1.0 - np.cumsum(pmf[:, :-1], axis=1)))

@@ -11,11 +11,13 @@ a bogus bracket.
 A probe builds and solves the chains of its points and returns their
 full ``QosReport``s (``metrics.qos_reports``), and a search answers
 with the report of the point it chose, as probed: no report is
-evaluated again.  The 32 pre-scan points do not depend on each other,
-so they are built, solved and evaluated as one stack; the bisection
-then probes one midpoint at a time.  Every report is the one the point
-gets alone, so the pre-scan grid, the bisection midpoints and the
-answers are those of probing with ``feasibility_check`` point by point.
+evaluated again.  A stack costs far less than its points one at a
+time, so every probe is a stack: the 32 pre-scan points, a bisection
+midpoint with the next level's midpoints still reachable under tol, or
+three doubling steps.  Every report is the one the point gets alone,
+so the pre-scan grid, the bisection midpoints and the answers are
+those of probing with ``feasibility_check`` point by point.  So are the
+errors: a stack that raises is probed again as its first point alone.
 A lambda search's pre-scan ends on the bracket end its doubling has
 already probed, and probes it again within the stack.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import CriotqError, InvalidParameterError
 from .metrics import Constraints, QosReport, evaluate_qos, qos_reports
 from .params import PnpModel, SensingModel, SystemParams
 from .slot import slot_kernel
@@ -37,6 +39,8 @@ BETA_FLOOR = 1e-6
 BETA_CEIL = 1.0 - 1e-6
 
 _PRESCAN_POINTS = 32
+_BISECTION_LEVELS = 2
+_DOUBLING_STEPS = 3
 _LAMBDA_DOUBLING_CAP = 20
 
 #: Sweep axis -> the SensingModel field its grid drives.
@@ -83,6 +87,22 @@ class CriticalResult:
     report: QosReport | None
 
 
+def _probe_ahead(probe, xs: list[float]) -> list[QosReport]:
+    """probe(xs), or probe(xs[:1]) if that raises: only xs[0] is sure to be needed."""
+    try:
+        return probe(xs)
+    except CriotqError:
+        return probe(xs[:1])
+
+
+def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
+    """The midpoints the bisection of [a, b] can probe in its next levels steps."""
+    if levels == 0 or not b - a > tol:
+        return []
+    mid = 0.5 * (a + b)
+    return [mid, *_midpoints(a, mid, tol, levels - 1), *_midpoints(mid, b, tol, levels - 1)]
+
+
 def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult:
     """Largest x in [lo, hi] with a feasible report, assuming a feasible prefix.
 
@@ -91,9 +111,10 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     short-circuits to None, an all-feasible scan returns hi (capped), and
     a scan whose feasibility flips back on after turning off is flagged
     non-monotone and answered with the last prefix-feasible grid point
-    instead of a bisection that would be meaningless.  Each bisection
-    step probes its one midpoint.  The result carries the report of the
-    grid point or midpoint it answers with, as probed.
+    instead of a bisection that would be meaningless.  The bisection
+    probes the midpoints of its next _BISECTION_LEVELS steps per call.
+    The result carries the report of the grid point or midpoint it
+    answers with, as probed.
     """
     xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
     scan = probe(xs)
@@ -107,9 +128,13 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     first_bad = flags.index(False)
     a, b, report = xs[first_bad - 1], xs[first_bad], scan[first_bad - 1]
     monotone = not any(flags[first_bad:])
+    ahead: dict[float, QosReport] = {}
     while monotone and b - a > tol:
         mid = 0.5 * (a + b)
-        mid_report, = probe([mid])
+        if mid not in ahead:
+            mids = _midpoints(a, b, tol, _BISECTION_LEVELS)
+            ahead.update(zip(mids, _probe_ahead(probe, mids)))
+        mid_report = ahead[mid]
         if mid_report.feasible:
             a, report = mid, mid_report
         else:
@@ -143,7 +168,8 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
 
     The upper bracket starts at the configured rate (or 1 packet per
     node-slot when that is zero) and doubles until infeasible, capped at
-    2**20 times the start; a still-feasible cap is returned as capped.
+    2**20 times the start, _DOUBLING_STEPS per probe; a still-feasible
+    cap is returned as capped.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError("tol must be finite and positive")
@@ -157,13 +183,16 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
         lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
     hi = lam0
     doublings = 0
-    while (report := probe([hi])[0]).feasible:
-        if doublings >= _LAMBDA_DOUBLING_CAP:
-            return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,
-                                  capped=True, report=report)
-        hi *= 2.0
-        doublings += 1
-    return _largest_feasible(probe, 0.0, hi, tol)
+    while True:
+        steps = min(_DOUBLING_STEPS, _LAMBDA_DOUBLING_CAP - doublings + 1)
+        for report in _probe_ahead(probe, [hi * 2.0 ** j for j in range(steps)]):
+            if not report.feasible:
+                return _largest_feasible(probe, 0.0, hi, tol)
+            if doublings >= _LAMBDA_DOUBLING_CAP:
+                return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,
+                                      capped=True, report=report)
+            hi *= 2.0
+            doublings += 1
 
 
 @dataclass(frozen=True)

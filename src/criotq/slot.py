@@ -103,6 +103,16 @@ def arrival_pmf(traffic: TrafficModel, k: int) -> float:
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
+def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> list[float]:
+    """[arrival_pmf(traffic, k) for k in range(k_max + 1)] bit for bit, one log(mean)."""
+    mean = traffic.mean_arrivals_per_slot
+    if mean == 0.0:
+        return [1.0] + [0.0] * k_max
+    lm = math.log(mean)
+    return [math.exp(-mean)] + [math.exp(k * lm - mean - math.lgamma(k + 1))
+                                for k in range(1, k_max + 1)]
+
+
 def arrival_tail(traffic: TrafficModel, k_min: int) -> float:
     """P(at least k_min arrivals in one slot), complement of the partial sum.
 

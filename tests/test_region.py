@@ -1,6 +1,7 @@
 import functools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     InvalidParameterError, SensingModel, activity_factor, critical_beta,
                     critical_lambda, evaluate_qos, feasibility_check, optimize_policy_grid,
                     params_with_activity, sweep, synchronized_baseline)
+from criotq import region
+from criotq.errors import MetricRangeError, NoConvergenceError
 from criotq.metrics import qos_reports
 from conftest import make_params
 
@@ -131,6 +134,119 @@ def test_searches_match_full_probe_reference():
             else:
                 seen.add("bisected")
     assert seen == {"infeasible floor", "capped", "non-monotone", "bisected"}
+
+
+def _threshold_probe(cut, stacks, fails=()):
+    """A stack probe whose x is feasible up to cut, raising at a point in fails.
+
+    Like qos_reports, it runs its points in order and raises at the first
+    failing one.  Each call's points are appended to stacks.
+    """
+    def probe(xs):
+        stacks.append(list(xs))
+        reports = []
+        for x in xs:
+            if x in fails:
+                raise fails[x]
+            reports.append(SimpleNamespace(feasible=x <= cut))
+        return reports
+    return probe
+
+
+@pytest.mark.parametrize("error", [InvalidParameterError("unprobeable"),
+                                   NoConvergenceError("no solve", residual=math.inf),
+                                   MetricRangeError("carried load outside [0, 1]")])
+def test_bisection_raises_only_where_the_sequential_search_raises(error):
+    cut, tol = 0.6180339887, 1e-4
+    sequential = []
+    want = literal_largest_feasible(
+        lambda x: (sequential.append(x) or x <= cut, SimpleNamespace(feasible=x <= cut)),
+        0.0, 1.0, tol)
+    stacks = []
+    assert repr(region._largest_feasible(_threshold_probe(cut, stacks), 0.0, 1.0, tol)) \
+        == repr(want)
+    assert len(stacks) < len(sequential)
+    speculative = {x for xs in stacks for x in xs} - set(sequential)
+    assert speculative
+    for x in speculative:
+        got = region._largest_feasible(_threshold_probe(cut, [], {x: error}), 0.0, 1.0, tol)
+        assert repr(got) == repr(want)
+    with pytest.raises(type(error)):
+        region._largest_feasible(_threshold_probe(cut, [], {sequential[-1]: error}),
+                                 0.0, 1.0, tol)
+
+
+def _counting_probes(monkeypatch, failing_lams=()):
+    """Record the points of every qos_reports call the searches make.
+
+    A stack holding a point whose rate is in failing_lams raises, as
+    qos_reports raises at a point it cannot build.
+    """
+    stacks = []
+
+    def counted(points, constraints):
+        stacks.append(points)
+        if any(p.traffic.lam in failing_lams for p in points):
+            raise InvalidParameterError("unprobeable rate")
+        return qos_reports(points, constraints)
+    monkeypatch.setattr(region, "qos_reports", counted)
+    return stacks
+
+
+def test_critical_beta_takes_two_bisection_levels_per_probe(baseline_params, monkeypatch):
+    stacks = _counting_probes(monkeypatch)
+    res = critical_beta(baseline_params, ANCHOR_CONSTRAINTS, tol=1e-3)
+    assert res.monotone and not res.capped and res.value is not None
+    # A grid bracket of (BETA_CEIL - BETA_FLOOR)/31 = 0.032 takes six
+    # halvings to reach 1e-3: one pre-scan, then the six levels two per call.
+    width = (BETA_CEIL - BETA_FLOOR) / 31
+    assert width / 2 ** 5 > 1e-3 >= width / 2 ** 6
+    assert len(stacks) == 1 + math.ceil(6 / 2) == 4
+
+
+def test_critical_lambda_makes_fewer_probe_calls_than_one_point_probes(baseline_params,
+                                                                      monkeypatch):
+    lam0 = baseline_params.traffic.lam
+    tol = 1e-3 * lam0
+    doublings = 0
+    while feasibility_check(replace(baseline_params, traffic=replace(
+            baseline_params.traffic, lam=lam0 * 2 ** doublings)), ANCHOR_CONSTRAINTS)[0]:
+        doublings += 1
+    depth = math.ceil(math.log2(lam0 * 2 ** doublings / 31 / tol))
+    sequential = (doublings + 1) + 1 + depth
+    stacks = _counting_probes(monkeypatch)
+    res = critical_lambda(baseline_params, ANCHOR_CONSTRAINTS, tol=tol)
+    assert res.monotone and not res.capped
+    assert len(stacks) == math.ceil((doublings + 1) / 3) + 1 + math.ceil(depth / 2)
+    assert len(stacks) < sequential
+
+
+def test_critical_lambda_doubling_past_a_failing_speculative_end(baseline_params,
+                                                                monkeypatch):
+    lam0 = 0.003
+    params = replace(baseline_params, traffic=replace(baseline_params.traffic, lam=lam0))
+    want = critical_lambda(params, ANCHOR_CONSTRAINTS)
+    # The first stack is lam0 * (1, 2, 4); the one-at-a-time doubling stops
+    # at 2 * lam0 (the answer lies between lam0 and it), so 4 * lam0 is
+    # speculative and the search must not raise there.
+    assert lam0 < want.value < 2 * lam0
+    stacks = _counting_probes(monkeypatch, failing_lams={4 * lam0})
+    assert repr(critical_lambda(params, ANCHOR_CONSTRAINTS)) == repr(want)
+    assert [p.traffic.lam for p in stacks[1]] == [lam0]
+
+
+# The 21 bracket ends lam0 * 2**0..20 fill seven stacks of three exactly;
+# with four per stack the last stack is cut at the cap.
+@pytest.mark.parametrize("steps", [3, 4])
+def test_critical_lambda_doubling_never_probes_past_the_cap(baseline_params, monkeypatch,
+                                                           steps):
+    monkeypatch.setattr(region, "_DOUBLING_STEPS", steps)
+    stacks = _counting_probes(monkeypatch)
+    res = critical_lambda(baseline_params, Constraints(max_drop=1.0, max_interference=1.0))
+    assert res.capped
+    lams = [p.traffic.lam for points in stacks for p in points]
+    assert max(lams) == res.value == 0.001 * 2 ** 20
+    assert len(stacks) == math.ceil(21 / steps)
 
 
 def test_probe_flag_is_the_report_flag():

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from criotq import (Action, InvalidParameterError, Phase, PnpModel, PolicyModel,
                     SensingModel, TrafficModel, activity_factor, arrival_pmf,
                     arrival_tail, decision_distribution, slot_kernel)
+from criotq.slot import arrival_pmf_row
 
 
 def test_activity_factor_values():
@@ -118,6 +121,16 @@ def test_arrival_pmf_large_mean_against_reference():
     for k in (0, 1, 17, 40, 90):
         want = scipy.stats.poisson.pmf(k, mean)
         assert arrival_pmf(traffic, k) == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(mean=st.one_of(st.sampled_from([0.0, 1e-6, 1e3]),
+                      st.floats(min_value=0.0, max_value=1e3)),
+       k_max=st.integers(min_value=0, max_value=60))
+def test_arrival_pmf_row_is_the_scalar_pmf_bit_for_bit(mean, k_max):
+    traffic = TrafficModel(n=1, lam=mean, capacity_k=10, slot_d=1.0)
+    row = arrival_pmf_row(traffic, k_max)
+    assert [x.hex() for x in row] == [arrival_pmf(traffic, k).hex() for k in range(k_max + 1)]
 
 
 def test_arrival_pmf_edge_cases():
