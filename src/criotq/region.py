@@ -11,13 +11,15 @@ a bogus bracket.
 A probe builds and solves the chains of its points and returns their
 full ``QosReport``s (``metrics.qos_reports``), and a search answers
 with the report of the point it chose, as probed: no report is
-evaluated again.  A stack costs far less than its points one at a
-time, so every probe is a stack: the 32 pre-scan points, a bisection
-midpoint with the next level's midpoints still reachable under tol, or
-three doubling steps.  Every report is the one the point gets alone,
-so the pre-scan grid, the bisection midpoints and the answers are
-those of probing with ``feasibility_check`` point by point.  So are the
-errors: a stack that raises is probed again as its first point alone.
+evaluated again.  Every probe is a stack, which costs far less than its
+points one at a time: the 32 pre-scan points, a bisection midpoint with
+the next level's midpoints still reachable under tol, or three doubling
+steps.  Each report is the one the point gets alone, so the grid, the
+midpoints, the answers and the errors are those of probing with
+``feasibility_check`` point by point: a stack that raises is probed
+again as its first point alone.  Only the warnings can differ: a
+speculative point can emit a metrics RuntimeWarning the one-point search
+never emits, and a re-probed first point emits its warnings twice.
 A lambda search's pre-scan ends on the bracket end its doubling has
 already probed, and probes it again within the stack.
 """
@@ -42,6 +44,8 @@ _PRESCAN_POINTS = 32
 _BISECTION_LEVELS = 2
 _DOUBLING_STEPS = 3
 _LAMBDA_DOUBLING_CAP = 20
+# The bracket ends lam0 * 2**0..20 fill whole doubling stacks: none probes past the cap.
+assert (_LAMBDA_DOUBLING_CAP + 1) % _DOUBLING_STEPS == 0
 
 #: Sweep axis -> the SensingModel field its grid drives.
 _AXIS_FIELDS = {"detection": "p_detect", "false-alarm": "p_false_alarm"}
@@ -111,10 +115,9 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     short-circuits to None, an all-feasible scan returns hi (capped), and
     a scan whose feasibility flips back on after turning off is flagged
     non-monotone and answered with the last prefix-feasible grid point
-    instead of a bisection that would be meaningless.  The bisection
-    probes the midpoints of its next _BISECTION_LEVELS steps per call.
-    The result carries the report of the grid point or midpoint it
-    answers with, as probed.
+    instead of a bisection that would be meaningless.  Each probe takes
+    _BISECTION_LEVELS bisection levels.  The result carries the report
+    of the grid point or midpoint it answers with, as probed.
     """
     xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
     scan = probe(xs)
@@ -184,8 +187,7 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     hi = lam0
     doublings = 0
     while True:
-        steps = min(_DOUBLING_STEPS, _LAMBDA_DOUBLING_CAP - doublings + 1)
-        for report in _probe_ahead(probe, [hi * 2.0 ** j for j in range(steps)]):
+        for report in _probe_ahead(probe, [hi * 2.0 ** j for j in range(_DOUBLING_STEPS)]):
             if not report.feasible:
                 return _largest_feasible(probe, 0.0, hi, tol)
             if doublings >= _LAMBDA_DOUBLING_CAP:

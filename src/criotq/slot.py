@@ -87,24 +87,17 @@ def slot_kernel(pnp: PnpModel, slot_d: float) -> SlotTransitionKernel:
 
 
 def arrival_pmf(traffic: TrafficModel, k: int) -> float:
-    """P(exactly k arrivals in one slot); 0 for negative k by convention.
-
-    The count is Poisson with mean n * lam * slot_d.  Evaluated in log
-    space for large k so means in the thousands neither overflow nor
-    raise; k = 0 keeps the exact exp(-mean) form.
-    """
-    if k < 0:
-        return 0.0
-    mean = traffic.mean_arrivals_per_slot
-    if mean == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if k == 0:
-        return math.exp(-mean)
-    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+    """P(exactly k arrivals in one slot); 0 for negative k by convention."""
+    return 0.0 if k < 0 else arrival_pmf_row(traffic, k)[k]
 
 
 def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> list[float]:
-    """[arrival_pmf(traffic, k) for k in range(k_max + 1)] bit for bit, one log(mean)."""
+    """[P(exactly k arrivals in one slot) for k in 0..k_max].
+
+    The count is Poisson with mean n * lam * slot_d.  Evaluated in log
+    space, with one log(mean), so means in the thousands neither overflow
+    nor raise; k = 0 keeps the exact exp(-mean) form.
+    """
     mean = traffic.mean_arrivals_per_slot
     if mean == 0.0:
         return [1.0] + [0.0] * k_max
@@ -116,14 +109,15 @@ def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> list[float]:
 def arrival_tail(traffic: TrafficModel, k_min: int) -> float:
     """P(at least k_min arrivals in one slot), complement of the partial sum.
 
-    Computed as 1 - sum_{k < k_min} pmf(k) so that a pmf row capped with
-    this tail sums to 1 up to a final rounding, then clamped into [0, 1].
+    Computed as 1 - sum_{k < k_min} pmf(k), added left to right, so that
+    a pmf row capped with this tail sums to 1 up to a final rounding,
+    then clamped into [0, 1].
     """
     if k_min <= 0:
         return 1.0
     acc = 0.0
-    for k in range(k_min):
-        acc += arrival_pmf(traffic, k)
+    for p in arrival_pmf_row(traffic, k_min - 1):
+        acc += p
     return min(1.0, max(0.0, 1.0 - acc))
 
 

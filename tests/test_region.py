@@ -235,18 +235,14 @@ def test_critical_lambda_doubling_past_a_failing_speculative_end(baseline_params
     assert [p.traffic.lam for p in stacks[1]] == [lam0]
 
 
-# The 21 bracket ends lam0 * 2**0..20 fill seven stacks of three exactly;
-# with four per stack the last stack is cut at the cap.
-@pytest.mark.parametrize("steps", [3, 4])
-def test_critical_lambda_doubling_never_probes_past_the_cap(baseline_params, monkeypatch,
-                                                           steps):
-    monkeypatch.setattr(region, "_DOUBLING_STEPS", steps)
+def test_critical_lambda_doubling_never_probes_past_the_cap(baseline_params, monkeypatch):
     stacks = _counting_probes(monkeypatch)
     res = critical_lambda(baseline_params, Constraints(max_drop=1.0, max_interference=1.0))
     assert res.capped
     lams = [p.traffic.lam for points in stacks for p in points]
     assert max(lams) == res.value == 0.001 * 2 ** 20
-    assert len(stacks) == math.ceil(21 / steps)
+    # The 21 bracket ends lam0 * 2**0..20 fill seven stacks of three.
+    assert len(stacks) == 21 / region._DOUBLING_STEPS == 7
 
 
 def test_probe_flag_is_the_report_flag():

@@ -123,14 +123,28 @@ def test_arrival_pmf_large_mean_against_reference():
         assert arrival_pmf(traffic, k) == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
+def _pmf_per_k(mean, k):
+    """The per-k form: exp(-mean) at 0, else exp(k log(mean) - mean - lgamma(k + 1))."""
+    if mean == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if k == 0:
+        return math.exp(-mean)
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(mean=st.one_of(st.sampled_from([0.0, 1e-6, 1e3]),
                       st.floats(min_value=0.0, max_value=1e3)),
        k_max=st.integers(min_value=0, max_value=60))
-def test_arrival_pmf_row_is_the_scalar_pmf_bit_for_bit(mean, k_max):
+def test_arrival_pmf_row_is_the_per_k_pmf_bit_for_bit(mean, k_max):
     traffic = TrafficModel(n=1, lam=mean, capacity_k=10, slot_d=1.0)
-    row = arrival_pmf_row(traffic, k_max)
-    assert [x.hex() for x in row] == [arrival_pmf(traffic, k).hex() for k in range(k_max + 1)]
+    want = [_pmf_per_k(mean, k) for k in range(k_max + 1)]
+    assert [x.hex() for x in arrival_pmf_row(traffic, k_max)] == [x.hex() for x in want]
+    assert arrival_pmf(traffic, k_max).hex() == want[k_max].hex()
+    acc = 0.0
+    for x in want:
+        acc += x
+    assert arrival_tail(traffic, k_max + 1) == min(1.0, max(0.0, 1.0 - acc))
 
 
 def test_arrival_pmf_edge_cases():
