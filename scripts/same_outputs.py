@@ -12,8 +12,9 @@ Under OUT it writes:
   every ``configs/*.json``, the sweeps of the region configs, a
   false-alarm lambda_c sweep, compare runs, a zero-load analyze, a
   simulate, an analyze that sets every parameter flag, a simulate that
-  sets every sim flag and a sweep with --tol and --beta), each with its
-  exit status;
+  sets every sim flag, a simulate off the unit slot grid whose horizon
+  crosses a simulator chunk, and a sweep with --tol and --beta), each
+  with its exit status;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
   11 to 13 (144 searches, each with its full report).
@@ -64,6 +65,9 @@ COMMANDS = [
     ("simulate-sim-flags",
      ["simulate", "--config", "configs/default.json", "--horizon", "5000", "--warmup", "500",
       "--seed", "7", "--replications", "2"]),
+    ("simulate-slot-d",  # inexact slot bounds; the horizon crosses the 262,144-slot chunk
+     ["simulate", "--config", "configs/default.json", "--slot-d", "0.37", "--mu-on", "0.7",
+      "--mu-off", "2.3", "--horizon", "300000"]),
     ("sweep-tol-beta",
      ["sweep", "--config", "configs/region_detection.json", "--tol", "0.01", "--beta", "0.3"]),
 ]

@@ -22,9 +22,10 @@ The slots are processed _CHUNK at a time, as arrays, and memory does
 not grow with the horizon:
 
 * the phase durations are drawn in blocks that alternate between the
-  phases; their running sum gives the switch times, and counting the
-  switches before each slot boundary gives every slot's starting phase
-  (by parity) and whether one phase covered it;
+  phases, and their running sum gives the switch times; each switch's
+  slot index, by division checked against the array of slot bounds,
+  counts the switches before each bound, which gives every slot's
+  starting phase (by parity) and whether one phase covered it;
 * each chunk draws its arrival counts, in-slot timestamps and sensing,
   idle and charge coins, in that order;
 * only the queue recursion q' = min(q + a, K) - [departure] runs slot
@@ -197,14 +198,29 @@ def _pool(tallies: list[_Tally]) -> _Tally:
                   served_tagged=sum(t.served_tagged for t in tallies))
 
 
+def _switch_rank(switches: np.ndarray, bounds: np.ndarray, slot_d: float, s0: int) -> np.ndarray:
+    """Count the bounds (s0 + j) * slot_d <= each switch in [bounds[0], bounds[-1]).
+
+    That is the switch's slot index by division, less s0 - 1, checked
+    against the bounds on both sides; binary search ranks only the misses.
+    """
+    rank = (switches / slot_d).astype(np.int64) - (s0 - 1)
+    np.clip(rank, 1, bounds.size - 1, out=rank)
+    bad = np.flatnonzero((bounds[rank - 1] > switches) | (bounds[rank] <= switches))
+    rank[bad] = np.searchsorted(bounds, switches[bad], "right")
+    return rank
+
+
 def _phase_path(rng: np.random.Generator, pnp: PnpModel, slot_d: float, horizon: int):
-    """Yield the starting phase and whole-slot flag of every slot, per chunk.
+    """Yield the starting phase (True for ON) and whole-slot flag of every slot, per chunk.
 
     The phase alternates, so its durations are drawn in a fixed order:
     _BLOCK for the start phase, _BLOCK for the other phase, and again.
     Interleaved and summed left to right they give the switch times; a
     slot starts in the start phase iff an even number of switches came
     before its start, and stays in one phase iff none falls inside it.
+    Each switch is ranked among the bounds by its slot index
+    (_switch_rank), and a running count of the ranks counts them.
     """
     start = 1 if rng.random() < activity_factor(pnp) else 0
     scale = (1.0 / pnp.mu_off, 1.0 / pnp.mu_on)  # index = phase being held
@@ -216,23 +232,22 @@ def _phase_path(rng: np.random.Generator, pnp: PnpModel, slot_d: float, horizon:
         dur[0] += last
         return np.cumsum(dur)
 
-    # Invariant: every switch before the current block precedes every
-    # bound not yet counted, so a bound's count is `passed` plus its rank
-    # in the first block that reaches it.
-    switches, passed = block(0.0), 0
+    # The blocks before the current one end before the chunk's first bound
+    # and hold 2 * _BLOCK switches each, an even number, so counting from
+    # the current block gives every parity and every difference.
+    switches = block(0.0)
     for s0 in range(0, horizon, _CHUNK):
         bounds = np.arange(s0, min(s0 + _CHUNK, horizon) + 1) * slot_d
-        before = np.empty(bounds.size, dtype=np.int64)  # switches strictly before each bound
-        done = 0
+        per_rank = np.zeros(bounds.size, dtype=np.int64)  # switches by the bounds <= them
         while True:
-            reached = int(np.searchsorted(bounds, switches[-1], "right"))
-            before[done:reached] = passed + np.searchsorted(switches, bounds[done:reached])
-            done = reached
-            if done == bounds.size:
+            lo, hi = np.searchsorted(switches, bounds[[0, -1]])
+            per_rank[0] += lo
+            np.add.at(per_rank, _switch_rank(switches[lo:hi], bounds, slot_d, s0), 1)
+            if switches[-1] >= bounds[-1]:
                 break
-            passed += switches.size
             switches = block(switches[-1])
-        yield start ^ (before[:-1] & 1), before[1:] == before[:-1]
+        before = np.cumsum(per_rank)
+        yield (before[:-1] & 1) != start, before[1:] == before[:-1]
 
 
 def _simulate_one(params: SystemParams, horizon: int, warmup: int,
@@ -245,7 +260,7 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
     tr = params.traffic
     k_cap = tr.capacity_k
     d = tr.slot_d
-    busy_by_phase = np.array([params.sensing.p_false_alarm, params.sensing.p_detect])
+    p_detect, p_false_alarm = params.sensing.p_detect, params.sensing.p_false_alarm
     theta, xi = params.policy.theta_idle, params.policy.xi_charge
     measured = horizon - warmup
     meas_t0 = warmup * d
@@ -268,18 +283,16 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
         slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
         ts = (slots_f + flow_rng.random(total)) * d
         ts.sort()
-        sense_u = flow_rng.random(chunk)
-        theta_u = flow_rng.random(chunk)
-        xi_u = flow_rng.random(chunk)
+        sense_u, theta_u, xi_u = flow_rng.random(3 * chunk).reshape(3, chunk)
         phase, whole = next(phases)
 
-        # Action before considering the queue: 0 idle, 1 serve, 2 charge.
-        act = np.where(xi_u < xi, 2, 1)
-        act[(sense_u < busy_by_phase[phase]) | (theta_u < theta)] = 0
-        clears = (act == 1) & (phase == 0) & whole  # departs iff the queue is nonempty
+        # Go past the sensing and idle coins, then charge, or serve a nonempty queue.
+        go = (sense_u >= np.where(phase, p_detect, p_false_alarm)) & (theta_u >= theta)
+        charge = go & (xi_u < xi)
+        clears = go & ~charge & ~phase & whole  # departs iff the queue is nonempty
 
         # The queue only moves on slots with an arrival or a possible departure.
-        moves = (n_arr > 0) | clears
+        moves = np.flatnonzero((n_arr > 0) | clears)
         after = [qlen]
         append = after.append
         for c, clear in zip(n_arr[moves].tolist(), clears[moves].tolist()):
@@ -290,9 +303,9 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
                 nxt -= 1
             qlen = nxt
             append(qlen)
-        q = np.asarray(after)[np.cumsum(moves) - moves]  # queue at each slot start
+        q = np.repeat(after, np.diff(moves, prepend=-1, append=chunk - 1))  # at each slot start
 
-        act[(act == 1) & (q == 0)] = 0
+        serve = go & ~charge & (q > 0)
         adm = np.minimum(n_arr, k_cap - q)
         dep = clears & (q > 0)
         if adm.sum() < total:  # admit each slot's earliest arrivals only
@@ -306,13 +319,13 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
         m0 = max(warmup - s0, 0)
         if m0 >= chunk:
             continue
-        q, phase, act = q[m0:], phase[m0:], act[m0:]
+        q, phase, serve, charge = q[m0:], phase[m0:], serve[m0:], charge[m0:]
         dep, n_arr, adm = dep[m0:], n_arr[m0:], adm[m0:]
-        cells += np.bincount(6 * q + 3 * phase + act, minlength=cells.size)
+        cells += np.bincount(6 * q + 3 * phase + 2 * charge + serve, minlength=cells.size)
         cut = np.clip(edges, s0 + m0, s0 + chunk) - (s0 + m0)  # batch bounds in this window
         held = np.flatnonzero(np.diff(cut))  # batches with slots in this window
-        for col, per_slot in enumerate((n_arr, n_arr - adm, (phase == 1) & (act != 0),
-                                        dep, act == 2)):
+        for col, per_slot in enumerate((n_arr, n_arr - adm, phase & (serve | charge),
+                                        dep, charge)):
             batches[held, col] += np.add.reduceat(per_slot, cut[held])
         batches[:, _SLOTS] += np.diff(cut)
 

@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module.
 
 ``__init__.py`` is checked apart: it imports names to re-export them, so
-what it imports must be exactly what ``__all__`` lists.
+what it imports must be exactly what ``__all__`` lists.  The simulator's
+imports are also checked to take no transition law from the chain.
 """
 
 import ast
@@ -50,3 +51,41 @@ def test_package_exports_what_it_imports():
     assert len(set(criotq.__all__)) == len(criotq.__all__)
     assert set(imported) == set(criotq.__all__)
     assert all(hasattr(criotq, name) for name in criotq.__all__)
+
+
+#: What the simulator may take from ``slot`` and ``chain``: records and the
+#: state enumeration.  Every other name there is a transition law.
+SIM_RECORDS = {"Action", "Phase", "SlotTransitionKernel", "StateSpace", "enumerate_states"}
+
+
+def law_imports(source: str) -> list[str]:
+    """Package imports of source that could reach a transition law.
+
+    That is a whole package module (``import criotq``, ``from . import
+    slot``), a name of ``slot`` or ``chain`` outside SIM_RECORDS, or any
+    name of the layers built on them (``metrics``, ``region``, ``cli``).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "criotq"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("criotq")):
+            module = (node.module or "").split(".")[-1]
+            if module in ("", "criotq", "metrics", "region", "cli"):
+                found += [alias.name for alias in node.names]
+            elif module in ("slot", "chain"):
+                found += [alias.name for alias in node.names if alias.name not in SIM_RECORDS]
+    return found
+
+
+def test_law_finder_sees_laws_and_modules():
+    source = ("import numpy as np\nfrom . import chain\nfrom .params import PnpModel\n"
+              "from .slot import Phase, slot_kernel\nfrom criotq.chain import StateSpace\n"
+              "from criotq.chain import build_transition_matrix\nfrom .metrics import evaluate_qos\n")
+    assert law_imports(source) == ["chain", "slot_kernel", "build_transition_matrix",
+                                   "evaluate_qos"]
+
+
+def test_simulator_imports_no_transition_law():
+    # The simulator checks the closed forms, so it must not share them.
+    assert law_imports((PACKAGE / "simulate.py").read_text()) == []

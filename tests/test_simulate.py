@@ -9,7 +9,7 @@ from criotq import (Action, InvalidParameterError, Phase, PnpModel, SimConfig,
                     estimate_slot_kernel, estimate_transition_row, evaluate_qos,
                     run_simulation, slot_kernel, stationary_distribution)
 from criotq.simulate import (_CHARGE, _CHUNK, _DROP, _GEN, _INTERF, _SERVE, _SLOTS,
-                             NUM_BATCHES, _simulate_one)
+                             NUM_BATCHES, _simulate_one, _switch_rank)
 from conftest import make_params
 
 
@@ -235,6 +235,35 @@ def test_array_simulator_matches_literal_loop_across_chunks(cell, warmup):
     params = make_params(**cell)
     for rep_index in range(2):
         _assert_matches_literal(params, _CHUNK + 40_000, warmup, seed=77, rep_index=rep_index)
+
+
+@pytest.mark.parametrize("cell", [
+    dict(slot_d=0.37, mu_on=0.7, mu_off=2.3, lam=0.05),
+    dict(slot_d=3.0, capacity_k=3, mu_on=0.2, mu_off=0.9, lam=0.01),
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_array_simulator_matches_literal_loop_off_the_unit_grid(cell):
+    # Off slot_d = 1 the slot bounds are inexact products, so switch times
+    # near a bound can round either way when divided by slot_d.
+    _assert_matches_literal(make_params(**cell), 5_000, 500, seed=53, rep_index=0)
+
+
+@pytest.mark.parametrize("s0", [0, _CHUNK])
+def test_switch_rank_matches_binary_search_at_the_bounds(s0):
+    # Switches on every slot bound and one ulp either side, where the
+    # slot index by division rounds to the wrong side of many of them.
+    slot_d = 0.1
+    bounds = np.arange(s0, s0 + 1_000) * slot_d
+    near = np.concatenate([bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf)])
+    switches = np.sort(near[(near >= bounds[0]) & (near < bounds[-1])])
+    assert switches.size == 2_997
+    want = np.searchsorted(bounds, switches, "right")
+    by_division = (switches / slot_d).astype(np.int64) - (s0 - 1)
+    assert (by_division != want).any()  # the binary-search fallback has work to do
+    rank = _switch_rank(switches, bounds, slot_d, s0)
+    assert np.array_equal(rank, want)
+    # A running count of the ranks is the number of switches before each bound.
+    before = np.cumsum(np.bincount(rank, minlength=bounds.size))
+    assert np.array_equal(before, np.searchsorted(switches, bounds))
 
 
 def test_same_seed_reproduces_bit_for_bit():
