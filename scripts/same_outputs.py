@@ -10,11 +10,11 @@ Under OUT it writes:
 * ``cli/<name>/``: the files and the stdout of each command of a fixed
   list of CLI commands (``analyze --emit-stationary --emit-matrix`` of
   every ``configs/*.json``, the sweeps of the region configs, a
-  false-alarm lambda_c sweep, compare runs, a zero-load analyze, a
-  simulate, an analyze that sets every parameter flag, a simulate that
-  sets every sim flag, a simulate off the unit slot grid whose horizon
-  crosses a simulator chunk, and a sweep with --tol and --beta), each
-  with its exit status;
+  false-alarm lambda_c sweep, compare runs, a zero-load analyze, three
+  light-load analyzes, a simulate, an analyze that sets every parameter
+  flag, a simulate that sets every sim flag, a simulate off the unit
+  slot grid whose horizon crosses a simulator chunk, and a sweep with
+  --tol and --beta), each with its exit status;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
   11 to 13 (144 searches, each with its full report).
@@ -56,6 +56,13 @@ COMMANDS = [
     ("compare-sync_compare", ["compare", "--config", "configs/sync_compare.json"]),
     ("analyze-zero-load",
      ["analyze", "--config", "configs/default.json", "--lambda", "0", "--emit-stationary"]),
+    # Light loads: pmf(0) rounds to 1 at 1e-18; K=1 meets the cancelling
+    # tail column 1 - pmf(0) at 3e-18 (a range error) and 1e-16.
+    ("analyze-light-load", ["analyze", "--config", "configs/default.json", "--lambda", "1e-18"]),
+    ("analyze-k1-light-load-3e-18",
+     ["analyze", "--config", "configs/default.json", "--capacity-k", "1", "--lambda", "3e-18"]),
+    ("analyze-k1-light-load-1e-16",
+     ["analyze", "--config", "configs/default.json", "--capacity-k", "1", "--lambda", "1e-16"]),
     ("simulate-default", ["simulate", "--config", "configs/default.json"]),
     ("analyze-all-flags",
      ["analyze", "--config", "configs/default.json", "--mu-on", "1.5", "--mu-off", "0.8",

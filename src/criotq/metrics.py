@@ -207,9 +207,10 @@ def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
     service_success holds their success probabilities (or one for all).
     The sums run along the rows, so each point gets the bits it gets
     alone; the points are then taken in order, so a point that fails
-    raises after the points before it have warned.  P_B is 0 at zero
-    offered load (there is nothing to drop); the flag is None without
-    constraints.
+    raises after the points before it have warned.  A law with no mass
+    above the empty level (queued == 0, as the closed-level solve of a
+    chain that admits no arrival gives) has nothing to drop: P_B is 0
+    and both waits are None.  The flag is None without constraints.
     """
     carried = (service_success * _running_sum(pi[..., space.serving])).tolist()
     interfering = _running_sum(pi[..., space.interfering]).tolist()
@@ -219,8 +220,7 @@ def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
     for params, rho_c, p_i, charge, queue, res in zip(points, carried, interfering, charging,
                                                       queued, residual):
         rho_c = _clamp_probability(rho_c, "carried load")
-        offered = params.traffic.mean_arrivals_per_slot
-        p_b = 0.0 if offered == 0.0 else packet_drop_probability(rho_c, params.traffic)
+        p_b = 0.0 if queue == 0.0 else packet_drop_probability(rho_c, params.traffic)
         p_i = _clamp_probability(p_i, "interference probability")
         beta = activity_factor(params.pnp)
         pw = required_power(params.power, params.traffic, params.policy, beta, p_b)
@@ -230,14 +230,13 @@ def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
                             and p_i <= constraints.max_interference and pw.feasible)
         lam_agg = params.traffic.aggregate_rate
         lam_eff = lam_agg * (1.0 - p_b)
-        w_inv: float | None = None
-        w_slot: float | None = None
-        if offered != 0.0 and lam_eff > 0.0:
+        w_inv = w_slot = None
+        if queue != 0.0 and lam_eff > 0.0:
             w_inv = p_b / lam_eff + 1.0 / lam_agg
             w_slot = queue / lam_eff
         out.append(QosReport(
-            beta=beta, offered_load=offered, carried_load=rho_c, drop_prob=p_b,
-            wait_inverse_rate=w_inv, wait_slot_avg=w_slot, interference_prob=p_i,
+            beta=beta, offered_load=params.traffic.mean_arrivals_per_slot, carried_load=rho_c,
+            drop_prob=p_b, wait_inverse_rate=w_inv, wait_slot_avg=w_slot, interference_prob=p_i,
             charge_frac=_clamp_probability(charge, "charge fraction"),
             charge_frac_nominal=nominal_charge_fraction(params), power=pw, residual=res,
             solver_method=SOLVER_METHOD, feasible=feasible))
@@ -270,11 +269,11 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
                  service_success: float | None = None) -> QosReport:
     """Build the chain, solve it, and evaluate every stationary metric.
 
-    With zero offered load the drop probability is reported as 0 (there
-    is nothing to drop) and both waiting times as None; a saturated
-    point (P_B = 1) likewise reports None waits.  The feasibility flag
-    is filled only when both constraint thresholds are supplied, and
-    they are checked as ``Constraints`` checks them.
+    A point whose queue stays empty (zero load, or pmf(0) rounding to 1)
+    reports a drop probability of 0 and both waiting times as None; a
+    saturated point (P_B = 1) likewise reports None waits.  The
+    feasibility flag is filled only when both constraint thresholds are
+    supplied, and they are checked as ``Constraints`` checks them.
 
     The waits are those of an admitted packet, in seconds.  The
     inverse-rate wait composes the blocking and admission terms of the

@@ -22,6 +22,10 @@ speculative point can emit a metrics RuntimeWarning the one-point search
 never emits, and a re-probed first point emits its warnings twice.
 A lambda search's pre-scan ends on the bracket end its doubling has
 already probed, and probes it again within the stack.
+
+One table, ``_AXES``, forms every point a search probes or a sweep
+visits from its value on an axis: activity, lambda, detection or
+false-alarm.
 """
 
 from __future__ import annotations
@@ -47,9 +51,7 @@ _LAMBDA_DOUBLING_CAP = 20
 # The bracket ends lam0 * 2**0..20 fill whole doubling stacks: none probes past the cap.
 assert (_LAMBDA_DOUBLING_CAP + 1) % _DOUBLING_STEPS == 0
 
-#: Sweep axis -> the SensingModel field its grid drives.
-_AXIS_FIELDS = {"detection": "p_detect", "false-alarm": "p_false_alarm"}
-SWEEP_AXES = tuple(_AXIS_FIELDS)
+SWEEP_AXES = ("detection", "false-alarm")
 SWEEP_TARGETS = ("beta_c", "lambda_c")
 
 
@@ -70,6 +72,15 @@ def params_with_activity(params: SystemParams, beta: float) -> SystemParams:
         raise InvalidParameterError(f"beta must lie in [{BETA_FLOOR}, {BETA_CEIL}]")
     mu_on = params.pnp.mu_on
     return replace(params, pnp=PnpModel(mu_on=mu_on, mu_off=mu_on * beta / (1.0 - beta)))
+
+
+#: Axis -> (params, v) -> the operating point at value v of the axis.
+_AXES = {
+    "activity": params_with_activity,
+    "lambda": lambda p, v: replace(p, traffic=replace(p.traffic, lam=v)),
+    "detection": lambda p, v: replace(p, sensing=replace(p.sensing, p_detect=v)),
+    "false-alarm": lambda p, v: replace(p, sensing=replace(p.sensing, p_false_alarm=v)),
+}
 
 
 @dataclass(frozen=True)
@@ -146,23 +157,21 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
                           capped=False, report=report)
 
 
-def _prober(at, constraints: Constraints):
-    """probe(xs): the report of each operating point at(x), the list probed as one stack."""
+def _prober(params: SystemParams, axis: str, constraints: Constraints, tol: float):
+    """probe(xs): the reports of the points at xs on axis, as one stack; tol checked here."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError("tol must be finite and positive")
+    at = _AXES[axis]
     def probe(xs: list[float]) -> list[QosReport]:
-        return qos_reports([at(x) for x in xs], constraints)
+        return qos_reports([at(params, x) for x in xs], constraints)
     return probe
 
 
 def critical_beta(params: SystemParams, constraints: Constraints,
                   tol: float = 1e-3) -> CriticalResult:
     """Largest sustainable activity factor, to absolute tolerance tol."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError("tol must be finite and positive")
-
-    def at(beta: float) -> SystemParams:
-        return params_with_activity(params, beta)
-
-    return _largest_feasible(_prober(at, constraints), BETA_FLOOR, BETA_CEIL, tol)
+    probe = _prober(params, "activity", constraints, tol)
+    return _largest_feasible(probe, BETA_FLOOR, BETA_CEIL, tol)
 
 
 def critical_lambda(params: SystemParams, constraints: Constraints,
@@ -174,13 +183,7 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     2**20 times the start, _DOUBLING_STEPS per probe; a still-feasible
     cap is returned as capped.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError("tol must be finite and positive")
-
-    def at(lam: float) -> SystemParams:
-        return replace(params, traffic=replace(params.traffic, lam=lam))
-
-    probe = _prober(at, constraints)
+    probe = _prober(params, "lambda", constraints, tol)
     lam0 = params.traffic.lam
     if lam0 <= 0:
         lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
@@ -221,13 +224,9 @@ def sweep(params: SystemParams, constraints: Constraints, axis: str,
     values = [float(v) for v in grid]
     if not values:
         raise InvalidParameterError("grid must be nonempty")
-    field = _AXIS_FIELDS[axis]
     search = critical_beta if target == "beta_c" else critical_lambda
-    rows = []
-    for v in values:
-        at = replace(params, sensing=replace(params.sensing, **{field: v}))
-        rows.append(SweepRow(swept_value=v, result=search(at, constraints, tol)))
-    return rows
+    return [SweepRow(swept_value=v, result=search(_AXES[axis](params, v), constraints, tol))
+            for v in values]
 
 
 def synchronized_baseline(params: SystemParams) -> QosReport:

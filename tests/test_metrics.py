@@ -233,6 +233,25 @@ def test_evaluate_qos_underflowing_load_is_zero_load(lam, slot_d):
     assert r.wait_slot_avg is None
 
 
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_vanishing_load_reads_zero_load_off_the_closed_level(k):
+    # n lam slot_d = 2e-17 > 0, but pmf(0) rounds to 1: the chain is solved
+    # on its closed empty level, so the report is the zero-load one, not
+    # flow balance's P_B = 1 - 0 / rho = 1.
+    lams = [0.0, 1e-18, 1e-3]
+    points = [make_params(lam=lam, capacity_k=k) for lam in lams]
+    assert math.exp(-points[1].traffic.mean_arrivals_per_slot) == 1.0
+    stacked = qos_reports(points, Constraints(0.1, 0.1))
+    light = evaluate_qos(points[1], 0.1, 0.1)
+    for r in (light, stacked[1]):
+        assert r.offered_load > 0.0
+        assert r.drop_prob == 0.0
+        assert r.wait_inverse_rate is None and r.wait_slot_avg is None
+        assert r.feasible is True
+    for params, got in zip(points, stacked):
+        assert repr(got) == repr(evaluate_qos(params, 0.1, 0.1))
+
+
 def test_evaluate_qos_saturated_policy():
     r = evaluate_qos(make_params(theta=1.0, lam=0.05), 0.1, 0.1)
     assert r.drop_prob == 1.0

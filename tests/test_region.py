@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
-                    InvalidParameterError, SensingModel, activity_factor, critical_beta,
-                    critical_lambda, evaluate_qos, feasibility_check, optimize_policy_grid,
-                    params_with_activity, sweep, synchronized_baseline)
+                    InvalidParameterError, SensingModel, SimConfig, activity_factor,
+                    critical_beta, critical_lambda, evaluate_qos, feasibility_check,
+                    optimize_policy_grid, params_with_activity, required_power,
+                    run_simulation, sweep, synchronized_baseline)
 from criotq import region
 from criotq.errors import MetricRangeError, NoConvergenceError
 from criotq.metrics import qos_reports
@@ -391,6 +392,52 @@ def test_critical_lambda_decreases_with_false_alarm():
     hi_noise = critical_lambda(make_params(p_false_alarm=0.30), ANCHOR_CONSTRAINTS)
     assert lo_noise.value is not None and hi_noise.value is not None
     assert hi_noise.value <= lo_noise.value + 1e-3
+
+
+# --- the boundary against the simulator --------------------------------------
+# One K=10 cell per binding limit.  At (1 -/+ delta) lambda_c the simulated
+# binding metric must lie on the feasible / infeasible side of its limit by
+# at least 3 SE, and agree with the model within 4 SE.  Each run has its own
+# seed, fixed with delta before the first run.
+
+_BOUNDARY_DELTA = 0.1
+_BOUNDARY_SLOTS = 1_000_000
+_BOUNDARY_BASE = make_params()
+_BOUNDARY_CELLS = {
+    "drop": (_BOUNDARY_BASE, (52101, 52102)),
+    "interference": (make_params(p_detect=0.5, theta=0.0, xi=0.2), (52103, 52104)),
+    "power": (replace(_BOUNDARY_BASE, power=replace(_BOUNDARY_BASE.power, energy_per_packet=100.0)),
+              (52105, 52106)),
+}
+
+
+@pytest.mark.parametrize("limit", sorted(_BOUNDARY_CELLS))
+def test_critical_lambda_boundary_matches_the_simulator(limit):
+    params, seeds = _BOUNDARY_CELLS[limit]
+    lam_c = critical_lambda(params, ANCHOR_CONSTRAINTS, tol=1e-9).value
+    bound = ANCHOR_CONSTRAINTS.max_interference if limit == "interference" \
+        else ANCHOR_CONSTRAINTS.max_drop
+    for factor, seed in zip((1.0 - _BOUNDARY_DELTA, 1.0 + _BOUNDARY_DELTA), seeds):
+        feasible_side = factor < 1.0
+        at = replace(params, traffic=replace(params.traffic, lam=factor * lam_c))
+        model = evaluate_qos(at)
+        sim = run_simulation(SimConfig(params=at, horizon_slots=_BOUNDARY_SLOTS, seed=seed))
+        if limit == "interference":
+            hat, se, predicted = sim.interference_hat, sim.interference_se, model.interference_prob
+        else:
+            hat, se, predicted = sim.drop_prob_hat, sim.drop_prob_se, model.drop_prob
+        assert se > 0.0
+        assert abs(hat - predicted) <= 4.0 * se, (factor, hat, se, predicted)
+        if limit == "power":
+            # The simulated drop 3 SE to the side that asks the most power
+            # below lambda_c, and the least above it.
+            drop = hat - 3.0 * se if feasible_side else hat + 3.0 * se
+            need = required_power(at.power, at.traffic, at.policy, model.beta, drop).total
+            assert (need <= at.power.p_max) == feasible_side, (factor, need)
+        elif feasible_side:
+            assert hat + 3.0 * se <= bound, (factor, hat, se)
+        else:
+            assert hat - 3.0 * se > bound, (factor, hat, se)
 
 
 def test_sweep_matches_pointwise_search(baseline_params):
