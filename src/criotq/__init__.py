@@ -23,8 +23,8 @@ from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constrain
                      params_with_activity, sweep, synchronized_baseline)
 from .simulate import (GENERATOR_NAME, NUM_BATCHES, Counts, Estimates, SimConfig, SimResult,
                        estimate_slot_kernel, estimate_transition_row, run_simulation)
-from .slot import (Action, ActionPmf, Phase, SlotTransitionKernel, arrival_pmf,
-                   arrival_tail, decision_distribution, slot_kernel)
+from .slot import (Action, ActionPmf, Phase, SlotTransitionKernel, arrival_tail,
+                   decision_distribution, slot_kernel)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "SensingModel", "SimConfig", "SimResult", "SlotTransitionKernel", "StateSpace",
     "StationaryDistribution", "SweepRow", "SystemParams", "TrafficModel", "TransitionMatrix",
     "UndefinedLoadError",
-    "activity_factor", "arrival_pmf", "arrival_tail",
+    "activity_factor", "arrival_tail",
     "build_transition_matrix", "critical_beta", "critical_lambda",
     "decision_distribution", "departure_distributions",
     "enumerate_states", "estimate_slot_kernel", "estimate_transition_row",

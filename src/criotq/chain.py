@@ -173,12 +173,10 @@ def _state_space(capacity_k: int) -> StateSpace:
 
 
 def _check_stochastic(p: np.ndarray) -> None:
-    """Raise unless p stacks square matrices, entries in [0, 1], rows summing to 1.
+    """Raise unless every matrix of the stack p has entries in [0, 1], rows summing to 1.
 
-    p has shape (B, n, n) and is checked as a whole, entries first.
+    p has shape (B, n, n) with n >= 1 and is checked as a whole, entries first.
     """
-    if p.ndim != 3 or p.shape[1] != p.shape[2] or p.shape[1] == 0:
-        raise InvalidParameterError("matrix must be square and nonempty")
     if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise InvalidParameterError("matrix entries outside [0, 1]")
     # Written so that a NaN entry, and with it a NaN row sum, fails here.
@@ -365,10 +363,9 @@ class StationaryDistribution:
     Attributes:
         vector: probabilities in canonical state order, entries
             nonnegative and summing to 1 up to rounding.
-        residual: infinity-norm of mu @ M - mu for the vector mu that
-            was solved for, after cleanup.  M is the lumped matrix Q
-            when solved from a TransitionMatrix, which bounds the same
-            norm for the full chain; otherwise the matrix given.
+        residual: infinity-norm of nu @ Q - nu for the lumped law nu
+            solved for on the chain's lumped matrix Q, after cleanup; it
+            bounds the same norm of the vector under the full chain.
         method: SOLVER_METHOD ("direct"), the dense LU solve, the only path.
     """
 
@@ -435,33 +432,24 @@ def stationary_vectors(chains: ChainStack) -> tuple[np.ndarray, np.ndarray]:
     return grid.reshape(len(nu), -1)[:, chains.space.cell] + 0.0, residual
 
 
-def stationary_distribution(tm: TransitionMatrix | np.ndarray) -> StationaryDistribution:
-    """Solve mu = mu P for a row-stochastic matrix by one direct solve.
+def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
+    """Solve mu = mu P for a built chain by one direct solve of its lumped matrix Q.
 
-    Accepts either a built TransitionMatrix or a bare square ndarray.
     The dense solve replaces one balance equation with normalization,
     clips negative rounding noise to 0 and renormalizes; the result is
     accepted when its residual is <= 1e-10.  Otherwise, as when the
     balance equations are singular because the stationary law is not
     unique, NoConvergenceError is raised with that residual.
 
-    A TransitionMatrix is solved on its lumped (queue, phase) matrix Q,
-    and the answer nu is expanded to mu(i, ph, a) = nu(i, ph) d[i, ph, a]
+    The answer nu is expanded to mu(i, ph, a) = nu(i, ph) d[i, ph, a]
     in state order, so the two excluded states, whose decision mass is
     exactly 0, are dropped.  The reported residual is that of nu under Q,
     which bounds the residual of mu under the full matrix.  A chain that
     admits no arrival (pmf(0) == 1, as at lam = 0) cannot leave the empty
     level, and the queue starts empty: nu is then solved on the level-0
-    block and is zero above it.  Both are the one-point case of
+    block and is zero above it.  This is the one-point case of
     ``stationary_vectors``.
     """
-    if not isinstance(tm, TransitionMatrix):
-        p = np.asarray(tm, dtype=float)[None]
-        _check_stochastic(p)
-        mu, residual = _solve(p, [p.shape[1]])
-        return StationaryDistribution(vector=mu[0], residual=float(residual[0]),
-                                      method=SOLVER_METHOD)
-
     one = ChainStack(lumped=tm.lumped[None], decision=tm.decision[None],
                      branches=tm.branches[None], shifts=tm.shifts[None],
                      service_success=np.array([tm.service_success]), space=tm.space)

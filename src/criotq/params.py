@@ -51,6 +51,7 @@ class PnpModel:
     def __post_init__(self):
         _require(_finite(self.mu_on, self.mu_off), "pnp rates must be finite")
         _require(self.mu_on > 0 and self.mu_off > 0, "pnp rates must be positive")
+        _require(math.isfinite(self.mu_on + self.mu_off), "pnp rates must sum to a finite total")
 
 
 def activity_factor(pnp: PnpModel) -> float:

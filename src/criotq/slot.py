@@ -86,11 +86,6 @@ def slot_kernel(pnp: PnpModel, slot_d: float) -> SlotTransitionKernel:
     )
 
 
-def arrival_pmf(traffic: TrafficModel, k: int) -> float:
-    """P(exactly k arrivals in one slot); 0 for negative k by convention."""
-    return 0.0 if k < 0 else arrival_pmf_row(traffic, k)[k]
-
-
 def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> list[float]:
     """[P(exactly k arrivals in one slot) for k in 0..k_max].
 

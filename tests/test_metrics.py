@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
                     MetricRangeError, NoConvergenceError, Phase, TrafficModel,
-                    UndefinedLoadError, activity_factor, arrival_pmf, arrival_tail, build_transition_matrix,
+                    UndefinedLoadError, activity_factor, arrival_tail, build_transition_matrix,
                     departure_distributions, evaluate_qos, nominal_charge_fraction,
                     packet_drop_probability, required_power, slot_kernel,
                     stationary_distribution)
 from criotq.chain import build_chains, stationary_vectors
 from criotq.metrics import Constraints, _reports, qos_reports
+from criotq.slot import arrival_pmf_row
 from conftest import make_params
 
 
@@ -75,10 +76,12 @@ def test_departure_distributions_basics():
         # kappa[i]: departures from serving level j <= i + 1 that leave i
         # behind, after i + 1 - j admitted arrivals; at the top level
         # i = K - 1 every count of K - j or more, the excess turned away.
+        pmf = arrival_pmf_row(traffic, k_cap)
+
         def weight(i, j):
             if i == k_cap - 1:
                 return arrival_tail(traffic, k_cap - j)
-            return arrival_pmf(traffic, i + 1 - j)
+            return pmf[i + 1 - j]
 
         want = [tm.service_success * sum(serving[j - 1] * weight(i, j) for j in range(1, i + 2))
                 for i in range(k_cap)]

@@ -10,7 +10,7 @@ from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     InvalidParameterError, SensingModel, SimConfig, activity_factor,
                     critical_beta, critical_lambda, evaluate_qos, feasibility_check,
                     optimize_policy_grid, params_with_activity, required_power,
-                    run_simulation, sweep, synchronized_baseline)
+                    run_simulation, slot_kernel, sweep, synchronized_baseline)
 from criotq import region
 from criotq.errors import MetricRangeError, NoConvergenceError
 from criotq.metrics import qos_reports
@@ -392,6 +392,59 @@ def test_critical_lambda_decreases_with_false_alarm():
     hi_noise = critical_lambda(make_params(p_false_alarm=0.30), ANCHOR_CONSTRAINTS)
     assert lo_noise.value is not None and hi_noise.value is not None
     assert hi_noise.value <= lo_noise.value + 1e-3
+
+
+# --- the chain-free saturation bound -----------------------------------------
+# A packet leaves only in a slot that starts OFF (mass 1 - beta), looks free,
+# draws neither the idle nor the charge coin and sees no switch, so the
+# carried load per slot is at most c = (1 - beta)(1 - p_f)(1 - theta)(1 - xi)
+# off_persist and P_B >= 1 - c / rho (Loynes' saturation argument).  The drop
+# limit then caps lambda_c at c / ((1 - max_drop) n slot_d).  A slot that
+# starts ON (mass beta) interferes at most when it looks free and skips the
+# idle coin, and at least when it then charges, which an empty queue does
+# too, so P_I lies in [beta (1 - p_d)(1 - theta) xi, beta (1 - p_d)(1 - theta)].
+
+def _saturation_rate(params, constraints):
+    sen, pol, traffic = params.sensing, params.policy, params.traffic
+    c = ((1.0 - activity_factor(params.pnp)) * (1.0 - sen.p_false_alarm)
+         * (1.0 - pol.theta_idle) * (1.0 - pol.xi_charge)
+         * slot_kernel(params.pnp, traffic.slot_d).off_persist)
+    return c / ((1.0 - constraints.max_drop) * traffic.n * traffic.slot_d)
+
+
+def test_critical_lambda_stays_under_the_saturation_rate(monkeypatch):
+    probed = []
+
+    def recorded(points, constraints):
+        reports = qos_reports(points, constraints)
+        probed.extend(zip(points, reports))
+        return reports
+    monkeypatch.setattr(region, "qos_reports", recorded)
+    rng = np.random.default_rng(40721)
+    bounded = 0
+    for k_cap in (1, 2, 5, 10, 15, 20) * 10:
+        cell = make_params(capacity_k=k_cap, lam=float(10 ** rng.uniform(-4, -2)),
+                           p_detect=float(rng.uniform(0.5, 1.0)),
+                           p_false_alarm=float(rng.uniform(0.0, 0.5)),
+                           theta=float(rng.uniform(0.0, 0.6)), xi=float(rng.uniform(0.0, 0.9)))
+        params = params_with_activity(cell, float(rng.uniform(0.05, 0.95)))
+        limits = Constraints(*rng.uniform(0.01, 0.5, size=2).tolist())
+        res = critical_lambda(params, limits, tol=1e-3 * params.traffic.lam)
+        if res.value is not None and not res.capped:
+            assert res.value <= _saturation_rate(params, limits) * (1.0 + 1e-9)
+            bounded += 1
+    assert bounded >= 50
+    for p, report in probed:
+        busy = activity_factor(p.pnp) * (1.0 - p.sensing.p_detect) * (1.0 - p.policy.theta_idle)
+        assert busy * p.policy.xi_charge - 1e-12 <= report.interference_prob <= busy + 1e-12
+
+
+def test_critical_lambda_meets_the_saturation_rate_at_large_k():
+    # A deep buffer turns nothing away until the queue saturates, so the
+    # drop limit binds within tol of the bound.
+    params = make_params(capacity_k=100, lam=0.02)
+    res = critical_lambda(params, ANCHOR_CONSTRAINTS, tol=1e-6)
+    assert 0.0 <= _saturation_rate(params, ANCHOR_CONSTRAINTS) - res.value <= 1e-6
 
 
 # --- the boundary against the simulator --------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from criotq import (Action, InvalidParameterError, Phase, PnpModel, PolicyModel,
-                    SensingModel, TrafficModel, activity_factor, arrival_pmf,
-                    arrival_tail, decision_distribution, slot_kernel)
+                    SensingModel, TrafficModel, activity_factor, arrival_tail,
+                    decision_distribution, slot_kernel)
 from criotq.slot import arrival_pmf_row
 
 
@@ -26,6 +26,10 @@ def test_pnp_model_rejects_bad_rates():
         PnpModel(mu_on=1.0, mu_off=-2.0)
     with pytest.raises(InvalidParameterError):
         PnpModel(mu_on=math.nan, mu_off=1.0)
+    # Finite rates whose sum overflows would give an activity factor of 0.
+    with pytest.raises(InvalidParameterError, match="finite total"):
+        PnpModel(mu_on=1.7e308, mu_off=1.7e308)
+    assert activity_factor(PnpModel(mu_on=8e307, mu_off=8e307)) == 0.5
 
 
 def test_traffic_model_rejects_non_integer_counts():
@@ -109,18 +113,20 @@ def test_arrival_pmf_matches_poisson_reference():
     traffic = TrafficModel(n=20, lam=0.001, capacity_k=10, slot_d=1.0)
     mean = traffic.mean_arrivals_per_slot
     assert mean == pytest.approx(0.02, abs=1e-15)
-    assert arrival_pmf(traffic, 0) == pytest.approx(math.exp(-0.02), abs=1e-15)
+    pmf = arrival_pmf_row(traffic, 20)
+    assert pmf[0] == pytest.approx(math.exp(-0.02), abs=1e-15)
     for k in range(21):
         want = scipy.stats.poisson.pmf(k, mean)
-        assert arrival_pmf(traffic, k) == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert pmf[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_arrival_pmf_large_mean_against_reference():
     traffic = TrafficModel(n=50, lam=0.4, capacity_k=10, slot_d=2.0)
     mean = traffic.mean_arrivals_per_slot  # 40 per slot
+    pmf = arrival_pmf_row(traffic, 90)
     for k in (0, 1, 17, 40, 90):
         want = scipy.stats.poisson.pmf(k, mean)
-        assert arrival_pmf(traffic, k) == pytest.approx(want, rel=1e-10, abs=1e-300)
+        assert pmf[k] == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
 def _pmf_per_k(mean, k):
@@ -140,7 +146,6 @@ def test_arrival_pmf_row_is_the_per_k_pmf_bit_for_bit(mean, k_max):
     traffic = TrafficModel(n=1, lam=mean, capacity_k=10, slot_d=1.0)
     want = [_pmf_per_k(mean, k) for k in range(k_max + 1)]
     assert [x.hex() for x in arrival_pmf_row(traffic, k_max)] == [x.hex() for x in want]
-    assert arrival_pmf(traffic, k_max).hex() == want[k_max].hex()
     acc = 0.0
     for x in want:
         acc += x
@@ -148,11 +153,8 @@ def test_arrival_pmf_row_is_the_per_k_pmf_bit_for_bit(mean, k_max):
 
 
 def test_arrival_pmf_edge_cases():
-    traffic = TrafficModel(n=20, lam=0.001, capacity_k=10, slot_d=1.0)
-    assert arrival_pmf(traffic, -1) == 0.0
     quiet = TrafficModel(n=20, lam=0.0, capacity_k=10, slot_d=1.0)
-    assert arrival_pmf(quiet, 0) == 1.0
-    assert arrival_pmf(quiet, 3) == 0.0
+    assert arrival_pmf_row(quiet, 3) == [1.0, 0.0, 0.0, 0.0]
     assert arrival_tail(quiet, 1) == 0.0
     assert arrival_tail(quiet, 0) == 1.0
 
@@ -160,12 +162,13 @@ def test_arrival_pmf_edge_cases():
 def test_arrival_tail_consistent_with_pmf():
     traffic = TrafficModel(n=30, lam=0.05, capacity_k=10, slot_d=1.5)
     mean = traffic.mean_arrivals_per_slot
+    pmf = arrival_pmf_row(traffic, 14)
     for k_min in range(0, 15):
         want = scipy.stats.poisson.sf(k_min - 1, mean)
         assert arrival_tail(traffic, k_min) == pytest.approx(want, rel=1e-10)
         # tail(k) - tail(k+1) telescopes back to the pmf
         diff = arrival_tail(traffic, k_min) - arrival_tail(traffic, k_min + 1)
-        assert diff == pytest.approx(arrival_pmf(traffic, k_min), rel=1e-9, abs=1e-15)
+        assert diff == pytest.approx(pmf[k_min], rel=1e-9, abs=1e-15)
 
 
 def test_decision_hand_values_off_phase():
