@@ -11,10 +11,12 @@ Under OUT it writes:
   list of CLI commands (``analyze --emit-stationary --emit-matrix`` of
   every ``configs/*.json``, the sweeps of the region configs, a
   false-alarm lambda_c sweep, compare runs, a zero-load analyze, three
-  light-load analyzes, a simulate, an analyze that sets every parameter
-  flag, a simulate that sets every sim flag, a simulate off the unit
-  slot grid whose horizon crosses a simulator chunk, and a sweep with
-  --tol and --beta), each with its exit status;
+  light-load analyzes, two K=200 analyzes with --emit-stationary, a
+  simulate, an analyze that sets every parameter flag, a simulate that
+  sets every sim flag, a simulate off the unit slot grid whose horizon
+  crosses a simulator chunk, and a sweep with --tol and --beta), each
+  with the category and text of every warning it emits, and its exit
+  status;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
   11 to 13 (144 searches, each with its full report).
@@ -31,6 +33,7 @@ import io
 import itertools
 import os
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +66,12 @@ COMMANDS = [
      ["analyze", "--config", "configs/default.json", "--capacity-k", "1", "--lambda", "3e-18"]),
     ("analyze-k1-light-load-1e-16",
      ["analyze", "--config", "configs/default.json", "--capacity-k", "1", "--lambda", "1e-16"]),
+    # Long tail rows: the capped column at K=200, at the default and a heavy load.
+    ("analyze-k200",
+     ["analyze", "--config", "configs/default.json", "--capacity-k", "200", "--emit-stationary"]),
+    ("analyze-k200-lambda-0.05",
+     ["analyze", "--config", "configs/default.json", "--capacity-k", "200", "--lambda", "0.05",
+      "--emit-stationary"]),
     ("simulate-default", ["simulate", "--config", "configs/default.json"]),
     ("analyze-all-flags",
      ["analyze", "--config", "configs/default.json", "--mu-on", "1.5", "--mu-off", "0.8",
@@ -85,9 +94,13 @@ def run_cli(out: Path) -> None:
         target = out / "cli" / name
         target.mkdir(parents=True)
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stdout):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stdout), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             status = cli.main([*argv, "--out", str(target)])
-        (target / "stdout.txt").write_text(f"{stdout.getvalue()}exit status {status}\n")
+        # A warning's source path names the checkout, so only its text is kept.
+        notes = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        (target / "stdout.txt").write_text(f"{stdout.getvalue()}{notes}exit status {status}\n")
 
 
 def run_region_searches(out: Path) -> None:

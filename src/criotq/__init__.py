@@ -18,9 +18,8 @@ from .metrics import (DepartureDistributions, PowerRequirement, QosReport,
 from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemParams,
                      TrafficModel, activity_factor)
 from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constraints,
-                     CriticalResult, SweepRow, critical_beta,
-                     critical_lambda, feasibility_check, optimize_policy_grid,
-                     params_with_activity, sweep, synchronized_baseline)
+                     CriticalResult, SweepRow, critical_beta, critical_lambda,
+                     feasibility_check, params_with_activity, sweep, synchronized_baseline)
 from .simulate import (GENERATOR_NAME, NUM_BATCHES, Counts, Estimates, SimConfig, SimResult,
                        estimate_slot_kernel, estimate_transition_row, run_simulation)
 from .slot import (Action, ActionPmf, Phase, SlotTransitionKernel, arrival_tail,
@@ -43,7 +42,7 @@ __all__ = [
     "decision_distribution", "departure_distributions",
     "enumerate_states", "estimate_slot_kernel", "estimate_transition_row",
     "evaluate_qos", "feasibility_check",
-    "nominal_charge_fraction", "optimize_policy_grid", "packet_drop_probability",
+    "nominal_charge_fraction", "packet_drop_probability",
     "params_with_activity", "required_power", "run_simulation", "slot_kernel",
     "stationary_distribution", "sweep", "synchronized_baseline",
 ]

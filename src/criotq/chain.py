@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NoConvergenceError
 from .params import SystemParams
-from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_kernel
+from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_kernel, tail_rows
 
 State = tuple[int, Phase, Action]
 
@@ -305,17 +305,12 @@ def build_chains(points: Sequence[SystemParams],
 
     # q[c, i, j]: arrivals are admitted while the buffer (still holding any
     # in-service packet) has room, so column K takes every count >= K - i;
-    # a departure at the slot end shifts the row one column left.  The
-    # tail is 1 - sum_{k < m} pmf(k) clamped into [0, 1], as arrival_tail
-    # forms it: cumsum adds in the same order as its loop.
+    # a departure at the slot end shifts the row one column left.
     pmf = _per_distinct(points, lambda p: p.traffic,
                         lambda p: arrival_pmf_row(p.traffic, k_cap))
-    tail = np.empty((count, k_cap + 1))
-    tail[:, 0] = 1.0
-    tail[:, 1:] = np.minimum(1.0, np.maximum(0.0, 1.0 - np.cumsum(pmf[:, :-1], axis=1)))
     q = np.zeros((count, 2, k_cap + 1, k_cap + 1))
     q[:, 0] = np.where(space.ahead, pmf[:, space.lag], 0.0)
-    q[:, 0, :, k_cap] = tail[:, space.room]
+    q[:, 0, :, k_cap] = tail_rows(pmf)[:, space.room]
     q[:, 1, :, :-1] = q[:, 0, :, 1:]
 
     # dec[empty, e, b]: the decision law depends only on the end phase and

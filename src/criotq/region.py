@@ -112,9 +112,9 @@ def _probe_ahead(probe, xs: list[float]) -> list[QosReport]:
 
 def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
     """The midpoints the bisection of [a, b] can probe in its next levels steps."""
-    if levels == 0 or not b - a > tol:
-        return []
     mid = 0.5 * (a + b)
+    if levels == 0 or not (b - a > tol and a < mid < b):
+        return []
     return [mid, *_midpoints(a, mid, tol, levels - 1), *_midpoints(mid, b, tol, levels - 1)]
 
 
@@ -127,8 +127,9 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     a scan whose feasibility flips back on after turning off is flagged
     non-monotone and answered with the last prefix-feasible grid point
     instead of a bisection that would be meaningless.  Each probe takes
-    _BISECTION_LEVELS bisection levels.  The result carries the report
-    of the grid point or midpoint it answers with, as probed.
+    _BISECTION_LEVELS bisection levels, down to tol or to adjacent
+    floats.  The result carries the report of the grid point or midpoint
+    it answers with, as probed.
     """
     xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
     scan = probe(xs)
@@ -143,8 +144,7 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     a, b, report = xs[first_bad - 1], xs[first_bad], scan[first_bad - 1]
     monotone = not any(flags[first_bad:])
     ahead: dict[float, QosReport] = {}
-    while monotone and b - a > tol:
-        mid = 0.5 * (a + b)
+    while monotone and b - a > tol and a < (mid := 0.5 * (a + b)) < b:
         if mid not in ahead:
             mids = _midpoints(a, b, tol, _BISECTION_LEVELS)
             ahead.update(zip(mids, _probe_ahead(probe, mids)))
@@ -242,22 +242,3 @@ def synchronized_baseline(params: SystemParams) -> QosReport:
     kernel = slot_kernel(p2.pnp, p2.traffic.slot_d)
     return evaluate_qos(p2, service_success=kernel.a00)
 
-
-def optimize_policy_grid(params: SystemParams, constraints: Constraints,
-                         theta_grid, xi_grid):
-    """Grid argmax over the policy pair (theta_idle, xi_charge).
-
-    Returns (best_pair_or_None, table) where the table holds one
-    (theta, xi, feasible, report) tuple per grid point and the best pair
-    minimizes the slot-average waiting time among feasible points,
-    breaking ties by lower interference.
-    """
-    pairs = [(float(th), float(x)) for th in theta_grid for x in xi_grid]
-    points = [replace(params, policy=replace(params.policy, theta_idle=th, xi_charge=x))
-              for th, x in pairs]
-    table = [(th, x, rep.feasible, rep)
-             for (th, x), rep in zip(pairs, qos_reports(points, constraints))]
-    ranked = [((rep.wait_slot_avg, rep.interference_prob), (th, x))
-              for th, x, ok, rep in table if ok and rep.wait_slot_avg is not None]
-    best_pair = min(ranked, key=lambda kv: kv[0])[1] if ranked else None
-    return best_pair, table

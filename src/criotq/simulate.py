@@ -250,6 +250,14 @@ def _phase_path(rng: np.random.Generator, pnp: PnpModel, slot_d: float, horizon:
         yield (before[:-1] & 1) != start, before[1:] == before[:-1]
 
 
+def _arrivals(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
+    """Poisson(mean) arrival counts of size slots; a mean past numpy's limit raises."""
+    try:
+        return rng.poisson(mean, size)
+    except ValueError:
+        raise InvalidParameterError(f"per-slot arrival mean {mean:g} is too large") from None
+
+
 def _simulate_one(params: SystemParams, horizon: int, warmup: int,
                   seed: int, rep_index: int) -> _Tally:
     ss = np.random.SeedSequence([seed, rep_index])
@@ -278,7 +286,7 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
     phases = _phase_path(phase_rng, params.pnp, d, horizon)
     for s0 in range(0, horizon, _CHUNK):
         chunk = min(_CHUNK, horizon - s0)
-        n_arr = flow_rng.poisson(tr.mean_arrivals_per_slot, chunk)
+        n_arr = _arrivals(flow_rng, tr.mean_arrivals_per_slot, chunk)
         total = int(n_arr.sum())
         slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
         ts = (slots_f + flow_rng.random(total)) * d
@@ -464,7 +472,7 @@ def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Acti
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     end_phase, whole = _renewal_endpoints(rng, params.pnp, phase, tr.slot_d, trials)
-    n_arr = rng.poisson(tr.mean_arrivals_per_slot, trials)
+    n_arr = _arrivals(rng, tr.mean_arrivals_per_slot, trials)
     admitted = np.minimum(n_arr, tr.capacity_k - i)
     if action == Action.SERVE and phase == Phase.OFF:
         cleared = whole.astype(np.int64)

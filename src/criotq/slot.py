@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InvalidParameterError
 from .params import PnpModel, PolicyModel, SensingModel, TrafficModel
 
@@ -101,19 +103,22 @@ def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> list[float]:
                                 for k in range(1, k_max + 1)]
 
 
-def arrival_tail(traffic: TrafficModel, k_min: int) -> float:
-    """P(at least k_min arrivals in one slot), complement of the partial sum.
+def tail_rows(pmf: np.ndarray) -> np.ndarray:
+    """P(at least m arrivals) for m = 0..K, from pmf rows 0..K along the last axis.
 
-    Computed as 1 - sum_{k < k_min} pmf(k), added left to right, so that
-    a pmf row capped with this tail sums to 1 up to a final rounding,
-    then clamped into [0, 1].
+    Computed as 1 - sum_{k < m} pmf(k), added left to right, so that a
+    pmf row capped with this tail sums to 1 up to a final rounding, then
+    floored at 0.
     """
-    if k_min <= 0:
-        return 1.0
-    acc = 0.0
-    for p in arrival_pmf_row(traffic, k_min - 1):
-        acc += p
-    return min(1.0, max(0.0, 1.0 - acc))
+    tail = np.empty_like(pmf)
+    tail[..., 0] = 1.0
+    tail[..., 1:] = np.maximum(0.0, 1.0 - np.cumsum(pmf[..., :-1], axis=-1))
+    return tail
+
+
+def arrival_tail(traffic: TrafficModel, k_min: int) -> float:
+    """P(at least k_min arrivals in one slot): entry k_min of tail_rows."""
+    return float(tail_rows(np.array(arrival_pmf_row(traffic, max(k_min, 0))))[-1])
 
 
 class ActionPmf(NamedTuple):

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import pytest
 
@@ -23,3 +25,18 @@ def make_params(mu_on=1.0, mu_off=1.0, n=20, lam=0.001, capacity_k=10, slot_d=1.
 @pytest.fixture(scope="session")
 def baseline_params() -> SystemParams:
     return make_params()
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run for seconds, so a hang fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -87,8 +87,10 @@ def full_grid_transition_matrix(params, service_success=None):
 
     Same factors and roundings as build_transition_matrix, laid out the
     straightforward way: each cell summed from 0 over both branches, the
-    tail column from arrival_tail's loop, the excluded states dropped by
-    index.  The builder must match it bit for bit.
+    tail column read one entry at a time from arrival_tail, the excluded
+    states dropped by index.  The builder must match it bit for bit.
+    arrival_tail shares the build's tail helper, so the tail column itself
+    is checked against an independent running-sum loop in test_slot.py.
     """
     traffic = params.traffic
     k_cap = traffic.capacity_k

@@ -8,6 +8,7 @@ import pytest
 
 from criotq.cli import (COMPARE_COLUMNS, METRICS_COLUMNS, SIM_COLUMNS,
                         SWEEP_COLUMNS, SWEEP_DIAG_COLUMNS, main)
+from conftest import time_limit
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO / "configs" / "default.json")
@@ -241,6 +242,25 @@ def test_sweep_rejects_a_nan_tolerance(tmp_path, capsys):
     assert rc == 1
     assert "tol must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_with_a_tolerance_below_the_float_spacing_finishes(tmp_path):
+    with time_limit(20.0):
+        rc = main(["sweep", "--config", str(REPO / "configs" / "region_detection.json"),
+                   "--tol", "1e-17", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_rows(tmp_path / "sweep.csv")
+    assert len(rows) == 11 and all(r["critical_value"] != "none" for r in rows)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--lambda", "1e18", "--horizon", "1000", "--warmup", "100"]),
+    ("compare", ["--lambda-grid", "1e18"]),
+])
+def test_simulating_past_the_poisson_limit_is_a_clean_error(tmp_path, capsys, command, flags):
+    rc = main([command, "--config", DEFAULT_CONFIG, "--out", str(tmp_path), *flags])
+    assert rc == 1
+    assert "error: per-slot arrival mean 2e+19 is too large" in capsys.readouterr().err
 
 
 def test_sweep_requires_constraints(tmp_path, capsys):

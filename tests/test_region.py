@@ -9,12 +9,12 @@ import pytest
 from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     InvalidParameterError, SensingModel, SimConfig, activity_factor,
                     critical_beta, critical_lambda, evaluate_qos, feasibility_check,
-                    optimize_policy_grid, params_with_activity, required_power,
-                    run_simulation, slot_kernel, sweep, synchronized_baseline)
+                    params_with_activity, required_power, run_simulation, slot_kernel,
+                    sweep, synchronized_baseline)
 from criotq import region
 from criotq.errors import MetricRangeError, NoConvergenceError
 from criotq.metrics import qos_reports
-from conftest import make_params
+from conftest import make_params, time_limit
 
 ANCHOR_CONSTRAINTS = Constraints(max_drop=0.1, max_interference=0.1)
 
@@ -39,6 +39,8 @@ def literal_largest_feasible(probe, lo, hi, tol):
     monotone = not any(flags[first_bad:])
     while monotone and b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break  # a and b are adjacent floats
         ok, mid_report = probe(mid)
         if ok:
             a, report = mid, mid_report
@@ -319,6 +321,23 @@ def test_searches_reject_a_non_finite_tolerance(baseline_params, search, tol):
         search(baseline_params, ANCHOR_CONSTRAINTS, tol)
 
 
+@pytest.mark.parametrize("search, tol, at", [
+    (critical_beta, 1e-300, params_with_activity),
+    (critical_lambda, 1e-30, lambda p, lam: replace(p, traffic=replace(p.traffic, lam=lam))),
+])
+def test_bisection_below_the_float_spacing_stops_at_adjacent_floats(baseline_params, search,
+                                                                    tol, at):
+    # Once a and b are adjacent floats, 0.5*(a+b) is one of them: the search
+    # must stop there rather than loop, and answer a float whose next float up
+    # is infeasible.
+    with time_limit(10.0):
+        res = search(baseline_params, ANCHOR_CONSTRAINTS, tol)
+    assert res.monotone and not res.capped
+    cons = (ANCHOR_CONSTRAINTS.max_drop, ANCHOR_CONSTRAINTS.max_interference)
+    assert evaluate_qos(at(baseline_params, res.value), *cons).feasible
+    assert not evaluate_qos(at(baseline_params, math.nextafter(res.value, 1.0)), *cons).feasible
+
+
 def test_critical_beta_agrees_with_grid_scan():
     """Bisection against a brute-force fine-grid scan of the same predicate."""
     rng = np.random.default_rng(55107)
@@ -548,17 +567,3 @@ def test_synchronized_baseline_converges_for_short_slots():
     assert base.wait_slot_avg == pytest.approx(full.wait_slot_avg, rel=0.02)
     assert base.drop_prob == pytest.approx(full.drop_prob, rel=0.05, abs=1e-9)
 
-
-def test_optimize_policy_grid(baseline_params):
-    best, table = optimize_policy_grid(baseline_params, ANCHOR_CONSTRAINTS,
-                                       theta_grid=[0.2, 0.8], xi_grid=[0.3, 0.7])
-    assert len(table) == 4
-    assert best is not None and best[0] in (0.2, 0.8) and best[1] in (0.3, 0.7)
-    feasible_waits = [rep.wait_slot_avg for _, _, ok, rep in table
-                      if ok and rep.wait_slot_avg is not None]
-    best_rep = next(rep for th, x, ok, rep in table if (th, x) == best)
-    assert best_rep.wait_slot_avg == min(feasible_waits)
-    none_best, _ = optimize_policy_grid(
-        make_params(lam=0.05), Constraints(max_drop=0.0, max_interference=0.0),
-        theta_grid=[0.2], xi_grid=[0.5])
-    assert none_best is None

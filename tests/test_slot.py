@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from criotq import (Action, InvalidParameterError, Phase, PnpModel, PolicyModel,
                     SensingModel, TrafficModel, activity_factor, arrival_tail,
-                    decision_distribution, slot_kernel)
+                    build_transition_matrix, decision_distribution, slot_kernel)
 from criotq.slot import arrival_pmf_row
+from conftest import make_params
 
 
 def test_activity_factor_values():
@@ -138,20 +139,47 @@ def _pmf_per_k(mean, k):
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
+def _tails_by_loop(pmf):
+    """[P(A >= m) for m = 0..len(pmf)]: 1 minus the pmf added one term at a time, in [0, 1]."""
+    tails, acc = [1.0], 0.0
+    for x in pmf:
+        acc += x
+        tails.append(min(1.0, max(0.0, 1.0 - acc)))
+    return tails
+
+
+#: Means whose running pmf sum passes 1 by K = 10, so that the tail's floor at 0 fires.
+_FLOORED_MEANS = (0.002976351441631313, 0.061584821106602294)
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-@given(mean=st.one_of(st.sampled_from([0.0, 1e-6, 1e3]),
-                      st.floats(min_value=0.0, max_value=1e3)),
-       k_max=st.integers(min_value=0, max_value=60))
+@given(mean=st.one_of(st.sampled_from([0.0, 1e-18, 1e-6, 1e3, *_FLOORED_MEANS]),
+                      st.floats(min_value=-18.0, max_value=3.0).map(lambda e: 10.0 ** e)),
+       k_max=st.one_of(st.sampled_from([1, 10, 200, 400]),
+                       st.integers(min_value=0, max_value=60)))
+@example(mean=1e-18, k_max=1)
+@example(mean=_FLOORED_MEANS[0], k_max=10)
+@example(mean=_FLOORED_MEANS[1], k_max=200)
+@example(mean=1e3, k_max=400)
 def test_arrival_pmf_row_is_the_per_k_pmf_bit_for_bit(mean, k_max):
     traffic = TrafficModel(n=1, lam=mean, capacity_k=10, slot_d=1.0)
     want = [_pmf_per_k(mean, k) for k in range(k_max + 1)]
     assert [x.hex() for x in arrival_pmf_row(traffic, k_max)] == [x.hex() for x in want]
-    acc = 0.0
-    for x in want:
-        acc += x
-    assert arrival_tail(traffic, k_max + 1) == min(1.0, max(0.0, 1.0 - acc))
+    tails = [arrival_tail(traffic, m) for m in range(k_max + 2)]
+    assert [x.hex() for x in tails] == [x.hex() for x in _tails_by_loop(want)]
 
 
+@pytest.mark.parametrize("lam, floored", [(0.001, False), (0.00015, True),  # light
+                                          (5.0, True), (9.0, False)])  # heavy
+def test_built_tail_column_is_the_running_sum_loop_bit_for_bit(lam, floored):
+    # Column K of the no-departure shift holds P(A >= K - i) in row i.
+    k_cap = 200
+    params = make_params(capacity_k=k_cap, lam=lam)
+    mean = params.traffic.mean_arrivals_per_slot
+    tails = _tails_by_loop([_pmf_per_k(mean, k) for k in range(k_cap + 1)])
+    column = build_transition_matrix(params).shifts[0, :, k_cap]
+    assert [x.hex() for x in column] == [tails[k_cap - i].hex() for i in range(k_cap + 1)]
+    assert bool(np.any(column == 0.0)) == floored
 def test_arrival_pmf_edge_cases():
     quiet = TrafficModel(n=20, lam=0.0, capacity_k=10, slot_d=1.0)
     assert arrival_pmf_row(quiet, 3) == [1.0, 0.0, 0.0, 0.0]
