@@ -14,9 +14,11 @@ Under OUT it writes:
   light-load analyzes, two K=200 analyzes with --emit-stationary, a
   simulate, an analyze that sets every parameter flag, a simulate that
   sets every sim flag, a simulate off the unit slot grid whose horizon
-  crosses a simulator chunk, and a sweep with --tol and --beta), each
+  crosses a simulator chunk, a sweep with --tol and --beta, and an
+  analyze of the default config without its constraints section), each
   with the category and text of every warning it emits, and its exit
   status;
+* ``inputs/``: the derived configs those commands read;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
   11 to 13 (144 searches, each with its full report).
@@ -31,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 import os
 import sys
 import warnings
@@ -42,6 +45,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from criotq import cli  # noqa: E402
 import workloads  # noqa: E402
 
+#: A derived config, written under OUT; commands name it as {inputs}/...
+NO_CONSTRAINTS = "default-no-constraints.json"
 REGION_SEEDS = (11, 12, 13)
 REGION_ROUNDS = 8
 
@@ -86,11 +91,22 @@ COMMANDS = [
       "--mu-off", "2.3", "--horizon", "300000"]),
     ("sweep-tol-beta",
      ["sweep", "--config", "configs/region_detection.json", "--tol", "0.01", "--beta", "0.3"]),
+    ("analyze-no-constraints", ["analyze", "--config", f"{{inputs}}/{NO_CONSTRAINTS}"]),
 ]
 
 
+def write_inputs(inputs: Path) -> None:
+    inputs.mkdir(parents=True)
+    cfg = json.loads((ROOT / "configs" / "default.json").read_text())
+    del cfg["constraints"]
+    (inputs / NO_CONSTRAINTS).write_text(json.dumps(cfg, indent=2) + "\n")
+
+
 def run_cli(out: Path) -> None:
+    inputs = out / "inputs"
+    write_inputs(inputs)
     for name, argv in COMMANDS:
+        argv = [arg.format(inputs=inputs) for arg in argv]
         target = out / "cli" / name
         target.mkdir(parents=True)
         stdout = io.StringIO()

@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import build_transition_matrix, stationary_distribution
 from .errors import CriotqError, InvalidParameterError
-from .metrics import evaluate_qos
+from .metrics import evaluate_qos, qos_reports
 from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemParams,
                      TrafficModel)
 from .region import (Constraints, SWEEP_AXES, SWEEP_TARGETS, params_with_activity,
@@ -208,11 +208,7 @@ def _state_columns(space, idx: np.ndarray) -> list[np.ndarray]:
 def cmd_analyze(args) -> int:
     cfg = _settings(args)
     params = _build_params(cfg, args.beta)
-    constraints = _build_constraints(cfg, required=False)
-    if constraints is None:
-        report = evaluate_qos(params)
-    else:
-        report = evaluate_qos(params, constraints.max_drop, constraints.max_interference)
+    report = qos_reports([params], _build_constraints(cfg, required=False))[0]
 
     out = Path(args.out)
     row = [report.beta, report.offered_load, report.carried_load, report.drop_prob,

@@ -10,13 +10,12 @@ converts the effective packet throughput into the transmit budget the
 access point needs to keep every node energy-neutral.
 
 One pass, ``_reports``, forms every stationary metric: each field of a
-``QosReport`` from the stationary laws of a stack of points.
-``evaluate_qos`` runs it on one point, and ``qos_reports`` on a stack of
-points of one capacity K, whose chains it builds and solves as one
-stack.  A stack fails as a whole, and ``qos_reports`` is the one place
-that replays it point by point to raise the error of the first failing
-point.  The post-departure queue law is computed on its own by
-``departure_distributions`` from the built chain; no report reads it.
+``QosReport`` from the built chains and stationary laws of a stack of
+points.  ``qos_reports`` is the one place that builds, solves and
+reports a stack of points of one capacity K; ``evaluate_qos`` is its
+stack of one.  A stack fails as a whole, and ``qos_reports`` replays it
+point by point to raise the error of the first failing point.  The
+post-departure law is formed on its own from the built chain.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (SOLVER_METHOD, StateSpace, StationaryDistribution, TransitionMatrix,
-                    build_chains, build_transition_matrix, stationary_distribution,
-                    stationary_vectors)
+from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, TransitionMatrix,
+                    build_chains, stationary_vectors)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError, UndefinedLoadError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
@@ -196,23 +194,23 @@ class Constraints:
                 raise InvalidParameterError(f"{name} must lie in [0, 1]")
 
 
-def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
-             residual: Sequence[float], space: StateSpace,
-             constraints: Constraints | None) -> list[QosReport]:
-    """The full report of each point, from its stationary law and residual.
+def _reports(points: Sequence[SystemParams], chains: ChainStack, pi: np.ndarray,
+             residual: Sequence[float], constraints: Constraints | None) -> list[QosReport]:
+    """The full report of each point, from its built chain, stationary law and residual.
 
     This is the one place a stationary metric is formed.
 
-    pi stacks the points' stationary laws, one row each, and
-    service_success holds their success probabilities (or one for all).
-    The sums run along the rows, so each point gets the bits it gets
-    alone; the points are then taken in order, so a point that fails
-    raises after the points before it have warned.  A law with no mass
-    above the empty level (queued == 0, as the closed-level solve of a
-    chain that admits no arrival gives) has nothing to drop: P_B is 0
-    and both waits are None.  The flag is None without constraints.
+    pi stacks the points' stationary laws, one row each, and chains
+    their built chains, whose success probabilities and state space the
+    sums read.  The sums run along the rows, so each point gets the bits
+    it gets alone; the points are then taken in order, so a point that
+    fails raises after the points before it have warned.  A law with no
+    mass above the empty level (queued == 0, as the closed-level solve
+    of a chain that admits no arrival gives) has nothing to drop: P_B is
+    0 and both waits are None.  The flag is None without constraints.
     """
-    carried = (service_success * _running_sum(pi[..., space.serving])).tolist()
+    space = chains.space
+    carried = (chains.service_success * _running_sum(pi[..., space.serving])).tolist()
     interfering = _running_sum(pi[..., space.interfering]).tolist()
     charging = _running_sum(pi[..., space.charging]).tolist()
     queued = _running_sum(space.queue * pi).tolist()
@@ -243,31 +241,31 @@ def _reports(points: Sequence[SystemParams], service_success, pi: np.ndarray,
     return out
 
 
-def qos_reports(points: Sequence[SystemParams],
-                constraints: Constraints | None) -> list[QosReport]:
-    """``evaluate_qos`` of each point, thresholds from constraints, as one stack.
+def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None,
+                service_success: float | None = None) -> list[QosReport]:
+    """The report of each point, thresholds from constraints, as one stack.
 
     One stacked build, solve and metrics pass for all points, which
-    share the capacity K.  Every report is the one the point gets alone.
-    So is every error: a stack whose build or solve fails is run again
-    one point at a time, so that the first failing point in order
+    share the capacity K; ``service_success`` is as for ``build_chains``.
+    Every report is the one the point gets alone.  So is every error: a
+    stack whose build or solve fails is run again one point at a time,
+    with the same override, so that the first failing point in order
     raises, after the points before it have run (and warned).
     """
     try:
-        chains = build_chains(points)
+        chains = build_chains(points, service_success)
         pi, residual = stationary_vectors(chains)
     except (InvalidParameterError, NoConvergenceError):
         if len(points) == 1:
             raise
-        return [report for p in points for report in qos_reports([p], constraints)]
-    return _reports(points, chains.service_success, pi, residual.tolist(), chains.space,
-                    constraints)
+        return [qos_reports([p], constraints, service_success)[0] for p in points]
+    return _reports(points, chains, pi, residual.tolist(), constraints)
 
 
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,
                  max_interference: float | None = None, *,
                  service_success: float | None = None) -> QosReport:
-    """Build the chain, solve it, and evaluate every stationary metric.
+    """Every stationary metric of one point: ``qos_reports`` of the point alone.
 
     A point whose queue stays empty (zero load, or pmf(0) rounding to 1)
     reports a drop probability of 0 and both waiting times as None; a
@@ -286,7 +284,4 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     if (max_drop is None) != (max_interference is None):
         raise InvalidParameterError("supply both constraint thresholds or neither")
     constraints = None if max_drop is None else Constraints(max_drop, max_interference)
-    tm = build_transition_matrix(params, service_success=service_success)
-    mu = stationary_distribution(tm)
-    return _reports([params], tm.service_success, mu.vector[None], [mu.residual], tm.space,
-                    constraints)[0]
+    return qos_reports([params], constraints, service_success)[0]

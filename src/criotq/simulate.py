@@ -39,6 +39,11 @@ not grow with the horizon:
 These steps draw the same numbers and do the same floating-point
 operations as a loop over slots, so the tallies equal that loop's bit
 for bit (tests/test_simulate.py keeps the loop as the reference).
+
+Every phase switch is drawn, so a replication, or an estimator call,
+whose expected switch count passes a fixed budget raises before its
+first draw instead of running for hours, or forever at the shortest
+mean durations.
 """
 
 from __future__ import annotations
@@ -61,6 +66,17 @@ GENERATOR_NAME = "PCG64"
 NUM_BATCHES = 32
 
 _CHUNK = 1 << 18
+
+#: Most phase switches a replication, or one start phase of an estimator,
+#: may expect.  The phase path draws about 3e7 switches/s (2-core x86 VM),
+#: so this many take about 30 s.  The shipped configs, tests and benchmark
+#: workloads reach at most 1e6 per replication, and 1.1e7 per start phase
+#: of an estimator (acceptance criterion 1).
+_MAX_SWITCHES = 1e9
+#: Most switches the one-slot sampler may expect in one slot.  Each is one
+#: pass of its loop, about 30 us at few trials, so this many take about
+#: 3 s.  The tests reach at most 10.7 (acceptance criterion 1).
+_MAX_SLOT_SWITCHES = 1e5
 
 
 @dataclass(frozen=True)
@@ -198,6 +214,18 @@ def _pool(tallies: list[_Tally]) -> _Tally:
                   served_tagged=sum(t.served_tagged for t in tallies))
 
 
+def _check_switches(pnp: PnpModel, duration: float, budget: float, what: str) -> None:
+    """Raise unless the expected phase switches in duration stay within budget.
+
+    Switches come at the renewal rate 2 / (1/mu_on + 1/mu_off): one ON
+    and one OFF period per cycle of mean length 1/mu_on + 1/mu_off.
+    """
+    count = 2.0 * duration / (1.0 / pnp.mu_on + 1.0 / pnp.mu_off)
+    if not count <= budget:
+        raise InvalidParameterError(f"{what} expects {count:.3g} phase switches, "
+                                    f"over the simulator's budget of {budget:.0e}")
+
+
 def _switch_rank(switches: np.ndarray, bounds: np.ndarray, slot_d: float, s0: int) -> np.ndarray:
     """Count the bounds (s0 + j) * slot_d <= each switch in [bounds[0], bounds[-1]).
 
@@ -260,6 +288,8 @@ def _arrivals(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
 
 def _simulate_one(params: SystemParams, horizon: int, warmup: int,
                   seed: int, rep_index: int) -> _Tally:
+    _check_switches(params.pnp, horizon * params.traffic.slot_d, _MAX_SWITCHES,
+                    f"a replication of {horizon} slots")
     ss = np.random.SeedSequence([seed, rep_index])
     phase_ss, flow_ss = ss.spawn(2)
     phase_rng = np.random.Generator(np.random.PCG64(phase_ss))
@@ -415,8 +445,11 @@ def _renewal_endpoints(rng: np.random.Generator, pnp: PnpModel, start_phase: int
 
     Pure alternating-renewal sampling: repeatedly draw the residual of
     the current phase and switch while it falls inside the slot.  Shares
-    nothing with the closed-form kernel.
+    nothing with the closed-form kernel.  Each switch is one pass of the
+    loop, so the switches per slot have their own budget.
     """
+    _check_switches(pnp, slot_d, _MAX_SLOT_SWITCHES, "one slot")
+    _check_switches(pnp, trials * slot_d, _MAX_SWITCHES, f"a run of {trials} one-slot trials")
     remaining = np.full(trials, float(slot_d))
     cur = np.full(trials, int(start_phase), dtype=np.int64)
     whole = np.ones(trials, dtype=bool)

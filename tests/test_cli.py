@@ -41,6 +41,20 @@ def test_analyze_summary_lines(tmp_path, capsys):
     assert "p_b=" in out and "p_i=" in out and "p_th=" in out
 
 
+def test_analyze_without_constraints_leaves_only_the_flag_unset(tmp_path):
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    del cfg["constraints"]
+    partial = tmp_path / "nc.json"
+    partial.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(partial), "--out", str(tmp_path / "free")]) == 0
+    assert main(["analyze", "--config", DEFAULT_CONFIG, "--out", str(tmp_path / "bound")]) == 0
+    _, [free] = read_rows(tmp_path / "free" / "metrics.csv")
+    _, [bound] = read_rows(tmp_path / "bound" / "metrics.csv")
+    assert free.pop("feasible") == "none"
+    assert bound.pop("feasible") == "true"
+    assert free == bound
+
+
 def test_analyze_emits_stationary_and_matrix(tmp_path):
     rc = main(["analyze", "--config", DEFAULT_CONFIG, "--out", str(tmp_path),
                "--emit-stationary", "--emit-matrix"])
@@ -261,6 +275,21 @@ def test_simulating_past_the_poisson_limit_is_a_clean_error(tmp_path, capsys, co
     rc = main([command, "--config", DEFAULT_CONFIG, "--out", str(tmp_path), *flags])
     assert rc == 1
     assert "error: per-slot arrival mean 2e+19 is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--horizon", "1000", "--warmup", "100"]),
+    ("compare", ["--lambda-grid", "0.001"]),
+])
+def test_simulating_past_the_switch_budget_is_a_clean_error(tmp_path, capsys, command, flags):
+    with time_limit(5.0):
+        rc = main([command, "--config", DEFAULT_CONFIG, "--out", str(tmp_path),
+                   "--mu-on", "1e300", "--mu-off", "1e300", *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a replication of "), err
+    assert "phase switches, over the simulator's budget of 1e+09" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_requires_constraints(tmp_path, capsys):

@@ -320,8 +320,7 @@ def test_stacked_constraint_pass_matches_one_point(case):
     constraints = Constraints(max_drop, max_interference)
     chains = build_chains(points)
     pi, residual = stationary_vectors(chains)
-    stacked = _reports(points, chains.service_success, pi, residual.tolist(), chains.space,
-                       constraints)
+    stacked = _reports(points, chains, pi, residual.tolist(), constraints)
     for params, got, probed in zip(points, stacked, qos_reports(points, constraints)):
         one = repr(evaluate_qos(params, max_drop, max_interference))
         assert repr(got) == repr(probed) == one
@@ -346,3 +345,36 @@ def test_stack_with_a_singular_point_raises_like_one_point():
             qos_reports(stack, Constraints(0.1, 0.1))
     assert alone.value.residual == stacked.value.residual == math.inf
     assert len(caught) == 1
+
+
+def test_service_success_override_runs_through_the_stack():
+    # One PnpModel and slot length, so each override lies in [0, a00] of every point.
+    points = [make_params(lam=lam, p_detect=pd)
+              for lam, pd in ((0.0, 0.9), (0.001, 0.9), (0.02, 0.6), (0.05, 1.0))]
+    a00 = slot_kernel(points[0].pnp, points[0].traffic.slot_d).a00
+    for s in (0.0, 0.5 * a00, a00):
+        for params, got in zip(points, qos_reports(points, None, service_success=s)):
+            assert repr(got) == repr(evaluate_qos(params, service_success=s))
+    # The override reaches the chains: a00 carries more than off_persist does.
+    assert qos_reports(points, None, a00)[2].carried_load > qos_reports(points, None)[2].carried_load
+
+
+def test_a_failing_stack_replays_its_points_with_the_override():
+    ok = make_params()
+    short_off = make_params(mu_on=0.1, mu_off=10.0)
+    singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
+    s = 0.3
+    assert slot_kernel(short_off.pnp, 1.0).a00 < s <= slot_kernel(ok.pnp, 1.0).a00
+    # A stack raises its first failing point's error: the singular point's
+    # NoConvergenceError here ...
+    with pytest.raises(NoConvergenceError) as alone:
+        evaluate_qos(singular, service_success=s)
+    with pytest.raises(NoConvergenceError) as stacked:
+        qos_reports([ok, singular, short_off], None, s)
+    assert alone.value.residual == stacked.value.residual == math.inf
+    # ... and the short-OFF point, ahead of it, the override's range error,
+    # which it raises only when the replay keeps the override.
+    with pytest.raises(InvalidParameterError, match=r"service_success must lie in \[0, a00\]"):
+        qos_reports([ok, short_off, singular], None, s)
+    with pytest.raises(NoConvergenceError):
+        qos_reports([ok, short_off, singular], None)

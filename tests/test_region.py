@@ -557,6 +557,13 @@ def test_synchronized_baseline_bounds_perfect_sensing_cell(baseline_params):
     assert base.wait_slot_avg <= full.wait_slot_avg + 1e-12
 
 
+def test_synchronized_baseline_is_its_perfect_sensing_point_with_the_a00_override(
+        baseline_params):
+    sync = replace(baseline_params, sensing=SensingModel(p_detect=1.0, p_false_alarm=0.0))
+    a00 = slot_kernel(sync.pnp, sync.traffic.slot_d).a00
+    assert repr(synchronized_baseline(baseline_params)) == repr(qos_reports([sync], None, a00)[0])
+
+
 def test_synchronized_baseline_converges_for_short_slots():
     # With slots much shorter than the OFF periods a transmission almost
     # always fits, so the collision penalty vanishes.

@@ -10,7 +10,7 @@ from criotq import (Action, InvalidParameterError, Phase, PnpModel, SimConfig,
                     run_simulation, slot_kernel, stationary_distribution)
 from criotq.simulate import (_CHARGE, _CHUNK, _DROP, _GEN, _INTERF, _SERVE, _SLOTS,
                              NUM_BATCHES, _simulate_one, _switch_rank)
-from conftest import make_params
+from conftest import make_params, time_limit
 
 
 class _DurationFeed:
@@ -402,6 +402,35 @@ def test_kernel_estimate_matches_closed_form():
         assert abs(getattr(est, name) - p) <= 4.0 * se, name
     with pytest.raises(InvalidParameterError):
         estimate_slot_kernel(pnp, d, trials=0, seed=1)
+
+
+_OVER_BUDGET = {
+    # Switches too fast for any draw to finish: the path and the sampler
+    # would never leave their loops.
+    "run-1e300": (lambda: run_simulation(SimConfig(
+        params=make_params(mu_on=1e300, mu_off=1e300), horizon_slots=1000, seed=1)),
+        r"a replication of 1000 slots expects 1e\+303 phase switches"),
+    "kernel-1e300": (lambda: estimate_slot_kernel(PnpModel(1e300, 1e300), 1.0, 10, 0),
+                     r"one slot expects 1e\+300 phase switches"),
+    "row-1e300": (lambda: estimate_transition_row(make_params(mu_on=1e300, mu_off=1e300),
+                                                  (2, Phase.OFF, Action.IDLE), 10, 0),
+                  r"one slot expects 1e\+300 phase switches"),
+    # Finite but slow: a million loop passes, or 2e9 switches drawn.
+    "kernel-1e6": (lambda: estimate_slot_kernel(PnpModel(1e6, 1e6), 1.0, 10, 0),
+                   r"one slot expects 1e\+06 phase switches"),
+    "kernel-many-trials": (lambda: estimate_slot_kernel(PnpModel(1e4, 1e4), 1.0, 200_000, 0),
+                           r"200000 one-slot trials expects 2e\+09 phase switches"),
+    "run-1e4": (lambda: run_simulation(SimConfig(
+        params=make_params(mu_on=1e4, mu_off=1e4), horizon_slots=200_000, seed=1)),
+        r"expects 2e\+09 phase switches"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_BUDGET))
+def test_switches_past_the_budget_raise_before_drawing(case):
+    call, message = _OVER_BUDGET[case]
+    with time_limit(5.0), pytest.raises(InvalidParameterError, match=message):
+        call()
 
 
 def test_transition_row_without_arrivals_stays_put():
