@@ -14,7 +14,8 @@ Under OUT it writes:
   light-load analyzes, two K=200 analyzes with --emit-stationary, a
   simulate, an analyze that sets every parameter flag, a simulate that
   sets every sim flag, a simulate off the unit slot grid whose horizon
-  crosses a simulator chunk, a sweep with --tol and --beta, and an
+  crosses a simulator chunk, a sweep with --tol and --beta, two sweeps
+  whose searches skip points a chain-free floor rules out, and an
   analyze of the default config without its constraints section), each
   with the category and text of every warning it emits, and its exit
   status;
@@ -91,6 +92,14 @@ COMMANDS = [
       "--mu-off", "2.3", "--horizon", "300000"]),
     ("sweep-tol-beta",
      ["sweep", "--config", "configs/region_detection.json", "--tol", "0.01", "--beta", "0.3"]),
+    # Points the probes skip: a lambda_c search whose whole first doubling
+    # stack lies above the saturation rate (about 0.0037 here), and beta_c
+    # searches whose interference floor passes its limit (poor detection).
+    ("sweep-lambda_c-above-saturation",
+     ["sweep", "--config", "configs/default.json", "--axis", "detection", "--target", "lambda_c",
+      "--grid", "0.9", "--lambda", "0.01", "--tol", "1e-6"]),
+    ("sweep-beta_c-poor-detection",
+     ["sweep", "--config", "configs/region_detection.json", "--grid", "0.1,0.2,0.3"]),
     ("analyze-no-constraints", ["analyze", "--config", f"{{inputs}}/{NO_CONSTRAINTS}"]),
 ]
 

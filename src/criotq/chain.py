@@ -75,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, NoConvergenceError
-from .params import SystemParams
+from .params import PolicyModel, SensingModel, SystemParams
 from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_kernel, tail_rows
 
 State = tuple[int, Phase, Action]
@@ -245,6 +245,13 @@ def _per_distinct(points: Sequence[SystemParams], key, make) -> np.ndarray:
     return rows if len(rows) == len(index) else rows[index]
 
 
+@functools.lru_cache(maxsize=256)
+def _decision_law(sensing: SensingModel, policy: PolicyModel) -> tuple:
+    """dec[empty, e] = decision_distribution(e, sensing, policy, empty); the last 256 kept."""
+    return tuple(tuple(decision_distribution(e, sensing, policy, empty) for e in _PHASES)
+                 for empty in (False, True))
+
+
 class ChainStack(NamedTuple):
     """One-slot chains of one capacity K, their arrays stacked on a leading axis.
 
@@ -266,9 +273,10 @@ def build_chains(points: Sequence[SystemParams],
     """Form the one-slot chains of points that share one capacity K, stacked.
 
     Each chain has the bits it has when built alone.  The kernel, the
-    arrival pmf row and the decision law are computed once per distinct
+    arrival pmf row and the decision law are taken once per distinct
     (PnpModel, slot length), TrafficModel and (SensingModel, PolicyModel)
-    among the points.  ``service_success`` is as for
+    among the points, each from a bounded cache, so a search forms the
+    factors it holds fixed once.  ``service_success`` is as for
     build_transition_matrix and applies to every point; a value outside
     [0, a00] of any point raises.  The lumped matrices are validated as
     one stack, which raises as a whole.
@@ -316,17 +324,17 @@ def build_chains(points: Sequence[SystemParams],
     # dec[empty, e, b]: the decision law depends only on the end phase and
     # on whether the queue is empty.
     dec = _per_distinct(points, lambda p: (p.sensing, p.policy),
-                        lambda p: [[decision_distribution(e, p.sensing, p.policy, empty)
-                                    for e in _PHASES] for empty in (False, True)])
+                        lambda p: _decision_law(p.sensing, p.policy))
 
     # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
-    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], formed one end
-    # phase e at a time so that the inner loop runs along j.
+    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], formed with j
+    # innermost and copied into (i, ph) x (j, e) order one end phase at a time.
     lumped_w = (dec[..., None, None] * w[:, None]).sum(axis=3)[:, space.empty]
+    by_end = lumped_w[..., 0, None] * q[:, 0, :, None, None, :]
+    by_end += lumped_w[..., 1, None] * q[:, 1, :, None, None, :]
     lumped = np.empty((count, k_cap + 1, 2, k_cap + 1, 2))
     for e in range(2):
-        np.multiply(lumped_w[:, :, :, None, e, 0], q[:, 0, :, None, :], out=lumped[..., e])
-        lumped[..., e] += lumped_w[:, :, :, None, e, 1] * q[:, 1, :, None, :]
+        lumped[..., e] = by_end[:, :, :, e]
     lumped = lumped.reshape(count, 2 * (k_cap + 1), 2 * (k_cap + 1))
     _check_stochastic(lumped)
     return ChainStack(lumped=lumped, decision=dec, branches=w, shifts=q,
@@ -385,11 +393,14 @@ def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
     member's balance equations are singular.
     """
     mu = np.zeros(p.shape[:2])
-    for n in set(states):
-        rows = [b for b, size in enumerate(states) if size == n]
-        if len(rows) == len(states):
-            rows = slice(None)  # the whole stack: no gather
-        a = p[rows, :n, :n].transpose(0, 2, 1) - np.eye(n)
+    if states.count(states[0]) == len(states):
+        groups = {states[0]: slice(None)}  # one support: the whole stack, no gather
+    else:
+        groups = {n: [b for b, size in enumerate(states) if size == n] for n in set(states)}
+    for n, rows in groups.items():
+        # a is the transpose of p - I, so the difference reads p in order and
+        # the LU copies each matrix in column by column.
+        a = (p[rows, :n, :n] - np.eye(n)).transpose(0, 2, 1)
         a[:, 0, :] = 1.0  # replace one balance equation with normalization
         b = np.zeros((len(a), n, 1))
         b[:, 0] = 1.0

@@ -16,6 +16,8 @@ reports a stack of points of one capacity K; ``evaluate_qos`` is its
 stack of one.  A stack fails as a whole, and ``qos_reports`` replays it
 point by point to raise the error of the first failing point.  The
 post-departure law is formed on its own from the built chain.
+``saturation`` reads no chain: it gives the closed-form capacity and
+interference floor by which the region searches skip points.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, Transitio
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError, UndefinedLoadError)
 from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
+from .slot import slot_kernel
 
 _RANGE_SLACK = 1e-9
 
@@ -120,6 +124,40 @@ def nominal_charge_fraction(params: SystemParams) -> float:
     """
     beta = activity_factor(params.pnp)
     return (1.0 - beta) * (1.0 - params.policy.theta_idle) * params.policy.xi_charge
+
+
+class Saturation(NamedTuple):
+    """Chain-free bounds of one point, from the phase law and the policy alone.
+
+    With the queue never empty the phase chain does not depend on the
+    queue, so a slot carries a packet only if it starts OFF, looks free,
+    draws neither the idle nor the charge coin and sees no switch
+    (Loynes' saturation argument, 1962).  Hence:
+
+    * ``capacity``, c = (1 - beta)(1 - p_f)(1 - theta)(1 - xi) off_persist,
+      bounds the carried packets per slot, so P_B >= 1 - c / rho at
+      offered load rho;
+    * ``lambda_sat`` = c / (n slot_d) is the per-node rate whose offered
+      load is c; a drop limit max_drop < 1 fails at every rate above
+      lambda_sat / (1 - max_drop);
+    * ``interference_floor`` = beta (1 - p_d)(1 - theta) xi bounds P_I
+      from below: a slot that starts ON interferes at least when it
+      looks free and then charges, which an empty queue does too.
+    """
+
+    capacity: float
+    lambda_sat: float
+    interference_floor: float
+
+
+def saturation(params: SystemParams) -> Saturation:
+    """The saturation capacity, rate and interference floor of params."""
+    beta = activity_factor(params.pnp)
+    sensing, policy, traffic = params.sensing, params.policy, params.traffic
+    capacity = ((1.0 - beta) * (1.0 - sensing.p_false_alarm) * (1.0 - policy.theta_idle)
+                * (1.0 - policy.xi_charge) * slot_kernel(params.pnp, traffic.slot_d).off_persist)
+    floor = beta * (1.0 - sensing.p_detect) * (1.0 - policy.theta_idle) * policy.xi_charge
+    return Saturation(capacity, capacity / (traffic.n * traffic.slot_d), floor)
 
 
 @dataclass(frozen=True)

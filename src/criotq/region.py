@@ -11,17 +11,28 @@ a bogus bracket.
 A probe builds and solves the chains of its points and returns their
 full ``QosReport``s (``metrics.qos_reports``), and a search answers
 with the report of the point it chose, as probed: no report is
-evaluated again.  Every probe is a stack, which costs far less than its
-points one at a time: the 32 pre-scan points, a bisection midpoint with
-the next level's midpoints still reachable under tol, or three doubling
-steps.  Each report is the one the point gets alone, so the grid, the
-midpoints, the answers and the errors are those of probing with
-``feasibility_check`` point by point: a stack that raises is probed
-again as its first point alone.  Only the warnings can differ: a
-speculative point can emit a metrics RuntimeWarning the one-point search
-never emits, and a re-probed first point emits its warnings twice.
+evaluated again.
+
+A probe skips a point whose drop or interference floor from
+``metrics.saturation`` passes its limit by more than 1e-9 (``_ruled_out``)
+and gives None for it, which the searches take as infeasible.  The
+margin keeps every point whose floor lies within rounding of its limit
+on the solved path, so each search answers as when every point is
+solved.  A skipped point is never built or solved, so it cannot raise
+or warn; a probe whose points are all skipped makes no call.
+
+Every probe is a stack, which costs far less than its points one at a
+time: the 32 pre-scan points, a bisection midpoint with the next level's
+midpoints still reachable under tol, or three doubling steps.  Each
+report is the one the point gets alone, so the grid, the midpoints, the
+answers and the errors are those of probing with ``feasibility_check``
+point by point: a stack that raises is probed again as its first point
+alone.  Only the warnings can differ: a speculative point can emit a
+metrics RuntimeWarning the one-point search never emits, a re-probed
+first point emits its warnings twice, and a skipped point emits none.
 A lambda search's pre-scan ends on the bracket end its doubling has
-already probed, and probes it again within the stack.
+already probed, and probes it again within the stack unless it is
+skipped.
 
 One table, ``_AXES``, forms every point a search probes or a sweep
 visits from its value on an axis: activity, lambda, detection or
@@ -36,8 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CriotqError, InvalidParameterError
-from .metrics import Constraints, QosReport, evaluate_qos, qos_reports
-from .params import PnpModel, SensingModel, SystemParams
+from .metrics import Constraints, QosReport, evaluate_qos, qos_reports, saturation
+from .params import PnpModel, SensingModel, SystemParams, TrafficModel
 from .slot import slot_kernel
 
 #: Search bounds for the activity factor; open interval endpoints.
@@ -48,6 +59,8 @@ _PRESCAN_POINTS = 32
 _BISECTION_LEVELS = 2
 _DOUBLING_STEPS = 3
 _LAMBDA_DOUBLING_CAP = 20
+#: How far a chain-free floor must pass its limit before a probe skips the point.
+_FLOOR_MARGIN = 1e-9
 # The bracket ends lam0 * 2**0..20 fill whole doubling stacks: none probes past the cap.
 assert (_LAMBDA_DOUBLING_CAP + 1) % _DOUBLING_STEPS == 0
 
@@ -71,15 +84,27 @@ def params_with_activity(params: SystemParams, beta: float) -> SystemParams:
     if not (BETA_FLOOR <= beta <= BETA_CEIL):
         raise InvalidParameterError(f"beta must lie in [{BETA_FLOOR}, {BETA_CEIL}]")
     mu_on = params.pnp.mu_on
-    return replace(params, pnp=PnpModel(mu_on=mu_on, mu_off=mu_on * beta / (1.0 - beta)))
+    return SystemParams(PnpModel(mu_on, mu_on * beta / (1.0 - beta)), params.traffic,
+                        params.sensing, params.policy, params.power)
 
 
-#: Axis -> (params, v) -> the operating point at value v of the axis.
+def _with_lambda(p: SystemParams, lam: float) -> SystemParams:
+    t = p.traffic
+    return SystemParams(p.pnp, TrafficModel(t.n, lam, t.capacity_k, t.slot_d), p.sensing,
+                        p.policy, p.power)
+
+
+#: Axis -> (params, v) -> the operating point at value v of the axis.  Each
+#: record is built by its constructor, which validates it as replace() does.
 _AXES = {
     "activity": params_with_activity,
-    "lambda": lambda p, v: replace(p, traffic=replace(p.traffic, lam=v)),
-    "detection": lambda p, v: replace(p, sensing=replace(p.sensing, p_detect=v)),
-    "false-alarm": lambda p, v: replace(p, sensing=replace(p.sensing, p_false_alarm=v)),
+    "lambda": _with_lambda,
+    "detection": lambda p, v: SystemParams(p.pnp, p.traffic,
+                                           SensingModel(v, p.sensing.p_false_alarm),
+                                           p.policy, p.power),
+    "false-alarm": lambda p, v: SystemParams(p.pnp, p.traffic,
+                                             SensingModel(p.sensing.p_detect, v),
+                                             p.policy, p.power),
 }
 
 
@@ -102,7 +127,12 @@ class CriticalResult:
     report: QosReport | None
 
 
-def _probe_ahead(probe, xs: list[float]) -> list[QosReport]:
+def _feasible(report: QosReport | None) -> bool:
+    """A probed point's flag; a skipped point (None) is infeasible."""
+    return report is not None and report.feasible
+
+
+def _probe_ahead(probe, xs: list[float]) -> list[QosReport | None]:
     """probe(xs), or probe(xs[:1]) if that raises: only xs[0] is sure to be needed."""
     try:
         return probe(xs)
@@ -121,8 +151,10 @@ def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
 def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult:
     """Largest x in [lo, hi] with a feasible report, assuming a feasible prefix.
 
-    probe(xs) gives the report of each x in the list xs.  Pre-scans a
-    coarse grid first, in one probe call: an infeasible floor
+    probe(xs) gives the report of each x in the list xs, or None for a
+    point a chain-free floor rules out: that point counts as infeasible,
+    and it was never built or solved, so it cannot have raised or warned.
+    Pre-scans a coarse grid first, in one probe call: an infeasible floor
     short-circuits to None, an all-feasible scan returns hi (capped), and
     a scan whose feasibility flips back on after turning off is flagged
     non-monotone and answered with the last prefix-feasible grid point
@@ -133,7 +165,7 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     """
     xs = [float(x) for x in np.linspace(lo, hi, _PRESCAN_POINTS)]
     scan = probe(xs)
-    flags = [r.feasible for r in scan]
+    flags = [_feasible(r) for r in scan]
     if not flags[0]:
         return CriticalResult(value=None, feasible_at_floor=False, monotone=True,
                               capped=False, report=None)
@@ -143,13 +175,13 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     first_bad = flags.index(False)
     a, b, report = xs[first_bad - 1], xs[first_bad], scan[first_bad - 1]
     monotone = not any(flags[first_bad:])
-    ahead: dict[float, QosReport] = {}
+    ahead: dict[float, QosReport | None] = {}
     while monotone and b - a > tol and a < (mid := 0.5 * (a + b)) < b:
         if mid not in ahead:
             mids = _midpoints(a, b, tol, _BISECTION_LEVELS)
             ahead.update(zip(mids, _probe_ahead(probe, mids)))
         mid_report = ahead[mid]
-        if mid_report.feasible:
+        if _feasible(mid_report):
             a, report = mid, mid_report
         else:
             b = mid
@@ -157,13 +189,39 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
                           capped=False, report=report)
 
 
+def _ruled_out(point: SystemParams, constraints: Constraints) -> bool:
+    """Whether a chain-free floor of point passes its limit by more than _FLOOR_MARGIN.
+
+    The floors are P_B >= 1 - c / rho at capacity c and offered load rho,
+    and the interference floor of ``saturation``.  The drop floor applies
+    only to a chain that admits arrivals: one whose pmf(0) rounds to 1 is
+    solved on its empty level and reports P_B = 0.  A point whose rho
+    overflows is never ruled out: its build raises, and the search must
+    raise there as it does unskipped.
+    """
+    rho = point.traffic.mean_arrivals_per_slot
+    if not math.isfinite(rho):
+        return False
+    sat = saturation(point)
+    return (sat.interference_floor > constraints.max_interference + _FLOOR_MARGIN
+            or (math.exp(-rho) < 1.0
+                and 1.0 - sat.capacity / rho > constraints.max_drop + _FLOOR_MARGIN))
+
+
 def _prober(params: SystemParams, axis: str, constraints: Constraints, tol: float):
-    """probe(xs): the reports of the points at xs on axis, as one stack; tol checked here."""
+    """probe(xs): the reports of the points at xs on axis, as one stack; tol checked here.
+
+    A point _ruled_out gets None and stays out of the stack.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError("tol must be finite and positive")
     at = _AXES[axis]
-    def probe(xs: list[float]) -> list[QosReport]:
-        return qos_reports([at(params, x) for x in xs], constraints)
+    def probe(xs: list[float]) -> list[QosReport | None]:
+        points = [at(params, x) for x in xs]
+        skipped = [_ruled_out(p, constraints) for p in points]
+        kept = [p for p, skip in zip(points, skipped) if not skip]
+        reports = iter(qos_reports(kept, constraints) if kept else [])
+        return [None if skip else next(reports) for skip in skipped]
     return probe
 
 
@@ -191,7 +249,7 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     doublings = 0
     while True:
         for report in _probe_ahead(probe, [hi * 2.0 ** j for j in range(_DOUBLING_STEPS)]):
-            if not report.feasible:
+            if not _feasible(report):
                 return _largest_feasible(probe, 0.0, hi, tol)
             if doublings >= _LAMBDA_DOUBLING_CAP:
                 return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,

@@ -11,6 +11,7 @@ pieces, each computable in closed form:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -65,12 +66,14 @@ class SlotTransitionKernel:
             raise InvalidParameterError("whole-slot persistence cannot exceed endpoint persistence")
 
 
+@functools.lru_cache(maxsize=256)
 def slot_kernel(pnp: PnpModel, slot_d: float) -> SlotTransitionKernel:
     """Closed-form phase kernel for a slot of length ``slot_d``.
 
     Uses expm1 so the switch probabilities stay accurate for tiny slots.
     ``slot_d`` may be 0 (degenerate slot, identity kernel); negative
-    values raise.
+    values raise.  The last 256 kernels are kept, so a search that moves
+    only the traffic computes its kernel once.
     """
     if not math.isfinite(slot_d) or slot_d < 0:
         raise InvalidParameterError("slot_d must be finite and nonnegative")
@@ -88,19 +91,22 @@ def slot_kernel(pnp: PnpModel, slot_d: float) -> SlotTransitionKernel:
     )
 
 
-def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> list[float]:
-    """[P(exactly k arrivals in one slot) for k in 0..k_max].
+@functools.lru_cache(maxsize=256)
+def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> tuple[float, ...]:
+    """(P(exactly k arrivals in one slot) for k in 0..k_max).
 
     The count is Poisson with mean n * lam * slot_d.  Evaluated in log
     space, with one log(mean), so means in the thousands neither overflow
-    nor raise; k = 0 keeps the exact exp(-mean) form.
+    nor raise; k = 0 keeps the exact exp(-mean) form.  The last 256 rows
+    are kept, so a search that moves only the activity computes its row
+    once; a row is a tuple, so no caller can change a kept one.
     """
     mean = traffic.mean_arrivals_per_slot
     if mean == 0.0:
-        return [1.0] + [0.0] * k_max
+        return (1.0,) + (0.0,) * k_max
     lm = math.log(mean)
-    return [math.exp(-mean)] + [math.exp(k * lm - mean - math.lgamma(k + 1))
-                                for k in range(1, k_max + 1)]
+    return (math.exp(-mean), *[math.exp(k * lm - mean - math.lgamma(k + 1))
+                               for k in range(1, k_max + 1)])
 
 
 def tail_rows(pmf: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     InvalidParameterError, SensingModel, SimConfig, activity_factor,
@@ -13,7 +15,7 @@ from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     sweep, synchronized_baseline)
 from criotq import region
 from criotq.errors import MetricRangeError, NoConvergenceError
-from criotq.metrics import qos_reports
+from criotq.metrics import qos_reports, saturation
 from conftest import make_params, time_limit
 
 ANCHOR_CONSTRAINTS = Constraints(max_drop=0.1, max_interference=0.1)
@@ -114,15 +116,29 @@ def _benchmark_sized_cell(rng, capacity_k, tol):
     return params, ANCHOR_CONSTRAINTS, 1e-3 if tol == "abs" else 1e-3 * lam
 
 
-def test_searches_match_full_probe_reference():
+def test_searches_match_full_probe_reference(monkeypatch):
     rng = np.random.default_rng(20231)
     cases = [(_hump_cell(), Constraints(1.0, 1.0), 1e-3),
              (make_params(capacity_k=3), Constraints(0.1, 0.0), 1e-3),
              (make_params(capacity_k=3), Constraints(1.0, 1.0), 1e-3),
-             (make_params(capacity_k=5, lam=0.002), ANCHOR_CONSTRAINTS, 1e-5)]
+             (make_params(capacity_k=5, lam=0.002), ANCHOR_CONSTRAINTS, 1e-5),
+             # The whole first doubling stack lies above the saturation rate.
+             (make_params(lam=0.01), ANCHOR_CONSTRAINTS, 1e-6),
+             # Poor detection: the interference floor passes its limit.
+             (make_params(p_detect=0.2, lam=0.0005), ANCHOR_CONSTRAINTS, 1e-4)]
     cases += [(*_random_cell(rng), float(rng.choice([1e-2, 1e-3, 1e-4]))) for _ in range(10)]
     cases += [_benchmark_sized_cell(rng, k, tol) for k in (10, 15, 20) for tol in ("abs", "rel")]
     seen = set()
+    ruled_out = region._ruled_out
+
+    def recorded(point, constraints):
+        skip = ruled_out(point, constraints)
+        if skip:
+            floor = saturation(point).interference_floor
+            seen.add("interference floor skip" if floor > constraints.max_interference + 1e-9
+                     else "drop floor skip")
+        return skip
+    monkeypatch.setattr(region, "_ruled_out", recorded)
     for params, cons, tol in cases:
         for search, literal in ((critical_beta, literal_critical_beta),
                                 (critical_lambda, literal_critical_lambda)):
@@ -136,7 +152,47 @@ def test_searches_match_full_probe_reference():
                 seen.add("non-monotone")
             else:
                 seen.add("bisected")
-    assert seen == {"infeasible floor", "capped", "non-monotone", "bisected"}
+    assert seen == {"infeasible floor", "capped", "non-monotone", "bisected",
+                    "drop floor skip", "interference floor skip"}
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _floor_cases(draw):
+    """A point of the parameter box at K <= 20 and limits, often near a floor.
+
+    The rate and the interference limit are drawn either freely or as a
+    factor of the rate and limit at which a floor meets its limit, margin
+    included, so that many points sit just past or just short of it.
+    """
+    cell = make_params(mu_on=draw(st.floats(0.1, 10.0)), mu_off=draw(st.floats(0.1, 10.0)),
+                       n=draw(st.integers(1, 30)), capacity_k=draw(st.integers(1, 20)),
+                       slot_d=draw(st.floats(0.2, 2.0)), p_detect=draw(_UNIT),
+                       p_false_alarm=draw(_UNIT), theta=draw(_UNIT), xi=draw(_UNIT))
+    near = st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 1.5, 4.0])
+    sat = saturation(cell)
+    max_drop = draw(st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 0.99)))
+    if draw(st.booleans()) and sat.capacity > 0.0:
+        lam = sat.lambda_sat / (1.0 - max_drop - 1e-9) * draw(near)
+    else:
+        lam = draw(st.floats(1e-5, 0.05))
+    if draw(st.booleans()):
+        max_interference = min(1.0, (sat.interference_floor - 1e-9) * draw(near))
+    else:
+        max_interference = draw(_UNIT)
+    point = replace(cell, traffic=replace(cell.traffic, lam=lam))
+    return point, Constraints(max_drop, max(0.0, max_interference))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_floor_cases())
+def test_every_point_the_floors_rule_out_is_infeasible_when_solved(case):
+    point, constraints = case
+    if region._ruled_out(point, constraints):
+        report = evaluate_qos(point, constraints.max_drop, constraints.max_interference)
+        assert report.feasible is False
 
 
 def _threshold_probe(cut, stacks, fails=()):
@@ -224,15 +280,19 @@ def test_critical_lambda_makes_fewer_probe_calls_than_one_point_probes(baseline_
     assert len(stacks) < sequential
 
 
-def test_critical_lambda_doubling_past_a_failing_speculative_end(baseline_params,
-                                                                monkeypatch):
-    lam0 = 0.003
-    params = replace(baseline_params, traffic=replace(baseline_params.traffic, lam=lam0))
+def test_critical_lambda_doubling_past_a_failing_speculative_end(monkeypatch):
+    # Interference binds in this cell, far below the saturation rate.
+    params = make_params(p_detect=0.5, theta=0.0, xi=0.2)
+    lam0 = params.traffic.lam
     want = critical_lambda(params, ANCHOR_CONSTRAINTS)
     # The first stack is lam0 * (1, 2, 4); the one-at-a-time doubling stops
     # at 2 * lam0 (the answer lies between lam0 and it), so 4 * lam0 is
-    # speculative and the search must not raise there.
+    # speculative and the search must not raise there.  Neither floor rules
+    # 4 * lam0 out, so the probe does build it.
     assert lam0 < want.value < 2 * lam0
+    sat = saturation(params)
+    assert 4 * lam0 < sat.lambda_sat / (1.0 - ANCHOR_CONSTRAINTS.max_drop)
+    assert sat.interference_floor < ANCHOR_CONSTRAINTS.max_interference
     stacks = _counting_probes(monkeypatch, failing_lams={4 * lam0})
     assert repr(critical_lambda(params, ANCHOR_CONSTRAINTS)) == repr(want)
     assert [p.traffic.lam for p in stacks[1]] == [lam0]
@@ -422,13 +482,16 @@ def test_critical_lambda_decreases_with_false_alarm():
 # starts ON (mass beta) interferes at most when it looks free and skips the
 # idle coin, and at least when it then charges, which an empty queue does
 # too, so P_I lies in [beta (1 - p_d)(1 - theta) xi, beta (1 - p_d)(1 - theta)].
+# metrics.saturation gives c, lambda_sat = c / (n slot_d) and the floor.
 
-def _saturation_rate(params, constraints):
-    sen, pol, traffic = params.sensing, params.policy, params.traffic
-    c = ((1.0 - activity_factor(params.pnp)) * (1.0 - sen.p_false_alarm)
-         * (1.0 - pol.theta_idle) * (1.0 - pol.xi_charge)
-         * slot_kernel(params.pnp, traffic.slot_d).off_persist)
-    return c / ((1.0 - constraints.max_drop) * traffic.n * traffic.slot_d)
+def test_saturation_is_the_closed_form():
+    params = params_with_activity(make_params(p_detect=0.7, p_false_alarm=0.2, theta=0.3,
+                                              xi=0.4, slot_d=0.5), 0.25)
+    sat = saturation(params)
+    c = 0.75 * 0.8 * 0.7 * 0.6 * slot_kernel(params.pnp, 0.5).off_persist
+    assert sat.capacity == pytest.approx(c, rel=1e-15)
+    assert sat.lambda_sat == pytest.approx(c / (20 * 0.5), rel=1e-15)
+    assert sat.interference_floor == pytest.approx(0.25 * 0.3 * 0.7 * 0.4, rel=1e-15)
 
 
 def test_critical_lambda_stays_under_the_saturation_rate(monkeypatch):
@@ -450,7 +513,8 @@ def test_critical_lambda_stays_under_the_saturation_rate(monkeypatch):
         limits = Constraints(*rng.uniform(0.01, 0.5, size=2).tolist())
         res = critical_lambda(params, limits, tol=1e-3 * params.traffic.lam)
         if res.value is not None and not res.capped:
-            assert res.value <= _saturation_rate(params, limits) * (1.0 + 1e-9)
+            rate = saturation(params).lambda_sat / (1.0 - limits.max_drop)
+            assert res.value <= rate * (1.0 + 1e-9)
             bounded += 1
     assert bounded >= 50
     for p, report in probed:
@@ -461,9 +525,11 @@ def test_critical_lambda_stays_under_the_saturation_rate(monkeypatch):
 def test_critical_lambda_meets_the_saturation_rate_at_large_k():
     # A deep buffer turns nothing away until the queue saturates, so the
     # drop limit binds within tol of the bound.
-    params = make_params(capacity_k=100, lam=0.02)
-    res = critical_lambda(params, ANCHOR_CONSTRAINTS, tol=1e-6)
-    assert 0.0 <= _saturation_rate(params, ANCHOR_CONSTRAINTS) - res.value <= 1e-6
+    for k_cap in (100, 200):
+        params = make_params(capacity_k=k_cap, lam=0.02)
+        res = critical_lambda(params, ANCHOR_CONSTRAINTS, tol=1e-6)
+        rate = saturation(params).lambda_sat / (1.0 - ANCHOR_CONSTRAINTS.max_drop)
+        assert 0.0 <= rate - res.value <= 1e-6, k_cap
 
 
 # --- the boundary against the simulator --------------------------------------

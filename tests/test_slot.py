@@ -182,7 +182,7 @@ def test_built_tail_column_is_the_running_sum_loop_bit_for_bit(lam, floored):
     assert bool(np.any(column == 0.0)) == floored
 def test_arrival_pmf_edge_cases():
     quiet = TrafficModel(n=20, lam=0.0, capacity_k=10, slot_d=1.0)
-    assert arrival_pmf_row(quiet, 3) == [1.0, 0.0, 0.0, 0.0]
+    assert arrival_pmf_row(quiet, 3) == (1.0, 0.0, 0.0, 0.0)
     assert arrival_tail(quiet, 1) == 0.0
     assert arrival_tail(quiet, 0) == 1.0
 
