@@ -15,10 +15,11 @@ Under OUT it writes:
   simulate, an analyze that sets every parameter flag, a simulate that
   sets every sim flag, a simulate off the unit slot grid whose horizon
   crosses a simulator chunk, a sweep with --tol and --beta, two sweeps
-  whose searches skip points a chain-free floor rules out, and an
-  analyze of the default config without its constraints section), each
-  with the category and text of every warning it emits, and its exit
-  status;
+  whose searches skip points a chain-free floor rules out, a lambda_c
+  sweep with a search infeasible at its floor, an analyze of the default
+  config without its constraints section, and an analyze whose offered
+  load overflows), each with the category and text of every warning it
+  emits, and its exit status;
 * ``inputs/``: the derived configs those commands read;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
@@ -100,7 +101,13 @@ COMMANDS = [
       "--grid", "0.9", "--lambda", "0.01", "--tol", "1e-6"]),
     ("sweep-beta_c-poor-detection",
      ["sweep", "--config", "configs/region_detection.json", "--grid", "0.1,0.2,0.3"]),
+    # At p_detect 0.1 the interference floor fails every rate: a "none" row.
+    ("sweep-lambda_c-infeasible-at-floor",
+     ["sweep", "--config", "configs/default.json", "--axis", "detection", "--target", "lambda_c",
+      "--grid", "0.1,0.9"]),
     ("analyze-no-constraints", ["analyze", "--config", f"{{inputs}}/{NO_CONSTRAINTS}"]),
+    ("analyze-overflowing-load",
+     ["analyze", "--config", "configs/default.json", "--lambda", "1e307"]),
 ]
 
 

@@ -54,11 +54,12 @@ admits no arrival, is solved on the closed empty level.
 
 Region searches probe many points of one K whose chains do not depend
 on each other, so the builder and the solve work on stacks:
-``build_chains`` forms every factor and lumped matrix with a leading
-point axis, and ``stationary_vectors`` solves the whole stack with one
-batched LU per support size (the points that admit no arrival form
-their own group).  Every operation is elementwise or runs along one point's
-own axes, so each point gets the bits it gets alone.  A stack fails as
+``build_chains`` reads each point's slot laws from the one memo of each
+law and forms every factor and lumped matrix with a leading point axis,
+and ``stationary_vectors`` solves the whole stack with one batched LU
+per support size (the points that admit no arrival form their own
+group).  Every operation is elementwise or runs along one point's own
+axes, so each point gets the bits it gets alone.  A stack fails as
 a whole: the validation and the solve raise for the stack, not for a
 chosen member; a caller that needs the error of the first failing point
 takes the points one at a time.  ``build_transition_matrix`` and
@@ -237,19 +238,13 @@ class TransitionMatrix:
         return p
 
 
-def _per_distinct(points: Sequence[SystemParams], key, make) -> np.ndarray:
-    """np.array([make(p) for p in points]), calling make once per distinct key(p)."""
-    first: dict = {}
-    index = [first.setdefault(key(p), (len(first), p))[0] for p in points]
-    rows = np.array([make(p) for _, p in first.values()])
-    return rows if len(rows) == len(index) else rows[index]
-
-
 @functools.lru_cache(maxsize=256)
-def _decision_law(sensing: SensingModel, policy: PolicyModel) -> tuple:
-    """dec[empty, e] = decision_distribution(e, sensing, policy, empty); the last 256 kept."""
-    return tuple(tuple(decision_distribution(e, sensing, policy, empty) for e in _PHASES)
-                 for empty in (False, True))
+def _decision_law(sensing: SensingModel, policy: PolicyModel) -> np.ndarray:
+    """dec[empty, e] = decision_distribution(e, sensing, policy, empty); 256 kept, read-only."""
+    dec = np.array([[decision_distribution(e, sensing, policy, empty) for e in _PHASES]
+                    for empty in (False, True)])
+    dec.setflags(write=False)
+    return dec
 
 
 class ChainStack(NamedTuple):
@@ -273,10 +268,10 @@ def build_chains(points: Sequence[SystemParams],
     """Form the one-slot chains of points that share one capacity K, stacked.
 
     Each chain has the bits it has when built alone.  The kernel, the
-    arrival pmf row and the decision law are taken once per distinct
-    (PnpModel, slot length), TrafficModel and (SensingModel, PolicyModel)
-    among the points, each from a bounded cache, so a search forms the
-    factors it holds fixed once.  ``service_success`` is as for
+    arrival pmf row and the decision law of each point are read from the
+    bounded caches of ``slot_kernel``, ``arrival_pmf_row`` and
+    ``_decision_law``, with no memo of their own here, so a search forms
+    the factors it holds fixed once.  ``service_success`` is as for
     build_transition_matrix and applies to every point; a value outside
     [0, a00] of any point raises.  The lumped matrices are validated as
     one stack, which raises as a whole.
@@ -290,10 +285,8 @@ def build_chains(points: Sequence[SystemParams],
 
     # kern[:, :4] = (a00, a01, a10, a11); the default success probability,
     # off_persist, lies in [0, a00] by the kernel's own validation.
-    def kernel_row(p):
-        k = slot_kernel(p.pnp, p.traffic.slot_d)
-        return k.a00, k.a01, k.a10, k.a11, k.off_persist
-    kern = _per_distinct(points, lambda p: (p.pnp, p.traffic.slot_d), kernel_row)
+    kernels = [slot_kernel(p.pnp, p.traffic.slot_d) for p in points]
+    kern = np.array([(k.a00, k.a01, k.a10, k.a11, k.off_persist) for k in kernels])
     succ = kern[:, 4]
     if service_success is not None:
         succ = np.full(len(points), float(service_success))
@@ -314,8 +307,7 @@ def build_chains(points: Sequence[SystemParams],
     # q[c, i, j]: arrivals are admitted while the buffer (still holding any
     # in-service packet) has room, so column K takes every count >= K - i;
     # a departure at the slot end shifts the row one column left.
-    pmf = _per_distinct(points, lambda p: p.traffic,
-                        lambda p: arrival_pmf_row(p.traffic, k_cap))
+    pmf = np.array([arrival_pmf_row(p.traffic, k_cap) for p in points])
     q = np.zeros((count, 2, k_cap + 1, k_cap + 1))
     q[:, 0] = np.where(space.ahead, pmf[:, space.lag], 0.0)
     q[:, 0, :, k_cap] = tail_rows(pmf)[:, space.room]
@@ -323,8 +315,7 @@ def build_chains(points: Sequence[SystemParams],
 
     # dec[empty, e, b]: the decision law depends only on the end phase and
     # on whether the queue is empty.
-    dec = _per_distinct(points, lambda p: (p.sensing, p.policy),
-                        lambda p: _decision_law(p.sensing, p.policy))
+    dec = np.stack([_decision_law(p.sensing, p.policy) for p in points])
 
     # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
     # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], formed with j

@@ -69,7 +69,7 @@ class TrafficModel:
     The ``n`` nodes generate packets as independent Poisson processes of
     rate ``lam`` each, so the aggregate arrival stream is Poisson with
     rate ``n * lam`` and the per-slot arrival count is Poisson with mean
-    ``n * lam * slot_d``.
+    ``n * lam * slot_d``, the offered load, which must be finite.
 
     Attributes:
         n: number of sensor nodes (>= 1).
@@ -90,6 +90,8 @@ class TrafficModel:
         _require(_is_int(self.capacity_k) and self.capacity_k >= 1,
                  "capacity_k must be an integer >= 1")
         _require(self.slot_d > 0, "slot_d must be positive")
+        _require(math.isfinite(self.mean_arrivals_per_slot),
+                 "offered load n * lam * slot_d must be finite")
 
     @property
     def aggregate_rate(self) -> float:

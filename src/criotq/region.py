@@ -69,9 +69,9 @@ SWEEP_TARGETS = ("beta_c", "lambda_c")
 
 
 def feasibility_check(params: SystemParams, constraints: Constraints) -> tuple[bool, QosReport]:
-    """Evaluate one operating point against the constraints."""
-    report = evaluate_qos(params, constraints.max_drop, constraints.max_interference)
-    return bool(report.feasible), report
+    """Evaluate one operating point against the constraints: ``qos_reports`` of the point."""
+    report = qos_reports([params], constraints)[0]
+    return report.feasible, report
 
 
 def params_with_activity(params: SystemParams, beta: float) -> SystemParams:
@@ -195,13 +195,9 @@ def _ruled_out(point: SystemParams, constraints: Constraints) -> bool:
     The floors are P_B >= 1 - c / rho at capacity c and offered load rho,
     and the interference floor of ``saturation``.  The drop floor applies
     only to a chain that admits arrivals: one whose pmf(0) rounds to 1 is
-    solved on its empty level and reports P_B = 0.  A point whose rho
-    overflows is never ruled out: its build raises, and the search must
-    raise there as it does unskipped.
+    solved on its empty level and reports P_B = 0.  TrafficModel keeps rho finite.
     """
     rho = point.traffic.mean_arrivals_per_slot
-    if not math.isfinite(rho):
-        return False
     sat = saturation(point)
     return (sat.interference_floor > constraints.max_interference + _FLOOR_MARGIN
             or (math.exp(-rho) < 1.0

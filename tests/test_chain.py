@@ -10,7 +10,9 @@ from criotq import (Action, InvalidParameterError, NoConvergenceError, Phase,
                     build_transition_matrix, decision_distribution, enumerate_states,
                     evaluate_qos, params_with_activity, slot_kernel,
                     stationary_distribution)
-from criotq.chain import SOLVER_METHOD, _check_stochastic, _solve
+from criotq import chain
+from criotq.chain import (SOLVER_METHOD, _check_stochastic, _solve, build_chains,
+                          stationary_vectors)
 from criotq.slot import arrival_pmf_row
 from conftest import make_params
 
@@ -512,6 +514,27 @@ def test_stacked_solve_gives_lone_bits_and_a_singular_stack_raises():
     with pytest.raises(NoConvergenceError) as err:
         _solve(np.stack([coin, swap, np.eye(2), coin]), [2, 2, 2, 2])
     assert err.value.residual == math.inf
+
+
+def test_build_chains_rejects_an_empty_or_mixed_capacity_stack():
+    with pytest.raises(InvalidParameterError, match="at least one point"):
+        build_chains([])
+    with pytest.raises(InvalidParameterError, match="must share capacity_k"):
+        build_chains([make_params(capacity_k=10), make_params(capacity_k=11)])
+
+
+def test_stack_past_the_residual_bound_raises_with_its_first_such_residual(monkeypatch):
+    chains = build_chains([make_params(lam=lam, capacity_k=40) for lam in (5e-4, 1e-3, 2e-3)])
+    _, residual = stationary_vectors(chains)
+    # A bound at the smallest residual passes its member and rejects the
+    # rest; the error names the first rejected member in stack order.
+    bound = float(residual.min())
+    past = [float(r) for r in residual if r > bound]
+    assert past, "the members' residuals must differ"
+    monkeypatch.setattr(chain, "_RESIDUAL_BOUND", bound)
+    with pytest.raises(NoConvergenceError, match=f"direct solve residual {past[0]:.3e}") as err:
+        stationary_vectors(chains)
+    assert err.value.residual == past[0]
 
 
 def test_no_convergence_error_carries_residual():

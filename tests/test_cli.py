@@ -97,6 +97,16 @@ def test_malformed_config_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_must_hold_an_object_at_top_level(tmp_path, capsys):
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([json.loads(Path(DEFAULT_CONFIG).read_text())]))
+    rc = main(["analyze", "--config", str(listed), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: config {listed} must hold a JSON object at top level\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_value_is_actionable(tmp_path, capsys):
     cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
     del cfg["traffic"]["lambda"]
@@ -194,6 +204,18 @@ def test_sweep_schema_and_grid_canonicalization(tmp_path):
     assert crit[0] <= crit[1] + 0.005 <= crit[2] + 0.01
 
 
+def test_sweep_row_of_a_search_infeasible_at_its_floor(tmp_path):
+    # At p_detect 0.1 the interference floor passes its limit at every rate.
+    rc = main(["sweep", "--config", DEFAULT_CONFIG, "--axis", "detection", "--target",
+               "lambda_c", "--grid", "0.1,0.9", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1] == "detection,0.1,lambda_c,none,nan,nan,nan,nan,nan,false"
+    assert rows[2].startswith("detection,0.9,lambda_c,0.0") and rows[2].endswith(",true")
+    diag = (tmp_path / "sweep_diag.csv").read_text().splitlines()
+    assert diag[1:] == ["0.1,false,true,false", "0.9,true,true,false"]
+
+
 def test_sweep_diag_keeps_the_search_flags(tmp_path):
     rc = main(["sweep", "--config", DEFAULT_CONFIG, "--axis", "detection",
                "--target", "beta_c", "--tol", "0.005", "--grid", "0.9,0.7",
@@ -275,6 +297,22 @@ def test_simulating_past_the_poisson_limit_is_a_clean_error(tmp_path, capsys, co
     rc = main([command, "--config", DEFAULT_CONFIG, "--out", str(tmp_path), *flags])
     assert rc == 1
     assert "error: per-slot arrival mean 2e+19 is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", ["--lambda", "1e307"]),
+    ("simulate", ["--lambda", "1e307"]),
+    ("sweep", ["--lambda", "1e307", "--axis", "detection", "--target", "lambda_c",
+               "--grid", "0.9"]),
+    ("compare", ["--lambda-grid", "1e307"]),
+])
+def test_an_overflowing_offered_load_is_refused_before_any_build(tmp_path, capsys, command,
+                                                                  flags):
+    # 20 nodes at 1e307 packets/s offer an infinite load per slot.
+    rc = main([command, "--config", DEFAULT_CONFIG, "--out", str(tmp_path), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: offered load n * lam * slot_d must be finite\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -393,6 +431,28 @@ def test_run_flag_supplies_its_config_key(tmp_path, command, flag, name):
     assert rc == 0
     output = RUN_OUTPUTS[command]
     assert (tmp_path / "flag" / output).read_bytes() == (tmp_path / "file" / output).read_bytes()
+
+
+@pytest.mark.parametrize("command,name,default", [
+    ("analyze", "power.charging_radius", lambda cfg: max(cfg["power"]["node_radii"])),
+    ("simulate", "sim.warmup_slots", lambda cfg: cfg["sim"]["horizon_slots"] // 10),
+    ("simulate", "sim.replications", lambda cfg: 1),
+    ("sweep", "sweep.tol", lambda cfg: 1e-3),
+])
+def test_an_unset_optional_setting_takes_its_default(tmp_path, command, name, default):
+    cfg = short_run_config()
+    section, key = name.split(".")
+    cfg[section][key] = default(cfg)
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(cfg))
+    del cfg[section][key]
+    unset = tmp_path / "unset.json"
+    unset.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(explicit), "--out", str(tmp_path / "explicit")]) == 0
+    assert main([command, "--config", str(unset), "--out", str(tmp_path / "unset")]) == 0
+    output = RUN_OUTPUTS.get(command, "metrics.csv")
+    assert (tmp_path / "unset" / output).read_bytes() == (
+        tmp_path / "explicit" / output).read_bytes()
 
 
 @pytest.mark.parametrize("command,name,value", [

@@ -44,6 +44,16 @@ def test_traffic_model_rejects_non_integer_counts():
                 TrafficModel(**kwargs)
 
 
+def test_traffic_model_rejects_an_overflowing_offered_load():
+    # n * lam overflows, and a finite n * lam overflows once times slot_d;
+    # either load would reach the chain as NaN pmf rows.
+    for kwargs in (dict(n=20, lam=1e307, capacity_k=10, slot_d=1.0),
+                   dict(n=1, lam=1e300, capacity_k=10, slot_d=1e10)):
+        with pytest.raises(InvalidParameterError, match="offered load n \\* lam \\* slot_d"):
+            TrafficModel(**kwargs)
+    assert TrafficModel(n=1, lam=1e300, capacity_k=10, slot_d=1e8).mean_arrivals_per_slot > 1e307
+
+
 def test_kernel_hand_values_symmetric_unit_rates():
     # mu_on = mu_off = 1, d = 1: growth = 1 - exp(-2), each cross term is half.
     k = slot_kernel(PnpModel(1.0, 1.0), 1.0)
