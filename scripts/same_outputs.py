@@ -17,9 +17,9 @@ Under OUT it writes:
   crosses a simulator chunk, a sweep with --tol and --beta, two sweeps
   whose searches skip points a chain-free floor rules out, a lambda_c
   sweep with a search infeasible at its floor, an analyze of the default
-  config without its constraints section, and an analyze whose offered
-  load overflows), each with the category and text of every warning it
-  emits, and its exit status;
+  config without its constraints section, an analyze whose offered
+  load overflows, and an analyze whose policy never serves), each with
+  the category and text of every warning it emits, and its exit status;
 * ``inputs/``: the derived configs those commands read;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
@@ -108,6 +108,9 @@ COMMANDS = [
     ("analyze-no-constraints", ["analyze", "--config", f"{{inputs}}/{NO_CONSTRAINTS}"]),
     ("analyze-overflowing-load",
      ["analyze", "--config", "configs/default.json", "--lambda", "1e307"]),
+    # A policy that never serves: P_B = 1, no waits, and an infinite power need.
+    ("analyze-never-serving",
+     ["analyze", "--config", "configs/default.json", "--theta", "1", "--lambda", "0.01"]),
 ]
 
 

@@ -11,10 +11,10 @@ and an independent event-level Monte Carlo used to validate the chain.
 from .chain import (StateSpace, StationaryDistribution, TransitionMatrix,
                     build_transition_matrix, enumerate_states, stationary_distribution)
 from .errors import (CriotqError, DegenerateDistributionError, InvalidParameterError,
-                     MetricRangeError, NoConvergenceError, UndefinedLoadError)
+                     MetricRangeError, NoConvergenceError)
 from .metrics import (DepartureDistributions, PowerRequirement, QosReport,
                       departure_distributions, evaluate_qos, nominal_charge_fraction,
-                      packet_drop_probability, required_power)
+                      required_power)
 from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemParams,
                      TrafficModel, activity_factor)
 from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constraints,
@@ -36,13 +36,11 @@ __all__ = [
     "PnpModel", "PolicyModel", "PowerModel", "PowerRequirement", "QosReport",
     "SensingModel", "SimConfig", "SimResult", "SlotTransitionKernel", "StateSpace",
     "StationaryDistribution", "SweepRow", "SystemParams", "TrafficModel", "TransitionMatrix",
-    "UndefinedLoadError",
     "activity_factor", "arrival_tail",
     "build_transition_matrix", "critical_beta", "critical_lambda",
     "decision_distribution", "departure_distributions",
     "enumerate_states", "estimate_slot_kernel", "estimate_transition_row",
-    "evaluate_qos", "feasibility_check",
-    "nominal_charge_fraction", "packet_drop_probability",
+    "evaluate_qos", "feasibility_check", "nominal_charge_fraction",
     "params_with_activity", "required_power", "run_simulation", "slot_kernel",
     "stationary_distribution", "sweep", "synchronized_baseline",
 ]

@@ -60,12 +60,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".12g")
+    return format(float(value), ".12g")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

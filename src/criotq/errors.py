@@ -26,10 +26,6 @@ class NoConvergenceError(CriotqError, RuntimeError):
         self.residual = residual
 
 
-class UndefinedLoadError(CriotqError, ZeroDivisionError):
-    """A load-based metric was requested with zero offered load."""
-
-
 class DegenerateDistributionError(CriotqError, ValueError):
     """A conditional distribution was requested but its normalizer is zero."""
 

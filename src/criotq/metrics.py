@@ -4,10 +4,11 @@ All metrics are functionals of the stationary law of the slot chain.
 Every stationary sum is a masked reduction over the arrays of the
 chain's ``StateSpace``.  The carried load counts only serving slots that
 actually complete, with the success probability the chain was built
-with; a blocked fraction follows by flow balance, a report forms the
-waits from P_B and the mean queue length, and the power requirement
-converts the effective packet throughput into the transmit budget the
-access point needs to keep every node energy-neutral.
+with; a report forms the blocked fraction P_B from it by flow balance,
+and the waits from P_B and the mean queue length.  ``required_power``
+converts the point's effective packet throughput at P_B into the
+transmit budget the access point needs to keep every node
+energy-neutral.
 
 One pass, ``_reports``, forms every stationary metric: each field of a
 ``QosReport`` from the built chains and stationary laws of a stack of
@@ -33,8 +34,8 @@ import numpy as np
 from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, TransitionMatrix,
                     build_chains, stationary_vectors)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
-                     MetricRangeError, NoConvergenceError, UndefinedLoadError)
-from .params import PolicyModel, PowerModel, SystemParams, TrafficModel, activity_factor
+                     MetricRangeError, NoConvergenceError)
+from .params import SystemParams, activity_factor
 from .slot import slot_kernel
 
 _RANGE_SLACK = 1e-9
@@ -56,30 +57,6 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     printed digits of P_B.
     """
     return np.cumsum(values, axis=-1)[..., -1]
-
-
-def packet_drop_probability(rho_c: float, traffic: TrafficModel) -> float:
-    """Blocking probability from flow balance: P_B = 1 - rho_c / rho.
-
-    rho is the offered load per slot, n * lam * slot_d.  Zero offered
-    load raises; a carried load that numerically exceeds the offered
-    load warns and clamps, anything outside [0, 1] by more than 1e-9 is
-    a hard error.
-    """
-    rho = traffic.mean_arrivals_per_slot
-    if rho == 0.0:
-        raise UndefinedLoadError("drop probability undefined at zero offered load")
-    p_b = 1.0 - rho_c / rho
-    if p_b < 0.0:
-        if p_b < -_RANGE_SLACK:
-            raise MetricRangeError(f"drop probability {p_b} outside [0, 1]")
-        # A few ulps below zero is routine float cancellation; only a
-        # larger overshoot is worth flagging.
-        if p_b < -1e-12:
-            warnings.warn("carried load exceeds offered load numerically; clamping",
-                          RuntimeWarning, stacklevel=2)
-        return 0.0
-    return _clamp_probability(p_b, "drop probability")
 
 
 @dataclass(frozen=True)
@@ -177,22 +154,20 @@ class PowerRequirement:
     feasible: bool
 
 
-def required_power(power: PowerModel, traffic: TrafficModel, policy: PolicyModel,
-                   beta: float, drop_prob: float) -> PowerRequirement:
-    """Power budget check for the given operating point.
+def required_power(params: SystemParams, drop_prob: float) -> PowerRequirement:
+    """Power budget check of point params at drop probability drop_prob.
 
     Each node must harvest, during the fraction of time the AP charges,
     the energy its effective packet stream spends: m * lam * (1 - P_B)
-    divided by (1 - beta)(1 - theta) xi, floored by the hardware minimum
-    p_charge_min.
+    divided by the nominal charging fraction (1 - beta)(1 - theta) xi,
+    floored by the hardware minimum p_charge_min.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise InvalidParameterError("beta must lie in [0, 1]")
-    denom = (1.0 - beta) * (1.0 - policy.theta_idle) * policy.xi_charge
+    power = params.power
+    denom = nominal_charge_fraction(params)
     if denom <= 0.0:
         dynamic = np.inf
     else:
-        dynamic = power.energy_per_packet * traffic.lam * (1.0 - drop_prob) / denom
+        dynamic = power.energy_per_packet * params.traffic.lam * (1.0 - drop_prob) / denom
     per_node = max(power.p_charge_min, dynamic)
     total = per_node * power.path_loss_weight
     return PowerRequirement(total=total, clamped=min(power.p_max, total),
@@ -242,10 +217,14 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, pi: np.ndarray,
     their built chains, whose success probabilities and state space the
     sums read.  The sums run along the rows, so each point gets the bits
     it gets alone; the points are then taken in order, so a point that
-    fails raises after the points before it have warned.  A law with no
-    mass above the empty level (queued == 0, as the closed-level solve
-    of a chain that admits no arrival gives) has nothing to drop: P_B is
-    0 and both waits are None.  The flag is None without constraints.
+    fails raises after the points before it have warned.
+
+    P_B follows by flow balance, 1 - rho_c / rho at offered load rho; a
+    carried load numerically above rho gives 0, warning past 1e-12 and
+    raising ``MetricRangeError`` past 1e-9.  A law with no mass above
+    the empty level (queued == 0, as the closed-level solve of every
+    zero-load chain gives) has nothing to drop: P_B is 0 and both waits
+    are None.  The flag is None without constraints.
     """
     space = chains.space
     carried = (chains.service_success * _running_sum(pi[..., space.serving])).tolist()
@@ -256,10 +235,18 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, pi: np.ndarray,
     for params, rho_c, p_i, charge, queue, res in zip(points, carried, interfering, charging,
                                                       queued, residual):
         rho_c = _clamp_probability(rho_c, "carried load")
-        p_b = 0.0 if queue == 0.0 else packet_drop_probability(rho_c, params.traffic)
+        p_b = 0.0 if queue == 0.0 else 1.0 - rho_c / params.traffic.mean_arrivals_per_slot
+        if p_b < 0.0:
+            if p_b < -_RANGE_SLACK:
+                raise MetricRangeError(f"drop probability {p_b} outside [0, 1]")
+            # A few ulps below zero is routine float cancellation; only a
+            # larger overshoot is worth flagging.
+            if p_b < -1e-12:
+                warnings.warn("carried load exceeds offered load numerically; clamping",
+                              RuntimeWarning)
+            p_b = 0.0
         p_i = _clamp_probability(p_i, "interference probability")
-        beta = activity_factor(params.pnp)
-        pw = required_power(params.power, params.traffic, params.policy, beta, p_b)
+        pw = required_power(params, p_b)
         feasible = None
         if constraints is not None:
             feasible = bool(p_b <= constraints.max_drop
@@ -271,9 +258,9 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, pi: np.ndarray,
             w_inv = p_b / lam_eff + 1.0 / lam_agg
             w_slot = queue / lam_eff
         out.append(QosReport(
-            beta=beta, offered_load=params.traffic.mean_arrivals_per_slot, carried_load=rho_c,
-            drop_prob=p_b, wait_inverse_rate=w_inv, wait_slot_avg=w_slot, interference_prob=p_i,
-            charge_frac=_clamp_probability(charge, "charge fraction"),
+            beta=activity_factor(params.pnp), offered_load=params.traffic.mean_arrivals_per_slot,
+            carried_load=rho_c, drop_prob=p_b, wait_inverse_rate=w_inv, wait_slot_avg=w_slot,
+            interference_prob=p_i, charge_frac=_clamp_probability(charge, "charge fraction"),
             charge_frac_nominal=nominal_charge_fraction(params), power=pw, residual=res,
             solver_method=SOLVER_METHOD, feasible=feasible))
     return out

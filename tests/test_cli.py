@@ -126,6 +126,15 @@ def test_missing_config_file_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # The rename onto a directory fails after the temp file is written.
+    (tmp_path / "metrics.csv").mkdir()
+    rc = main(["analyze", "--config", DEFAULT_CONFIG, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: [Errno 21] Is a directory:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
 def test_flag_overrides_beat_config(tmp_path):
     main(["analyze", "--config", DEFAULT_CONFIG, "--out", str(tmp_path),
           "--lambda", "0.002"])

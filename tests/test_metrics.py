@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
-                    MetricRangeError, NoConvergenceError, Phase, TrafficModel,
-                    UndefinedLoadError, activity_factor, arrival_tail, build_transition_matrix,
-                    departure_distributions, evaluate_qos, nominal_charge_fraction,
-                    packet_drop_probability, required_power, slot_kernel,
+                    MetricRangeError, NoConvergenceError, Phase, activity_factor,
+                    arrival_tail, build_transition_matrix, departure_distributions,
+                    evaluate_qos, nominal_charge_fraction, required_power, slot_kernel,
                     stationary_distribution)
 from criotq.chain import build_chains, stationary_vectors
 from criotq.metrics import Constraints, _reports, qos_reports
@@ -34,33 +33,41 @@ def test_drop_probability_flow_balance(baseline_params):
     serving = sum(mu.vector[tm.space.index(i, Phase.OFF, Action.SERVE)] for i in range(1, 11))
     off_persist = slot_kernel(baseline_params.pnp, baseline_params.traffic.slot_d).off_persist
     assert rho_c == pytest.approx(off_persist * serving, rel=1e-12)
-    p_b = packet_drop_probability(rho_c, baseline_params.traffic)
+    p_b = evaluate_qos(baseline_params).drop_prob
     assert p_b == pytest.approx(1.0 - rho_c / 0.02, abs=1e-15)
     assert 0.0 < p_b < 1e-4
 
 
 def test_drop_probability_saturated_policy():
-    params = make_params(theta=1.0, lam=0.05)
-    assert packet_drop_probability(0.0, params.traffic) == 1.0
+    assert evaluate_qos(make_params(theta=1.0, lam=0.05)).drop_prob == 1.0
 
 
-def test_drop_probability_zero_load_raises():
-    traffic = TrafficModel(n=20, lam=0.0, capacity_k=10, slot_d=1.0)
-    with pytest.raises(UndefinedLoadError):
-        packet_drop_probability(0.0, traffic)
+def _report_with_carried_load(params, carried):
+    """The report of params with the success probability scaled so its carried load is carried."""
+    chains = build_chains([params])
+    pi, residual = stationary_vectors(chains)
+    serving = float(np.cumsum(pi[0, chains.space.serving])[-1])
+    chains = chains._replace(service_success=np.array([carried / serving]))
+    return _reports([params], chains, pi, residual.tolist(), None)[0]
 
 
 def test_drop_probability_overshoot_clamps_and_warns():
-    traffic = TrafficModel(n=20, lam=0.001, capacity_k=10, slot_d=1.0)
+    params = make_params(lam=0.001)
+    rho = params.traffic.mean_arrivals_per_slot
     # ulp-scale overshoot clamps silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert packet_drop_probability(0.02 * (1.0 + 1e-14), traffic) == 0.0
+        assert _report_with_carried_load(params, rho * (1.0 + 1e-14)).drop_prob == 0.0
     # a visibly negative value still warns before clamping
-    with pytest.warns(RuntimeWarning):
-        assert packet_drop_probability(0.02 * (1.0 + 1e-10), traffic) == 0.0
-    with pytest.raises(MetricRangeError):
-        packet_drop_probability(0.04, traffic)
+    with pytest.warns(RuntimeWarning, match="carried load exceeds offered load"):
+        assert _report_with_carried_load(params, rho * (1.0 + 1e-10)).drop_prob == 0.0
+    with pytest.raises(MetricRangeError, match="drop probability"):
+        _report_with_carried_load(params, 2.0 * rho)
+
+
+def test_carried_load_out_of_range_raises():
+    with pytest.raises(MetricRangeError, match="carried load"):
+        _report_with_carried_load(make_params(lam=0.001), 1.5)
 
 
 def test_departure_distributions_basics():
@@ -106,8 +113,8 @@ def test_evaluate_qos_wait_identities(baseline_params):
     # (test_evaluate_qos_saturated_policy).
     r = evaluate_qos(baseline_params)
     tm, mu = solve(baseline_params)
-    p_b = packet_drop_probability(r.carried_load, baseline_params.traffic)
-    assert r.drop_prob == p_b
+    p_b = r.drop_prob
+    assert p_b == pytest.approx(1.0 - r.carried_load / 0.02, abs=1e-15)
     lam_agg = 0.02
     want = p_b / (lam_agg * (1.0 - p_b)) + 1.0 / lam_agg
     assert r.wait_inverse_rate == pytest.approx(want, rel=1e-12)
@@ -157,7 +164,7 @@ def test_required_power_floor_binds():
     # 20 nodes on radii sqrt((k + 0.5)/20) km with the 1 km scale and
     # exponent 2 give weights summing to exactly 10.
     params = make_params()
-    req = required_power(params.power, params.traffic, params.policy, 0.5, 0.0)
+    req = required_power(params, 0.0)
     assert req.per_node == pytest.approx(50e-6, abs=1e-18)
     assert req.total == pytest.approx(5e-4, rel=1e-12)
     assert req.clamped == req.total
@@ -166,7 +173,7 @@ def test_required_power_floor_binds():
 
 def test_required_power_dynamic_term():
     params = make_params(lam=0.05)
-    req = required_power(params.power, params.traffic, params.policy, 0.5, 0.25)
+    req = required_power(params, 0.25)
     # 400 uJ * 0.05/s * 0.75 / 0.2 = 75 uW per node, 750 uW at the AP.
     assert req.per_node == pytest.approx(75e-6, rel=1e-12)
     assert req.total == pytest.approx(750e-6, rel=1e-12)
@@ -175,12 +182,10 @@ def test_required_power_dynamic_term():
 
 def test_required_power_zero_charge_time_is_infeasible():
     params = make_params(theta=1.0, lam=0.05)
-    req = required_power(params.power, params.traffic, params.policy, 0.5, 0.0)
+    req = required_power(params, 0.0)
     assert math.isinf(req.total)
     assert not req.feasible
     assert req.clamped == params.power.p_max
-    with pytest.raises(InvalidParameterError):
-        required_power(params.power, params.traffic, params.policy, 1.5, 0.0)
 
 
 def test_evaluate_qos_baseline_frozen(baseline_params):

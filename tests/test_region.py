@@ -570,7 +570,7 @@ def test_critical_lambda_boundary_matches_the_simulator(limit):
             # The simulated drop 3 SE to the side that asks the most power
             # below lambda_c, and the least above it.
             drop = hat - 3.0 * se if feasible_side else hat + 3.0 * se
-            need = required_power(at.power, at.traffic, at.policy, model.beta, drop).total
+            need = required_power(at, drop).total
             assert (need <= at.power.p_max) == feasible_side, (factor, need)
         elif feasible_side:
             assert hat + 3.0 * se <= bound, (factor, hat, se)

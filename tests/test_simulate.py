@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -402,6 +403,28 @@ def test_kernel_estimate_matches_closed_form():
         assert abs(getattr(est, name) - p) <= 4.0 * se, name
     with pytest.raises(InvalidParameterError):
         estimate_slot_kernel(pnp, d, trials=0, seed=1)
+
+
+def test_transition_row_needs_a_trial():
+    with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
+        estimate_transition_row(make_params(), (2, Phase.OFF, Action.IDLE), trials=0, seed=1)
+
+
+def test_sim_result_rejects_broken_bookkeeping():
+    res = run_simulation(SimConfig(params=make_params(), horizon_slots=5000, seed=3))
+    c = res.counts
+    assert c.served > 0
+    broken = [
+        (dict(counts=c._replace(dropped=c.dropped + 1)), "admitted = generated - dropped"),
+        (dict(counts=c._replace(served=c.admitted + 1)), "served exceeds admitted"),
+        (dict(slot_state_histogram=2.0 * res.slot_state_histogram),
+         "slot-state histogram must sum to 1"),
+        (dict(post_departure_histogram=2.0 * res.post_departure_histogram),
+         "post-departure histogram must sum to 1"),
+    ]
+    for fields, message in broken:
+        with pytest.raises(InvalidParameterError, match=message):
+            dataclasses.replace(res, **fields)
 
 
 _OVER_BUDGET = {

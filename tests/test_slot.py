@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,19 @@ def test_kernel_rows_stochastic_and_persistence_bounded():
         assert k.on_persist <= k.a11 + 1e-12
         for v in (k.a00, k.a01, k.a10, k.a11, k.off_persist, k.on_persist):
             assert -1e-15 <= v <= 1.0 + 1e-15
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(a00=1.5, a01=-0.5), r"kernel field a00=1.5 outside \[0, 1\]"),
+    (dict(a10=0.6, a11=0.6), "kernel rows must sum to 1"),
+    (dict(on_persist=0.9), "whole-slot persistence cannot exceed endpoint persistence"),
+])
+def test_kernel_record_rejects_an_inconsistent_law(fields, message):
+    # Unit rates and a unit slot: a00 = a11 = (1 + e^-2) / 2 and both
+    # persistences e^-1, so each edit breaks exactly one rule.
+    k = slot_kernel(PnpModel(1.0, 1.0), 1.0)
+    with pytest.raises(InvalidParameterError, match=message):
+        dataclasses.replace(k, **fields)
 
 
 def test_arrival_pmf_matches_poisson_reference():
