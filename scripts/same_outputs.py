@@ -14,7 +14,8 @@ Under OUT it writes:
   light-load analyzes, two K=200 analyzes with --emit-stationary, a
   simulate, an analyze that sets every parameter flag, a simulate that
   sets every sim flag, a simulate off the unit slot grid whose horizon
-  crosses a simulator chunk, a sweep with --tol and --beta, two sweeps
+  crosses a simulator chunk, a two-replication simulate whose horizon
+  spans three chunks, a sweep with --tol and --beta, two sweeps
   whose searches skip points a chain-free floor rules out, a lambda_c
   sweep with a search infeasible at its floor, an analyze of the default
   config without its constraints section, an analyze whose offered
@@ -91,6 +92,9 @@ COMMANDS = [
     ("simulate-slot-d",  # inexact slot bounds; the horizon crosses the 262,144-slot chunk
      ["simulate", "--config", "configs/default.json", "--slot-d", "0.37", "--mu-on", "0.7",
       "--mu-off", "2.3", "--horizon", "300000"]),
+    ("simulate-three-chunks",  # two replications, each handing over three phase-path chunks
+     ["simulate", "--config", "configs/default.json", "--horizon", "600000", "--warmup", "60000",
+      "--replications", "2"]),
     ("sweep-tol-beta",
      ["sweep", "--config", "configs/region_detection.json", "--tol", "0.01", "--beta", "0.3"]),
     # Points the probes skip: a lambda_c search whose whole first doubling

@@ -10,8 +10,9 @@ name, ``section.key``, which is also the dest of the flag that
 overrides it.  Every output is CSV with fixed, documented columns,
 floats printed with 12 significant digits, and written atomically (temp
 file then rename) so a failed run never leaves a truncated file.  Every
-command runs in one thread, and its output depends only on its
-configuration and flags.
+command runs its steps one after another; only a simulated replication
+adds one worker thread, which draws the phase path from its own random
+stream.  Output depends only on the configuration and flags.
 """
 
 from __future__ import annotations

@@ -28,13 +28,26 @@ not grow with the horizon:
   starting phase (by parity) and whether one phase covered it;
 * each chunk draws its arrival counts, in-slot timestamps and sensing,
   idle and charge coins, in that order;
-* only the queue recursion q' = min(q + a, K) - [departure] runs slot
-  by slot, and only on slots with an arrival or a possible departure;
-  actions, the state histogram and the batch counts follow from the
-  queue at each slot start;
+* the queue moves only on slots with an arrival or a possible
+  departure, and between arrivals it only falls, by one a departure
+  down to empty, so only the recursion q' = min(q + a, K) - [departure]
+  at the arrival slots runs in a Python loop.  The admissions,
+  departures, drops and post-departure queues are read on the moving
+  slots alone; the queue at each slot start is its value after the last
+  move, which with the phase and action gives each slot's cell, tallied
+  per batch;
 * packets leave in FIFO order, so the m-th departure takes the m-th
   admitted timestamp, and sojourns are added to their batch sums in
   slot order.
+
+The phase path runs on one worker thread per replication, one chunk
+ahead, while the main thread draws the chunk's arrivals and coins and
+tallies the chunk before; numpy releases the interpreter lock in those
+bulk draws and array passes, so the two overlap.  The phase path draws
+only from its own stream and the flow only from the other, and each
+stream is used by one thread in a fixed order, so the bits do not depend
+on how the threads are scheduled.  The worker is joined on every path,
+and an exception it raises is raised in the caller.
 
 These steps draw the same numbers and do the same floating-point
 operations as a loop over slots, so the tallies equal that loop's bit
@@ -43,12 +56,15 @@ for bit (tests/test_simulate.py keeps the loop as the reference).
 Every phase switch is drawn, so a replication, or an estimator call,
 whose expected switch count passes a fixed budget raises before its
 first draw instead of running for hours, or forever at the shortest
-mean durations.
+mean durations.  Every arrival of a chunk is held at once, so a
+replication whose chunk expects more arrivals than a fixed budget
+raises before its first draw too, instead of exhausting memory.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,6 +93,12 @@ _MAX_SWITCHES = 1e9
 #: pass of its loop, about 30 us at few trials, so this many take about
 #: 3 s.  The tests reach at most 10.7 (acceptance criterion 1).
 _MAX_SLOT_SWITCHES = 1e5
+#: Most arrivals a replication's chunk may expect.  A chunk holds every
+#: arrival's timestamp at once, about 45 bytes each at the peak (peak RSS
+#: at 2.5e6 arrivals), so this many take about 0.45 GB.  The shipped
+#: configs, tests and benchmark workloads reach at most 1.05e6 (4 per
+#: slot over a full chunk).
+_MAX_CHUNK_ARRIVALS = 1e7
 
 
 @dataclass(frozen=True)
@@ -286,15 +308,79 @@ def _arrivals(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
         raise InvalidParameterError(f"per-slot arrival mean {mean:g} is too large") from None
 
 
+def _check_arrivals(mean: float, slots: int) -> None:
+    """Raise unless a chunk of slots expects at most _MAX_CHUNK_ARRIVALS arrivals."""
+    count = mean * slots
+    if not count <= _MAX_CHUNK_ARRIVALS:
+        raise InvalidParameterError(
+            f"per-slot arrival mean {mean:g} is too large: a chunk of {slots} slots expects "
+            f"{count:.3g} arrivals, over the simulator's budget of {_MAX_CHUNK_ARRIVALS:.0e}")
+
+
+class _Ahead:
+    """Run an iterator on one worker thread, one item ahead of its reader.
+
+    next() takes the item the worker has made, waiting for it if need be,
+    and lets the worker start on the following one.  An exception the
+    iterator raises is raised by next() as it is.  close() stops and
+    joins the worker; the reader calls it on every path.
+    """
+
+    def __init__(self, items):
+        self._items = items
+        self._item = self._error = None
+        self._stop = False
+        self._made = threading.Semaphore(0)
+        self._taken = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._run)
+        self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            for self._item in self._items:
+                self._made.release()
+                self._taken.acquire()
+                if self._stop:
+                    return
+            self._error = StopIteration()
+        except BaseException as exc:  # the reader raises it
+            self._error = exc
+        self._made.release()
+
+    def __next__(self):
+        self._made.acquire()
+        if self._error is not None:
+            raise self._error
+        item = self._item
+        self._taken.release()
+        return item
+
+    def close(self) -> None:
+        self._stop = True
+        self._taken.release()
+        self._thread.join()
+
+
 def _simulate_one(params: SystemParams, horizon: int, warmup: int,
                   seed: int, rep_index: int) -> _Tally:
-    _check_switches(params.pnp, horizon * params.traffic.slot_d, _MAX_SWITCHES,
+    tr = params.traffic
+    _check_switches(params.pnp, horizon * tr.slot_d, _MAX_SWITCHES,
                     f"a replication of {horizon} slots")
+    _check_arrivals(tr.mean_arrivals_per_slot, min(_CHUNK, horizon))
     ss = np.random.SeedSequence([seed, rep_index])
     phase_ss, flow_ss = ss.spawn(2)
     phase_rng = np.random.Generator(np.random.PCG64(phase_ss))
     flow_rng = np.random.Generator(np.random.PCG64(flow_ss))
+    phases = _Ahead(_phase_path(phase_rng, params.pnp, tr.slot_d, horizon))
+    try:
+        return _tally_chunks(params, horizon, warmup, flow_rng, phases)
+    finally:
+        phases.close()
 
+
+def _tally_chunks(params: SystemParams, horizon: int, warmup: int,
+                  flow_rng: np.random.Generator, phases: _Ahead) -> _Tally:
+    """Draw each chunk's flow, step its queue and tally its measured slots."""
     tr = params.traffic
     k_cap = tr.capacity_k
     d = tr.slot_d
@@ -305,7 +391,8 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
     # First slot of each batch, then the horizon.
     edges = warmup + (np.arange(NUM_BATCHES + 1) * measured + NUM_BATCHES - 1) // NUM_BATCHES
 
-    cells = np.zeros(6 * (k_cap + 1), dtype=np.int64)  # slots per (queue, phase, action)
+    # Slots per batch and cell 6 queue + 3 phase + action of the (K+1) x 2 x 3 grid.
+    cells = np.zeros((NUM_BATCHES, 6 * (k_cap + 1)), dtype=np.int64)
     post_dep = np.zeros(k_cap, dtype=np.int64)
     batches = np.zeros((NUM_BATCHES, _SLOTS + 1), dtype=np.int64)
     soj_sum = np.zeros(NUM_BATCHES)
@@ -313,7 +400,6 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
     qlen = 0
     waiting = np.empty(0)  # arrival timestamps of the queued packets, head first
 
-    phases = _phase_path(phase_rng, params.pnp, d, horizon)
     for s0 in range(0, horizon, _CHUNK):
         chunk = min(_CHUNK, horizon - s0)
         n_arr = _arrivals(flow_rng, tr.mean_arrivals_per_slot, chunk)
@@ -325,30 +411,47 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
         phase, whole = next(phases)
 
         # Go past the sensing and idle coins, then charge, or serve a nonempty queue.
-        go = (sense_u >= np.where(phase, p_detect, p_false_alarm)) & (theta_u >= theta)
+        go = ((((sense_u >= p_detect) & phase) | ((sense_u >= p_false_alarm) & ~phase))
+              & (theta_u >= theta))
         charge = go & (xi_u < xi)
-        clears = go & ~charge & ~phase & whole  # departs iff the queue is nonempty
+        serving = go ^ charge  # serves if the queue is nonempty
+        clears = serving & ~phase & whole  # departs iff the queue is nonempty
 
-        # The queue only moves on slots with an arrival or a possible departure.
+        # The queue only moves on slots with an arrival or a possible
+        # departure.  Between arrivals it only falls, by one a departure
+        # down to empty, so the recursion steps through the arrivals alone.
         moves = np.flatnonzero((n_arr > 0) | clears)
-        after = [qlen]
-        append = after.append
-        for c, clear in zip(n_arr[moves].tolist(), clears[moves].tolist()):
-            nxt = qlen + c
-            if nxt > k_cap:
-                nxt = k_cap
-            if clear and qlen:
-                nxt -= 1
-            qlen = nxt
-            append(qlen)
-        q = np.repeat(after, np.diff(moves, prepend=-1, append=chunk - 1))  # at each slot start
+        n_m = n_arr[moves]
+        clear_m = clears[moves]
+        lands = np.flatnonzero(n_m)  # the moves with an arrival
 
-        serve = go & ~charge & (q > 0)
-        adm = np.minimum(n_arr, k_cap - q)
-        dep = clears & (q > 0)
+        def walk(q):
+            yield q
+            for c, clear, gap in zip(n_m[lands].tolist(), clear_m[lands].tolist(),
+                                     np.diff(lands, prepend=-1).tolist()):
+                q -= gap - 1  # each move since the last arrival cleared a queued packet
+                if q < 0:
+                    q = 0
+                nxt = q + c
+                if nxt > k_cap:
+                    nxt = k_cap
+                if clear and q:
+                    nxt -= 1
+                q = nxt
+                yield q
+
+        peaks = np.fromiter(walk(qlen), np.int64, lands.size + 1)  # qlen, then after each arrival
+        # The queue after each move: after the last arrival, less the moves since.
+        last = np.cumsum(n_m > 0)
+        since = np.arange(moves.size) - np.concatenate(([-1], lands))[last]
+        after = np.concatenate(([qlen], np.maximum(peaks[last] - since, 0)))  # qlen first
+        before = after[:-1]
+        qlen = int(after[-1])
+        adm = np.minimum(n_m, k_cap - before)
+        dep = clear_m & (before > 0)
         if adm.sum() < total:  # admit each slot's earliest arrivals only
-            slot_of = np.repeat(np.arange(chunk), n_arr)
-            rank = np.arange(total) - (np.cumsum(n_arr) - n_arr)[slot_of]
+            slot_of = np.repeat(np.arange(moves.size), n_m)
+            rank = np.arange(total) - (np.cumsum(n_m) - n_m)[slot_of]
             ts = ts[rank < adm[slot_of]]
         queue = np.concatenate([waiting, ts])
         n_dep = int(np.count_nonzero(dep))
@@ -357,30 +460,39 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
         m0 = max(warmup - s0, 0)
         if m0 >= chunk:
             continue
-        q, phase, serve, charge = q[m0:], phase[m0:], serve[m0:], charge[m0:]
-        dep, n_arr, adm = dep[m0:], n_arr[m0:], adm[m0:]
-        cells += np.bincount(6 * q + 3 * phase + 2 * charge + serve, minlength=cells.size)
-        cut = np.clip(edges, s0 + m0, s0 + chunk) - (s0 + m0)  # batch bounds in this window
-        held = np.flatnonzero(np.diff(cut))  # batches with slots in this window
-        for col, per_slot in enumerate((n_arr, n_arr - adm, phase & (serve | charge),
-                                        dep, charge)):
-            batches[held, col] += np.add.reduceat(per_slot, cut[held])
-        batches[:, _SLOTS] += np.diff(cut)
+        cut = np.clip(edges, s0 + m0, s0 + chunk) - s0  # batch bounds in the chunk
+        # Each slot's cell from the queue at its start; Serve of an empty queue is folded below.
+        # int32 halves the one chunk-length integer pass: any K whose cells
+        # array fits in memory has 6(K + 1) < 2**31.
+        key = np.repeat((6 * after).astype(np.int32), np.diff(moves, prepend=-1, append=chunk - 1))
+        key += phase.view(np.uint8) * 3 + charge.view(np.uint8) * 2 + serving
+        for b in np.flatnonzero(np.diff(cut)):
+            cells[b] += np.bincount(key[cut[b]:cut[b + 1]], minlength=cells.shape[1])
+        at = np.searchsorted(moves, cut)  # batch bounds in the moves
+        for col, per_move in ((_GEN, n_m), (_DROP, n_m - adm), (_SERVE, dep)):
+            batches[:, col] += np.diff(np.concatenate(([0], np.cumsum(per_move)))[at])
 
         # Measured departures are the chunk's last ones.  Each batch sum
         # starts from its running value and adds sojourns in slot order.
-        at = np.flatnonzero(dep)
-        t_arr = leaving[n_dep - at.size:]
-        s_at = s0 + m0 + at
+        measured_dep = dep[at[0]:]
+        s_at = s0 + moves[at[0]:][measured_dep]
+        t_arr = leaving[n_dep - s_at.size:]
         soj = (s_at + 1) * d - t_arr
         soj_sum = np.bincount(
             np.concatenate([np.arange(NUM_BATCHES), ((s_at - warmup) * NUM_BATCHES) // measured]),
             weights=np.concatenate([soj_sum, soj]), minlength=NUM_BATCHES)
-        post_dep += np.bincount((q + adm - 1)[at], minlength=k_cap)
+        post_dep += np.bincount(after[1:][at[0]:][measured_dep], minlength=k_cap)
         served_tagged += int(np.count_nonzero(t_arr >= meas_t0))
 
-    return _Tally(hist=cells[enumerate_states(k_cap).cell], post_dep=post_dep, batches=batches,
-                  soj_sum=soj_sum, served_tagged=served_tagged)
+    # An empty queue has nothing to serve: those slots idle.
+    cells[:, [0, 3]] += cells[:, [1, 4]]
+    cells[:, [1, 4]] = 0
+    grid = cells.reshape(NUM_BATCHES, k_cap + 1, 2, 3)
+    batches[:, _INTERF] = grid[:, :, Phase.ON, Action.SERVE:].sum(axis=(1, 2))
+    batches[:, _CHARGE] = grid[..., Action.CHARGE].sum(axis=(1, 2))
+    batches[:, _SLOTS] = cells.sum(axis=1)
+    return _Tally(hist=cells.sum(axis=0)[enumerate_states(k_cap).cell], post_dep=post_dep,
+                  batches=batches, soj_sum=soj_sum, served_tagged=served_tagged)
 
 
 def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:

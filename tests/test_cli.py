@@ -309,6 +309,19 @@ def test_simulating_past_the_poisson_limit_is_a_clean_error(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--lambda", "1e5", "--horizon", "1000", "--warmup", "100"]),
+    ("compare", ["--lambda-grid", "1e5"]),
+])
+def test_simulating_past_the_arrival_budget_is_a_quick_clean_error(tmp_path, capsys, command,
+                                                                    flags):
+    # 2e6 arrivals a slot: the timestamps of one chunk would not fit in memory.
+    with time_limit(1.0):
+        rc = main([command, "--config", DEFAULT_CONFIG, "--out", str(tmp_path), *flags])
+    assert rc == 1
+    assert "error: per-slot arrival mean 2e+06 is too large: a chunk of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
     ("analyze", ["--lambda", "1e307"]),
     ("simulate", ["--lambda", "1e307"]),
     ("sweep", ["--lambda", "1e307", "--axis", "detection", "--target", "lambda_c",

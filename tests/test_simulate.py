@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from criotq import (Action, InvalidParameterError, Phase, PnpModel, SimConfig,
                     departure_distributions, enumerate_states,
                     estimate_slot_kernel, estimate_transition_row, evaluate_qos,
                     run_simulation, slot_kernel, stationary_distribution)
+from criotq import simulate
 from criotq.simulate import (_CHARGE, _CHUNK, _DROP, _GEN, _INTERF, _SERVE, _SLOTS,
                              NUM_BATCHES, _simulate_one, _switch_rank)
 from conftest import make_params, time_limit
@@ -248,6 +251,17 @@ def test_array_simulator_matches_literal_loop_off_the_unit_grid(cell):
     _assert_matches_literal(make_params(**cell), 5_000, 500, seed=53, rep_index=0)
 
 
+@pytest.mark.parametrize("lam", [0.004, 0.008])
+def test_array_simulator_matches_literal_loop_as_the_queue_fills_and_drains(lam):
+    # Long runs of departures between arrivals empty the queue, and bursts fill it.
+    params = make_params(lam=lam)
+    _assert_matches_literal(params, 20_000, 0, seed=61, rep_index=0)
+    hist = _simulate_one(params, 20_000, 0, 61, 0).hist
+    levels = [j for j, _, _ in enumerate_states(params.traffic.capacity_k).states]
+    seen = {j for j, n in zip(levels, hist) if n}
+    assert {0, params.traffic.capacity_k} <= seen
+
+
 @pytest.mark.parametrize("s0", [0, _CHUNK])
 def test_switch_rank_matches_binary_search_at_the_bounds(s0):
     # Switches on every slot bound and one ulp either side, where the
@@ -454,6 +468,88 @@ def test_switches_past_the_budget_raise_before_drawing(case):
     call, message = _OVER_BUDGET[case]
     with time_limit(5.0), pytest.raises(InvalidParameterError, match=message):
         call()
+
+
+def test_budgets_are_checked_before_the_phase_worker_starts(monkeypatch):
+    started = []
+    monkeypatch.setattr(simulate, "_phase_path", lambda *args: started.append(args) or iter(()))
+    over_budget = [
+        (make_params(mu_on=1e4, mu_off=1e4), 200_000, r"expects 2e\+09 phase switches"),
+        # 2e6 arrivals a slot: a 1000-slot chunk would hold 2e9 timestamps, 16 GB each array.
+        (make_params(lam=1e5), 1000, r"per-slot arrival mean 2e\+06 is too large: "
+                                     r"a chunk of 1000 slots expects 2e\+09 arrivals"),
+    ]
+    for params, horizon, message in over_budget:
+        with time_limit(5.0), pytest.raises(InvalidParameterError, match=message):
+            run_simulation(SimConfig(params=params, horizon_slots=horizon, seed=1))
+    assert started == []
+
+
+def test_each_replication_joins_its_one_phase_worker(monkeypatch):
+    baseline = threading.active_count()
+    live = []
+    path = simulate._phase_path
+
+    def counted(*args):
+        for chunk in path(*args):
+            live.append(threading.active_count())
+            yield chunk
+
+    monkeypatch.setattr(simulate, "_phase_path", counted)
+    config = SimConfig(params=make_params(), horizon_slots=2 * _CHUNK, seed=3, replications=2)
+    with time_limit(20.0):
+        run_simulation(config)
+    assert threading.active_count() == baseline
+    assert len(live) == 4 and max(live) == baseline + 1
+
+    # A failure on the drawing side, with the worker busy, joins it too.
+    error = RuntimeError("arrival draw failed")
+
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(simulate, "_arrivals", failing)
+    with time_limit(20.0), pytest.raises(RuntimeError) as caught:
+        run_simulation(config)
+    assert caught.value is error
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("good_chunks", [0, 1])
+def test_an_error_in_the_phase_worker_reaches_the_caller(monkeypatch, good_chunks):
+    baseline = threading.active_count()
+    error = ValueError("phase path failed")
+    path = simulate._phase_path
+
+    def failing(*args):
+        yield from list(path(*args))[:good_chunks]
+        raise error
+
+    monkeypatch.setattr(simulate, "_phase_path", failing)
+    config = SimConfig(params=make_params(), horizon_slots=2 * _CHUNK, seed=3)
+    with time_limit(20.0), pytest.raises(ValueError) as caught:
+        run_simulation(config)
+    assert caught.value is error
+    assert threading.active_count() == baseline
+
+
+def test_a_slow_phase_worker_leaves_the_tallies_alone(monkeypatch):
+    # The reader waits for every chunk, so the hand-off runs in the other order.
+    params = make_params(lam=0.01)
+    horizon = 3 * _CHUNK + 1
+    path = simulate._phase_path
+
+    def slowed(*args):
+        time.sleep(0.05)
+        for chunk in path(*args):
+            yield chunk
+            time.sleep(0.05)
+
+    with time_limit(30.0):
+        want = [_simulate_one(params, horizon, 1_000, 8, r) for r in range(2)]
+        monkeypatch.setattr(simulate, "_phase_path", slowed)
+        got = [_simulate_one(params, horizon, 1_000, 8, r) for r in range(2)]
+    assert all(np.array_equal(x, y) for g, w in zip(got, want) for x, y in zip(g, w))
 
 
 def test_transition_row_without_arrivals_stays_put():
