@@ -15,11 +15,12 @@ Under OUT it writes:
   simulate, an analyze that sets every parameter flag, a simulate that
   sets every sim flag, a simulate off the unit slot grid whose horizon
   crosses a simulator chunk, a two-replication simulate whose horizon
-  spans three chunks, a sweep with --tol and --beta, two sweeps
-  whose searches skip points a chain-free floor rules out, a lambda_c
-  sweep with a search infeasible at its floor, an analyze of the default
-  config without its constraints section, an analyze whose offered
-  load overflows, and an analyze whose policy never serves), each with
+  spans three chunks, a simulate whose horizon is exactly two chunks, a
+  sweep with --tol and --beta, two sweeps whose searches skip points a
+  chain-free floor rules out, a lambda_c sweep with a search infeasible
+  at its floor, an analyze of the default config without its
+  constraints section, an analyze whose offered load overflows, and an
+  analyze whose policy never serves), each with
   the category and text of every warning it emits, and its exit status;
 * ``inputs/``: the derived configs those commands read;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
@@ -95,6 +96,8 @@ COMMANDS = [
     ("simulate-three-chunks",  # two replications, each handing over three phase-path chunks
      ["simulate", "--config", "configs/default.json", "--horizon", "600000", "--warmup", "60000",
       "--replications", "2"]),
+    ("simulate-two-full-chunks",  # the horizon ends on a chunk bound, so no path is drawn past it
+     ["simulate", "--config", "configs/default.json", "--horizon", "524288"]),
     ("sweep-tol-beta",
      ["sweep", "--config", "configs/region_detection.json", "--tol", "0.01", "--beta", "0.3"]),
     # Points the probes skip: a lambda_c search whose whole first doubling

@@ -134,8 +134,9 @@ class StateSpace:
     def index(self, queue: int, phase: Phase, action: Action) -> int:
         """Position of a state triple; raises for invalid triples."""
         k = self.capacity_k
-        if not (0 <= queue <= k):
-            raise InvalidParameterError(f"queue {queue} outside 0..{k}")
+        if (not isinstance(queue, (int, np.integer)) or isinstance(queue, bool)
+                or not 0 <= queue <= k):
+            raise InvalidParameterError(f"queue {queue!r} is not an integer in 0..{k}")
         if phase not in _PHASES or action not in _ALL_ACTIONS:
             raise InvalidParameterError(f"invalid phase/action ({phase}, {action})")
         if queue == 0 and action == Action.SERVE:

@@ -11,8 +11,9 @@ overrides it.  Every output is CSV with fixed, documented columns,
 floats printed with 12 significant digits, and written atomically (temp
 file then rename) so a failed run never leaves a truncated file.  Every
 command runs its steps one after another; only a simulated replication
-adds one worker thread, which draws the phase path from its own random
-stream.  Output depends only on the configuration and flags.
+draws each chunk's phase path, from its own random stream, on a thread
+of its own, started as the chunk before is taken.  Output depends only
+on the configuration and flags.
 """
 
 from __future__ import annotations

@@ -40,14 +40,16 @@ not grow with the horizon:
   admitted timestamp, and sojourns are added to their batch sums in
   slot order.
 
-The phase path runs on one worker thread per replication, one chunk
-ahead, while the main thread draws the chunk's arrivals and coins and
-tallies the chunk before; numpy releases the interpreter lock in those
-bulk draws and array passes, so the two overlap.  The phase path draws
-only from its own stream and the flow only from the other, and each
-stream is used by one thread in a fixed order, so the bits do not depend
-on how the threads are scheduled.  The worker is joined on every path,
-and an exception it raises is raised in the caller.
+Each chunk's phase path is drawn on a thread of its own, started as
+the chunk before is taken, so it runs while the main thread draws the
+chunk's arrivals and coins and tallies the chunk before; numpy releases
+the interpreter lock in those bulk draws and array passes, so the two
+overlap.  At most one such thread runs at a time, and none is started
+after the last chunk.  The phase path draws only from its own stream and
+the flow only from the other, and each stream is used in a fixed order,
+by one thread at a time, so the bits do not depend on how the threads
+are scheduled.  The thread is joined on every path, and an exception it
+raises is raised in the caller.
 
 These steps draw the same numbers and do the same floating-point
 operations as a loop over slots, so the tallies equal that loop's bit
@@ -317,75 +319,59 @@ def _check_arrivals(mean: float, slots: int) -> None:
             f"{count:.3g} arrivals, over the simulator's budget of {_MAX_CHUNK_ARRIVALS:.0e}")
 
 
-class _Ahead:
-    """Run an iterator on one worker thread, one item ahead of its reader.
+class _Worker(threading.Thread):
+    """Run fn(*args) on a thread of its own, started as it is made.
 
-    next() takes the item the worker has made, waiting for it if need be,
-    and lets the worker start on the following one.  An exception the
-    iterator raises is raised by next() as it is.  close() stops and
-    joins the worker; the reader calls it on every path.
+    result() joins the thread, then returns fn's value or raises the
+    exception fn raised, as it is.
     """
 
-    def __init__(self, items):
-        self._items = items
-        self._item = self._error = None
-        self._stop = False
-        self._made = threading.Semaphore(0)
-        self._taken = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._run)
-        self._thread.start()
+    def __init__(self, fn, *args):
+        super().__init__()
+        self._call = fn, args
+        self._value = self._error = None
+        self.start()
 
-    def _run(self) -> None:
+    def run(self) -> None:
+        fn, args = self._call
         try:
-            for self._item in self._items:
-                self._made.release()
-                self._taken.acquire()
-                if self._stop:
-                    return
-            self._error = StopIteration()
-        except BaseException as exc:  # the reader raises it
+            self._value = fn(*args)
+        except BaseException as exc:  # result() raises it
             self._error = exc
-        self._made.release()
 
-    def __next__(self):
-        self._made.acquire()
+    def result(self):
+        self.join()
         if self._error is not None:
             raise self._error
-        item = self._item
-        self._taken.release()
-        return item
+        return self._value
 
-    def close(self) -> None:
-        self._stop = True
-        self._taken.release()
-        self._thread.join()
+
+def _actions(coins: np.ndarray, on: np.ndarray,
+             params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Charge and serve flags of decisions made in phase on (True for ON).
+
+    coins holds the sensing, idle and charge coins as its three rows.  A
+    decision goes past the sensing coin and the idle coin, then charges,
+    or serves if the queue is nonempty.
+    """
+    sense_u, theta_u, xi_u = coins
+    p_detect, p_false_alarm = params.sensing.p_detect, params.sensing.p_false_alarm
+    go = ((((sense_u >= p_detect) & on) | ((sense_u >= p_false_alarm) & ~on))
+          & (theta_u >= params.policy.theta_idle))
+    charge = go & (xi_u < params.policy.xi_charge)
+    return charge, go ^ charge
 
 
 def _simulate_one(params: SystemParams, horizon: int, warmup: int,
                   seed: int, rep_index: int) -> _Tally:
-    tr = params.traffic
-    _check_switches(params.pnp, horizon * tr.slot_d, _MAX_SWITCHES,
-                    f"a replication of {horizon} slots")
-    _check_arrivals(tr.mean_arrivals_per_slot, min(_CHUNK, horizon))
-    ss = np.random.SeedSequence([seed, rep_index])
-    phase_ss, flow_ss = ss.spawn(2)
-    phase_rng = np.random.Generator(np.random.PCG64(phase_ss))
-    flow_rng = np.random.Generator(np.random.PCG64(flow_ss))
-    phases = _Ahead(_phase_path(phase_rng, params.pnp, tr.slot_d, horizon))
-    try:
-        return _tally_chunks(params, horizon, warmup, flow_rng, phases)
-    finally:
-        phases.close()
-
-
-def _tally_chunks(params: SystemParams, horizon: int, warmup: int,
-                  flow_rng: np.random.Generator, phases: _Ahead) -> _Tally:
     """Draw each chunk's flow, step its queue and tally its measured slots."""
     tr = params.traffic
     k_cap = tr.capacity_k
     d = tr.slot_d
-    p_detect, p_false_alarm = params.sensing.p_detect, params.sensing.p_false_alarm
-    theta, xi = params.policy.theta_idle, params.policy.xi_charge
+    _check_switches(params.pnp, horizon * d, _MAX_SWITCHES, f"a replication of {horizon} slots")
+    _check_arrivals(tr.mean_arrivals_per_slot, min(_CHUNK, horizon))
+    phase_rng, flow_rng = (np.random.Generator(np.random.PCG64(s))
+                           for s in np.random.SeedSequence([seed, rep_index]).spawn(2))
     measured = horizon - warmup
     meas_t0 = warmup * d
     # First slot of each batch, then the horizon.
@@ -400,89 +386,95 @@ def _tally_chunks(params: SystemParams, horizon: int, warmup: int,
     qlen = 0
     waiting = np.empty(0)  # arrival timestamps of the queued packets, head first
 
-    for s0 in range(0, horizon, _CHUNK):
-        chunk = min(_CHUNK, horizon - s0)
-        n_arr = _arrivals(flow_rng, tr.mean_arrivals_per_slot, chunk)
-        total = int(n_arr.sum())
-        slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
-        ts = (slots_f + flow_rng.random(total)) * d
-        ts.sort()
-        sense_u, theta_u, xi_u = flow_rng.random(3 * chunk).reshape(3, chunk)
-        phase, whole = next(phases)
+    phases = _phase_path(phase_rng, params.pnp, d, horizon)
+    pending = _Worker(next, phases)
+    try:
+        for s0 in range(0, horizon, _CHUNK):
+            chunk = min(_CHUNK, horizon - s0)
+            n_arr = _arrivals(flow_rng, tr.mean_arrivals_per_slot, chunk)
+            total = int(n_arr.sum())
+            slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
+            ts = (slots_f + flow_rng.random(total)) * d
+            ts.sort()
+            coins = flow_rng.random(3 * chunk).reshape(3, chunk)
+            phase, whole = pending.result()
+            if s0 + chunk < horizon:  # the next chunk's path, drawn while this one is tallied
+                pending = _Worker(next, phases)
 
-        # Go past the sensing and idle coins, then charge, or serve a nonempty queue.
-        go = ((((sense_u >= p_detect) & phase) | ((sense_u >= p_false_alarm) & ~phase))
-              & (theta_u >= theta))
-        charge = go & (xi_u < xi)
-        serving = go ^ charge  # serves if the queue is nonempty
-        clears = serving & ~phase & whole  # departs iff the queue is nonempty
+            charge, serving = _actions(coins, phase, params)
+            clears = serving & ~phase & whole  # departs iff the queue is nonempty
 
-        # The queue only moves on slots with an arrival or a possible
-        # departure.  Between arrivals it only falls, by one a departure
-        # down to empty, so the recursion steps through the arrivals alone.
-        moves = np.flatnonzero((n_arr > 0) | clears)
-        n_m = n_arr[moves]
-        clear_m = clears[moves]
-        lands = np.flatnonzero(n_m)  # the moves with an arrival
+            # The queue only moves on slots with an arrival or a possible
+            # departure.  Between arrivals it only falls, by one a departure
+            # down to empty, so the recursion steps through the arrivals alone.
+            moves = np.flatnonzero((n_arr > 0) | clears)
+            n_m = n_arr[moves]
+            clear_m = clears[moves]
+            lands = np.flatnonzero(n_m)  # the moves with an arrival
 
-        def walk(q):
-            yield q
-            for c, clear, gap in zip(n_m[lands].tolist(), clear_m[lands].tolist(),
-                                     np.diff(lands, prepend=-1).tolist()):
-                q -= gap - 1  # each move since the last arrival cleared a queued packet
-                if q < 0:
-                    q = 0
-                nxt = q + c
-                if nxt > k_cap:
-                    nxt = k_cap
-                if clear and q:
-                    nxt -= 1
-                q = nxt
+            def walk(q):
                 yield q
+                for c, clear, gap in zip(n_m[lands].tolist(), clear_m[lands].tolist(),
+                                         np.diff(lands, prepend=-1).tolist()):
+                    q -= gap - 1  # each move since the last arrival cleared a queued packet
+                    if q < 0:
+                        q = 0
+                    nxt = q + c
+                    if nxt > k_cap:
+                        nxt = k_cap
+                    if clear and q:
+                        nxt -= 1
+                    q = nxt
+                    yield q
 
-        peaks = np.fromiter(walk(qlen), np.int64, lands.size + 1)  # qlen, then after each arrival
-        # The queue after each move: after the last arrival, less the moves since.
-        last = np.cumsum(n_m > 0)
-        since = np.arange(moves.size) - np.concatenate(([-1], lands))[last]
-        after = np.concatenate(([qlen], np.maximum(peaks[last] - since, 0)))  # qlen first
-        before = after[:-1]
-        qlen = int(after[-1])
-        adm = np.minimum(n_m, k_cap - before)
-        dep = clear_m & (before > 0)
-        if adm.sum() < total:  # admit each slot's earliest arrivals only
-            slot_of = np.repeat(np.arange(moves.size), n_m)
-            rank = np.arange(total) - (np.cumsum(n_m) - n_m)[slot_of]
-            ts = ts[rank < adm[slot_of]]
-        queue = np.concatenate([waiting, ts])
-        n_dep = int(np.count_nonzero(dep))
-        leaving, waiting = queue[:n_dep], queue[n_dep:]
+            # qlen, then the queue after each arrival.
+            peaks = np.fromiter(walk(qlen), np.int64, lands.size + 1)
+            # The queue after each move: after the last arrival, less the moves since.
+            last = np.cumsum(n_m > 0)
+            since = np.arange(moves.size) - np.concatenate(([-1], lands))[last]
+            after = np.concatenate(([qlen], np.maximum(peaks[last] - since, 0)))  # qlen first
+            before = after[:-1]
+            qlen = int(after[-1])
+            adm = np.minimum(n_m, k_cap - before)
+            dep = clear_m & (before > 0)
+            if adm.sum() < total:  # admit each slot's earliest arrivals only
+                slot_of = np.repeat(np.arange(moves.size), n_m)
+                rank = np.arange(total) - (np.cumsum(n_m) - n_m)[slot_of]
+                ts = ts[rank < adm[slot_of]]
+            queue = np.concatenate([waiting, ts])
+            n_dep = int(np.count_nonzero(dep))
+            leaving, waiting = queue[:n_dep], queue[n_dep:]
 
-        m0 = max(warmup - s0, 0)
-        if m0 >= chunk:
-            continue
-        cut = np.clip(edges, s0 + m0, s0 + chunk) - s0  # batch bounds in the chunk
-        # Each slot's cell from the queue at its start; Serve of an empty queue is folded below.
-        # int32 halves the one chunk-length integer pass: any K whose cells
-        # array fits in memory has 6(K + 1) < 2**31.
-        key = np.repeat((6 * after).astype(np.int32), np.diff(moves, prepend=-1, append=chunk - 1))
-        key += phase.view(np.uint8) * 3 + charge.view(np.uint8) * 2 + serving
-        for b in np.flatnonzero(np.diff(cut)):
-            cells[b] += np.bincount(key[cut[b]:cut[b + 1]], minlength=cells.shape[1])
-        at = np.searchsorted(moves, cut)  # batch bounds in the moves
-        for col, per_move in ((_GEN, n_m), (_DROP, n_m - adm), (_SERVE, dep)):
-            batches[:, col] += np.diff(np.concatenate(([0], np.cumsum(per_move)))[at])
+            if warmup >= s0 + chunk:
+                continue
+            cut = np.clip(edges, max(warmup, s0), s0 + chunk) - s0  # batch bounds in the chunk
+            # Each slot's cell from the queue at its start; Serve of an empty
+            # queue is folded below.  int32 halves the one chunk-length
+            # integer pass: any K whose cells array fits in memory has
+            # 6(K + 1) < 2**31.
+            key = np.repeat(6 * after.astype(np.int32),
+                            np.diff(moves, prepend=-1, append=chunk - 1))
+            key += phase.view(np.uint8) * 3 + charge.view(np.uint8) * 2 + serving
+            for b in np.flatnonzero(np.diff(cut)):
+                cells[b] += np.bincount(key[cut[b]:cut[b + 1]], minlength=cells.shape[1])
+            at = np.searchsorted(moves, cut)  # batch bounds in the moves
+            for col, per_move in ((_GEN, n_m), (_DROP, n_m - adm), (_SERVE, dep)):
+                batches[:, col] += np.diff(np.concatenate(([0], np.cumsum(per_move)))[at])
 
-        # Measured departures are the chunk's last ones.  Each batch sum
-        # starts from its running value and adds sojourns in slot order.
-        measured_dep = dep[at[0]:]
-        s_at = s0 + moves[at[0]:][measured_dep]
-        t_arr = leaving[n_dep - s_at.size:]
-        soj = (s_at + 1) * d - t_arr
-        soj_sum = np.bincount(
-            np.concatenate([np.arange(NUM_BATCHES), ((s_at - warmup) * NUM_BATCHES) // measured]),
-            weights=np.concatenate([soj_sum, soj]), minlength=NUM_BATCHES)
-        post_dep += np.bincount(after[1:][at[0]:][measured_dep], minlength=k_cap)
-        served_tagged += int(np.count_nonzero(t_arr >= meas_t0))
+            # Measured departures are the chunk's last ones.  Each batch sum
+            # starts from its running value and adds sojourns in slot order.
+            measured_dep = dep[at[0]:]
+            s_at = s0 + moves[at[0]:][measured_dep]
+            t_arr = leaving[n_dep - s_at.size:]
+            soj = (s_at + 1) * d - t_arr
+            soj_sum = np.bincount(
+                np.concatenate([np.arange(NUM_BATCHES),
+                                ((s_at - warmup) * NUM_BATCHES) // measured]),
+                weights=np.concatenate([soj_sum, soj]), minlength=NUM_BATCHES)
+            post_dep += np.bincount(after[1:][at[0]:][measured_dep], minlength=k_cap)
+            served_tagged += int(np.count_nonzero(t_arr >= meas_t0))
+    finally:
+        pending.join()
 
     # An empty queue has nothing to serve: those slots idle.
     cells[:, [0, 3]] += cells[:, [1, 4]]
@@ -551,6 +543,17 @@ def run_simulation(config: SimConfig) -> SimResult:
         reps=tuple(Estimates(**_estimates(t)) for t in tallies))
 
 
+def _check_estimator(slot_d: float, trials: int, seed: int) -> None:
+    """Raise unless an estimator's slot length, trial count and seed are valid."""
+    if not math.isfinite(slot_d) or slot_d < 0:
+        raise InvalidParameterError("slot_d must be finite and nonnegative")
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise InvalidParameterError(f"{name} must be >= {least}")
+
+
 def _renewal_endpoints(rng: np.random.Generator, pnp: PnpModel, start_phase: int,
                        slot_d: float, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the end phase and whole-slot persistence of one slot.
@@ -585,8 +588,7 @@ def estimate_slot_kernel(pnp: PnpModel, slot_d: float, trials: int,
     The fields are the observed frequencies, in the record slot_kernel
     returns for the closed form.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    _check_estimator(slot_d, trials, seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     end_off, whole_off = _renewal_endpoints(rng, pnp, Phase.OFF, slot_d, trials)
     end_on, whole_on = _renewal_endpoints(rng, pnp, Phase.ON, slot_d, trials)
@@ -608,9 +610,8 @@ def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Acti
     decision draw.  Returns the destination frequencies in canonical
     state order, shaped like the analytic row ``tm.matrix[src]``.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
     tr = params.traffic
+    _check_estimator(tr.slot_d, trials, seed)
     space = enumerate_states(tr.capacity_k)
     i, phase, action = source
     space.index(i, phase, action)  # validates the triple
@@ -619,21 +620,9 @@ def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Acti
     end_phase, whole = _renewal_endpoints(rng, params.pnp, phase, tr.slot_d, trials)
     n_arr = _arrivals(rng, tr.mean_arrivals_per_slot, trials)
     admitted = np.minimum(n_arr, tr.capacity_k - i)
-    if action == Action.SERVE and phase == Phase.OFF:
-        cleared = whole.astype(np.int64)
-    else:
-        cleared = np.zeros(trials, dtype=np.int64)
-    j = i + admitted - cleared
-
-    busy_p = np.where(end_phase == 1, params.sensing.p_detect, params.sensing.p_false_alarm)
-    u_sense = rng.random(trials)
-    u_theta = rng.random(trials)
-    u_xi = rng.random(trials)
-    go = (u_sense >= busy_p) & (u_theta >= params.policy.theta_idle)
-    charge = go & (u_xi < params.policy.xi_charge)
-    serve = go & ~charge & (j >= 1)
-    acts = 2 * charge.astype(np.int64) + serve.astype(np.int64)
+    j = i + admitted - (whole & (action == Action.SERVE and phase == Phase.OFF))
+    charge, serving = _actions(rng.random(3 * trials).reshape(3, trials), end_phase == 1, params)
+    acts = 2 * charge + (serving & (j >= 1))
 
     idx = np.searchsorted(space.cell, 6 * j + 3 * end_phase + acts)
-    counts = np.bincount(idx, minlength=space.size)
-    return counts / trials
+    return np.bincount(idx, minlength=space.size) / trials

@@ -185,6 +185,11 @@ def test_index_rejects_invalid_states():
         space.index(1, 2, 0)
     with pytest.raises(InvalidParameterError):
         space.index(1, 0, 3)
+    # Fractional and boolean queues are not levels, even where they equal one.
+    for queue in (1.5, 1.0, np.float64(2.0), True):
+        with pytest.raises(InvalidParameterError, match="is not an integer in 0..3"):
+            space.index(queue, 0, 0)
+    assert space.index(np.int64(2), 0, 0) == space.index(2, 0, 0)
     with pytest.raises(InvalidParameterError):
         enumerate_states(0)
 

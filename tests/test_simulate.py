@@ -424,6 +424,38 @@ def test_transition_row_needs_a_trial():
         estimate_transition_row(make_params(), (2, Phase.OFF, Action.IDLE), trials=0, seed=1)
 
 
+def _kernel(slot_d=1.0, trials=10, seed=0):
+    return estimate_slot_kernel(PnpModel(1.0, 1.0), slot_d, trials, seed)
+
+
+def _row(source=(2, Phase.OFF, Action.IDLE), trials=10, seed=0):
+    return estimate_transition_row(make_params(lam=0.0), source, trials, seed)
+
+
+_BAD_ESTIMATOR_INPUTS = {
+    "kernel-negative-slot": (lambda: _kernel(slot_d=-1.0), "slot_d must be finite and nonnegative"),
+    "kernel-nan-slot": (lambda: _kernel(slot_d=math.nan), "slot_d must be finite and nonnegative"),
+    "kernel-inf-slot": (lambda: _kernel(slot_d=math.inf), "slot_d must be finite and nonnegative"),
+    "kernel-fractional-trials": (lambda: _kernel(trials=2.5), "trials must be an integer, got 2.5"),
+    "kernel-bool-trials": (lambda: _kernel(trials=True), "trials must be an integer, got True"),
+    "kernel-negative-seed": (lambda: _kernel(seed=-1), "seed must be >= 0"),
+    "kernel-fractional-seed": (lambda: _kernel(seed=1.5), "seed must be an integer, got 1.5"),
+    "row-fractional-trials": (lambda: _row(trials=2.5), "trials must be an integer, got 2.5"),
+    "row-bool-trials": (lambda: _row(trials=True), "trials must be an integer, got True"),
+    "row-negative-seed": (lambda: _row(seed=-1), "seed must be >= 0"),
+    "row-bool-seed": (lambda: _row(seed=False), "seed must be an integer, got False"),
+    "row-fractional-queue": (lambda: _row(source=(1.5, Phase.OFF, Action.IDLE)),
+                             "queue 1.5 is not an integer in 0..10"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ESTIMATOR_INPUTS))
+def test_estimators_refuse_bad_inputs_before_drawing(case):
+    call, message = _BAD_ESTIMATOR_INPUTS[case]
+    with time_limit(5.0), pytest.raises(InvalidParameterError, match=message):
+        call()
+
+
 def test_sim_result_rejects_broken_bookkeeping():
     res = run_simulation(SimConfig(params=make_params(), horizon_slots=5000, seed=3))
     c = res.counts
