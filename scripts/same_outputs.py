@@ -19,8 +19,9 @@ Under OUT it writes:
   sweep with --tol and --beta, two sweeps whose searches skip points a
   chain-free floor rules out, a lambda_c sweep with a search infeasible
   at its floor, an analyze of the default config without its
-  constraints section, an analyze whose offered load overflows, and an
-  analyze whose policy never serves), each with
+  constraints section, an analyze whose offered load overflows, an
+  analyze whose policy never serves, and an analyze and a sweep with
+  -0.0 policy coins), each with
   the category and text of every warning it emits, and its exit status;
 * ``inputs/``: the derived configs those commands read;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
@@ -118,6 +119,12 @@ COMMANDS = [
     # A policy that never serves: P_B = 1, no waits, and an infinite power need.
     ("analyze-never-serving",
      ["analyze", "--config", "configs/default.json", "--theta", "1", "--lambda", "0.01"]),
+    # Signed-zero coins: -0.0 decision probabilities and the products they give.
+    ("analyze-signed-zero",
+     ["analyze", "--config", "configs/default.json", "--xi", "-0.0", "--theta", "-0.0",
+      "--emit-stationary", "--emit-matrix"]),
+    ("sweep-region_detection-signed-zero",
+     ["sweep", "--config", "configs/region_detection.json", "--xi", "-0.0"]),
 ]
 
 

@@ -43,14 +43,15 @@ Every entry of P has the bits of the formula above evaluated cell by
 cell; the tests keep a broadcast over the full grid as the reference.
 The state space of each K is built once and shared.
 
-``stationary_distribution`` solves nu = nu Q with one direct dense
-solve and gathers nu d into state order through the same ``cell``;
-the two excluded states carry exactly zero mass there and are dropped.
-The residual it reports is ||nu Q - nu||_inf, which bounds
-||pi P - pi||_inf by the identity above, since every entry of d lies in
-[0, 1].  A solve whose residual exceeds 1e-10 raises rather than
-iterating.  The one degenerate case with a fixed answer, a chain that
-admits no arrival, is solved on the closed empty level.
+The stationary solve finds nu = nu Q by one direct dense solve and
+forms pi = nu d on the full (K+1) x 2 x 3 grid, zero in the two
+excluded cells; the reports sum slices of it, and only
+``stationary_distribution`` gathers it into state order through
+``cell``.  Its residual ||nu Q - nu||_inf bounds ||pi P - pi||_inf by
+the identity above, since every entry of d lies in [0, 1].  A solve
+whose residual exceeds 1e-10 raises rather than iterating.  The one
+degenerate case with a fixed answer, a chain that admits no arrival,
+is solved on the closed empty level.
 
 Region searches probe many points of one K whose chains do not depend
 on each other, so the builder and the solve work on stacks:
@@ -58,12 +59,13 @@ on each other, so the builder and the solve work on stacks:
 law and forms every factor and lumped matrix with a leading point axis,
 and ``stationary_vectors`` solves the whole stack with one batched LU
 per support size (the points that admit no arrival form their own
-group).  Every operation is elementwise or runs along one point's own
-axes, so each point gets the bits it gets alone.  A stack fails as
-a whole: the validation and the solve raise for the stack, not for a
-chosen member; a caller that needs the error of the first failing point
-takes the points one at a time.  ``build_transition_matrix`` and
-``stationary_distribution`` are the stacks of one point.
+group) into each point's grid pi.  Every operation is elementwise or
+runs along one point's own axes, so each point gets the bits it gets
+alone.  A stack fails as a whole: the validation and the solve raise
+for the stack, not for a chosen member; a caller that needs the error
+of the first failing point takes the points one at a time.
+``build_transition_matrix`` and ``stationary_distribution`` are the
+stacks of one point.
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ class StateSpace:
     Every array a build, a solve or a metric of this K reads is formed
     here once, read-only:
 
-    * per state, the masks the metrics reduce over: ``serving`` (OFF and
-      Serve, one state per level 1..K in order), ``interfering`` (ON and
-      not Idle) and ``charging`` (Charge);
+    * per state, the mask ``serving`` (OFF and Serve, one state per
+      level 1..K in order) that the post-departure law reads; the
+      reports slice the stationary grid instead;
     * per queue level, the index arrays of the build: ``lag[i, j]`` =
       j - i clipped at 0, ``ahead[i, j]`` = j >= i, ``room[i]`` = K - i,
       and ``empty[i]`` = 1 on level 0, the decision row the level uses.
@@ -120,8 +122,6 @@ class StateSpace:
     phase: np.ndarray = field(compare=False, repr=False)
     action: np.ndarray = field(compare=False, repr=False)
     serving: np.ndarray = field(compare=False, repr=False)
-    interfering: np.ndarray = field(compare=False, repr=False)
-    charging: np.ndarray = field(compare=False, repr=False)
     lag: np.ndarray = field(compare=False, repr=False)
     ahead: np.ndarray = field(compare=False, repr=False)
     room: np.ndarray = field(compare=False, repr=False)
@@ -132,13 +132,12 @@ class StateSpace:
         return 6 * self.capacity_k + 4
 
     def index(self, queue: int, phase: Phase, action: Action) -> int:
-        """Position of a state triple; raises for invalid triples."""
-        k = self.capacity_k
-        if (not isinstance(queue, (int, np.integer)) or isinstance(queue, bool)
-                or not 0 <= queue <= k):
-            raise InvalidParameterError(f"queue {queue!r} is not an integer in 0..{k}")
-        if phase not in _PHASES or action not in _ALL_ACTIONS:
-            raise InvalidParameterError(f"invalid phase/action ({phase}, {action})")
+        """Position of a state triple; each coordinate an int or numpy integer, not a bool."""
+        for name, value, top in (("queue", queue, self.capacity_k), ("phase", phase, 1),
+                                 ("action", action, 2)):
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or not 0 <= value <= top):
+                raise InvalidParameterError(f"{name} {value!r} is not an integer in 0..{top}")
         if queue == 0 and action == Action.SERVE:
             raise InvalidParameterError("state (0, phase, Serve) is excluded")
         return int(np.searchsorted(self.cell, 6 * queue + 3 * int(phase) + int(action)))
@@ -163,8 +162,6 @@ def _state_space(capacity_k: int) -> StateSpace:
     gap = levels[None, :] - levels[:, None]
     arrays = dict(cell=cell, queue=queue, phase=phase, action=action,
                   serving=(phase == Phase.OFF) & (action == Action.SERVE),
-                  interfering=(phase == Phase.ON) & (action != Action.IDLE),
-                  charging=action == Action.CHARGE,
                   lag=np.maximum(gap, 0), ahead=gap >= 0, room=capacity_k - levels,
                   empty=(levels == 0).astype(int))
     for array in arrays.values():
@@ -413,21 +410,19 @@ def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stationary_vectors(chains: ChainStack) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary laws of a chain stack in state order, and their residuals.
+    """Stationary laws of a chain stack on the (queue, phase, action) grid, and residuals.
 
-    Row b of the first array is ``stationary_distribution`` of point b's
-    chain, with the same bits, and entry b of the second its residual.
-    The stack is solved as one, and fails as one.
+    Entry [b, i, ph, a] of the first array, of shape (B, K+1, 2, 3), is
+    pi(i, ph, a) = nu(i, ph) d[i, ph, a] of point b's chain, a zero in
+    the two excluded (0, phase, Serve) cells, and entry b of the second
+    its residual.  The stack is solved as one, and fails as one.
     """
     k_cap = chains.space.capacity_k
     # A chain that admits no arrival is solved on its closed empty level.
     states = [2 if closed else 2 * (k_cap + 1)
               for closed in (chains.shifts[:, 0, 0, 0] == 1.0).tolist()]
     nu, residual = _solve(chains.lumped, states)
-    grid = nu.reshape(-1, k_cap + 1, 2, 1) * chains.decision[:, chains.space.empty]
-    # + 0.0 turns a -0.0 product (from a -0.0 decision probability) into
-    # the +0.0 a solve would give.
-    return grid.reshape(len(nu), -1)[:, chains.space.cell] + 0.0, residual
+    return nu.reshape(-1, k_cap + 1, 2, 1) * chains.decision[:, chains.space.empty], residual
 
 
 def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
@@ -451,6 +446,8 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     one = ChainStack(lumped=tm.lumped[None], decision=tm.decision[None],
                      branches=tm.branches[None], shifts=tm.shifts[None],
                      service_success=np.array([tm.service_success]), space=tm.space)
-    mu, residual = stationary_vectors(one)
-    return StationaryDistribution(vector=mu[0], residual=float(residual[0]),
-                                  method=SOLVER_METHOD)
+    grid, residual = stationary_vectors(one)
+    # + 0.0 turns a -0.0 product (from a -0.0 decision probability) into
+    # the +0.0 a solve would give.
+    return StationaryDistribution(vector=grid.reshape(-1)[tm.space.cell] + 0.0,
+                                  residual=float(residual[0]), method=SOLVER_METHOD)

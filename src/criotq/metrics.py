@@ -1,13 +1,13 @@
 """Stationary QoS, interference and charging-power metrics.
 
 All metrics are functionals of the stationary law of the slot chain.
-Every stationary sum is a masked reduction over the arrays of the
-chain's ``StateSpace``.  The carried load counts only serving slots that
-actually complete, with the success probability the chain was built
-with; a report forms the blocked fraction P_B from it by flow balance,
-and the waits from P_B and the mean queue length.  ``required_power``
-converts the point's effective packet throughput at P_B into the
-transmit budget the access point needs to keep every node
+Every stationary sum adds, left to right, a slice of that law on the
+(queue, phase, action) grid.  The carried load counts only serving
+slots that actually complete, with the success probability the chain
+was built with; a report forms the blocked fraction P_B from it by flow
+balance, and the waits from P_B and the mean queue length.
+``required_power`` converts the point's effective packet throughput at
+P_B into the transmit budget the access point needs to keep every node
 energy-neutral.
 
 One pass, ``_reports``, forms every stationary metric: each field of a
@@ -36,7 +36,7 @@ from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, Transitio
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError)
 from .params import SystemParams, activity_factor
-from .slot import slot_kernel
+from .slot import Action, Phase, slot_kernel
 
 _RANGE_SLACK = 1e-9
 
@@ -48,15 +48,14 @@ def _clamp_probability(value: float, name: str) -> float:
 
 
 def _running_sum(values: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, in state order, each added left to right.
+    """The sum of each point's entries, values[b] flattened in grid order, left to right.
 
     A running sum rather than numpy's pairwise one, so every metric has
-    the bits of a plain loop over the states, whether one law or a stack
-    of them is summed.  That matters because P_B = 1 - rho_c / rho turns
-    a last-bit change of rho_c at light load into a change in the
-    printed digits of P_B.
+    the bits of a plain loop over the states in state order.  That
+    matters because P_B = 1 - rho_c / rho turns a last-bit change of
+    rho_c at light load into a change in the printed digits of P_B.
     """
-    return np.cumsum(values, axis=-1)[..., -1]
+    return np.cumsum(values.reshape(len(values), -1), axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -207,17 +206,18 @@ class Constraints:
                 raise InvalidParameterError(f"{name} must lie in [0, 1]")
 
 
-def _reports(points: Sequence[SystemParams], chains: ChainStack, pi: np.ndarray,
+def _reports(points: Sequence[SystemParams], chains: ChainStack, grid: np.ndarray,
              residual: Sequence[float], constraints: Constraints | None) -> list[QosReport]:
     """The full report of each point, from its built chain, stationary law and residual.
 
     This is the one place a stationary metric is formed.
 
-    pi stacks the points' stationary laws, one row each, and chains
-    their built chains, whose success probabilities and state space the
-    sums read.  The sums run along the rows, so each point gets the bits
-    it gets alone; the points are then taken in order, so a point that
-    fails raises after the points before it have warned.
+    grid stacks the points' stationary grids from ``stationary_vectors``
+    and chains their built chains.  Each sum adds a slice of one point's
+    grid in state order, so each point gets the bits it gets alone; the
+    only cells a slice adds are the excluded (0, phase, Serve) ones,
+    zeros that change no sum.  The points are then taken in order, so a
+    point that fails raises after the points before it have warned.
 
     P_B follows by flow balance, 1 - rho_c / rho at offered load rho; a
     carried load numerically above rho gives 0, warning past 1e-12 and
@@ -226,11 +226,12 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, pi: np.ndarray,
     zero-load chain gives) has nothing to drop: P_B is 0 and both waits
     are None.  The flag is None without constraints.
     """
-    space = chains.space
-    carried = (chains.service_success * _running_sum(pi[..., space.serving])).tolist()
-    interfering = _running_sum(pi[..., space.interfering]).tolist()
-    charging = _running_sum(pi[..., space.charging]).tolist()
-    queued = _running_sum(space.queue * pi).tolist()
+    levels = np.arange(chains.space.capacity_k + 1)
+    carried = (chains.service_success
+               * _running_sum(grid[:, 1:, Phase.OFF, Action.SERVE])).tolist()
+    interfering = _running_sum(grid[:, :, Phase.ON, Action.SERVE:]).tolist()
+    charging = _running_sum(grid[..., Action.CHARGE]).tolist()
+    queued = _running_sum(levels[:, None, None] * grid).tolist()
     out = []
     for params, rho_c, p_i, charge, queue, res in zip(points, carried, interfering, charging,
                                                       queued, residual):
@@ -279,12 +280,12 @@ def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None,
     """
     try:
         chains = build_chains(points, service_success)
-        pi, residual = stationary_vectors(chains)
+        grid, residual = stationary_vectors(chains)
     except (InvalidParameterError, NoConvergenceError):
         if len(points) == 1:
             raise
         return [qos_reports([p], constraints, service_success)[0] for p in points]
-    return _reports(points, chains, pi, residual.tolist(), constraints)
+    return _reports(points, chains, grid, residual.tolist(), constraints)
 
 
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,

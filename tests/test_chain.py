@@ -154,11 +154,8 @@ def test_index_round_trip():
 def test_state_space_masks_and_level_arrays(k):
     space = enumerate_states(k)
     states = space.states
-    masks = {"serving": [ph == Phase.OFF and a == Action.SERVE for _, ph, a in states],
-             "interfering": [ph == Phase.ON and a != Action.IDLE for _, ph, a in states],
-             "charging": [a == Action.CHARGE for _, _, a in states]}
-    for name, want in masks.items():
-        assert getattr(space, name).tolist() == want, name
+    assert space.serving.tolist() == [ph == Phase.OFF and a == Action.SERVE
+                                      for _, ph, a in states]
     # One serving state per level 1..K, in level order.
     assert space.queue[space.serving].tolist() == list(range(1, k + 1))
     levels = range(k + 1)
@@ -166,7 +163,7 @@ def test_state_space_masks_and_level_arrays(k):
     assert space.ahead.tolist() == [[j >= i for j in levels] for i in levels]
     assert space.room.tolist() == [k - i for i in levels]
     assert space.empty.tolist() == [int(i == 0) for i in levels]
-    for name in ("cell", "queue", "phase", "action", *masks, "lag", "ahead", "room", "empty"):
+    for name in ("cell", "queue", "phase", "action", "serving", "lag", "ahead", "room", "empty"):
         array = getattr(space, name)
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):
@@ -190,6 +187,14 @@ def test_index_rejects_invalid_states():
         with pytest.raises(InvalidParameterError, match="is not an integer in 0..3"):
             space.index(queue, 0, 0)
     assert space.index(np.int64(2), 0, 0) == space.index(2, 0, 0)
+    # The phase and the action follow the queue's rule: a bool or a float
+    # that equals a valid coordinate is refused, a numpy integer is not.
+    for bad in (True, 1.0, np.float64(1.0)):
+        with pytest.raises(InvalidParameterError, match=r"phase .* is not an integer in 0\.\.1"):
+            space.index(1, bad, 0)
+        with pytest.raises(InvalidParameterError, match=r"action .* is not an integer in 0\.\.2"):
+            space.index(1, 0, bad)
+    assert space.index(1, np.int64(1), np.int64(2)) == space.index(1, Phase.ON, Action.CHARGE)
     with pytest.raises(InvalidParameterError):
         enumerate_states(0)
 

@@ -46,7 +46,7 @@ def _report_with_carried_load(params, carried):
     """The report of params with the success probability scaled so its carried load is carried."""
     chains = build_chains([params])
     pi, residual = stationary_vectors(chains)
-    serving = float(np.cumsum(pi[0, chains.space.serving])[-1])
+    serving = float(np.cumsum(pi[0, 1:, Phase.OFF, Action.SERVE])[-1])
     chains = chains._replace(service_success=np.array([carried / serving]))
     return _reports([params], chains, pi, residual.tolist(), None)[0]
 
@@ -383,3 +383,61 @@ def test_a_failing_stack_replays_its_points_with_the_override():
         qos_reports([ok, short_off, singular], None, s)
     with pytest.raises(NoConvergenceError):
         qos_reports([ok, short_off, singular], None)
+
+
+_SIGNED_PROBABILITY = st.one_of(st.just(-0.0), _PROBABILITY)
+
+
+@st.composite
+def _cells(draw):
+    """One cell at K <= 20, with the corners the report sums must keep."""
+    kind = draw(st.sampled_from(["plain", "zero-load", "underflowing-load", "saturated",
+                                 "never-serving"]))
+    lam = {"plain": draw(st.floats(1e-5, 0.05)), "zero-load": draw(st.sampled_from([0.0, -0.0])),
+           "underflowing-load": 1e-310, "saturated": draw(st.floats(0.5, 2.0)),
+           "never-serving": draw(st.floats(1e-5, 0.05))}[kind]
+    return make_params(mu_on=draw(st.floats(0.1, 10.0)), mu_off=draw(st.floats(0.1, 10.0)),
+                       n=draw(st.integers(1, 30)), lam=lam, capacity_k=draw(st.integers(1, 20)),
+                       slot_d=1e-20 if kind == "underflowing-load" else draw(st.floats(0.2, 2.0)),
+                       p_detect=draw(_PROBABILITY), p_false_alarm=draw(_PROBABILITY),
+                       theta=1.0 if kind == "never-serving" else draw(_SIGNED_PROBABILITY),
+                       xi=draw(_SIGNED_PROBABILITY))
+
+
+def _clamped(value):
+    return min(1.0, max(0.0, value))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_cells())
+def test_report_sums_are_the_state_order_running_sums_bit_for_bit(params):
+    # The reference sums the state-order law through masks of the state
+    # triples, adding left to right; repr of a float keeps every bit and
+    # the sign of a zero.
+    tm = build_transition_matrix(params)
+    pi = stationary_distribution(tm).vector
+    states = tm.space.states
+
+    def total(keep):
+        return float(np.cumsum(pi[[keep(ph, a) for _, ph, a in states]])[-1])
+
+    carried = _clamped(tm.service_success
+                       * total(lambda ph, a: ph == Phase.OFF and a == Action.SERVE))
+    queue = float(np.cumsum(np.array([i for i, _, _ in states]) * pi)[-1])
+    drop = 0.0 if queue == 0.0 else 1.0 - carried / params.traffic.mean_arrivals_per_slot
+    lam_eff = params.traffic.aggregate_rate * (1.0 - max(drop, 0.0))
+    want = {
+        "carried_load": carried,
+        "interference_prob": _clamped(total(lambda ph, a: ph == Phase.ON and a != Action.IDLE)),
+        "charge_frac": _clamped(total(lambda ph, a: a == Action.CHARGE)),
+        "drop_prob": 0.0 if drop < 0.0 else drop,
+        "wait_slot_avg": queue / lam_eff if queue != 0.0 and lam_eff > 0.0 else None,
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluate_qos(params)
+    # Only a carried load past the offered load by more than 1e-12 warns.
+    assert [str(w.message) for w in caught] == (
+        ["carried load exceeds offered load numerically; clamping"] if drop < -1e-12 else [])
+    for name, value in want.items():
+        assert repr(getattr(report, name)) == repr(value), name

@@ -446,6 +446,8 @@ _BAD_ESTIMATOR_INPUTS = {
     "row-bool-seed": (lambda: _row(seed=False), "seed must be an integer, got False"),
     "row-fractional-queue": (lambda: _row(source=(1.5, Phase.OFF, Action.IDLE)),
                              "queue 1.5 is not an integer in 0..10"),
+    "row-bool-phase": (lambda: _row(source=(1, True, Action.IDLE)),
+                       "phase True is not an integer in 0..1"),
 }
 
 
