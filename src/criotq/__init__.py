@@ -18,7 +18,7 @@ from .metrics import (DepartureDistributions, PowerRequirement, QosReport,
 from .params import (PnpModel, PolicyModel, PowerModel, SensingModel, SystemParams,
                      TrafficModel, activity_factor)
 from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constraints,
-                     CriticalResult, SweepRow, critical_beta, critical_lambda,
+                     CriticalResult, critical_beta, critical_lambda,
                      feasibility_check, params_with_activity, sweep, synchronized_baseline)
 from .simulate import (GENERATOR_NAME, NUM_BATCHES, Counts, Estimates, SimConfig, SimResult,
                        estimate_slot_kernel, estimate_transition_row, run_simulation)
@@ -35,7 +35,7 @@ __all__ = [
     "InvalidParameterError", "MetricRangeError", "NoConvergenceError", "Phase",
     "PnpModel", "PolicyModel", "PowerModel", "PowerRequirement", "QosReport",
     "SensingModel", "SimConfig", "SimResult", "SlotTransitionKernel", "StateSpace",
-    "StationaryDistribution", "SweepRow", "SystemParams", "TrafficModel", "TransitionMatrix",
+    "StationaryDistribution", "SystemParams", "TrafficModel", "TransitionMatrix",
     "activity_factor", "arrival_tail",
     "build_transition_matrix", "critical_beta", "critical_lambda",
     "decision_distribution", "departure_distributions",

@@ -261,18 +261,16 @@ class ChainStack(NamedTuple):
     space: StateSpace
 
 
-def build_chains(points: Sequence[SystemParams],
-                 service_success: float | None = None) -> ChainStack:
+def build_chains(points: Sequence[SystemParams], synchronized: bool = False) -> ChainStack:
     """Form the one-slot chains of points that share one capacity K, stacked.
 
     Each chain has the bits it has when built alone.  The kernel, the
     arrival pmf row and the decision law of each point are read from the
     bounded caches of ``slot_kernel``, ``arrival_pmf_row`` and
     ``_decision_law``, with no memo of their own here, so a search forms
-    the factors it holds fixed once.  ``service_success`` is as for
-    build_transition_matrix and applies to every point; a value outside
-    [0, a00] of any point raises.  The lumped matrices are validated as
-    one stack, which raises as a whole.
+    the factors it holds fixed once.  ``synchronized`` is as for
+    build_transition_matrix and applies to every point.  The lumped
+    matrices are validated as one stack, which raises as a whole.
     """
     if not points:
         raise InvalidParameterError("build_chains needs at least one point")
@@ -281,15 +279,11 @@ def build_chains(points: Sequence[SystemParams],
         raise InvalidParameterError("stacked chains must share capacity_k")
     space = enumerate_states(k_cap)
 
-    # kern[:, :4] = (a00, a01, a10, a11); the default success probability,
+    # kern[:, :4] = (a00, a01, a10, a11); the success probability, a00 or
     # off_persist, lies in [0, a00] by the kernel's own validation.
     kernels = [slot_kernel(p.pnp, p.traffic.slot_d) for p in points]
     kern = np.array([(k.a00, k.a01, k.a10, k.a11, k.off_persist) for k in kernels])
-    succ = kern[:, 4]
-    if service_success is not None:
-        succ = np.full(len(points), float(service_success))
-        if not np.all((0.0 <= succ) & (succ <= kern[:, 0] + 1e-12)):
-            raise InvalidParameterError("service_success must lie in [0, a00]")
+    succ = kern[:, 0 if synchronized else 4]
     count = len(points)
 
     # w[ph, a, e, c]: phase branches.  Only a serving OFF slot can clear a
@@ -331,18 +325,18 @@ def build_chains(points: Sequence[SystemParams],
 
 
 def build_transition_matrix(params: SystemParams,
-                            service_success: float | None = None) -> TransitionMatrix:
+                            synchronized: bool = False) -> TransitionMatrix:
     """Form the one-slot chain for the given parameters.
 
-    ``service_success`` overrides the probability that a serving slot
-    completes its transmission; the default is the whole-slot OFF
-    persistence (a transmission survives only if no primary activity
-    interrupts it).  Passing the kernel's a00 instead models a cell
-    whose transmissions fit the OFF periods exactly, which is the
-    collision-free reference used by the region comparison.  This is
-    build_chains of the one point.
+    A serving OFF slot completes its transmission with the whole-slot
+    OFF persistence (a transmission survives only if no primary activity
+    interrupts it).  ``synchronized`` gives it the kernel's a00 instead,
+    the probability that the slot ends OFF: a cell whose transmissions
+    fit the OFF periods exactly, which is the collision-free reference
+    used by the region comparison.  No other success probability can be
+    set.  This is build_chains of the one point.
     """
-    chains = build_chains([params], service_success)
+    chains = build_chains([params], synchronized)
     return TransitionMatrix(lumped=chains.lumped[0], decision=chains.decision[0],
                             space=chains.space, service_success=float(chains.service_success[0]),
                             branches=chains.branches[0], shifts=chains.shifts[0])

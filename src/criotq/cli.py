@@ -269,15 +269,15 @@ def cmd_sweep(args) -> int:
 
     rows_out = []
     diag_rows = []
-    for row in sweep(params, constraints, axis, values, target, tol=tol):
-        cr, rep = row.result, row.result.report
+    for value, cr in zip(values, sweep(params, constraints, axis, values, target, tol=tol)):
+        rep = cr.report
         if rep is None:
             metric_cells = [math.nan, math.nan, math.nan, math.nan, math.nan, False]
         else:
             metric_cells = [rep.drop_prob, rep.interference_prob, rep.wait_inverse_rate,
                             rep.wait_slot_avg, rep.power.total, rep.feasible]
-        rows_out.append([axis, row.swept_value, target, cr.value] + metric_cells)
-        diag_rows.append([row.swept_value, cr.feasible_at_floor, cr.monotone, cr.capped])
+        rows_out.append([axis, value, target, cr.value] + metric_cells)
+        diag_rows.append([value, cr.feasible_at_floor, cr.monotone, cr.capped])
     _write_csv(Path(args.out) / "sweep.csv", SWEEP_COLUMNS, rows_out)
     _write_csv(Path(args.out) / "sweep_diag.csv", SWEEP_DIAG_COLUMNS, diag_rows)
     print(f"sweep {axis} -> {target}: {len(rows_out)} rows")

@@ -268,36 +268,37 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, grid: np.ndarra
 
 
 def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None,
-                service_success: float | None = None) -> list[QosReport]:
+                synchronized: bool = False) -> list[QosReport]:
     """The report of each point, thresholds from constraints, as one stack.
 
     One stacked build, solve and metrics pass for all points, which
-    share the capacity K; ``service_success`` is as for ``build_chains``.
+    share the capacity K; ``synchronized`` is as for ``build_chains``.
     Every report is the one the point gets alone.  So is every error: a
     stack whose build or solve fails is run again one point at a time,
-    with the same override, so that the first failing point in order
+    with the same flag, so that the first failing point in order
     raises, after the points before it have run (and warned).
     """
     try:
-        chains = build_chains(points, service_success)
+        chains = build_chains(points, synchronized)
         grid, residual = stationary_vectors(chains)
     except (InvalidParameterError, NoConvergenceError):
         if len(points) == 1:
             raise
-        return [qos_reports([p], constraints, service_success)[0] for p in points]
+        return [qos_reports([p], constraints, synchronized)[0] for p in points]
     return _reports(points, chains, grid, residual.tolist(), constraints)
 
 
 def evaluate_qos(params: SystemParams, max_drop: float | None = None,
                  max_interference: float | None = None, *,
-                 service_success: float | None = None) -> QosReport:
+                 synchronized: bool = False) -> QosReport:
     """Every stationary metric of one point: ``qos_reports`` of the point alone.
 
-    A point whose queue stays empty (zero load, or pmf(0) rounding to 1)
-    reports a drop probability of 0 and both waiting times as None; a
-    saturated point (P_B = 1) likewise reports None waits.  The
-    feasibility flag is filled only when both constraint thresholds are
-    supplied, and they are checked as ``Constraints`` checks them.
+    ``synchronized`` is as for ``build_transition_matrix``.  A point
+    whose queue stays empty (zero load, or pmf(0) rounding to 1) reports
+    a drop probability of 0 and both waiting times as None; a saturated
+    point (P_B = 1) likewise reports None waits.  The feasibility flag
+    is filled only when both constraint thresholds are supplied, and
+    they are checked as ``Constraints`` checks them.
 
     The waits are those of an admitted packet, in seconds.  The
     inverse-rate wait composes the blocking and admission terms of the
@@ -310,4 +311,4 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     if (max_drop is None) != (max_interference is None):
         raise InvalidParameterError("supply both constraint thresholds or neither")
     constraints = None if max_drop is None else Constraints(max_drop, max_interference)
-    return qos_reports([params], constraints, service_success)[0]
+    return qos_reports([params], constraints, synchronized)[0]

@@ -49,7 +49,6 @@ import numpy as np
 from .errors import CriotqError, InvalidParameterError
 from .metrics import Constraints, QosReport, evaluate_qos, qos_reports, saturation
 from .params import PnpModel, SensingModel, SystemParams, TrafficModel
-from .slot import slot_kernel
 
 #: Search bounds for the activity factor; open interval endpoints.
 BETA_FLOOR = 1e-6
@@ -254,22 +253,14 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
             doublings += 1
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a region sweep: the swept value and its search result."""
-
-    swept_value: float
-    result: CriticalResult
-
-
 def sweep(params: SystemParams, constraints: Constraints, axis: str,
-          grid, target: str, tol: float = 1e-3) -> list[SweepRow]:
+          grid, target: str, tol: float = 1e-3) -> list[CriticalResult]:
     """Critical-value curve along a sensing-quality axis.
 
     axis selects which sensing probability the grid drives ("detection"
     or "false-alarm"); target picks the critical quantity.  Grid points
-    are searched one after another and rows come back in the caller's
-    grid order.
+    are searched one after another: one CriticalResult per grid value,
+    in the caller's grid order.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameterError(f"axis must be one of {SWEEP_AXES}")
@@ -279,20 +270,18 @@ def sweep(params: SystemParams, constraints: Constraints, axis: str,
     if not values:
         raise InvalidParameterError("grid must be nonempty")
     search = critical_beta if target == "beta_c" else critical_lambda
-    return [SweepRow(swept_value=v, result=search(_AXES[axis](params, v), constraints, tol))
-            for v in values]
+    return [search(_AXES[axis](params, v), constraints, tol) for v in values]
 
 
 def synchronized_baseline(params: SystemParams) -> QosReport:
     """Reference cell whose transmissions fit the OFF periods exactly.
 
-    Built from the same chain with the serving-slot success probability
-    replaced by the full OFF-to-OFF endpoint mass (no mid-slot
-    interruptions) and sensing made perfect, so it never collides and
-    never idles on a false alarm.  Its waiting time lower-bounds the
-    opportunistic cell's.
+    Built from the same chain, synchronized so that the serving-slot
+    success probability is the full OFF-to-OFF endpoint mass a00 (no
+    mid-slot interruptions), and with sensing made perfect, so it never
+    collides and never idles on a false alarm.  Its waiting time
+    lower-bounds the opportunistic cell's.
     """
     p2 = replace(params, sensing=SensingModel(p_detect=1.0, p_false_alarm=0.0))
-    kernel = slot_kernel(p2.pnp, p2.traffic.slot_d)
-    return evaluate_qos(p2, service_success=kernel.a00)
+    return evaluate_qos(p2, synchronized=True)
 

@@ -234,7 +234,7 @@ def test_builder_agrees_with_literal_construction():
             # Success mass a00 leaves the interrupted OFF branch with weight 0.
             a00 = slot_kernel(params.pnp, params.traffic.slot_d).a00
             _, want_sync = literal_transition_matrix(params, service_success=a00)
-            sync = build_transition_matrix(params, service_success=a00)
+            sync = build_transition_matrix(params, synchronized=True)
             assert np.max(np.abs(sync.matrix - want_sync)) <= 1e-12
 
 
@@ -255,26 +255,26 @@ def test_builder_matches_full_grid_broadcast_bit_for_bit():
             xi=float(rng.choice([0.0, 1.0, rng.uniform()]))))
     for params in cells:
         a00 = slot_kernel(params.pnp, params.traffic.slot_d).a00
-        for succ in (None, a00, 0.5 * a00):
-            got = build_transition_matrix(params, service_success=succ).matrix
+        for synchronized, succ in ((False, None), (True, a00)):
+            got = build_transition_matrix(params, synchronized).matrix
             want = full_grid_transition_matrix(params, service_success=succ)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _random_cells(rng, count):
-    """Seeded (params, service_success) pairs over K 1-40, lam from 0 to
-    saturated, sensing and policy corners at 0 and 1, and the default,
-    a00 and zero service success.
+    """Seeded (params, synchronized) pairs over K 1-40, lam from 0 to
+    saturated, sensing and policy corners at 0 and 1, and both the
+    default and the synchronized (a00) service success.
 
     A cell that never completes a service (it never serves in an OFF
-    slot, or service_success is 0) keeps every queue level closed at
-    lam = 0, so its stationary law there is not unique and the balance
-    equations can be singular.  At light load such cells solve, but the
-    lumped LU can spread about 2e-13 of spurious mass over every
-    transient state: drawn down to lam = 0, two of the 320 cells here
-    differ from the dense solve by 1.2e-12 and 1.9e-12.  Until the lumped
-    solve is exact there, such cells draw a load that fills the buffer.
+    slot) keeps every queue level closed at lam = 0, so its stationary
+    law there is not unique and the balance equations can be singular.
+    At light load such cells solve, but the lumped LU can spread about
+    2e-13 of spurious mass over every transient state: drawn down to
+    lam = 0, two of the 320 cells here differ from the dense solve by
+    1.2e-12 and 1.9e-12.  Until the lumped solve is exact there, such
+    cells draw a load that fills the buffer.
     """
     def pick():
         return float(rng.choice([0.0, 1.0, rng.uniform()]))
@@ -286,12 +286,11 @@ def _random_cells(rng, count):
                   slot_d=float(rng.uniform(0.05, 4.0)), p_detect=pick(),
                   p_false_alarm=pick(), theta=pick(), xi=pick(),
                   lam=float(rng.choice([0.0, 5.0, 10 ** rng.uniform(-5, 0)])))
-        a00 = slot_kernel(make_params(**kw).pnp, kw["slot_d"]).a00
-        succ = (None, a00, 0.0)[int(rng.integers(3))]
+        synchronized = bool(rng.integers(2))
         serves_off = (1.0 - kw["p_false_alarm"]) * (1.0 - kw["theta"]) * (1.0 - kw["xi"])
-        if (serves_off == 0.0 or succ == 0.0) and kw["lam"] < 0.01:
+        if serves_off == 0.0 and kw["lam"] < 0.01:
             kw["lam"] = float(rng.uniform(0.01, 1.0))
-        cells.append((make_params(**kw), succ))
+        cells.append((make_params(**kw), synchronized))
     return cells
 
 
@@ -307,8 +306,8 @@ def _action_marginal(tm):
 
 def test_lumped_chain_is_the_action_marginal_of_the_full_chain():
     rng = np.random.default_rng(70411)
-    for params, succ in _random_cells(rng, 320):
-        tm = build_transition_matrix(params, service_success=succ)
+    for params, synchronized in _random_cells(rng, 320):
+        tm = build_transition_matrix(params, synchronized)
         assert np.max(np.abs(tm.lumped - _action_marginal(tm))) <= 1e-15
         mu = stationary_distribution(tm)
         dense = dense_law(tm.matrix)
@@ -446,18 +445,14 @@ def test_service_success_override():
     cap = params.traffic.capacity_k
     # With success mass equal to the whole OFF->OFF weight there is no
     # interrupted branch, so a serving full buffer can never stay full.
-    tm = build_transition_matrix(params, service_success=kernel.a00)
+    tm = build_transition_matrix(params, synchronized=True)
+    assert tm.service_success == kernel.a00
     src = tm.space.index(cap, 0, int(Action.SERVE))
     dst = tm.space.index(cap, 0, int(Action.IDLE))
     assert tm.matrix[src, dst] == 0.0
     full = build_transition_matrix(params)
+    assert full.service_success == kernel.off_persist
     assert full.matrix[src, dst] > 0.0
-    # With zero success a serving queue cannot shrink.
-    tm0 = build_transition_matrix(params, service_success=0.0)
-    down = tm0.space.index(0, 0, int(Action.CHARGE))
-    assert tm0.matrix[tm0.space.index(1, 0, int(Action.SERVE)), down] == 0.0
-    with pytest.raises(InvalidParameterError):
-        build_transition_matrix(params, service_success=kernel.a00 + 1e-6)
 
 
 def test_capacity_one_serving_row_is_stochastic():

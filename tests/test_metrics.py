@@ -11,6 +11,7 @@ from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
                     arrival_tail, build_transition_matrix, departure_distributions,
                     evaluate_qos, nominal_charge_fraction, required_power, slot_kernel,
                     stationary_distribution)
+from criotq import metrics
 from criotq.chain import build_chains, stationary_vectors
 from criotq.metrics import Constraints, _reports, qos_reports
 from criotq.slot import arrival_pmf_row
@@ -353,36 +354,38 @@ def test_stack_with_a_singular_point_raises_like_one_point():
 
 
 def test_service_success_override_runs_through_the_stack():
-    # One PnpModel and slot length, so each override lies in [0, a00] of every point.
     points = [make_params(lam=lam, p_detect=pd)
               for lam, pd in ((0.0, 0.9), (0.001, 0.9), (0.02, 0.6), (0.05, 1.0))]
-    a00 = slot_kernel(points[0].pnp, points[0].traffic.slot_d).a00
-    for s in (0.0, 0.5 * a00, a00):
-        for params, got in zip(points, qos_reports(points, None, service_success=s)):
-            assert repr(got) == repr(evaluate_qos(params, service_success=s))
-    # The override reaches the chains: a00 carries more than off_persist does.
-    assert qos_reports(points, None, a00)[2].carried_load > qos_reports(points, None)[2].carried_load
+    for synchronized in (False, True):
+        for params, got in zip(points, qos_reports(points, None, synchronized)):
+            assert repr(got) == repr(evaluate_qos(params, synchronized=synchronized))
+    # The flag reaches the chains: a00 carries more than off_persist does.
+    assert qos_reports(points, None, True)[2].carried_load > qos_reports(points, None)[2].carried_load
 
 
-def test_a_failing_stack_replays_its_points_with_the_override():
+def test_a_failing_stack_replays_its_points_with_the_override(monkeypatch):
     ok = make_params()
     short_off = make_params(mu_on=0.1, mu_off=10.0)
     singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
-    s = 0.3
-    assert slot_kernel(short_off.pnp, 1.0).a00 < s <= slot_kernel(ok.pnp, 1.0).a00
     # A stack raises its first failing point's error: the singular point's
-    # NoConvergenceError here ...
+    # NoConvergenceError here.
     with pytest.raises(NoConvergenceError) as alone:
-        evaluate_qos(singular, service_success=s)
+        evaluate_qos(singular, synchronized=True)
     with pytest.raises(NoConvergenceError) as stacked:
-        qos_reports([ok, singular, short_off], None, s)
+        qos_reports([ok, singular, short_off], None, True)
     assert alone.value.residual == stacked.value.residual == math.inf
-    # ... and the short-OFF point, ahead of it, the override's range error,
-    # which it raises only when the replay keeps the override.
-    with pytest.raises(InvalidParameterError, match=r"service_success must lie in \[0, a00\]"):
-        qos_reports([ok, short_off, singular], None, s)
+    # The stacked build and each replayed point's build, up to the failing
+    # one, all get the flag.
+    flags = []
+
+    def spy(points, synchronized=False):
+        flags.append(synchronized)
+        return build_chains(points, synchronized)
+
+    monkeypatch.setattr(metrics, "build_chains", spy)
     with pytest.raises(NoConvergenceError):
-        qos_reports([ok, short_off, singular], None)
+        qos_reports([ok, singular, short_off], None, True)
+    assert flags == [True, True, True]
 
 
 _SIGNED_PROBABILITY = st.one_of(st.just(-0.0), _PROBABILITY)

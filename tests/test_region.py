@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     InvalidParameterError, SensingModel, SimConfig, activity_factor,
-                    critical_beta, critical_lambda, evaluate_qos, feasibility_check,
-                    params_with_activity, required_power, run_simulation, slot_kernel,
-                    sweep, synchronized_baseline)
+                    build_transition_matrix, critical_beta, critical_lambda, evaluate_qos,
+                    feasibility_check, params_with_activity, required_power, run_simulation,
+                    slot_kernel, sweep, synchronized_baseline)
 from criotq import region
 from criotq.errors import MetricRangeError, NoConvergenceError
 from criotq.metrics import qos_reports, saturation
@@ -578,27 +578,35 @@ def test_critical_lambda_boundary_matches_the_simulator(limit):
             assert hat - 3.0 * se > bound, (factor, hat, se)
 
 
+def _with_detection(params, p_detect):
+    return replace(params, sensing=SensingModel(p_detect, params.sensing.p_false_alarm))
+
+
 def test_sweep_matches_pointwise_search(baseline_params):
-    rows = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection",
-                 grid=[0.9], target="beta_c", tol=1e-3)
-    single = critical_beta(baseline_params, ANCHOR_CONSTRAINTS, tol=1e-3)
-    assert len(rows) == 1
-    assert rows[0].swept_value == 0.9
-    assert rows[0].result.value == pytest.approx(single.value, abs=1e-12)
+    results = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection",
+                    grid=[0.9], target="beta_c", tol=1e-3)
+    single = critical_beta(_with_detection(baseline_params, 0.9), ANCHOR_CONSTRAINTS, tol=1e-3)
+    assert len(results) == 1
+    assert repr(results[0]) == repr(single)
 
 
 def test_sweep_preserves_grid_order(baseline_params):
     grid = [0.95, 0.85, 0.9]
-    rows = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection",
-                 grid=grid, target="beta_c")
-    assert [r.swept_value for r in rows] == grid
+    results = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection",
+                    grid=grid, target="beta_c")
+    assert len(results) == len(grid)
+    for v, got in zip(grid, results):
+        want = critical_beta(_with_detection(baseline_params, v), ANCHOR_CONSTRAINTS)
+        assert repr(got) == repr(want)
+    # The reports differ by grid value, so a reordered list fails above.
+    assert len({repr(r) for r in results}) == len(grid)
 
 
 def test_sweep_false_alarm_axis(baseline_params):
-    rows = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="false-alarm",
-                 grid=[0.0, 0.4], target="lambda_c", tol=1e-3)
-    assert all(r.result.value is not None for r in rows)
-    assert rows[1].result.value <= rows[0].result.value + 1e-3
+    results = sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="false-alarm",
+                    grid=[0.0, 0.4], target="lambda_c", tol=1e-3)
+    assert all(isinstance(r, CriticalResult) and r.value is not None for r in results)
+    assert results[1].value <= results[0].value + 1e-3
 
 
 def test_sweep_rejects_bad_arguments(baseline_params):
@@ -627,7 +635,8 @@ def test_synchronized_baseline_is_its_perfect_sensing_point_with_the_a00_overrid
         baseline_params):
     sync = replace(baseline_params, sensing=SensingModel(p_detect=1.0, p_false_alarm=0.0))
     a00 = slot_kernel(sync.pnp, sync.traffic.slot_d).a00
-    assert repr(synchronized_baseline(baseline_params)) == repr(qos_reports([sync], None, a00)[0])
+    assert build_transition_matrix(sync, synchronized=True).service_success == a00
+    assert repr(synchronized_baseline(baseline_params)) == repr(qos_reports([sync], None, True)[0])
 
 
 def test_synchronized_baseline_converges_for_short_slots():

@@ -7,8 +7,8 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from criotq import (Action, InvalidParameterError, Phase, PnpModel, PolicyModel,
-                    SensingModel, TrafficModel, activity_factor, arrival_tail,
+from criotq import (Action, InvalidParameterError, Phase, PnpModel, PolicyModel, PowerModel,
+                    SensingModel, SystemParams, TrafficModel, activity_factor, arrival_tail,
                     build_transition_matrix, decision_distribution, slot_kernel)
 from criotq.slot import arrival_pmf_row
 from conftest import make_params
@@ -32,6 +32,72 @@ def test_pnp_model_rejects_bad_rates():
     with pytest.raises(InvalidParameterError, match="finite total"):
         PnpModel(mu_on=1.7e308, mu_off=1.7e308)
     assert activity_factor(PnpModel(mu_on=8e307, mu_off=8e307)) == 0.5
+
+
+def _power(**kw):
+    fields = dict(p_charge_min=5e-5, p_max=10.0, energy_per_packet=4e-4,
+                  pathloss_exponent=2.0, node_radii=(1.0, 2.0, 3.0))
+    return PowerModel(**{**fields, **kw})
+
+
+def _with_radii(radii):
+    params = make_params(n=3)
+    return SystemParams(params.pnp, params.traffic, params.sensing, params.policy,
+                        _power(node_radii=radii))
+
+
+# One case per check of the sensing, policy, power and system records, each
+# breaking only that check: with the check gone, the record is accepted or
+# raises another check's message.
+_REFUSALS = {
+    "sensing-nan": (lambda: SensingModel(math.nan, 0.1), "sensing probabilities must be finite"),
+    "sensing-inf": (lambda: SensingModel(0.9, math.inf), "sensing probabilities must be finite"),
+    "p_detect-above-1": (lambda: SensingModel(1.5, 0.1), r"p_detect must lie in \[0, 1\]"),
+    "p_detect-negative": (lambda: SensingModel(-0.1, 0.1), r"p_detect must lie in \[0, 1\]"),
+    "p_false_alarm-above-1": (lambda: SensingModel(0.9, 1.1),
+                              r"p_false_alarm must lie in \[0, 1\]"),
+    "policy-nan": (lambda: PolicyModel(math.nan, 0.5), "policy probabilities must be finite"),
+    "theta_idle-above-1": (lambda: PolicyModel(1.5, 0.5), r"theta_idle must lie in \[0, 1\]"),
+    "xi_charge-negative": (lambda: PolicyModel(0.2, -0.5), r"xi_charge must lie in \[0, 1\]"),
+    "power-nan": (lambda: _power(p_charge_min=math.nan), "power parameters must be finite"),
+    "power-inf": (lambda: _power(p_max=math.inf), "power parameters must be finite"),
+    "p_charge_min-zero": (lambda: _power(p_charge_min=0.0), "p_charge_min must be positive"),
+    "p_max-negative": (lambda: _power(p_max=-1.0), "p_max must be positive"),
+    "energy_per_packet-zero": (lambda: _power(energy_per_packet=0.0),
+                               "energy_per_packet must be positive"),
+    "pathloss_exponent-negative": (lambda: _power(pathloss_exponent=-0.5),
+                                   "pathloss_exponent must be nonnegative"),
+    "radii-string": (lambda: _power(node_radii="123"), "node_radii must be a sequence of real"),
+    "radii-bytes": (lambda: _power(node_radii=b"12"), "node_radii must be a sequence of real"),
+    "radii-bool": (lambda: _power(node_radii=(True,)), "node_radii must be a sequence of real"),
+    "radii-numpy-bool": (lambda: _power(node_radii=(np.True_,)),
+                         "node_radii must be a sequence of real"),
+    "radii-numeric-string": (lambda: _power(node_radii=("1e3",)),
+                             "node_radii must be a sequence of real"),
+    "radii-none": (lambda: _power(node_radii=(1.0, None)), "node_radii must be a sequence of real"),
+    "radii-empty": (lambda: _power(node_radii=()), "node_radii must be nonempty"),
+    "radius-zero": (lambda: _power(node_radii=(1.0, 0.0)), "node radii must be positive and finite"),
+    "radius-inf": (lambda: _power(node_radii=(math.inf,)), "node radii must be positive and finite"),
+    "charging_radius-zero": (lambda: _power(charging_radius=0.0),
+                             "charging_radius must be positive"),
+    "charging_radius-nan": (lambda: _power(charging_radius=math.nan),
+                            "charging_radius must be positive"),
+    "node-count": (lambda: _with_radii((1.0, 2.0)), "node_radii length must equal the node count n"),
+    "node-count-string": (lambda: _with_radii("123"), "node_radii must be a sequence of real"),
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_records_refuse_bad_fields(build, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        build()
+
+
+def test_records_accept_real_radii():
+    radii = _power(node_radii=[1, 2.5, np.float32(3.0), np.int64(4)]).node_radii
+    assert radii == (1.0, 2.5, 3.0, 4.0)
+    assert all(type(r) is float for r in radii)
+    assert _with_radii((1.0, 2.0, 3.0)).power.node_radii == (1.0, 2.0, 3.0)
 
 
 def test_traffic_model_rejects_non_integer_counts():
