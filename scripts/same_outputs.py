@@ -16,8 +16,9 @@ Under OUT it writes:
   sets every sim flag, a simulate off the unit slot grid whose horizon
   crosses a simulator chunk, a two-replication simulate whose horizon
   spans three chunks, a simulate whose horizon is exactly two chunks, a
-  sweep with --tol and --beta, two sweeps whose searches skip points a
-  chain-free floor rules out, a lambda_c sweep with a search infeasible
+  saturated simulate that drops most arrivals, a sweep with --tol and
+  --beta, two sweeps whose searches skip points a chain-free floor rules
+  out, a lambda_c sweep with a search infeasible
   at its floor, an analyze of the default config without its
   constraints section, an analyze whose offered load overflows, an
   analyze whose policy never serves, and an analyze and a sweep with
@@ -99,6 +100,9 @@ COMMANDS = [
       "--replications", "2"]),
     ("simulate-two-full-chunks",  # the horizon ends on a chunk bound, so no path is drawn past it
      ["simulate", "--config", "configs/default.json", "--horizon", "524288"]),
+    # Most arrivals are dropped, so each slot admits only its earliest ones.
+    ("simulate-saturated",
+     ["simulate", "--config", "configs/default.json", "--lambda", "0.02", "--capacity-k", "3"]),
     ("sweep-tol-beta",
      ["sweep", "--config", "configs/region_detection.json", "--tol", "0.01", "--beta", "0.3"]),
     # Points the probes skip: a lambda_c search whose whole first doubling

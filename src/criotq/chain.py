@@ -261,7 +261,7 @@ class ChainStack(NamedTuple):
     space: StateSpace
 
 
-def build_chains(points: Sequence[SystemParams], synchronized: bool = False) -> ChainStack:
+def build_chains(points: Sequence[SystemParams], *, synchronized: bool = False) -> ChainStack:
     """Form the one-slot chains of points that share one capacity K, stacked.
 
     Each chain has the bits it has when built alone.  The kernel, the
@@ -269,9 +269,11 @@ def build_chains(points: Sequence[SystemParams], synchronized: bool = False) -> 
     bounded caches of ``slot_kernel``, ``arrival_pmf_row`` and
     ``_decision_law``, with no memo of their own here, so a search forms
     the factors it holds fixed once.  ``synchronized`` is as for
-    build_transition_matrix and applies to every point.  The lumped
-    matrices are validated as one stack, which raises as a whole.
+    build_transition_matrix, must be a bool, and applies to every point.
+    The lumped matrices are validated as one stack, which raises as a whole.
     """
+    if not isinstance(synchronized, bool):
+        raise InvalidParameterError(f"synchronized must be a bool, got {synchronized!r}")
     if not points:
         raise InvalidParameterError("build_chains needs at least one point")
     k_cap = points[0].traffic.capacity_k
@@ -324,7 +326,7 @@ def build_chains(points: Sequence[SystemParams], synchronized: bool = False) -> 
                       service_success=succ, space=space)
 
 
-def build_transition_matrix(params: SystemParams,
+def build_transition_matrix(params: SystemParams, *,
                             synchronized: bool = False) -> TransitionMatrix:
     """Form the one-slot chain for the given parameters.
 
@@ -336,7 +338,7 @@ def build_transition_matrix(params: SystemParams,
     used by the region comparison.  No other success probability can be
     set.  This is build_chains of the one point.
     """
-    chains = build_chains([params], synchronized)
+    chains = build_chains([params], synchronized=synchronized)
     return TransitionMatrix(lumped=chains.lumped[0], decision=chains.decision[0],
                             space=chains.space, service_success=float(chains.service_success[0]),
                             branches=chains.branches[0], shifts=chains.shifts[0])

@@ -267,7 +267,7 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, grid: np.ndarra
     return out
 
 
-def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None,
+def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None, *,
                 synchronized: bool = False) -> list[QosReport]:
     """The report of each point, thresholds from constraints, as one stack.
 
@@ -279,12 +279,12 @@ def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None,
     raises, after the points before it have run (and warned).
     """
     try:
-        chains = build_chains(points, synchronized)
+        chains = build_chains(points, synchronized=synchronized)
         grid, residual = stationary_vectors(chains)
     except (InvalidParameterError, NoConvergenceError):
         if len(points) == 1:
             raise
-        return [qos_reports([p], constraints, synchronized)[0] for p in points]
+        return [qos_reports([p], constraints, synchronized=synchronized)[0] for p in points]
     return _reports(points, chains, grid, residual.tolist(), constraints)
 
 
@@ -311,4 +311,4 @@ def evaluate_qos(params: SystemParams, max_drop: float | None = None,
     if (max_drop is None) != (max_interference is None):
         raise InvalidParameterError("supply both constraint thresholds or neither")
     constraints = None if max_drop is None else Constraints(max_drop, max_interference)
-    return qos_reports([params], constraints, synchronized)[0]
+    return qos_reports([params], constraints, synchronized=synchronized)[0]

@@ -174,10 +174,13 @@ class PowerModel:
         _require(self.energy_per_packet > 0, "energy_per_packet must be positive")
         _require(self.pathloss_exponent >= 0, "pathloss_exponent must be nonnegative")
         # float() would take a string's characters, "1e3" or True as radii.
-        _require(not isinstance(self.node_radii, (str, bytes)) and all(
-            isinstance(r, numbers.Real) and not isinstance(r, bool) for r in self.node_radii),
+        # The radii are read once, so a one-shot iterable gives them all.
+        text = isinstance(self.node_radii, (str, bytes))
+        radii = () if text else tuple(self.node_radii)
+        _require(not text and all(
+            isinstance(r, numbers.Real) and not isinstance(r, bool) for r in radii),
             "node_radii must be a sequence of real numbers, not a string or bools")
-        object.__setattr__(self, "node_radii", tuple(float(r) for r in self.node_radii))
+        object.__setattr__(self, "node_radii", tuple(float(r) for r in radii))
         _require(len(self.node_radii) > 0, "node_radii must be nonempty")
         _require(all(math.isfinite(r) and r > 0 for r in self.node_radii),
                  "node radii must be positive and finite")

@@ -26,8 +26,12 @@ not grow with the horizon:
   slot index, by division checked against the array of slot bounds,
   counts the switches before each bound, which gives every slot's
   starting phase (by parity) and whether one phase covered it;
-* each chunk draws its arrival counts, in-slot timestamps and sensing,
-  idle and charge coins, in that order;
+* each chunk draws its arrival counts, the in-slot timestamps of the
+  slots with an arrival, and the sensing, idle and charge coins, in that
+  order; each coin row is reduced to its flags (free if ON, free if OFF,
+  passes the idle coin, charges) before the next is drawn, so a chunk
+  holds about 10 bytes per slot and 16 per admitted arrival through its
+  tally;
 * the queue moves only on slots with an arrival or a possible
   departure, and between arrivals it only falls, by one a departure
   down to empty, so only the recursion q' = min(q + a, K) - [departure]
@@ -96,10 +100,10 @@ _MAX_SWITCHES = 1e9
 #: 3 s.  The tests reach at most 10.7 (acceptance criterion 1).
 _MAX_SLOT_SWITCHES = 1e5
 #: Most arrivals a replication's chunk may expect.  A chunk holds every
-#: arrival's timestamp at once, about 45 bytes each at the peak (peak RSS
-#: at 2.5e6 arrivals), so this many take about 0.45 GB.  The shipped
-#: configs, tests and benchmark workloads reach at most 1.05e6 (4 per
-#: slot over a full chunk).
+#: arrival's timestamp at once, about 22 bytes each at the peak (peak RSS
+#: over a warm process at 2.5e6 arrivals, 17 at 5e6), so this many take
+#: about 0.2 GB.  The shipped configs, tests and benchmark workloads
+#: reach at most 1.05e6 (4 per slot over a full chunk).
 _MAX_CHUNK_ARRIVALS = 1e7
 
 
@@ -290,7 +294,9 @@ def _phase_path(rng: np.random.Generator, pnp: PnpModel, slot_d: float, horizon:
     switches = block(0.0)
     for s0 in range(0, horizon, _CHUNK):
         bounds = np.arange(s0, min(s0 + _CHUNK, horizon) + 1) * slot_d
-        per_rank = np.zeros(bounds.size, dtype=np.int64)  # switches by the bounds <= them
+        # Switches by the bounds <= them.  int64, since np.add.at into an
+        # int32 array takes numpy's slow path (about 30 times slower).
+        per_rank = np.zeros(bounds.size, dtype=np.int64)
         while True:
             lo, hi = np.searchsorted(switches, bounds[[0, -1]])
             per_rank[0] += lo
@@ -298,8 +304,13 @@ def _phase_path(rng: np.random.Generator, pnp: PnpModel, slot_d: float, horizon:
             if switches[-1] >= bounds[-1]:
                 break
             switches = block(switches[-1])
-        before = np.cumsum(per_rank)
-        yield (before[:-1] & 1) != start, before[1:] == before[:-1]
+        # In place: per_rank becomes the switches before each bound, then
+        # their parity; the generator holds neither it nor bounds while
+        # suspended.
+        whole = per_rank[1:] == 0
+        on = np.bitwise_and(np.cumsum(per_rank, out=per_rank), 1, out=per_rank)[:-1] != start
+        del bounds, per_rank
+        yield on, whole
 
 
 def _arrivals(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
@@ -346,19 +357,29 @@ class _Worker(threading.Thread):
         return self._value
 
 
-def _actions(coins: np.ndarray, on: np.ndarray,
-             params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+def _coins(rng: np.random.Generator, size: int, params: SystemParams) -> tuple[np.ndarray, ...]:
+    """Draw the sensing, idle and charge coins of size decisions, as flags.
+
+    The rows are drawn in that order, each reduced to its flags before
+    the next is drawn: free if ON and free if OFF, passes the idle coin,
+    and charges.
+    """
+    sense_u = rng.random(size)
+    free_on, free_off = sense_u >= params.sensing.p_detect, sense_u >= params.sensing.p_false_alarm
+    del sense_u
+    passes = rng.random(size) >= params.policy.theta_idle
+    return free_on, free_off, passes, rng.random(size) < params.policy.xi_charge
+
+
+def _actions(flags: tuple[np.ndarray, ...], on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Charge and serve flags of decisions made in phase on (True for ON).
 
-    coins holds the sensing, idle and charge coins as its three rows.  A
-    decision goes past the sensing coin and the idle coin, then charges,
-    or serves if the queue is nonempty.
+    flags are _coins' flags.  A decision goes past the sensing coin and
+    the idle coin, then charges, or serves if the queue is nonempty.
     """
-    sense_u, theta_u, xi_u = coins
-    p_detect, p_false_alarm = params.sensing.p_detect, params.sensing.p_false_alarm
-    go = ((((sense_u >= p_detect) & on) | ((sense_u >= p_false_alarm) & ~on))
-          & (theta_u >= params.policy.theta_idle))
-    charge = go & (xi_u < params.policy.xi_charge)
+    free_on, free_off, passes, charges = flags
+    go = ((free_on & on) | (free_off & ~on)) & passes
+    charge = go & charges
     return charge, go ^ charge
 
 
@@ -393,15 +414,18 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
             chunk = min(_CHUNK, horizon - s0)
             n_arr = _arrivals(flow_rng, tr.mean_arrivals_per_slot, chunk)
             total = int(n_arr.sum())
-            slots_f = np.repeat(np.arange(s0, s0 + chunk, dtype=np.float64), n_arr)
-            ts = (slots_f + flow_rng.random(total)) * d
+            arr_at = np.flatnonzero(n_arr)  # the slots with an arrival
+            ts = np.repeat((arr_at + s0).astype(np.float64), n_arr[arr_at])
+            ts += flow_rng.random(total)
+            ts *= d
             ts.sort()
-            coins = flow_rng.random(3 * chunk).reshape(3, chunk)
+            flags = _coins(flow_rng, chunk, params)
             phase, whole = pending.result()
             if s0 + chunk < horizon:  # the next chunk's path, drawn while this one is tallied
                 pending = _Worker(next, phases)
 
-            charge, serving = _actions(coins, phase, params)
+            charge, serving = _actions(flags, phase)
+            del flags
             clears = serving & ~phase & whole  # departs iff the queue is nonempty
 
             # The queue only moves on slots with an arrival or a possible
@@ -409,6 +433,7 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
             # down to empty, so the recursion steps through the arrivals alone.
             moves = np.flatnonzero((n_arr > 0) | clears)
             n_m = n_arr[moves]
+            del n_arr
             clear_m = clears[moves]
             lands = np.flatnonzero(n_m)  # the moves with an arrival
 
@@ -438,9 +463,8 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
             adm = np.minimum(n_m, k_cap - before)
             dep = clear_m & (before > 0)
             if adm.sum() < total:  # admit each slot's earliest arrivals only
-                slot_of = np.repeat(np.arange(moves.size), n_m)
-                rank = np.arange(total) - (np.cumsum(n_m) - n_m)[slot_of]
-                ts = ts[rank < adm[slot_of]]
+                ts = ts[np.repeat(np.tile([True, False], moves.size),
+                                  np.stack([adm, n_m - adm], axis=1).ravel())]
             queue = np.concatenate([waiting, ts])
             n_dep = int(np.count_nonzero(dep))
             leaving, waiting = queue[:n_dep], queue[n_dep:]
@@ -454,7 +478,10 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
             # 6(K + 1) < 2**31.
             key = np.repeat(6 * after.astype(np.int32),
                             np.diff(moves, prepend=-1, append=chunk - 1))
-            key += phase.view(np.uint8) * 3 + charge.view(np.uint8) * 2 + serving
+            code = np.multiply(phase, 3, dtype=np.uint8)  # 3 phase + action, in one buffer
+            for flag in (charge, charge, serving):
+                code += flag
+            key += code
             for b in np.flatnonzero(np.diff(cut)):
                 cells[b] += np.bincount(key[cut[b]:cut[b + 1]], minlength=cells.shape[1])
             at = np.searchsorted(moves, cut)  # batch bounds in the moves
@@ -621,7 +648,7 @@ def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Acti
     n_arr = _arrivals(rng, tr.mean_arrivals_per_slot, trials)
     admitted = np.minimum(n_arr, tr.capacity_k - i)
     j = i + admitted - (whole & (action == Action.SERVE and phase == Phase.OFF))
-    charge, serving = _actions(rng.random(3 * trials).reshape(3, trials), end_phase == 1, params)
+    charge, serving = _actions(_coins(rng, trials, params), end_phase == 1)
     acts = 2 * charge + (serving & (j >= 1))
 
     idx = np.searchsorted(space.cell, 6 * j + 3 * end_phase + acts)

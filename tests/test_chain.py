@@ -256,7 +256,7 @@ def test_builder_matches_full_grid_broadcast_bit_for_bit():
     for params in cells:
         a00 = slot_kernel(params.pnp, params.traffic.slot_d).a00
         for synchronized, succ in ((False, None), (True, a00)):
-            got = build_transition_matrix(params, synchronized).matrix
+            got = build_transition_matrix(params, synchronized=synchronized).matrix
             want = full_grid_transition_matrix(params, service_success=succ)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -307,7 +307,7 @@ def _action_marginal(tm):
 def test_lumped_chain_is_the_action_marginal_of_the_full_chain():
     rng = np.random.default_rng(70411)
     for params, synchronized in _random_cells(rng, 320):
-        tm = build_transition_matrix(params, synchronized)
+        tm = build_transition_matrix(params, synchronized=synchronized)
         assert np.max(np.abs(tm.lumped - _action_marginal(tm))) <= 1e-15
         mu = stationary_distribution(tm)
         dense = dense_law(tm.matrix)

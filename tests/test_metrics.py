@@ -357,10 +357,26 @@ def test_service_success_override_runs_through_the_stack():
     points = [make_params(lam=lam, p_detect=pd)
               for lam, pd in ((0.0, 0.9), (0.001, 0.9), (0.02, 0.6), (0.05, 1.0))]
     for synchronized in (False, True):
-        for params, got in zip(points, qos_reports(points, None, synchronized)):
+        for params, got in zip(points, qos_reports(points, None, synchronized=synchronized)):
             assert repr(got) == repr(evaluate_qos(params, synchronized=synchronized))
     # The flag reaches the chains: a00 carries more than off_persist does.
-    assert qos_reports(points, None, True)[2].carried_load > qos_reports(points, None)[2].carried_load
+    sync = qos_reports(points, None, synchronized=True)
+    assert sync[2].carried_load > qos_reports(points, None)[2].carried_load
+
+
+def test_the_synchronized_flag_is_a_keyword_bool():
+    # A probability passed positionally, or any non-bool flag, is refused
+    # rather than read as truthy.
+    params = make_params()
+    with pytest.raises(TypeError):
+        qos_reports([params], None, 0.37)
+    with pytest.raises(TypeError):
+        build_chains([params], True)
+    for flag in (0.37, 1, np.True_, None):
+        with pytest.raises(InvalidParameterError, match="synchronized must be a bool"):
+            qos_reports([params], None, synchronized=flag)
+        with pytest.raises(InvalidParameterError, match="synchronized must be a bool"):
+            evaluate_qos(params, synchronized=flag)
 
 
 def test_a_failing_stack_replays_its_points_with_the_override(monkeypatch):
@@ -372,19 +388,19 @@ def test_a_failing_stack_replays_its_points_with_the_override(monkeypatch):
     with pytest.raises(NoConvergenceError) as alone:
         evaluate_qos(singular, synchronized=True)
     with pytest.raises(NoConvergenceError) as stacked:
-        qos_reports([ok, singular, short_off], None, True)
+        qos_reports([ok, singular, short_off], None, synchronized=True)
     assert alone.value.residual == stacked.value.residual == math.inf
     # The stacked build and each replayed point's build, up to the failing
     # one, all get the flag.
     flags = []
 
-    def spy(points, synchronized=False):
+    def spy(points, *, synchronized=False):
         flags.append(synchronized)
-        return build_chains(points, synchronized)
+        return build_chains(points, synchronized=synchronized)
 
     monkeypatch.setattr(metrics, "build_chains", spy)
     with pytest.raises(NoConvergenceError):
-        qos_reports([ok, singular, short_off], None, True)
+        qos_reports([ok, singular, short_off], None, synchronized=True)
     assert flags == [True, True, True]
 
 

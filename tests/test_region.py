@@ -636,7 +636,8 @@ def test_synchronized_baseline_is_its_perfect_sensing_point_with_the_a00_overrid
     sync = replace(baseline_params, sensing=SensingModel(p_detect=1.0, p_false_alarm=0.0))
     a00 = slot_kernel(sync.pnp, sync.traffic.slot_d).a00
     assert build_transition_matrix(sync, synchronized=True).service_success == a00
-    assert repr(synchronized_baseline(baseline_params)) == repr(qos_reports([sync], None, True)[0])
+    want = qos_reports([sync], None, synchronized=True)[0]
+    assert repr(synchronized_baseline(baseline_params)) == repr(want)
 
 
 def test_synchronized_baseline_converges_for_short_slots():

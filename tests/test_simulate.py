@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from criotq import (Action, InvalidParameterError, Phase, PnpModel, SimConfig,
                     run_simulation, slot_kernel, stationary_distribution)
 from criotq import simulate
 from criotq.simulate import (_CHARGE, _CHUNK, _DROP, _GEN, _INTERF, _SERVE, _SLOTS,
-                             NUM_BATCHES, _simulate_one, _switch_rank)
+                             NUM_BATCHES, _renewal_endpoints, _simulate_one, _switch_rank)
 from conftest import make_params, time_limit
 
 
@@ -293,6 +294,22 @@ def test_same_seed_reproduces_bit_for_bit():
     assert np.array_equal(a.post_departure_histogram, b.post_departure_histogram)
 
 
+def test_a_run_holds_only_its_chunk_flags_and_counts():
+    # The coins are reduced to flags as each row is drawn, and timestamps
+    # are built from the arrival slots alone, so one 200,000-slot run
+    # peaks near 8 MB traced; float coin rows held through the tally, or
+    # a float index of every slot, would take it past 10 MB.
+    config = SimConfig(params=make_params(), horizon_slots=200_000, seed=999331)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run_simulation(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
 def test_different_seed_differs():
     params = make_params(lam=0.01)
     a = run_simulation(SimConfig(params=params, horizon_slots=20_000, seed=1))
@@ -422,6 +439,39 @@ def test_kernel_estimate_matches_closed_form():
 def test_transition_row_needs_a_trial():
     with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
         estimate_transition_row(make_params(), (2, Phase.OFF, Action.IDLE), trials=0, seed=1)
+
+
+def literal_transition_row(params, source, trials, seed):
+    """estimate_transition_row with its three coin rows drawn as one block."""
+    tr = params.traffic
+    space = enumerate_states(tr.capacity_k)
+    i, phase, action = source
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    end_phase, whole = _renewal_endpoints(rng, params.pnp, phase, tr.slot_d, trials)
+    n_arr = rng.poisson(tr.mean_arrivals_per_slot, trials)
+    j = i + np.minimum(n_arr, tr.capacity_k - i) - (
+        whole & (action == Action.SERVE and phase == Phase.OFF))
+    sense_u, theta_u, xi_u = rng.random(3 * trials).reshape(3, trials)
+    on = end_phase == 1
+    busy = np.where(on, sense_u < params.sensing.p_detect, sense_u < params.sensing.p_false_alarm)
+    go = ~busy & (theta_u >= params.policy.theta_idle)
+    charge = go & (xi_u < params.policy.xi_charge)
+    acts = 2 * charge + (go & ~charge & (j >= 1))
+    idx = np.searchsorted(space.cell, 6 * j + 3 * end_phase + acts)
+    return np.bincount(idx, minlength=space.size) / trials
+
+
+@pytest.mark.parametrize("lam, source, seed", [
+    (lam, (i, phase, action), 100 * i + 10 * int(phase) + int(action))
+    for lam in (0.0, 0.05)
+    for i, phase, action in ((0, Phase.OFF, Action.IDLE), (1, Phase.OFF, Action.SERVE),
+                             (3, Phase.ON, Action.CHARGE), (5, Phase.ON, Action.SERVE),
+                             (10, Phase.OFF, Action.SERVE), (10, Phase.ON, Action.IDLE))])
+def test_transition_row_draws_its_coins_as_one_block_did(lam, source, seed):
+    params = make_params(lam=lam, theta=0.3, xi=0.4)
+    got = estimate_transition_row(params, source, trials=5_000, seed=seed)
+    want = literal_transition_row(params, source, 5_000, seed)
+    assert np.array_equal(got, want)
 
 
 def _kernel(slot_d=1.0, trials=10, seed=0):

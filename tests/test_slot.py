@@ -100,6 +100,16 @@ def test_records_accept_real_radii():
     assert _with_radii((1.0, 2.0, 3.0)).power.node_radii == (1.0, 2.0, 3.0)
 
 
+def test_records_read_one_shot_radii_once():
+    # A generator is read once, into the record the list gives; a string
+    # is still refused.
+    assert _power(node_radii=(r for r in [1.0, 2.0])) == _power(node_radii=[1.0, 2.0])
+    with pytest.raises(InvalidParameterError, match="node_radii must be a sequence of real"):
+        _power(node_radii=iter(["1", "2"]))
+    with pytest.raises(InvalidParameterError, match="node_radii must be a sequence of real"):
+        _power(node_radii="12")
+
+
 def test_traffic_model_rejects_non_integer_counts():
     # A bool is an int to Python; as K it would index the chain's arrays
     # as a mask, so it is rejected with the floats.
