@@ -21,9 +21,10 @@ Under OUT it writes:
   out, a lambda_c sweep with a search infeasible
   at its floor, an analyze of the default config without its
   constraints section, an analyze whose offered load overflows, an
-  analyze whose policy never serves, and an analyze and a sweep with
-  -0.0 policy coins), each with
-  the category and text of every warning it emits, and its exit status;
+  analyze whose policy never serves, an analyze and a sweep with
+  -0.0 policy coins, and a simulate whose config misspells a sim key),
+  each with the category and text of every warning it emits, and its
+  exit status;
 * ``inputs/``: the derived configs those commands read;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
@@ -51,8 +52,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from criotq import cli  # noqa: E402
 import workloads  # noqa: E402
 
-#: A derived config, written under OUT; commands name it as {inputs}/...
+#: Derived configs, written under OUT; commands name them as {inputs}/...
 NO_CONSTRAINTS = "default-no-constraints.json"
+MISSPELT_KEY = "default-misspelt-sim-key.json"
 REGION_SEEDS = (11, 12, 13)
 REGION_ROUNDS = 8
 
@@ -129,13 +131,17 @@ COMMANDS = [
       "--emit-stationary", "--emit-matrix"]),
     ("sweep-region_detection-signed-zero",
      ["sweep", "--config", "configs/region_detection.json", "--xi", "-0.0"]),
+    # sim.replicatons is not a setting: the run is refused, not made with one replication.
+    ("simulate-unknown-key", ["simulate", "--config", f"{{inputs}}/{MISSPELT_KEY}"]),
 ]
 
 
 def write_inputs(inputs: Path) -> None:
     inputs.mkdir(parents=True)
     cfg = json.loads((ROOT / "configs" / "default.json").read_text())
-    del cfg["constraints"]
+    cfg["sim"]["replicatons"] = 3
+    (inputs / MISSPELT_KEY).write_text(json.dumps(cfg, indent=2) + "\n")
+    del cfg["sim"]["replicatons"], cfg["constraints"]
     (inputs / NO_CONSTRAINTS).write_text(json.dumps(cfg, indent=2) + "\n")
 
 

@@ -7,7 +7,10 @@ the full chain and the synchronized reference over a rate grid).
 
 A run is configured by a JSON file plus flags.  Every setting has one
 name, ``section.key``, which is also the dest of the flag that
-overrides it.  Every output is CSV with fixed, documented columns,
+overrides it.  ``_SETTINGS`` is the one list of settings: it gives each
+its flag, kind and default, and the flags, the typed reads and the
+records are all made from it; a key of a known section that it does
+not name is refused.  Every output is CSV with fixed, documented columns,
 floats printed with 12 significant digits, and written atomically (temp
 file then rename) so a failed run never leaves a truncated file.  Every
 command runs its steps one after another; only a simulated replication
@@ -80,16 +83,57 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         raise
 
 
+#: A setting without a default: the config file or a flag must give it.
+_REQUIRED = object()
+
+#: Every setting of a run, by ``section.key``: its flag (None when it is
+#: set only in the config file), its kind (float, int, list for a
+#: nonempty list of numbers, or a tuple of the words it may take) and its
+#: default.  Within a section the keys are in the order that its record's
+#: fields, or ``cmd_sweep``, take them.
+_SETTINGS = {
+    "pnp.mu_on": ("--mu-on", float, _REQUIRED),
+    "pnp.mu_off": ("--mu-off", float, _REQUIRED),
+    "traffic.n": ("--n", int, _REQUIRED),
+    "traffic.lambda": ("--lambda", float, _REQUIRED),
+    "traffic.capacity_k": ("--capacity-k", int, _REQUIRED),
+    "traffic.slot_d": ("--slot-d", float, _REQUIRED),
+    "sensing.p_detect": ("--p-d", float, _REQUIRED),
+    "sensing.p_false_alarm": ("--p-f", float, _REQUIRED),
+    "policy.theta_idle": ("--theta", float, _REQUIRED),
+    "policy.xi_charge": ("--xi", float, _REQUIRED),
+    "power.p_charge_min": (None, float, _REQUIRED),
+    "power.p_max": ("--p-max", float, _REQUIRED),
+    "power.energy_per_packet": (None, float, _REQUIRED),
+    "power.pathloss_exponent": (None, float, _REQUIRED),
+    "power.node_radii": (None, list, _REQUIRED),
+    "power.charging_radius": (None, float, None),
+    "constraints.max_drop": (None, float, _REQUIRED),
+    "constraints.max_interference": (None, float, _REQUIRED),
+    "sim.horizon_slots": ("--horizon", int, _REQUIRED),
+    "sim.seed": ("--seed", int, _REQUIRED),
+    "sim.warmup_slots": ("--warmup", int, None),
+    "sim.replications": ("--replications", int, 1),
+    # region.sweep names the allowed words when a config gives another.
+    "sweep.axis": ("--axis", SWEEP_AXES, None),
+    "sweep.target": ("--target", SWEEP_TARGETS, None),
+    "sweep.tol": ("--tol", float, 1e-3),
+    "sweep.grid": ("--grid", list, _REQUIRED),
+    "compare.lambda_grid": ("--lambda-grid", list, _REQUIRED),
+}
 #: The config sections the commands read; other top-level keys are ignored.
-_SECTIONS = ("pnp", "traffic", "sensing", "policy", "power", "constraints", "sim", "sweep",
-             "compare")
+_SECTIONS = tuple(dict.fromkeys(name.split(".")[0] for name in _SETTINGS))
+#: The record of each section that SystemParams bundles, by its field name.
+_RECORDS = {"pnp": PnpModel, "traffic": TrafficModel, "sensing": SensingModel,
+            "policy": PolicyModel, "power": PowerModel}
 
 
 def _settings(args) -> dict:
     """Every setting of a run by its ``section.key`` name.
 
     The config file's values come first; each flag given on the command
-    line replaces the value named by its argparse dest.
+    line replaces the value named by its argparse dest.  A key of a known
+    section that is not in ``_SETTINGS`` is refused.
     """
     cfg = {}
     if args.config is not None:
@@ -107,16 +151,12 @@ def _settings(args) -> dict:
             if not isinstance(sec, dict):
                 raise InvalidParameterError(f"config section {section!r} must be an object")
             cfg.update((f"{section}.{key}", value) for key, value in sec.items())
+        for name in cfg:
+            if name not in _SETTINGS:
+                raise InvalidParameterError(f"unknown config key {name}")
     cfg.update((dest, value) for dest, value in vars(args).items()
                if "." in dest and value is not None)
     return cfg
-
-
-def _need(cfg: dict, name: str):
-    if cfg.get(name) is None:
-        raise InvalidParameterError(f"missing required config value {name} "
-                                    f"(set it in the config file or by flag)")
-    return cfg[name]
 
 
 def _number(value, name: str, integral: bool = False):
@@ -137,41 +177,35 @@ def _number(value, name: str, integral: bool = False):
     return float(value)
 
 
-def _need_number(cfg: dict, name: str, integral: bool = False):
-    return _number(_need(cfg, name), name, integral)
+def _get(cfg: dict, name: str):
+    """The setting ``name``, read as the kind ``_SETTINGS`` gives it.
 
-
-def _optional_number(cfg: dict, name: str, default=None, integral: bool = False):
-    """An unset (absent or null) value gives default, any other must be a number."""
+    An unset (absent or null) setting takes its default, unless it is
+    required.  A list must be a nonempty JSON list of numbers; words pass
+    as given.
+    """
+    _, kind, default = _SETTINGS[name]
     value = cfg.get(name)
-    return default if value is None else _number(value, name, integral)
+    if kind is list:
+        if not isinstance(value, list) or not value:
+            raise InvalidParameterError(f"{name} must be a nonempty list of numbers")
+        return [_number(v, name) for v in value]
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidParameterError(f"missing required config value {name} "
+                                        f"(set it in the config file or by flag)")
+        return default
+    return value if isinstance(kind, tuple) else _number(value, name, kind is int)
 
 
-def _need_numbers(cfg: dict, name: str) -> list:
-    values = cfg.get(name)
-    if not isinstance(values, list) or not values:
-        raise InvalidParameterError(f"{name} must be a nonempty list of numbers")
-    return [_number(v, name) for v in values]
+def _section(cfg: dict, section: str) -> list:
+    """The settings of one section, in the field order of its record."""
+    return [_get(cfg, name) for name in _SETTINGS if name.split(".")[0] == section]
 
 
 def _build_params(cfg: dict, beta: float | None) -> SystemParams:
-    pnp = PnpModel(mu_on=_need_number(cfg, "pnp.mu_on"),
-                   mu_off=_need_number(cfg, "pnp.mu_off"))
-    traffic = TrafficModel(n=_need_number(cfg, "traffic.n", integral=True),
-                           lam=_need_number(cfg, "traffic.lambda"),
-                           capacity_k=_need_number(cfg, "traffic.capacity_k", integral=True),
-                           slot_d=_need_number(cfg, "traffic.slot_d"))
-    sensing = SensingModel(p_detect=_need_number(cfg, "sensing.p_detect"),
-                           p_false_alarm=_need_number(cfg, "sensing.p_false_alarm"))
-    policy = PolicyModel(theta_idle=_need_number(cfg, "policy.theta_idle"),
-                         xi_charge=_need_number(cfg, "policy.xi_charge"))
-    power = PowerModel(p_charge_min=_need_number(cfg, "power.p_charge_min"),
-                       p_max=_need_number(cfg, "power.p_max"),
-                       energy_per_packet=_need_number(cfg, "power.energy_per_packet"),
-                       pathloss_exponent=_need_number(cfg, "power.pathloss_exponent"),
-                       node_radii=tuple(_need_numbers(cfg, "power.node_radii")),
-                       charging_radius=_optional_number(cfg, "power.charging_radius"))
-    params = SystemParams(pnp=pnp, traffic=traffic, sensing=sensing, policy=policy, power=power)
+    params = SystemParams(**{section: record(*_section(cfg, section))
+                             for section, record in _RECORDS.items()})
     return params if beta is None else params_with_activity(params, beta)
 
 
@@ -181,16 +215,7 @@ def _build_constraints(cfg: dict, required: bool) -> Constraints | None:
             raise InvalidParameterError("this command needs a constraints section "
                                         "(max_drop, max_interference)")
         return None
-    return Constraints(max_drop=_need_number(cfg, "constraints.max_drop"),
-                       max_interference=_need_number(cfg, "constraints.max_interference"))
-
-
-def _build_sim_config(cfg: dict, params: SystemParams) -> SimConfig:
-    return SimConfig(params=params,
-                     horizon_slots=_need_number(cfg, "sim.horizon_slots", integral=True),
-                     seed=_need_number(cfg, "sim.seed", integral=True),
-                     warmup_slots=_optional_number(cfg, "sim.warmup_slots", integral=True),
-                     replications=_optional_number(cfg, "sim.replications", 1, integral=True))
+    return Constraints(*_section(cfg, "constraints"))
 
 
 _PHASE_NAMES = np.array(["off", "on"])
@@ -202,9 +227,7 @@ def _state_columns(space, idx: np.ndarray) -> list[np.ndarray]:
     return [space.queue[idx], _PHASE_NAMES[space.phase[idx]], _ACTION_NAMES[space.action[idx]]]
 
 
-def cmd_analyze(args) -> int:
-    cfg = _settings(args)
-    params = _build_params(cfg, args.beta)
+def cmd_analyze(args, cfg: dict, params: SystemParams) -> int:
     report = qos_reports([params], _build_constraints(cfg, required=False))[0]
 
     out = Path(args.out)
@@ -238,10 +261,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _settings(args)
-    sim_cfg = _build_sim_config(cfg, _build_params(cfg, args.beta))
-    result = run_simulation(sim_cfg)
+def cmd_simulate(args, cfg: dict, params: SystemParams) -> int:
+    result = run_simulation(SimConfig(params, *_section(cfg, "sim")))
 
     # Each replication and the pooled result are Estimates.
     estimates = [("rep", r, rep) for r, rep in enumerate(result.reps)] + [("pooled", -1, result)]
@@ -259,13 +280,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _settings(args)
-    params = _build_params(cfg, args.beta)
+def cmd_sweep(args, cfg: dict, params: SystemParams) -> int:
     constraints = _build_constraints(cfg, required=True)
-    axis, target = cfg.get("sweep.axis"), cfg.get("sweep.target")
-    tol = _optional_number(cfg, "sweep.tol", 1e-3)
-    values = sorted(_need_numbers(cfg, "sweep.grid"))  # canonical order for stable output
+    axis, target, tol, grid = _section(cfg, "sweep")
+    values = sorted(grid)  # canonical order for stable output
 
     rows_out = []
     diag_rows = []
@@ -284,44 +302,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _settings(args)
-    params = _build_params(cfg, args.beta)
+def cmd_compare(args, cfg: dict, params: SystemParams) -> int:
     rows = []
-    for lam in _need_numbers(cfg, "compare.lambda_grid"):  # echoed in caller order
+    for lam in _get(cfg, "compare.lambda_grid"):  # echoed in caller order
         p2 = replace(params, traffic=replace(params.traffic, lam=lam))
-        sim = run_simulation(_build_sim_config(cfg, p2))
+        sim = run_simulation(SimConfig(p2, *_section(cfg, "sim")))
         full = evaluate_qos(p2)
         base = synchronized_baseline(p2)
         rows.append([lam, sim.mean_sojourn_hat, full.wait_slot_avg, base.wait_slot_avg])
     _write_csv(Path(args.out) / "compare.csv", COMPARE_COLUMNS, rows)
     print(f"compare: {len(rows)} rate points")
     return 0
-
-
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.add_argument("--mu-on", dest="pnp.mu_on", type=float)
-    p.add_argument("--mu-off", dest="pnp.mu_off", type=float)
-    p.add_argument("--beta", type=float,
-                   help="set the primary activity factor by scaling mu_off")
-    p.add_argument("--n", dest="traffic.n", type=int)
-    p.add_argument("--lambda", dest="traffic.lambda", type=float)
-    p.add_argument("--capacity-k", dest="traffic.capacity_k", type=int)
-    p.add_argument("--slot-d", dest="traffic.slot_d", type=float)
-    p.add_argument("--p-d", dest="sensing.p_detect", type=float)
-    p.add_argument("--p-f", dest="sensing.p_false_alarm", type=float)
-    p.add_argument("--theta", dest="policy.theta_idle", type=float)
-    p.add_argument("--xi", dest="policy.xi_charge", type=float)
-    p.add_argument("--p-max", dest="power.p_max", type=float)
-
-
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--horizon", dest="sim.horizon_slots", type=int)
-    p.add_argument("--warmup", dest="sim.warmup_slots", type=int)
-    p.add_argument("--seed", dest="sim.seed", type=int)
-    p.add_argument("--replications", dest="sim.replications", type=int)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -331,44 +322,45 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid must be comma-separated numbers: {text!r}") from exc
 
 
+def _add_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """Register the flag of each setting of the named sections."""
+    for name, (flag, kind, _) in _SETTINGS.items():
+        if flag is None or name.split(".")[0] not in sections:
+            continue
+        if isinstance(kind, tuple):
+            p.add_argument(flag, dest=name, choices=kind)
+        elif kind is list:
+            p.add_argument(flag, dest=name, type=_parse_grid, help="comma-separated numbers")
+        else:
+            p.add_argument(flag, dest=name, type=kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="criotq",
                                      description="slotted opportunistic-cell analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="stationary metrics of one operating point")
-    _add_param_flags(p)
-    p.add_argument("--emit-stationary", action="store_true")
-    p.add_argument("--emit-matrix", action="store_true")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="Monte Carlo run")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="critical-value curve along a sensing axis")
-    _add_param_flags(p)
-    p.add_argument("--axis", dest="sweep.axis", choices=list(SWEEP_AXES))
-    p.add_argument("--target", dest="sweep.target", choices=list(SWEEP_TARGETS))
-    p.add_argument("--grid", dest="sweep.grid", type=_parse_grid,
-                   help="comma-separated axis values")
-    p.add_argument("--tol", dest="sweep.tol", type=float)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare", help="waiting-time curves over a rate grid")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--lambda-grid", dest="compare.lambda_grid", type=_parse_grid,
-                   help="comma-separated per-node rates")
-    p.set_defaults(func=cmd_compare)
+    for command, about, func, sections in (
+            ("analyze", "stationary metrics of one operating point", cmd_analyze, ()),
+            ("simulate", "Monte Carlo run", cmd_simulate, ("sim",)),
+            ("sweep", "critical-value curve along a sensing axis", cmd_sweep, ("sweep",)),
+            ("compare", "waiting-time curves over a rate grid", cmd_compare, ("sim", "compare"))):
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="JSON configuration file")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
+        p.add_argument("--beta", type=float,
+                       help="set the primary activity factor by scaling mu_off")
+        _add_flags(p, *_RECORDS, *sections)
+        p.set_defaults(func=func)
+    sub.choices["analyze"].add_argument("--emit-stationary", action="store_true")
+    sub.choices["analyze"].add_argument("--emit-matrix", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _settings(args)
+        return args.func(args, cfg, _build_params(cfg, args.beta))
     except (CriotqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

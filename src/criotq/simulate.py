@@ -30,7 +30,7 @@ not grow with the horizon:
   slots with an arrival, and the sensing, idle and charge coins, in that
   order; each coin row is reduced to its flags (free if ON, free if OFF,
   passes the idle coin, charges) before the next is drawn, so a chunk
-  holds about 10 bytes per slot and 16 per admitted arrival through its
+  holds about 10 bytes per slot and 8 per admitted arrival through its
   tally;
 * the queue moves only on slots with an arrival or a possible
   departure, and between arrivals it only falls, by one a departure
@@ -107,6 +107,14 @@ _MAX_SLOT_SWITCHES = 1e5
 _MAX_CHUNK_ARRIVALS = 1e7
 
 
+def _check_count(name: str, value, least: int | None = None) -> None:
+    """Raise unless value is an int or numpy integer, not a bool, and not below least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request.
@@ -123,18 +131,10 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        for name in ("horizon_slots", "warmup_slots", "replications", "seed"):
-            value = getattr(self, name)
-            if value is None and name == "warmup_slots":
-                continue
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be >= 0")
-        if self.horizon_slots < 1:
-            raise InvalidParameterError("horizon_slots must be >= 1")
-        if self.replications < 1:
-            raise InvalidParameterError("replications must be >= 1")
+        if self.warmup_slots is not None:
+            _check_count("warmup_slots", self.warmup_slots)
+        for name, least in (("seed", 0), ("horizon_slots", 1), ("replications", 1)):
+            _check_count(name, getattr(self, name), least)
         wu = self.resolved_warmup
         if not 0 <= wu < self.horizon_slots:
             raise InvalidParameterError("warmup must satisfy 0 <= warmup < horizon")
@@ -466,6 +466,7 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
                 ts = ts[np.repeat(np.tile([True, False], moves.size),
                                   np.stack([adm, n_m - adm], axis=1).ravel())]
             queue = np.concatenate([waiting, ts])
+            del ts
             n_dep = int(np.count_nonzero(dep))
             leaving, waiting = queue[:n_dep], queue[n_dep:]
 
@@ -574,11 +575,8 @@ def _check_estimator(slot_d: float, trials: int, seed: int) -> None:
     """Raise unless an estimator's slot length, trial count and seed are valid."""
     if not math.isfinite(slot_d) or slot_d < 0:
         raise InvalidParameterError("slot_d must be finite and nonnegative")
-    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise InvalidParameterError(f"{name} must be >= {least}")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
 
 
 def _renewal_endpoints(rng: np.random.Generator, pnp: PnpModel, start_phase: int,

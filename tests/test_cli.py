@@ -1,13 +1,16 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from criotq import (Constraints, PnpModel, PolicyModel, PowerModel, SensingModel, SimConfig,
+                    TrafficModel)
 from criotq.cli import (COMPARE_COLUMNS, METRICS_COLUMNS, SIM_COLUMNS,
-                        SWEEP_COLUMNS, SWEEP_DIAG_COLUMNS, main)
+                        SWEEP_COLUMNS, SWEEP_DIAG_COLUMNS, _SETTINGS, main)
 from conftest import time_limit
 
 REPO = Path(__file__).resolve().parent.parent
@@ -508,6 +511,31 @@ def test_every_command_checks_every_known_section(tmp_path, capsys):
     del cfg["sweep"]
     bad.write_text(json.dumps(cfg))
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name,value", [("sim.replicatons", 3), ("policy.xi_chrage", 0.9)])
+def test_a_misspelt_key_in_a_known_section_is_refused(tmp_path, capsys, name, value):
+    cfg = short_run_config()
+    section, key = name.split(".")
+    cfg[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: unknown config key {name}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,record", [
+    ("pnp", PnpModel), ("traffic", TrafficModel), ("sensing", SensingModel),
+    ("policy", PolicyModel), ("power", PowerModel), ("constraints", Constraints),
+    ("sim", SimConfig),
+])
+def test_the_settings_of_a_section_follow_the_fields_of_its_record(section, record):
+    # The records are built positionally from the settings in table order.
+    keys = [name.split(".")[1] for name in _SETTINGS if name.split(".")[0] == section]
+    fields = [f.name for f in dataclasses.fields(record) if f.name != "params"]
+    assert [{"lambda": "lam"}.get(key, key) for key in keys] == fields
 
 
 @pytest.mark.parametrize("command,flag", [("sweep", "--grid"), ("compare", "--lambda-grid")])
