@@ -14,9 +14,9 @@ not name is refused.  Every output is CSV with fixed, documented columns,
 floats printed with 12 significant digits, and written atomically (temp
 file then rename) so a failed run never leaves a truncated file.  Every
 command runs its steps one after another; only a simulated replication
-draws each chunk's phase path, from its own random stream, on a thread
-of its own, started as the chunk before is taken.  Output depends only
-on the configuration and flags.
+draws each chunk's phase path, from its own random stream, on the
+replication's one worker thread.  Output depends only on the
+configuration and flags.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _settings(args) -> dict:
         with open(args.config) as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise InvalidParameterError(
                     f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -165,7 +165,8 @@ def _number(value, name: str, integral: bool = False):
     Raises InvalidParameterError naming the key unless the value is a
     JSON number: true and "0.001" are not, though float() takes them.
     An integral value must be an integer or a whole float (2e5 passes,
-    1000.9, "12" and true do not).
+    1000.9, "12" and true do not).  A float setting given as an integer
+    past the float range reads as an infinity, as json reads 1e400.
     """
     if integral:
         if isinstance(value, bool) or not (isinstance(value, int) or (
@@ -174,7 +175,10 @@ def _number(value, name: str, integral: bool = False):
         return int(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _get(cfg: dict, name: str):

@@ -25,7 +25,10 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def _is_int(value) -> bool:
@@ -91,7 +94,7 @@ class TrafficModel:
         _require(_is_int(self.capacity_k) and self.capacity_k >= 1,
                  "capacity_k must be an integer >= 1")
         _require(self.slot_d > 0, "slot_d must be positive")
-        _require(math.isfinite(self.mean_arrivals_per_slot),
+        _require(_finite(self.n) and math.isfinite(self.mean_arrivals_per_slot),
                  "offered load n * lam * slot_d must be finite")
 
     @property

@@ -44,16 +44,17 @@ not grow with the horizon:
   admitted timestamp, and sojourns are added to their batch sums in
   slot order.
 
-Each chunk's phase path is drawn on a thread of its own, started as
-the chunk before is taken, so it runs while the main thread draws the
-chunk's arrivals and coins and tallies the chunk before; numpy releases
-the interpreter lock in those bulk draws and array passes, so the two
-overlap.  At most one such thread runs at a time, and none is started
-after the last chunk.  The phase path draws only from its own stream and
-the flow only from the other, and each stream is used in a fixed order,
-by one thread at a time, so the bits do not depend on how the threads
-are scheduled.  The thread is joined on every path, and an exception it
-raises is raised in the caller.
+Each chunk's phase path is drawn on the replication's one worker
+thread, submitted as the chunk before is taken, so it runs while the
+main thread draws the chunk's arrivals and coins and tallies the chunk
+before; numpy releases the interpreter lock in those bulk draws and
+array passes, so the two overlap.  At most one such draw is pending at
+a time, and none is submitted after the last chunk.  The phase path
+draws only from its own stream and the flow only from the other, and
+each stream is used in a fixed order, by one thread at a time, so the
+bits do not depend on how the threads are scheduled.  The worker is
+joined on every path, and an exception it raises is raised in the
+caller.
 
 These steps draw the same numbers and do the same floating-point
 operations as a loop over slots, so the tallies equal that loop's bit
@@ -70,7 +71,6 @@ raises before its first draw too, instead of exhausting memory.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -330,33 +330,6 @@ def _check_arrivals(mean: float, slots: int) -> None:
             f"{count:.3g} arrivals, over the simulator's budget of {_MAX_CHUNK_ARRIVALS:.0e}")
 
 
-class _Worker(threading.Thread):
-    """Run fn(*args) on a thread of its own, started as it is made.
-
-    result() joins the thread, then returns fn's value or raises the
-    exception fn raised, as it is.
-    """
-
-    def __init__(self, fn, *args):
-        super().__init__()
-        self._call = fn, args
-        self._value = self._error = None
-        self.start()
-
-    def run(self) -> None:
-        fn, args = self._call
-        try:
-            self._value = fn(*args)
-        except BaseException as exc:  # result() raises it
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def _coins(rng: np.random.Generator, size: int, params: SystemParams) -> tuple[np.ndarray, ...]:
     """Draw the sensing, idle and charge coins of size decisions, as flags.
 
@@ -407,9 +380,12 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
     qlen = 0
     waiting = np.empty(0)  # arrival timestamps of the queued packets, head first
 
+    # Imported here: at module level it would load logging into every process.
+    from concurrent.futures import ThreadPoolExecutor
+
     phases = _phase_path(phase_rng, params.pnp, d, horizon)
-    pending = _Worker(next, phases)
-    try:
+    with ThreadPoolExecutor(1) as worker:
+        pending = worker.submit(next, phases)
         for s0 in range(0, horizon, _CHUNK):
             chunk = min(_CHUNK, horizon - s0)
             n_arr = _arrivals(flow_rng, tr.mean_arrivals_per_slot, chunk)
@@ -422,7 +398,7 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
             flags = _coins(flow_rng, chunk, params)
             phase, whole = pending.result()
             if s0 + chunk < horizon:  # the next chunk's path, drawn while this one is tallied
-                pending = _Worker(next, phases)
+                pending = worker.submit(next, phases)
 
             charge, serving = _actions(flags, phase)
             del flags
@@ -494,15 +470,9 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
             measured_dep = dep[at[0]:]
             s_at = s0 + moves[at[0]:][measured_dep]
             t_arr = leaving[n_dep - s_at.size:]
-            soj = (s_at + 1) * d - t_arr
-            soj_sum = np.bincount(
-                np.concatenate([np.arange(NUM_BATCHES),
-                                ((s_at - warmup) * NUM_BATCHES) // measured]),
-                weights=np.concatenate([soj_sum, soj]), minlength=NUM_BATCHES)
+            np.add.at(soj_sum, ((s_at - warmup) * NUM_BATCHES) // measured, (s_at + 1) * d - t_arr)
             post_dep += np.bincount(after[1:][at[0]:][measured_dep], minlength=k_cap)
             served_tagged += int(np.count_nonzero(t_arr >= meas_t0))
-    finally:
-        pending.join()
 
     # An empty queue has nothing to serve: those slots idle.
     cells[:, [0, 3]] += cells[:, [1, 4]]

@@ -93,11 +93,25 @@ def test_metrics_schema_and_values(tmp_path):
 
 def test_malformed_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    rc = main(["analyze", "--config", str(bad), "--out", str(tmp_path / "out")])
+    # Not JSON, and JSON in bytes that are not UTF-8.
+    for content in (b"{not json", "{}".encode("utf-16")):
+        bad.write_bytes(content)
+        rc = main(["analyze", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {bad} is not valid JSON: "), err
+
+
+def test_an_integer_past_the_float_range_is_refused_by_its_record(tmp_path, capsys):
+    cfg = json.loads(Path(DEFAULT_CONFIG).read_text())
+    cfg["pnp"]["mu_on"] = 10**400  # json reads it as an int that float() cannot take
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(cfg))
+    rc = main(["analyze", "--config", str(huge), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert not (tmp_path / "out" / "metrics.csv").exists()
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: pnp rates must be finite\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_must_hold_an_object_at_top_level(tmp_path, capsys):
@@ -330,6 +344,7 @@ def test_simulating_past_the_arrival_budget_is_a_quick_clean_error(tmp_path, cap
     ("sweep", ["--lambda", "1e307", "--axis", "detection", "--target", "lambda_c",
                "--grid", "0.9"]),
     ("compare", ["--lambda-grid", "1e307"]),
+    ("analyze", ["--n", "1" + "0" * 400]),  # n itself is past the float range
 ])
 def test_an_overflowing_offered_load_is_refused_before_any_build(tmp_path, capsys, command,
                                                                   flags):

@@ -2,10 +2,13 @@
 
 ``__init__.py`` is checked apart: it imports names to re-export them, so
 what it imports must be exactly what ``__all__`` lists.  The simulator's
-imports are also checked to take no transition law from the chain.
+imports are also checked to take no transition law from the chain, and
+importing the package is checked to load no thread pool.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,12 @@ def test_law_finder_sees_laws_and_modules():
 def test_simulator_imports_no_transition_law():
     # The simulator checks the closed forms, so it must not share them.
     assert law_imports((PACKAGE / "simulate.py").read_text()) == []
+
+
+def test_importing_the_package_loads_no_executor():
+    # The simulator imports its worker pool where it runs: concurrent.futures
+    # loads logging, which would add to the start of every process.
+    probe = "import sys, criotq; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=PACKAGE.parent, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

@@ -572,11 +572,13 @@ def test_budgets_are_checked_before_the_phase_worker_starts(monkeypatch):
 def test_each_replication_joins_its_one_phase_worker(monkeypatch):
     baseline = threading.active_count()
     live = []
+    ran_on = []
     path = simulate._phase_path
 
     def counted(*args):
         for chunk in path(*args):
             live.append(threading.active_count())
+            ran_on.append(threading.current_thread())
             yield chunk
 
     monkeypatch.setattr(simulate, "_phase_path", counted)
@@ -585,6 +587,9 @@ def test_each_replication_joins_its_one_phase_worker(monkeypatch):
         run_simulation(config)
     assert threading.active_count() == baseline
     assert len(live) == 4 and max(live) == baseline + 1
+    # Both chunks of a replication run on its one worker, and no worker is shared.
+    assert len(set(ran_on)) == 2 and ran_on[0] is ran_on[1] and ran_on[2] is ran_on[3]
+    assert threading.main_thread() not in ran_on
 
     # A failure on the drawing side, with the worker busy, joins it too.
     error = RuntimeError("arrival draw failed")

@@ -48,8 +48,12 @@ def _with_radii(radii):
 
 # One case per check of the sensing, policy, power and system records, each
 # breaking only that check: with the check gone, the record is accepted or
-# raises another check's message.
+# raises another check's message.  The pnp and traffic cases are integers
+# past the float range, which float() cannot take.
 _REFUSALS = {
+    "pnp-int-overflow": (lambda: PnpModel(10**400, 1.0), "pnp rates must be finite"),
+    "n-overflow": (lambda: TrafficModel(10**400, 0.001, 10, 1.0),
+                   r"offered load n \* lam \* slot_d must be finite"),
     "sensing-nan": (lambda: SensingModel(math.nan, 0.1), "sensing probabilities must be finite"),
     "sensing-inf": (lambda: SensingModel(0.9, math.inf), "sensing probabilities must be finite"),
     "p_detect-above-1": (lambda: SensingModel(1.5, 0.1), r"p_detect must lie in \[0, 1\]"),
