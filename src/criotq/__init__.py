@@ -8,8 +8,8 @@ power metrics, region searches over primary activity and traffic rate,
 and an independent event-level Monte Carlo used to validate the chain.
 """
 
-from .chain import (StateSpace, StationaryDistribution, TransitionMatrix,
-                    build_transition_matrix, enumerate_states, stationary_distribution)
+from .chain import (ChainStack, StateSpace, StationaryDistribution, build_transition_matrix,
+                    enumerate_states, stationary_distribution)
 from .errors import (CriotqError, DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError)
 from .metrics import (DepartureDistributions, PowerRequirement, QosReport,
@@ -30,12 +30,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BETA_CEIL", "BETA_FLOOR", "GENERATOR_NAME", "NUM_BATCHES",
     "SWEEP_AXES", "SWEEP_TARGETS",
-    "Action", "ActionPmf", "Constraints", "Counts", "CriotqError", "CriticalResult",
+    "Action", "ActionPmf", "ChainStack", "Constraints", "Counts", "CriotqError", "CriticalResult",
     "DegenerateDistributionError", "DepartureDistributions", "Estimates",
     "InvalidParameterError", "MetricRangeError", "NoConvergenceError", "Phase",
     "PnpModel", "PolicyModel", "PowerModel", "PowerRequirement", "QosReport",
     "SensingModel", "SimConfig", "SimResult", "SlotTransitionKernel", "StateSpace",
-    "StationaryDistribution", "SystemParams", "TrafficModel", "TransitionMatrix",
+    "StationaryDistribution", "SystemParams", "TrafficModel",
     "activity_factor", "arrival_tail",
     "build_transition_matrix", "critical_beta", "critical_lambda",
     "decision_distribution", "departure_distributions",

@@ -34,11 +34,12 @@ the action marginal sum_a d sum_b P of the full chain.  Summing the full
 balance equations over b gives nu Q = nu, and pi P = pi follows back
 from it, because pi P - pi = d (nu Q - nu) entrywise.
 
-``build_transition_matrix`` forms Q from the three factors and keeps
-them, so the dense (6K + 4)^2 matrix P is assembled only when something
-reads ``TransitionMatrix.matrix``: array products over whole
-(K+1) x (K+1) queue blocks, one per (ph, a, e, b), gathered into state
-order through ``StateSpace.cell``, which drops the two excluded states.
+``build_chains`` forms Q from the three factors and keeps them, so the
+dense (6K + 4)^2 matrix P of each point is assembled only when, and
+each time, something reads ``ChainStack.matrix``: array products over
+whole (K+1) x (K+1) queue blocks, one per (ph, a, e, b), gathered into
+state order through ``StateSpace.cell``, which drops the two excluded
+states.
 Every entry of P has the bits of the formula above evaluated cell by
 cell; the tests keep a broadcast over the full grid as the reference.
 The state space of each K is built once and shared.
@@ -64,8 +65,9 @@ runs along one point's own axes, so each point gets the bits it gets
 alone.  A stack fails as a whole: the validation and the solve raise
 for the stack, not for a chosen member; a caller that needs the error
 of the first failing point takes the points one at a time.
-``build_transition_matrix`` and ``stationary_distribution`` are the
-stacks of one point.
+``build_transition_matrix`` is the stack of one point, and
+``stationary_distribution`` and ``departure_distributions`` read such a
+stack.
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ from .errors import InvalidParameterError, NoConvergenceError
 from .params import PolicyModel, SensingModel, SystemParams
 from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_kernel, tail_rows
 
-State = tuple[int, Phase, Action]
-
-_PHASES = (Phase.OFF, Phase.ON)
-_ALL_ACTIONS = (Action.IDLE, Action.SERVE, Action.CHARGE)
 #: Flat positions of (0, OFF, Serve) and (0, ON, Serve) in the full
 #: (K+1) x 2 x 3 grid, ordered queue-major, then phase, then action.
 _EXCLUDED = (int(Action.SERVE), 3 + int(Action.SERVE))
@@ -101,8 +99,8 @@ class StateSpace:
     removed, and ``cell`` says so once: state s sits at flat position
     cell[s] = 6 queue + 3 phase + action of the (K+1) x 2 x 3 grid, and
     cell is increasing.  Grid-shaped arrays are put into state order by
-    gathering through it.  ``queue``, ``phase`` and ``action`` hold the
-    same triples as integer arrays.
+    gathering through it.  The integer arrays ``queue``, ``phase`` and
+    ``action`` are the state list: state s is (queue[s], phase[s], action[s]).
 
     Every array a build, a solve or a metric of this K reads is formed
     here once, read-only:
@@ -116,7 +114,6 @@ class StateSpace:
     """
 
     capacity_k: int
-    states: tuple[State, ...]
     cell: np.ndarray = field(compare=False, repr=False)
     queue: np.ndarray = field(compare=False, repr=False)
     phase: np.ndarray = field(compare=False, repr=False)
@@ -166,9 +163,7 @@ def _state_space(capacity_k: int) -> StateSpace:
                   empty=(levels == 0).astype(int))
     for array in arrays.values():
         array.setflags(write=False)
-    states = tuple((i, _PHASES[ph], _ALL_ACTIONS[a])
-                   for i, ph, a in zip(queue.tolist(), phase.tolist(), action.tolist()))
-    return StateSpace(capacity_k=capacity_k, states=states, **arrays)
+    return StateSpace(capacity_k=capacity_k, **arrays)
 
 
 def _check_stochastic(p: np.ndarray) -> None:
@@ -183,74 +178,30 @@ def _check_stochastic(p: np.ndarray) -> None:
         raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """The one-slot chain, held as its lumped (queue, phase) form and its factors.
-
-    Attributes:
-        lumped: the row-stochastic 2(K+1) x 2(K+1) matrix Q over
-            (queue, phase) pairs, queue-major then phase, that the
-            stationary solve works on.
-        decision: the decision law d[empty, e, b] of action b given the
-            end phase e and whether the queue is empty (0 = not empty).
-        space: the (queue, phase, action) state space of the full chain.
-        service_success: the success probability of a serving OFF slot.
-        branches: the phase branch weights w[ph, a, e, c].
-        shifts: the arrival shifts q[c, i, j].
-
-    ``matrix`` is the dense (6K + 4) x (6K + 4) matrix over
-    (queue, phase, action) triples, assembled and validated on first
-    access and then kept.
-    """
-
-    lumped: np.ndarray
-    decision: np.ndarray
-    space: StateSpace
-    service_success: float
-    branches: np.ndarray = field(repr=False)
-    shifts: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        w, q = self.branches, self.shifts
-        empty = self.space.empty
-        d = self.decision[empty].transpose(1, 2, 0)
-
-        # t[ph, a, e, b, i, j]: each product is formed as (w q) d, the same
-        # two roundings as weight * mass * decision, with the queue axes
-        # innermost.  Only a serving OFF slot that ends OFF has a departure
-        # branch; every other c = 1 weight is 0 and adds nothing.
-        t = (w[:, :, :, 0, None, None, None] * q[0]) * d[:, :, None, :]
-        t[Phase.OFF, Action.SERVE, Phase.OFF] += (
-            (w[Phase.OFF, Action.SERVE, Phase.OFF, 1] * q[1]) * d[Phase.OFF, :, None, :])
-
-        # Reorder into the (i, ph, a) x (j, e, b) grid and gather the
-        # valid states of both axes.
-        n, cell = 6 * empty.size, self.space.cell
-        p = t.transpose(4, 0, 1, 5, 2, 3).reshape(n, n)[np.ix_(cell, cell)]
-        # Signed-zero inputs (xi_charge = -0.0, say) give -0.0 products;
-        # + 0.0 stores them as the +0.0 that a sum of both branches started
-        # from 0 gives, so no bit depends on which zero branches were skipped.
-        p += 0.0
-        _check_stochastic(p[None])
-        return p
-
-
 @functools.lru_cache(maxsize=256)
 def _decision_law(sensing: SensingModel, policy: PolicyModel) -> np.ndarray:
     """dec[empty, e] = decision_distribution(e, sensing, policy, empty); 256 kept, read-only."""
-    dec = np.array([[decision_distribution(e, sensing, policy, empty) for e in _PHASES]
+    dec = np.array([[decision_distribution(e, sensing, policy, empty) for e in Phase]
                     for empty in (False, True)])
     dec.setflags(write=False)
     return dec
 
 
 class ChainStack(NamedTuple):
-    """One-slot chains of one capacity K, their arrays stacked on a leading axis.
+    """One-slot chains of one capacity K, held as their lumped form and factors.
 
-    Along axis 0, ``lumped``, ``decision``, ``branches``, ``shifts`` and
-    ``service_success`` hold the arrays and the success probability of
-    each point's TransitionMatrix.
+    Each array has a leading point axis b:
+
+    * ``lumped[b]``: the row-stochastic 2(K+1) x 2(K+1) matrix Q over
+      (queue, phase) pairs, queue-major then phase, that the stationary
+      solve works on;
+    * ``decision[b, empty, e, a]``: the decision law of action a given the
+      end phase e and whether the queue is empty (0 = not empty);
+    * ``branches[b, ph, a, e, c]``: the phase branch weights w;
+    * ``shifts[b, c, i, j]``: the arrival shifts q;
+    * ``service_success[b]``: the success probability of a serving OFF slot.
+
+    ``space`` is the (queue, phase, action) state space every point shares.
     """
 
     lumped: np.ndarray
@@ -259,6 +210,37 @@ class ChainStack(NamedTuple):
     shifts: np.ndarray
     service_success: np.ndarray
     space: StateSpace
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (B, 6K + 4, 6K + 4) matrices over (queue, phase, action) states.
+
+        Assembled and validated on each read, so a caller binds it once.
+        """
+        w, q = self.branches, self.shifts
+        empty = self.space.empty
+        d = self.decision[:, empty].transpose(0, 2, 3, 1)  # d[point, e, b, j]
+
+        # t[point, ph, a, e, b, i, j]: each product is formed as (w q) d, the
+        # same two roundings as weight * mass * decision, with the queue axes
+        # innermost.  Only a serving OFF slot that ends OFF has a departure
+        # branch; every other c = 1 weight is 0 and adds nothing.
+        t = ((w[..., 0, None, None, None] * q[:, 0, None, None, None, None])
+             * d[:, None, None, :, :, None, :])
+        t[:, Phase.OFF, Action.SERVE, Phase.OFF] += (
+            (w[:, Phase.OFF, Action.SERVE, Phase.OFF, 1, None, None, None] * q[:, 1, None])
+            * d[:, Phase.OFF, :, None, :])
+
+        # Reorder into the (i, ph, a) x (j, e, b) grid and gather the
+        # valid states of both axes.
+        n, cell = 6 * empty.size, self.space.cell
+        p = t.transpose(0, 5, 1, 2, 6, 3, 4).reshape(-1, n, n)[:, cell[:, None], cell]
+        # Signed-zero inputs (xi_charge = -0.0, say) give -0.0 products;
+        # + 0.0 stores them as the +0.0 that a sum of both branches started
+        # from 0 gives, so no bit depends on which zero branches were skipped.
+        p += 0.0
+        _check_stochastic(p)
+        return p
 
 
 def build_chains(points: Sequence[SystemParams], *, synchronized: bool = False) -> ChainStack:
@@ -269,7 +251,7 @@ def build_chains(points: Sequence[SystemParams], *, synchronized: bool = False) 
     bounded caches of ``slot_kernel``, ``arrival_pmf_row`` and
     ``_decision_law``, with no memo of their own here, so a search forms
     the factors it holds fixed once.  ``synchronized`` is as for
-    build_transition_matrix, must be a bool, and applies to every point.
+    ``build_transition_matrix``, must be a bool, and applies to every point.
     The lumped matrices are validated as one stack, which raises as a whole.
     """
     if not isinstance(synchronized, bool):
@@ -326,9 +308,8 @@ def build_chains(points: Sequence[SystemParams], *, synchronized: bool = False) 
                       service_success=succ, space=space)
 
 
-def build_transition_matrix(params: SystemParams, *,
-                            synchronized: bool = False) -> TransitionMatrix:
-    """Form the one-slot chain for the given parameters.
+def build_transition_matrix(params: SystemParams, *, synchronized: bool = False) -> ChainStack:
+    """Form the one-slot chain for the given parameters, as a stack of one point.
 
     A serving OFF slot completes its transmission with the whole-slot
     OFF persistence (a transmission survives only if no primary activity
@@ -336,17 +317,15 @@ def build_transition_matrix(params: SystemParams, *,
     the probability that the slot ends OFF: a cell whose transmissions
     fit the OFF periods exactly, which is the collision-free reference
     used by the region comparison.  No other success probability can be
-    set.  This is build_chains of the one point.
+    set.  Every array of the result keeps its point axis of length 1, so
+    its dense matrix is ``matrix[0]``.
     """
-    chains = build_chains([params], synchronized=synchronized)
-    return TransitionMatrix(lumped=chains.lumped[0], decision=chains.decision[0],
-                            space=chains.space, service_success=float(chains.service_success[0]),
-                            branches=chains.branches[0], shifts=chains.shifts[0])
+    return build_chains([params], synchronized=synchronized)
 
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Stationary row vector of a transition matrix.
+    """Stationary row vector of a one-point chain.
 
     Attributes:
         vector: probabilities in canonical state order, entries
@@ -421,8 +400,14 @@ def stationary_vectors(chains: ChainStack) -> tuple[np.ndarray, np.ndarray]:
     return nu.reshape(-1, k_cap + 1, 2, 1) * chains.decision[:, chains.space.empty], residual
 
 
-def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
-    """Solve mu = mu P for a built chain by one direct solve of its lumped matrix Q.
+def _one_point(tm: ChainStack) -> None:
+    """Raise unless tm is a stack of one point, the chain the one-point readers take."""
+    if len(tm.lumped) != 1:
+        raise InvalidParameterError(f"expected a one-point chain, got a stack of {len(tm.lumped)}")
+
+
+def stationary_distribution(tm: ChainStack) -> StationaryDistribution:
+    """Solve mu = mu P for a chain of one point by one direct solve of its lumped matrix Q.
 
     The dense solve replaces one balance equation with normalization,
     clips negative rounding noise to 0 and renormalizes; the result is
@@ -436,13 +421,11 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     which bounds the residual of mu under the full matrix.  A chain that
     admits no arrival (pmf(0) == 1, as at lam = 0) cannot leave the empty
     level, and the queue starts empty: nu is then solved on the level-0
-    block and is zero above it.  This is the one-point case of
-    ``stationary_vectors``.
+    block and is zero above it.  This is ``stationary_vectors`` of the
+    one point, gathered into state order; a stack of more points raises.
     """
-    one = ChainStack(lumped=tm.lumped[None], decision=tm.decision[None],
-                     branches=tm.branches[None], shifts=tm.shifts[None],
-                     service_success=np.array([tm.service_success]), space=tm.space)
-    grid, residual = stationary_vectors(one)
+    _one_point(tm)
+    grid, residual = stationary_vectors(tm)
     # + 0.0 turns a -0.0 product (from a -0.0 decision probability) into
     # the +0.0 a solve would give.
     return StationaryDistribution(vector=grid.reshape(-1)[tm.space.cell] + 0.0,

@@ -250,9 +250,10 @@ def cmd_analyze(args, cfg: dict, params: SystemParams) -> int:
             _write_csv(out / "stationary.csv", ["queue", "phase", "action", "probability"],
                        zip(*states, mu.vector))
         if args.emit_matrix:
-            src, dst = np.nonzero(tm.matrix)  # row-major: by source, then destination
+            matrix = tm.matrix[0]
+            src, dst = np.nonzero(matrix)  # row-major: by source, then destination
             rows = zip(*_state_columns(tm.space, src), *_state_columns(tm.space, dst),
-                       tm.matrix[src, dst])
+                       matrix[src, dst])
             _write_csv(out / "matrix.csv",
                        ["src_queue", "src_phase", "src_action",
                         "dst_queue", "dst_phase", "dst_action", "probability"], rows)

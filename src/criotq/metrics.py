@@ -23,7 +23,6 @@ interference floor by which the region searches skip points.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,11 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, TransitionMatrix,
+from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, _one_point,
                     build_chains, stationary_vectors)
 from .errors import (DegenerateDistributionError, InvalidParameterError,
                      MetricRangeError, NoConvergenceError)
-from .params import SystemParams, activity_factor
+from .params import SystemParams, _finite, activity_factor
 from .slot import Action, Phase, slot_kernel
 
 _RANGE_SLACK = 1e-9
@@ -73,17 +72,19 @@ class DepartureDistributions:
 
 
 def departure_distributions(mu: StationaryDistribution,
-                            tm: TransitionMatrix) -> DepartureDistributions:
-    """Post-departure queue law of the chain tm, whose law is mu.
+                            tm: ChainStack) -> DepartureDistributions:
+    """Post-departure queue law of the one-point chain tm, whose law is mu.
 
     A departure comes from a serving OFF state at level j = 1..K with
     tm's success probability, and leaves behind the level the chain's
     own one-departure shift q[1, j, i] gives: the slot's arrivals are
     admitted up to the buffer limit, then the served packet leaves.  So
     kappa[i] = succ sum_j pi(j, OFF, Serve) q[1, j, i], which at level
-    K - 1 takes every arrival count the full buffer turns away.
+    K - 1 takes every arrival count the full buffer turns away.  A stack
+    of more points raises.
     """
-    kappa = tm.service_success * (mu.vector[tm.space.serving] @ tm.shifts[1, 1:, :-1])
+    _one_point(tm)
+    kappa = tm.service_success[0] * (mu.vector[tm.space.serving] @ tm.shifts[0, 1, 1:, :-1])
     norm = float(kappa.sum())
     if norm <= 0.0:
         raise DegenerateDistributionError("no departure mass; distributions undefined")
@@ -202,7 +203,7 @@ class Constraints:
     def __post_init__(self):
         for name in ("max_drop", "max_interference"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+            if not (_finite(v) and 0.0 <= v <= 1.0):
                 raise InvalidParameterError(f"{name} must lie in [0, 1]")
 
 

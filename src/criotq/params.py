@@ -25,9 +25,15 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _finite(*values: float) -> bool:
+    """True when every value is a finite number.
+
+    A bool is not a number here, and neither is anything ``math.isfinite``
+    refuses: a string raises TypeError, an integer past the float range
+    OverflowError.
+    """
     try:
-        return all(math.isfinite(v) for v in values)
-    except OverflowError:  # an integer past the float range
+        return all(not isinstance(v, bool) and math.isfinite(v) for v in values)
+    except (TypeError, OverflowError):
         return False
 
 
@@ -183,12 +189,13 @@ class PowerModel:
         _require(not text and all(
             isinstance(r, numbers.Real) and not isinstance(r, bool) for r in radii),
             "node_radii must be a sequence of real numbers, not a string or bools")
+        # Checked before float(), which overflows on an integer past the float range.
+        _require(_finite(*radii), "node radii must be positive and finite")
         object.__setattr__(self, "node_radii", tuple(float(r) for r in radii))
         _require(len(self.node_radii) > 0, "node_radii must be nonempty")
-        _require(all(math.isfinite(r) and r > 0 for r in self.node_radii),
-                 "node radii must be positive and finite")
+        _require(all(r > 0 for r in self.node_radii), "node radii must be positive and finite")
         if self.charging_radius is not None:
-            _require(math.isfinite(self.charging_radius) and self.charging_radius > 0,
+            _require(_finite(self.charging_radius) and self.charging_radius > 0,
                      "charging_radius must be positive")
 
     @property

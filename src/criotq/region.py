@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import CriotqError, InvalidParameterError
 from .metrics import Constraints, QosReport, evaluate_qos, qos_reports, saturation
-from .params import PnpModel, SensingModel, SystemParams, TrafficModel
+from .params import PnpModel, SensingModel, SystemParams, TrafficModel, _finite
 
 #: Search bounds for the activity factor; open interval endpoints.
 BETA_FLOOR = 1e-6
@@ -208,7 +208,7 @@ def _prober(params: SystemParams, axis: str, constraints: Constraints, tol: floa
 
     A point _ruled_out gets None and stays out of the stack.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not (_finite(tol) and tol > 0):
         raise InvalidParameterError("tol must be finite and positive")
     at = _AXES[axis]
     def probe(xs: list[float]) -> list[QosReport | None]:

@@ -78,7 +78,7 @@ import numpy as np
 
 from .chain import StateSpace, enumerate_states
 from .errors import InvalidParameterError
-from .params import PnpModel, SystemParams, activity_factor
+from .params import PnpModel, SystemParams, _finite, activity_factor
 from .slot import Action, Phase, SlotTransitionKernel
 
 GENERATOR_NAME = "PCG64"
@@ -543,7 +543,7 @@ def run_simulation(config: SimConfig) -> SimResult:
 
 def _check_estimator(slot_d: float, trials: int, seed: int) -> None:
     """Raise unless an estimator's slot length, trial count and seed are valid."""
-    if not math.isfinite(slot_d) or slot_d < 0:
+    if not _finite(slot_d) or slot_d < 0:
         raise InvalidParameterError("slot_d must be finite and nonnegative")
     _check_count("trials", trials, 1)
     _check_count("seed", seed, 0)
@@ -603,7 +603,7 @@ def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Acti
     phase path, a Poisson arrival count capped by the free buffer, the
     head-of-line departure on a covered serving slot, and the next
     decision draw.  Returns the destination frequencies in canonical
-    state order, shaped like the analytic row ``tm.matrix[src]``.
+    state order, shaped like the analytic row ``tm.matrix[0][src]``.
     """
     tr = params.traffic
     _check_estimator(tr.slot_d, trials, seed)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .params import PnpModel, PolicyModel, SensingModel, TrafficModel
+from .params import PnpModel, PolicyModel, SensingModel, TrafficModel, _finite
 
 
 class Phase(IntEnum):
@@ -58,7 +58,7 @@ class SlotTransitionKernel:
     def __post_init__(self):
         for name in ("a00", "a01", "a10", "a11", "off_persist", "on_persist"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and -1e-12 <= v <= 1.0 + 1e-12):
+            if not (_finite(v) and -1e-12 <= v <= 1.0 + 1e-12):
                 raise InvalidParameterError(f"kernel field {name}={v} outside [0, 1]")
         if abs(self.a00 + self.a01 - 1.0) > 1e-12 or abs(self.a10 + self.a11 - 1.0) > 1e-12:
             raise InvalidParameterError("kernel rows must sum to 1")
@@ -66,16 +66,17 @@ class SlotTransitionKernel:
             raise InvalidParameterError("whole-slot persistence cannot exceed endpoint persistence")
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def slot_kernel(pnp: PnpModel, slot_d: float) -> SlotTransitionKernel:
     """Closed-form phase kernel for a slot of length ``slot_d``.
 
     Uses expm1 so the switch probabilities stay accurate for tiny slots.
     ``slot_d`` may be 0 (degenerate slot, identity kernel); negative
     values raise.  The last 256 kernels are kept, so a search that moves
-    only the traffic computes its kernel once.
+    only the traffic computes its kernel once; they are keyed by type as
+    well, so True is refused rather than found as the kernel of 1.
     """
-    if not math.isfinite(slot_d) or slot_d < 0:
+    if not _finite(slot_d) or slot_d < 0:
         raise InvalidParameterError("slot_d must be finite and nonnegative")
     rate = pnp.mu_on + pnp.mu_off
     growth = -math.expm1(-rate * slot_d)  # 1 - exp(-rate * d), no cancellation

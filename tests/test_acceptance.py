@@ -100,8 +100,10 @@ def test_criterion_02_transition_rows_monte_carlo(anchor):
     t0 = time.perf_counter()
     worst = 0.0
     retried = 0
-    for row_idx, src in enumerate(tm.space.states):
-        p_row = tm.matrix[row_idx]
+    matrix, space = tm.matrix[0], tm.space
+    sources = zip(space.queue.tolist(), space.phase.tolist(), space.action.tolist())
+    for row_idx, src in enumerate(sources):
+        p_row = matrix[row_idx]
         assert abs(p_row.sum() - 1.0) <= 1e-10, f"analytic row {src} sum"
         accepted = None
         for attempt in range(MAX_SEED_ATTEMPTS):
@@ -126,7 +128,7 @@ def test_criterion_02_transition_rows_monte_carlo(anchor):
 def test_criterion_03_stationary_matches_long_run(anchor, big_run):
     params, tm, mu = anchor
     tv = 0.5 * float(np.abs(big_run.slot_state_histogram - mu.vector).sum())
-    on_mass = sum(p for p, s in zip(mu.vector, tm.space.states) if s[1] == Phase.ON)
+    on_mass = sum(p for p, phi in zip(mu.vector, tm.space.phase) if phi == Phase.ON)
     beta_err = abs(on_mass - activity_factor(params.pnp))
     ok = tv <= 0.01 and beta_err <= 1e-8
     _verdict(3, ok, f"TV(analytic, {big_run.horizon_slots}-slot empirical)={tv:.4f} "
@@ -297,7 +299,7 @@ def test_criterion_09_boundary_cases(baseline_params):
 
     tm0 = build_transition_matrix(_with_lambda(baseline_params, 0.0))
     mu0 = stationary_distribution(tm0)
-    empty = sum(p for p, s in zip(mu0.vector, tm0.space.states) if s[0] == 0)
+    empty = sum(p for p, i in zip(mu0.vector, tm0.space.queue) if i == 0)
     ok_empty = abs(empty - 1.0) <= tol
 
     ok = ok_sat and ok_pd and ok_empty

@@ -63,7 +63,7 @@ def literal_transition_matrix(params, service_success=None):
 
     space = enumerate_states(cap)
     mat = np.zeros((space.size, space.size))
-    for src, (i, phi, psi) in enumerate(space.states):
+    for src, (i, phi, psi) in enumerate(zip(space.queue, space.phase, space.action)):
         serving = i >= 1 and phi == 0 and psi == 1
         if serving:
             branches = [(f_off, 0, 1), (alpha[0][0] - f_off, 0, 0), (alpha[0][1], 1, 0)]
@@ -122,24 +122,36 @@ def full_grid_transition_matrix(params, service_success=None):
     return full.reshape(n, n)[np.ix_(keep, keep)]
 
 
+def _listed_states(k):
+    """The documented state order, written out: queue-major, then phase, then action."""
+    return [(i, ph, a) for i in range(k + 1) for ph in (0, 1) for a in (0, 1, 2)
+            if not (i == 0 and a == int(Action.SERVE))]
+
+
+def _states(space):
+    """The (queue, phase, action) triples of a state space, in state order, as ints."""
+    return list(zip(space.queue.tolist(), space.phase.tolist(), space.action.tolist()))
+
+
 def test_enumerate_sizes_and_order():
     small = enumerate_states(1)
     assert small.size == 10
     big = enumerate_states(10)
     assert big.size == 64
     # Empty-queue block first: serving is impossible with nothing queued.
-    assert big.states[:4] == ((0, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 2))
-    assert big.states[4] == (1, 0, 0)
-    for st in big.states:
+    states = _states(big)
+    assert states[:4] == [(0, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 2)]
+    assert states[4] == (1, 0, 0)
+    for st in states:
         assert not (st[0] == 0 and st[2] == int(Action.SERVE))
 
 
 def test_index_round_trip():
     for k in (1, 5, 40):
         space = enumerate_states(k)
-        for idx, (i, phi, psi) in enumerate(space.states):
+        assert _states(space) == _listed_states(k)
+        for idx, (i, phi, psi) in enumerate(_listed_states(k)):
             assert space.index(i, phi, psi) == idx
-            assert space.states[idx] == (i, phi, psi)
             assert (space.queue[idx], space.phase[idx], space.action[idx]) == (i, phi, psi)
             assert space.cell[idx] == 6 * i + 3 * phi + psi
         # cell is the full (K+1) x 2 x 3 grid order without the two
@@ -153,9 +165,8 @@ def test_index_round_trip():
 @pytest.mark.parametrize("k", [1, 2, 20])
 def test_state_space_masks_and_level_arrays(k):
     space = enumerate_states(k)
-    states = space.states
     assert space.serving.tolist() == [ph == Phase.OFF and a == Action.SERVE
-                                      for _, ph, a in states]
+                                      for _, ph, a in _states(space)]
     # One serving state per level 1..K, in level order.
     assert space.queue[space.serving].tolist() == list(range(1, k + 1))
     levels = range(k + 1)
@@ -226,8 +237,8 @@ def test_builder_agrees_with_literal_construction():
                 xi=float(rng.uniform(0.0, 1.0)))
             space, want = literal_transition_matrix(params)
             tm = build_transition_matrix(params)
-            assert tm.space.states == space.states
-            assert np.max(np.abs(tm.matrix - want)) <= 1e-12
+            assert np.array_equal(tm.space.cell, space.cell)
+            assert np.max(np.abs(tm.matrix[0] - want)) <= 1e-12
             mu = stationary_distribution(tm)
             mu2 = dense_law(want)
             assert np.max(np.abs(mu.vector - mu2.vector)) <= 1e-9
@@ -235,7 +246,7 @@ def test_builder_agrees_with_literal_construction():
             a00 = slot_kernel(params.pnp, params.traffic.slot_d).a00
             _, want_sync = literal_transition_matrix(params, service_success=a00)
             sync = build_transition_matrix(params, synchronized=True)
-            assert np.max(np.abs(sync.matrix - want_sync)) <= 1e-12
+            assert np.max(np.abs(sync.matrix[0] - want_sync)) <= 1e-12
 
 
 def test_builder_matches_full_grid_broadcast_bit_for_bit():
@@ -256,7 +267,7 @@ def test_builder_matches_full_grid_broadcast_bit_for_bit():
     for params in cells:
         a00 = slot_kernel(params.pnp, params.traffic.slot_d).a00
         for synchronized, succ in ((False, None), (True, a00)):
-            got = build_transition_matrix(params, synchronized=synchronized).matrix
+            got = build_transition_matrix(params, synchronized=synchronized).matrix[0]
             want = full_grid_transition_matrix(params, service_success=succ)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -300,22 +311,23 @@ def _action_marginal(tm):
     pair = 2 * space.queue + space.phase
     onto_pairs = np.zeros((space.size, 2 * (space.capacity_k + 1)))
     onto_pairs[np.arange(space.size), pair] = 1.0
-    d = tm.decision[(space.queue == 0).astype(int), space.phase, space.action]
-    return onto_pairs.T @ (d[:, None] * (tm.matrix @ onto_pairs))
+    d = tm.decision[0][(space.queue == 0).astype(int), space.phase, space.action]
+    return onto_pairs.T @ (d[:, None] * (tm.matrix[0] @ onto_pairs))
 
 
 def test_lumped_chain_is_the_action_marginal_of_the_full_chain():
     rng = np.random.default_rng(70411)
     for params, synchronized in _random_cells(rng, 320):
         tm = build_transition_matrix(params, synchronized=synchronized)
-        assert np.max(np.abs(tm.lumped - _action_marginal(tm))) <= 1e-15
+        assert np.max(np.abs(tm.lumped[0] - _action_marginal(tm))) <= 1e-15
         mu = stationary_distribution(tm)
-        dense = dense_law(tm.matrix)
+        matrix = tm.matrix[0]
+        dense = dense_law(matrix)
         assert np.max(np.abs(mu.vector - dense.vector)) <= 1e-12
         # pi P - pi = d (nu Q - nu) entrywise, so the lumped residual bounds
         # the full one.  The full residual is formed in extended precision:
         # in doubles its own rounding reaches an ulp of the largest mass.
-        pi, p = mu.vector.astype(np.longdouble), tm.matrix.astype(np.longdouble)
+        pi, p = mu.vector.astype(np.longdouble), matrix.astype(np.longdouble)
         assert np.max(np.abs(pi @ p - pi)) <= mu.residual + 1e-16
 
 
@@ -352,7 +364,7 @@ def test_clipped_direct_answer_matches_oracle():
                          xi=0.6560209460814055)
     tm = build_transition_matrix(params)
     mu = stationary_distribution(tm)
-    want = np.array([float(x) for x in _oracle_stationary(tm.lumped, exact_rows=True)])
+    want = np.array([float(x) for x in _oracle_stationary(tm.lumped[0], exact_rows=True)])
     nu = np.bincount(2 * tm.space.queue + tm.space.phase, weights=mu.vector)
     assert np.max(np.abs(nu - want)) <= 1e-13
 
@@ -388,7 +400,7 @@ def test_lumped_solve_matches_high_precision_oracle(kw):
     params = make_params(**kw)
     tm = build_transition_matrix(params)
     mu = stationary_distribution(tm)
-    want = _oracle_stationary(tm.matrix)
+    want = _oracle_stationary(tm.matrix[0])
     with mpmath.workdps(50):
         for got, exact in zip(mu.vector, want):
             assert exact > 0
@@ -396,7 +408,7 @@ def test_lumped_solve_matches_high_precision_oracle(kw):
         serving = np.flatnonzero((tm.space.phase == Phase.OFF)
                                  & (tm.space.action == Action.SERVE))
         rho = params.traffic.mean_arrivals_per_slot
-        p_b = 1 - mpmath.mpf(tm.service_success) * mpmath.fsum(
+        p_b = 1 - mpmath.mpf(tm.service_success[0]) * mpmath.fsum(
             want[s] for s in serving) / mpmath.mpf(rho)
         assert abs(evaluate_qos(params).drop_prob - p_b) <= 4e-15
 
@@ -409,7 +421,7 @@ def test_frozen_entry_serve_success_then_charge(baseline_params):
     dst = tm.space.index(0, int(Phase.OFF), int(Action.CHARGE))
     want = math.exp(-1.0) * math.exp(-0.02) * 0.36
     assert want == pytest.approx(0.1298141784623082, abs=1e-15)
-    assert tm.matrix[src, dst] == pytest.approx(want, abs=1e-14)
+    assert tm.matrix[0][src, dst] == pytest.approx(want, abs=1e-14)
 
 
 def test_rows_stochastic_across_parameter_sweep():
@@ -425,18 +437,19 @@ def test_rows_stochastic_across_parameter_sweep():
                 p_false_alarm=float(rng.uniform(0.0, 1.0)),
                 theta=float(rng.uniform(0.0, 1.0)),
                 xi=float(rng.uniform(0.0, 1.0)))
-            tm = build_transition_matrix(params)
-            sums = tm.matrix.sum(axis=1)
+            matrix = build_transition_matrix(params).matrix[0]
+            sums = matrix.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-10
-            assert tm.matrix.min() >= 0.0
+            assert matrix.min() >= 0.0
 
 
 def test_queue_never_drops_by_more_than_one():
     tm = build_transition_matrix(make_params(lam=0.05, capacity_k=6))
-    for src, (i, _, _) in enumerate(tm.space.states):
-        for dst, (j, _, _) in enumerate(tm.space.states):
+    matrix = tm.matrix[0]
+    for src, i in enumerate(tm.space.queue):
+        for dst, j in enumerate(tm.space.queue):
             if j < i - 1:
-                assert tm.matrix[src, dst] == 0.0
+                assert matrix[src, dst] == 0.0
 
 
 def test_service_success_override():
@@ -446,23 +459,24 @@ def test_service_success_override():
     # With success mass equal to the whole OFF->OFF weight there is no
     # interrupted branch, so a serving full buffer can never stay full.
     tm = build_transition_matrix(params, synchronized=True)
-    assert tm.service_success == kernel.a00
+    assert tm.service_success[0] == kernel.a00
     src = tm.space.index(cap, 0, int(Action.SERVE))
     dst = tm.space.index(cap, 0, int(Action.IDLE))
-    assert tm.matrix[src, dst] == 0.0
+    assert tm.matrix[0][src, dst] == 0.0
     full = build_transition_matrix(params)
-    assert full.service_success == kernel.off_persist
-    assert full.matrix[src, dst] > 0.0
+    assert full.service_success[0] == kernel.off_persist
+    assert full.matrix[0][src, dst] > 0.0
 
 
 def test_capacity_one_serving_row_is_stochastic():
     # Smallest buffer: the success branch collapses to a single tail column.
     params = make_params(capacity_k=1, lam=0.2)
     tm = build_transition_matrix(params)
+    matrix = tm.matrix[0]
     space, want = literal_transition_matrix(params)
-    assert np.max(np.abs(tm.matrix - want)) <= 1e-12
+    assert np.max(np.abs(matrix - want)) <= 1e-12
     src = tm.space.index(1, 0, int(Action.SERVE))
-    assert tm.matrix[src].sum() == pytest.approx(1.0, abs=1e-12)
+    assert matrix[src].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stationary_two_state_swap():
@@ -528,6 +542,28 @@ def test_build_chains_rejects_an_empty_or_mixed_capacity_stack():
         build_chains([make_params(capacity_k=10), make_params(capacity_k=11)])
 
 
+@pytest.mark.parametrize("synchronized", [False, True])
+def test_a_stack_matrix_is_each_points_own_matrix_bit_for_bit(synchronized):
+    # A closed level (lam = 0), the default point and -0.0 policy coins.
+    points = [make_params(lam=0.0), make_params(), make_params(xi=-0.0, theta=-0.0)]
+    stack = build_chains(points, synchronized=synchronized)
+    matrix = stack.matrix
+    n = enumerate_states(10).size
+    assert matrix.shape == (3, n, n)
+    for b, params in enumerate(points):
+        alone = build_transition_matrix(params, synchronized=synchronized)
+        assert alone.matrix.shape == (1, n, n)
+        assert matrix[b].tobytes() == alone.matrix[0].tobytes()
+        for name in ("lumped", "decision", "branches", "shifts", "service_success"):
+            assert getattr(alone, name).tobytes() == getattr(stack, name)[b:b + 1].tobytes()
+        assert alone.space is stack.space
+
+
+def test_stationary_distribution_refuses_a_stack_of_two():
+    with pytest.raises(InvalidParameterError, match="expected a one-point chain, got a stack of 2"):
+        stationary_distribution(build_chains([make_params(), make_params(lam=0.01)]))
+
+
 def test_stack_past_the_residual_bound_raises_with_its_first_such_residual(monkeypatch):
     chains = build_chains([make_params(lam=lam, capacity_k=40) for lam in (5e-4, 1e-3, 2e-3)])
     _, residual = stationary_vectors(chains)
@@ -551,14 +587,14 @@ def test_no_convergence_error_carries_residual():
 def test_stationary_phase_marginal_is_activity_factor(baseline_params):
     tm = build_transition_matrix(baseline_params)
     mu = stationary_distribution(tm)
-    on_mass = sum(mu.vector[idx] for idx, (_, phi, _) in enumerate(tm.space.states)
+    on_mass = sum(mu.vector[idx] for idx, phi in enumerate(tm.space.phase)
                   if phi == int(Phase.ON))
     assert on_mass == pytest.approx(0.5, abs=1e-8)
 
     tilted = make_params(mu_on=0.7, mu_off=0.3)
     tm2 = build_transition_matrix(tilted)
     mu2 = stationary_distribution(tm2)
-    on2 = sum(mu2.vector[idx] for idx, (_, phi, _) in enumerate(tm2.space.states)
+    on2 = sum(mu2.vector[idx] for idx, phi in enumerate(tm2.space.phase)
               if phi == int(Phase.ON))
     assert on2 == pytest.approx(activity_factor(tilted.pnp), abs=1e-8)
 
@@ -586,7 +622,7 @@ def test_stationary_no_arrivals_keeps_queue_empty(params):
 def test_stationary_always_idle_policy_solves():
     tm = build_transition_matrix(make_params(theta=1.0, lam=0.05))
     mu = stationary_distribution(tm)
-    idle_mass = sum(mu.vector[idx] for idx, (_, _, psi) in enumerate(tm.space.states)
+    idle_mass = sum(mu.vector[idx] for idx, psi in enumerate(tm.space.action)
                     if psi == int(Action.IDLE))
     assert idle_mass == pytest.approx(1.0, abs=1e-10)
     assert mu.residual <= 1e-10
@@ -596,7 +632,8 @@ def test_stationary_certain_false_alarm_solves():
     tm = build_transition_matrix(make_params(p_false_alarm=1.0, lam=0.05))
     mu = stationary_distribution(tm)
     assert mu.residual <= 1e-10
-    served = sum(mu.vector[idx] for idx, (_, phi, psi) in enumerate(tm.space.states)
+    served = sum(mu.vector[idx]
+                 for idx, (phi, psi) in enumerate(zip(tm.space.phase, tm.space.action))
                  if phi == int(Phase.OFF) and psi == int(Action.SERVE))
     assert served <= 1e-12
 
@@ -605,7 +642,7 @@ def test_stationary_vector_indexed_through_space(baseline_params):
     tm = build_transition_matrix(baseline_params)
     mu = stationary_distribution(tm)
     total = 0.0
-    for i, phi, psi in tm.space.states:
+    for i, phi, psi in zip(tm.space.queue, tm.space.phase, tm.space.action):
         total += mu.vector[tm.space.index(i, phi, psi)]
     assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -91,7 +91,8 @@ def test_departure_distributions_basics():
                 return arrival_tail(traffic, k_cap - j)
             return pmf[i + 1 - j]
 
-        want = [tm.service_success * sum(serving[j - 1] * weight(i, j) for j in range(1, i + 2))
+        want = [tm.service_success[0] * sum(serving[j - 1] * weight(i, j)
+                                            for j in range(1, i + 2))
                 for i in range(k_cap)]
         assert dd.kappa == pytest.approx(want, rel=1e-12)
         # Every completed service is one departure.
@@ -108,6 +109,12 @@ def test_departure_distributions_degenerate():
         departure_distributions(mu, tm)
 
 
+def test_departure_distributions_refuse_a_stack_of_two():
+    tm, mu = solve(make_params())
+    with pytest.raises(InvalidParameterError, match="expected a one-point chain, got a stack of 2"):
+        departure_distributions(mu, build_chains([make_params(), make_params(lam=0.01)]))
+
+
 def test_evaluate_qos_wait_identities(baseline_params):
     # Both waits are those of an admitted packet at rate lam_eff =
     # n lam (1 - P_B); a saturated point, with lam_eff = 0, has none
@@ -121,7 +128,7 @@ def test_evaluate_qos_wait_identities(baseline_params):
     assert r.wait_inverse_rate == pytest.approx(want, rel=1e-12)
     assert r.wait_inverse_rate == pytest.approx(50.0, rel=1e-4)
     # Little's law on the mean slot-start queue length.
-    mean_q = sum(i * mu.vector[idx] for idx, (i, _, _) in enumerate(tm.space.states))
+    mean_q = sum(i * mu.vector[idx] for idx, i in enumerate(tm.space.queue))
     assert r.wait_slot_avg == pytest.approx(mean_q / (lam_agg * (1.0 - p_b)), rel=1e-12)
     assert 10.0 < r.wait_slot_avg < 40.0
 
@@ -134,7 +141,8 @@ def test_interference_zero_under_perfect_detection():
 def test_interference_positive_at_baseline(baseline_params):
     tm, mu = solve(baseline_params)
     p_i = evaluate_qos(baseline_params).interference_prob
-    transmitting_on = sum(mu.vector[idx] for idx, (_, phi, psi) in enumerate(tm.space.states)
+    transmitting_on = sum(mu.vector[idx]
+                          for idx, (phi, psi) in enumerate(zip(tm.space.phase, tm.space.action))
                           if phi == Phase.ON and psi != Action.IDLE)
     assert p_i == pytest.approx(transmitting_on, rel=1e-12)
     # Acting on a missed detection needs the ON mass, a miss, and an
@@ -435,12 +443,13 @@ def test_report_sums_are_the_state_order_running_sums_bit_for_bit(params):
     # the sign of a zero.
     tm = build_transition_matrix(params)
     pi = stationary_distribution(tm).vector
-    states = tm.space.states
+    states = list(zip(tm.space.queue.tolist(), tm.space.phase.tolist(),
+                      tm.space.action.tolist()))
 
     def total(keep):
         return float(np.cumsum(pi[[keep(ph, a) for _, ph, a in states]])[-1])
 
-    carried = _clamped(tm.service_success
+    carried = _clamped(float(tm.service_success[0])
                        * total(lambda ph, a: ph == Phase.OFF and a == Action.SERVE))
     queue = float(np.cumsum(np.array([i for i, _, _ in states]) * pi)[-1])
     drop = 0.0 if queue == 0.0 else 1.0 - carried / params.traffic.mean_arrivals_per_slot

@@ -333,6 +333,14 @@ def test_constraints_validation():
         Constraints(max_drop=0.1, max_interference=1.5)
 
 
+@pytest.mark.parametrize("bad", [True, "0.1", 10**400], ids=["bool", "string", "int-overflow"])
+def test_constraints_refuse_what_is_not_a_finite_number(bad):
+    with pytest.raises(InvalidParameterError, match=r"max_drop must lie in \[0, 1\]"):
+        Constraints(bad, 0.1)
+    with pytest.raises(InvalidParameterError, match=r"max_interference must lie in \[0, 1\]"):
+        Constraints(0.1, bad)
+
+
 def test_feasibility_check_baseline(baseline_params):
     ok, report = feasibility_check(baseline_params, ANCHOR_CONSTRAINTS)
     assert ok is True
@@ -375,7 +383,8 @@ def test_critical_beta_baseline_bracket(baseline_params):
 
 
 @pytest.mark.parametrize("search", [critical_beta, critical_lambda])
-@pytest.mark.parametrize("tol", [math.nan, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, True, "1e-3",
+                                 pytest.param(10**400, id="int-overflow")])
 def test_searches_reject_a_non_finite_tolerance(baseline_params, search, tol):
     with pytest.raises(InvalidParameterError, match="tol must be finite and positive"):
         search(baseline_params, ANCHOR_CONSTRAINTS, tol)
@@ -635,7 +644,7 @@ def test_synchronized_baseline_is_its_perfect_sensing_point_with_the_a00_overrid
         baseline_params):
     sync = replace(baseline_params, sensing=SensingModel(p_detect=1.0, p_false_alarm=0.0))
     a00 = slot_kernel(sync.pnp, sync.traffic.slot_d).a00
-    assert build_transition_matrix(sync, synchronized=True).service_success == a00
+    assert build_transition_matrix(sync, synchronized=True).service_success[0] == a00
     want = qos_reports([sync], None, synchronized=True)[0]
     assert repr(synchronized_baseline(baseline_params)) == repr(want)
 

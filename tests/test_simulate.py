@@ -258,7 +258,7 @@ def test_array_simulator_matches_literal_loop_as_the_queue_fills_and_drains(lam)
     params = make_params(lam=lam)
     _assert_matches_literal(params, 20_000, 0, seed=61, rep_index=0)
     hist = _simulate_one(params, 20_000, 0, 61, 0).hist
-    levels = [j for j, _, _ in enumerate_states(params.traffic.capacity_k).states]
+    levels = enumerate_states(params.traffic.capacity_k).queue.tolist()
     seen = {j for j, n in zip(levels, hist) if n}
     assert {0, params.traffic.capacity_k} <= seen
 
@@ -365,7 +365,7 @@ def test_phase_occupancy_matches_activity_factor():
     res = run_simulation(SimConfig(params=params, horizon_slots=150_000, seed=31217))
     beta = activity_factor(PnpModel(**pnp_kwargs))
     on_mass = sum(res.slot_state_histogram[idx]
-                  for idx, (_, phi, _) in enumerate(res.space.states)
+                  for idx, phi in enumerate(res.space.phase)
                   if phi == int(Phase.ON))
     assert on_mass == pytest.approx(beta, abs=0.01)
 
@@ -486,6 +486,10 @@ _BAD_ESTIMATOR_INPUTS = {
     "kernel-negative-slot": (lambda: _kernel(slot_d=-1.0), "slot_d must be finite and nonnegative"),
     "kernel-nan-slot": (lambda: _kernel(slot_d=math.nan), "slot_d must be finite and nonnegative"),
     "kernel-inf-slot": (lambda: _kernel(slot_d=math.inf), "slot_d must be finite and nonnegative"),
+    "kernel-bool-slot": (lambda: _kernel(slot_d=True), "slot_d must be finite and nonnegative"),
+    "kernel-string-slot": (lambda: _kernel(slot_d="1"), "slot_d must be finite and nonnegative"),
+    "kernel-int-overflow-slot": (lambda: _kernel(slot_d=10**400),
+                                 "slot_d must be finite and nonnegative"),
     "kernel-fractional-trials": (lambda: _kernel(trials=2.5), "trials must be an integer, got 2.5"),
     "kernel-bool-trials": (lambda: _kernel(trials=True), "trials must be an integer, got True"),
     "kernel-negative-seed": (lambda: _kernel(seed=-1), "seed must be >= 0"),
@@ -645,7 +649,7 @@ def test_transition_row_without_arrivals_stays_put():
     params = make_params(lam=0.0)
     est = estimate_transition_row(params, (2, Phase.OFF, Action.IDLE),
                                   trials=20_000, seed=11)
-    for idx, (j, _, _) in enumerate(enumerate_states(params.traffic.capacity_k).states):
+    for idx, j in enumerate(enumerate_states(params.traffic.capacity_k).queue):
         if j != 2:
             assert est[idx] == 0.0
     assert est.sum() == pytest.approx(1.0, abs=1e-12)
@@ -656,7 +660,7 @@ def test_transition_row_collided_serve_never_clears():
     params = make_params(lam=0.0)
     est = estimate_transition_row(params, (2, Phase.ON, Action.SERVE),
                                   trials=20_000, seed=12)
-    for idx, (j, _, _) in enumerate(enumerate_states(params.traffic.capacity_k).states):
+    for idx, j in enumerate(enumerate_states(params.traffic.capacity_k).queue):
         if j < 2:
             assert est[idx] == 0.0
 
@@ -664,13 +668,15 @@ def test_transition_row_collided_serve_never_clears():
 def test_transition_row_matches_analytic_row():
     params = make_params(lam=0.05)
     tm = build_transition_matrix(params)
-    src = tm.space.index(1, int(Phase.OFF), int(Action.SERVE))
+    matrix, space = tm.matrix[0], tm.space
+    src = space.index(1, int(Phase.OFF), int(Action.SERVE))
     trials = 300_000
     est = estimate_transition_row(params, (1, Phase.OFF, Action.SERVE),
                                   trials=trials, seed=260801)
-    for dst in range(tm.space.size):
-        p = tm.matrix[src, dst]
+    for dst in range(space.size):
+        p = matrix[src, dst]
         # Count-space bound: 4 sigma plus discreteness slack so cells with
         # expected counts near zero admit a stray hit or two.
         tol_counts = 4.0 * math.sqrt(trials * p * (1.0 - p)) + 5.0
-        assert abs(est[dst] - p) * trials <= tol_counts, tm.space.states[dst]
+        assert abs(est[dst] - p) * trials <= tol_counts, (
+            space.queue[dst], space.phase[dst], space.action[dst])

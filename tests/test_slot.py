@@ -52,19 +52,27 @@ def _with_radii(radii):
 # past the float range, which float() cannot take.
 _REFUSALS = {
     "pnp-int-overflow": (lambda: PnpModel(10**400, 1.0), "pnp rates must be finite"),
+    "pnp-bool": (lambda: PnpModel(True, 1.0), "pnp rates must be finite"),
+    "pnp-string": (lambda: PnpModel("1", 1.0), "pnp rates must be finite"),
+    "lam-bool": (lambda: TrafficModel(2, True, 3, 1.0), "traffic parameters must be finite"),
+    "slot_d-string": (lambda: TrafficModel(2, 0.001, 3, "1"), "traffic parameters must be finite"),
     "n-overflow": (lambda: TrafficModel(10**400, 0.001, 10, 1.0),
                    r"offered load n \* lam \* slot_d must be finite"),
     "sensing-nan": (lambda: SensingModel(math.nan, 0.1), "sensing probabilities must be finite"),
     "sensing-inf": (lambda: SensingModel(0.9, math.inf), "sensing probabilities must be finite"),
+    "sensing-bool": (lambda: SensingModel(True, False), "sensing probabilities must be finite"),
     "p_detect-above-1": (lambda: SensingModel(1.5, 0.1), r"p_detect must lie in \[0, 1\]"),
     "p_detect-negative": (lambda: SensingModel(-0.1, 0.1), r"p_detect must lie in \[0, 1\]"),
     "p_false_alarm-above-1": (lambda: SensingModel(0.9, 1.1),
                               r"p_false_alarm must lie in \[0, 1\]"),
     "policy-nan": (lambda: PolicyModel(math.nan, 0.5), "policy probabilities must be finite"),
+    "policy-bool": (lambda: PolicyModel(False, True), "policy probabilities must be finite"),
     "theta_idle-above-1": (lambda: PolicyModel(1.5, 0.5), r"theta_idle must lie in \[0, 1\]"),
     "xi_charge-negative": (lambda: PolicyModel(0.2, -0.5), r"xi_charge must lie in \[0, 1\]"),
     "power-nan": (lambda: _power(p_charge_min=math.nan), "power parameters must be finite"),
     "power-inf": (lambda: _power(p_max=math.inf), "power parameters must be finite"),
+    "power-bool": (lambda: _power(p_max=True), "power parameters must be finite"),
+    "power-string": (lambda: _power(energy_per_packet="4e-4"), "power parameters must be finite"),
     "p_charge_min-zero": (lambda: _power(p_charge_min=0.0), "p_charge_min must be positive"),
     "p_max-negative": (lambda: _power(p_max=-1.0), "p_max must be positive"),
     "energy_per_packet-zero": (lambda: _power(energy_per_packet=0.0),
@@ -82,10 +90,18 @@ _REFUSALS = {
     "radii-empty": (lambda: _power(node_radii=()), "node_radii must be nonempty"),
     "radius-zero": (lambda: _power(node_radii=(1.0, 0.0)), "node radii must be positive and finite"),
     "radius-inf": (lambda: _power(node_radii=(math.inf,)), "node radii must be positive and finite"),
+    "radius-int-overflow": (lambda: _power(node_radii=(1.0, 10**400)),
+                            "node radii must be positive and finite"),
     "charging_radius-zero": (lambda: _power(charging_radius=0.0),
                              "charging_radius must be positive"),
     "charging_radius-nan": (lambda: _power(charging_radius=math.nan),
                             "charging_radius must be positive"),
+    "charging_radius-bool": (lambda: _power(charging_radius=True),
+                             "charging_radius must be positive"),
+    "charging_radius-string": (lambda: _power(charging_radius="5"),
+                               "charging_radius must be positive"),
+    "charging_radius-int-overflow": (lambda: _power(charging_radius=10**400),
+                                     "charging_radius must be positive"),
     "node-count": (lambda: _with_radii((1.0, 2.0)), "node_radii length must equal the node count n"),
     "node-count-string": (lambda: _with_radii("123"), "node_radii must be a sequence of real"),
 }
@@ -186,6 +202,16 @@ def test_kernel_rejects_negative_slot():
         slot_kernel(PnpModel(1.0, 1.0), -0.5)
 
 
+@pytest.mark.parametrize("slot_d", [True, "1.0", 10**400], ids=["bool", "string", "int-overflow"])
+def test_kernel_refuses_a_slot_that_is_not_a_finite_number(slot_d):
+    # The kernel of slot_d = 1 is cached first: True equals 1 and hashes
+    # like it, and must still be refused rather than found.
+    pnp = PnpModel(1.0, 1.0)
+    slot_kernel(pnp, 1)
+    with pytest.raises(InvalidParameterError, match="slot_d must be finite and nonnegative"):
+        slot_kernel(pnp, slot_d)
+
+
 def test_kernel_rows_stochastic_and_persistence_bounded():
     rng = np.random.default_rng(7021)
     for _ in range(1000):
@@ -281,7 +307,7 @@ def test_built_tail_column_is_the_running_sum_loop_bit_for_bit(lam, floored):
     params = make_params(capacity_k=k_cap, lam=lam)
     mean = params.traffic.mean_arrivals_per_slot
     tails = _tails_by_loop([_pmf_per_k(mean, k) for k in range(k_cap + 1)])
-    column = build_transition_matrix(params).shifts[0, :, k_cap]
+    column = build_transition_matrix(params).shifts[0, 0, :, k_cap]
     assert [x.hex() for x in column] == [tails[k_cap - i].hex() for i in range(k_cap + 1)]
     assert bool(np.any(column == 0.0)) == floored
 def test_arrival_pmf_edge_cases():
