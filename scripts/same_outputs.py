@@ -19,7 +19,9 @@ Under OUT it writes:
   saturated simulate that drops most arrivals, a sweep with --tol and
   --beta, two sweeps whose searches skip points a chain-free floor rules
   out, a lambda_c sweep with a search infeasible
-  at its floor, an analyze of the default config without its
+  at its floor, a beta_c sweep whose pre-scan stack is singular, a
+  lambda_c sweep whose doubling stacks fail at a speculative end, an
+  analyze of the default config without its
   constraints section, an analyze whose offered load overflows, an
   analyze whose policy never serves, an analyze and a sweep with
   -0.0 policy coins, and a simulate whose config misspells a sim key),
@@ -119,6 +121,17 @@ COMMANDS = [
     ("sweep-lambda_c-infeasible-at-floor",
      ["sweep", "--config", "configs/default.json", "--axis", "detection", "--target", "lambda_c",
       "--grid", "0.1,0.9"]),
+    # Failing stacks, each replayed one point at a time over the points its
+    # search needs: a pre-scan whose every point is singular (the phase
+    # never moves and nothing arrives), and doubling stacks at K=1 whose
+    # speculative ends meet the cancelling tail column while the first
+    # end does not, until the first end 4e-18 fails too.
+    ("sweep-beta_c-singular",
+     ["sweep", "--config", "configs/region_detection.json", "--mu-on", "1e-300",
+      "--mu-off", "1e-300", "--slot-d", "1e-300", "--lambda", "0", "--grid", "0.9"]),
+    ("sweep-lambda_c-k1-speculative-failure",
+     ["sweep", "--config", "configs/default.json", "--axis", "detection", "--target", "lambda_c",
+      "--grid", "0.9", "--capacity-k", "1", "--lambda", "1e-18"]),
     ("analyze-no-constraints", ["analyze", "--config", f"{{inputs}}/{NO_CONSTRAINTS}"]),
     ("analyze-overflowing-load",
      ["analyze", "--config", "configs/default.json", "--lambda", "1e307"]),

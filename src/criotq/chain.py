@@ -80,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, NoConvergenceError
-from .params import PolicyModel, SensingModel, SystemParams
+from .params import PolicyModel, SensingModel, SystemParams, _is_int, _is_integral
 from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_kernel, tail_rows
 
 #: Flat positions of (0, OFF, Serve) and (0, ON, Serve) in the full
@@ -132,8 +132,7 @@ class StateSpace:
         """Position of a state triple; each coordinate an int or numpy integer, not a bool."""
         for name, value, top in (("queue", queue, self.capacity_k), ("phase", phase, 1),
                                  ("action", action, 2)):
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or not 0 <= value <= top):
+            if not (_is_integral(value) and 0 <= value <= top):
                 raise InvalidParameterError(f"{name} {value!r} is not an integer in 0..{top}")
         if queue == 0 and action == Action.SERVE:
             raise InvalidParameterError("state (0, phase, Serve) is excluded")
@@ -146,7 +145,7 @@ def enumerate_states(capacity_k: int) -> StateSpace:
     The argument is validated before the cache lookup, so 10.0 and True
     raise rather than find the space of an equal int.
     """
-    if not isinstance(capacity_k, int) or isinstance(capacity_k, bool) or capacity_k < 1:
+    if not (_is_int(capacity_k) and capacity_k >= 1):
         raise InvalidParameterError("capacity_k must be an integer >= 1")
     return _state_space(capacity_k)
 

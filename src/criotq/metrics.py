@@ -14,8 +14,9 @@ One pass, ``_reports``, forms every stationary metric: each field of a
 ``QosReport`` from the built chains and stationary laws of a stack of
 points.  ``qos_reports`` is the one place that builds, solves and
 reports a stack of points of one capacity K; ``evaluate_qos`` is its
-stack of one.  A stack fails as a whole, and ``qos_reports`` replays it
-point by point to raise the error of the first failing point.  The
+stack of one.  A stack fails as a whole, and nothing here replays it:
+the one replay of a failing stack, point by point, is the region
+search's, which alone knows which points it needs.  The
 post-departure law is formed on its own from the built chain.
 ``saturation`` reads no chain: it gives the closed-form capacity and
 interference floor by which the region searches skip points.
@@ -32,8 +33,7 @@ import numpy as np
 
 from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, _one_point,
                     build_chains, stationary_vectors)
-from .errors import (DegenerateDistributionError, InvalidParameterError,
-                     MetricRangeError, NoConvergenceError)
+from .errors import DegenerateDistributionError, InvalidParameterError, MetricRangeError
 from .params import SystemParams, _finite, activity_factor
 from .slot import Action, Phase, slot_kernel
 
@@ -274,18 +274,18 @@ def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None,
 
     One stacked build, solve and metrics pass for all points, which
     share the capacity K; ``synchronized`` is as for ``build_chains``.
-    Every report is the one the point gets alone.  So is every error: a
-    stack whose build or solve fails is run again one point at a time,
-    with the same flag, so that the first failing point in order
-    raises, after the points before it have run (and warned).
+    Every report is the one the point gets alone.  A stack that fails
+    raises as a whole, as ``build_chains`` and ``stationary_vectors``
+    do, and is not replayed here: a singular solve raises the
+    ``NoConvergenceError`` a singular point raises alone (residual inf),
+    a residual past its bound raises with the residual of the first
+    point past it, and a metric out of range in ``_reports`` raises at
+    the first such point, after the points before it have warned.  Only
+    the region searches replay a failing stack, one point at a time, for
+    the points they need (``region._prober``).
     """
-    try:
-        chains = build_chains(points, synchronized=synchronized)
-        grid, residual = stationary_vectors(chains)
-    except (InvalidParameterError, NoConvergenceError):
-        if len(points) == 1:
-            raise
-        return [qos_reports([p], constraints, synchronized=synchronized)[0] for p in points]
+    chains = build_chains(points, synchronized=synchronized)
+    grid, residual = stationary_vectors(chains)
     return _reports(points, chains, grid, residual.tolist(), constraints)
 
 

@@ -24,22 +24,35 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidParameterError(message)
 
 
-def _finite(*values: float) -> bool:
-    """True when every value is a finite number.
+def _is_real(value) -> bool:
+    """True for a ``numbers.Real`` that is not a bool.
 
-    A bool is not a number here, and neither is anything ``math.isfinite``
-    refuses: a string raises TypeError, an integer past the float range
-    OverflowError.
+    numpy's floats and integers are real numbers; numpy's bools, Decimals
+    and strings are not.
+    """
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(*values: float) -> bool:
+    """True when every value is a finite real number (``_is_real``).
+
+    An integer past the float range is not finite: ``math.isfinite``
+    raises OverflowError on it.
     """
     try:
-        return all(not isinstance(v, bool) and math.isfinite(v) for v in values)
-    except (TypeError, OverflowError):
+        return all(_is_real(v) and math.isfinite(v) for v in values)
+    except OverflowError:
         return False
 
 
 def _is_int(value) -> bool:
     """True for a Python int; a bool is not a count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_integral(value) -> bool:
+    """True for an int or a numpy integer (any ``numbers.Integral``); a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -186,9 +199,8 @@ class PowerModel:
         # The radii are read once, so a one-shot iterable gives them all.
         text = isinstance(self.node_radii, (str, bytes))
         radii = () if text else tuple(self.node_radii)
-        _require(not text and all(
-            isinstance(r, numbers.Real) and not isinstance(r, bool) for r in radii),
-            "node_radii must be a sequence of real numbers, not a string or bools")
+        _require(not text and all(_is_real(r) for r in radii),
+                 "node_radii must be a sequence of real numbers, not a string or bools")
         # Checked before float(), which overflows on an integer past the float range.
         _require(_finite(*radii), "node radii must be positive and finite")
         object.__setattr__(self, "node_radii", tuple(float(r) for r in radii))

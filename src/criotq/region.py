@@ -24,15 +24,19 @@ or warn; a probe whose points are all skipped makes no call.
 Every probe is a stack, which costs far less than its points one at a
 time: the 32 pre-scan points, a bisection midpoint with the next level's
 midpoints still reachable under tol, or three doubling steps.  Each
-report is the one the point gets alone, so the grid, the midpoints, the
-answers and the errors are those of probing with ``feasibility_check``
-point by point: a stack that raises is probed again as its first point
-alone.  Only the warnings can differ: a speculative point can emit a
-metrics RuntimeWarning the one-point search never emits, a re-probed
-first point emits its warnings twice, and a skipped point emits none.
-A lambda search's pre-scan ends on the bracket end its doubling has
-already probed, and probes it again within the stack unless it is
-skipped.
+report is the one the point gets alone, so the grid, the midpoints and
+the answers are those of probing with ``feasibility_check`` point by
+point.  So are the errors, by the one replay rule: a stack fails as a
+whole (``metrics.qos_reports``), and a probe whose stack raises is
+probed again one point at a time over the points the search needs, so
+that the first failing needed point raises its own error.  The pre-scan
+needs every point; a bisection or doubling stack needs only its first,
+the rest being speculative.  Only the warnings can differ: a speculative
+point can emit a metrics RuntimeWarning the one-point search never
+emits, a replayed point emits its warnings again, and a skipped point
+emits none.  A lambda search's pre-scan ends on the bracket end its
+doubling has already probed, and probes it again within the stack
+unless it is skipped.
 
 One table, ``_AXES``, forms every point a search probes or a sweep
 visits from its value on an axis: activity, lambda, detection or
@@ -60,8 +64,6 @@ _DOUBLING_STEPS = 3
 _LAMBDA_DOUBLING_CAP = 20
 #: How far a chain-free floor must pass its limit before a probe skips the point.
 _FLOOR_MARGIN = 1e-9
-# The bracket ends lam0 * 2**0..20 fill whole doubling stacks: none probes past the cap.
-assert (_LAMBDA_DOUBLING_CAP + 1) % _DOUBLING_STEPS == 0
 
 SWEEP_AXES = ("detection", "false-alarm")
 SWEEP_TARGETS = ("beta_c", "lambda_c")
@@ -131,14 +133,6 @@ def _feasible(report: QosReport | None) -> bool:
     return report is not None and report.feasible
 
 
-def _probe_ahead(probe, xs: list[float]) -> list[QosReport | None]:
-    """probe(xs), or probe(xs[:1]) if that raises: only xs[0] is sure to be needed."""
-    try:
-        return probe(xs)
-    except CriotqError:
-        return probe(xs[:1])
-
-
 def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
     """The midpoints the bisection of [a, b] can probe in its next levels steps."""
     mid = 0.5 * (a + b)
@@ -150,9 +144,11 @@ def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
 def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult:
     """Largest x in [lo, hi] with a feasible report, assuming a feasible prefix.
 
-    probe(xs) gives the report of each x in the list xs, or None for a
-    point a chain-free floor rules out: that point counts as infeasible,
-    and it was never built or solved, so it cannot have raised or warned.
+    probe(xs, needed) gives the report of each x in the list xs, or None
+    for a point a chain-free floor rules out: that point counts as
+    infeasible, and it was never built or solved, so it cannot have
+    raised or warned.  A stack that raises gives the reports of
+    xs[:needed] alone, or the error of the first of them that fails.
     Pre-scans a coarse grid first, in one probe call: an infeasible floor
     short-circuits to None, an all-feasible scan returns hi (capped), and
     a scan whose feasibility flips back on after turning off is flagged
@@ -178,7 +174,7 @@ def _largest_feasible(probe, lo: float, hi: float, tol: float) -> CriticalResult
     while monotone and b - a > tol and a < (mid := 0.5 * (a + b)) < b:
         if mid not in ahead:
             mids = _midpoints(a, b, tol, _BISECTION_LEVELS)
-            ahead.update(zip(mids, _probe_ahead(probe, mids)))
+            ahead.update(zip(mids, probe(mids, needed=1)))
         mid_report = ahead[mid]
         if _feasible(mid_report):
             a, report = mid, mid_report
@@ -204,18 +200,28 @@ def _ruled_out(point: SystemParams, constraints: Constraints) -> bool:
 
 
 def _prober(params: SystemParams, axis: str, constraints: Constraints, tol: float):
-    """probe(xs): the reports of the points at xs on axis, as one stack; tol checked here.
+    """probe(xs, needed): the reports of the points at xs on axis, as one stack.
 
-    A point _ruled_out gets None and stays out of the stack.
+    A point _ruled_out gets None and stays out of the stack.  This is
+    the one replay of a failing stack: when forming, screening or
+    reporting the points raises, the probe gives the reports of
+    xs[:needed] (every point when needed is None), each probed alone,
+    so that the first of them that fails raises its own error after the
+    points before it have run.  tol is checked here.
     """
     if not (_finite(tol) and tol > 0):
         raise InvalidParameterError("tol must be finite and positive")
     at = _AXES[axis]
-    def probe(xs: list[float]) -> list[QosReport | None]:
-        points = [at(params, x) for x in xs]
-        skipped = [_ruled_out(p, constraints) for p in points]
-        kept = [p for p, skip in zip(points, skipped) if not skip]
-        reports = iter(qos_reports(kept, constraints) if kept else [])
+    def probe(xs: list[float], needed: int | None = None) -> list[QosReport | None]:
+        try:
+            points = [at(params, x) for x in xs]
+            skipped = [_ruled_out(p, constraints) for p in points]
+            kept = [p for p, skip in zip(points, skipped) if not skip]
+            reports = iter(qos_reports(kept, constraints) if kept else [])
+        except CriotqError:
+            if len(xs) == 1:
+                raise
+            return [report for x in xs[:needed] for report in probe([x])]
         return [None if skip else next(reports) for skip in skipped]
     return probe
 
@@ -232,25 +238,24 @@ def critical_lambda(params: SystemParams, constraints: Constraints,
     """Largest sustainable per-node packet rate, to absolute tolerance tol.
 
     The upper bracket starts at the configured rate (or 1 packet per
-    node-slot when that is zero) and doubles until infeasible, capped at
-    2**20 times the start, _DOUBLING_STEPS per probe; a still-feasible
-    cap is returned as capped.
+    node-slot when that is zero) and walks the ends lam0 * 2**j up to
+    j = _LAMBDA_DOUBLING_CAP until one is infeasible, _DOUBLING_STEPS
+    per probe; a still-feasible cap is returned as capped.
     """
     probe = _prober(params, "lambda", constraints, tol)
     lam0 = params.traffic.lam
     if lam0 <= 0:
         lam0 = 1.0 / (params.traffic.n * params.traffic.slot_d)
-    hi = lam0
-    doublings = 0
-    while True:
-        for report in _probe_ahead(probe, [hi * 2.0 ** j for j in range(_DOUBLING_STEPS)]):
+    ends = [lam0 * 2.0 ** j for j in range(_LAMBDA_DOUBLING_CAP + 1)]
+    while ends:
+        reports = probe(ends[:_DOUBLING_STEPS], needed=1)
+        for hi, report in zip(ends, reports):
             if not _feasible(report):
                 return _largest_feasible(probe, 0.0, hi, tol)
-            if doublings >= _LAMBDA_DOUBLING_CAP:
-                return CriticalResult(value=hi, feasible_at_floor=True, monotone=True,
-                                      capped=True, report=report)
-            hi *= 2.0
-            doublings += 1
+        ends = ends[len(reports):]
+    # Every end up to the cap is feasible: hi is the cap, report its report.
+    return CriticalResult(value=hi, feasible_at_floor=True, monotone=True, capped=True,
+                          report=report)
 
 
 def sweep(params: SystemParams, constraints: Constraints, axis: str,

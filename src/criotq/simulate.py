@@ -78,7 +78,7 @@ import numpy as np
 
 from .chain import StateSpace, enumerate_states
 from .errors import InvalidParameterError
-from .params import PnpModel, SystemParams, _finite, activity_factor
+from .params import PnpModel, SystemParams, _finite, _is_integral, activity_factor
 from .slot import Action, Phase, SlotTransitionKernel
 
 GENERATOR_NAME = "PCG64"
@@ -109,7 +109,7 @@ _MAX_CHUNK_ARRIVALS = 1e7
 
 def _check_count(name: str, value, least: int | None = None) -> None:
     """Raise unless value is an int or numpy integer, not a bool, and not below least."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _is_integral(value):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise InvalidParameterError(f"{name} must be >= {least}")
@@ -474,10 +474,10 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
             post_dep += np.bincount(after[1:][at[0]:][measured_dep], minlength=k_cap)
             served_tagged += int(np.count_nonzero(t_arr >= meas_t0))
 
-    # An empty queue has nothing to serve: those slots idle.
-    cells[:, [0, 3]] += cells[:, [1, 4]]
-    cells[:, [1, 4]] = 0
     grid = cells.reshape(NUM_BATCHES, k_cap + 1, 2, 3)
+    # An empty queue has nothing to serve: those slots idle.
+    grid[:, 0, :, Action.IDLE] += grid[:, 0, :, Action.SERVE]
+    grid[:, 0, :, Action.SERVE] = 0
     batches[:, _INTERF] = grid[:, :, Phase.ON, Action.SERVE:].sum(axis=(1, 2))
     batches[:, _CHARGE] = grid[..., Action.CHARGE].sum(axis=(1, 2))
     batches[:, _SLOTS] = cells.sum(axis=1)

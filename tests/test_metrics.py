@@ -341,26 +341,6 @@ def test_stacked_constraint_pass_matches_one_point(case):
         assert repr(qos_reports([params], constraints)) == f"[{one}]"
 
 
-def test_stack_with_a_singular_point_raises_like_one_point():
-    # The phase never moves within such a short slot and nothing arrives,
-    # so every law on the empty level is stationary.
-    singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
-    with pytest.raises(NoConvergenceError) as alone:
-        qos_reports([singular], Constraints(0.1, 0.1))
-    # At this light load flow balance overshoots by more than 1e-12 and
-    # warns, so the warnings show which points ran before the failing one.
-    noisy = make_params(lam=1.4e-6)
-    with pytest.warns(RuntimeWarning):
-        qos_reports([noisy], Constraints(0.1, 0.1))
-    stack = [make_params(lam=0.0), noisy, make_params(lam=0.01), singular, noisy]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NoConvergenceError) as stacked:
-            qos_reports(stack, Constraints(0.1, 0.1))
-    assert alone.value.residual == stacked.value.residual == math.inf
-    assert len(caught) == 1
-
-
 def test_service_success_override_runs_through_the_stack():
     points = [make_params(lam=lam, p_detect=pd)
               for lam, pd in ((0.0, 0.9), (0.001, 0.9), (0.02, 0.6), (0.05, 1.0))]
@@ -387,19 +367,21 @@ def test_the_synchronized_flag_is_a_keyword_bool():
             evaluate_qos(params, synchronized=flag)
 
 
-def test_a_failing_stack_replays_its_points_with_the_override(monkeypatch):
+def test_a_failing_synchronized_stack_raises_as_one_and_is_built_once(monkeypatch):
     ok = make_params()
     short_off = make_params(mu_on=0.1, mu_off=10.0)
+    # The phase never moves within such a short slot and nothing arrives,
+    # so every law on the empty level is stationary.
     singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
-    # A stack raises its first failing point's error: the singular point's
-    # NoConvergenceError here.
+    # The stack's singular solve raises the singular point's own error,
+    # type and text.
     with pytest.raises(NoConvergenceError) as alone:
         evaluate_qos(singular, synchronized=True)
     with pytest.raises(NoConvergenceError) as stacked:
         qos_reports([ok, singular, short_off], None, synchronized=True)
     assert alone.value.residual == stacked.value.residual == math.inf
-    # The stacked build and each replayed point's build, up to the failing
-    # one, all get the flag.
+    assert str(alone.value) == str(stacked.value)
+    # The stack is built once, with the flag, and not replayed point by point.
     flags = []
 
     def spy(points, *, synchronized=False):
@@ -409,7 +391,7 @@ def test_a_failing_stack_replays_its_points_with_the_override(monkeypatch):
     monkeypatch.setattr(metrics, "build_chains", spy)
     with pytest.raises(NoConvergenceError):
         qos_reports([ok, singular, short_off], None, synchronized=True)
-    assert flags == [True, True, True]
+    assert flags == [True]
 
 
 _SIGNED_PROBABILITY = st.one_of(st.just(-0.0), _PROBABILITY)

@@ -1,6 +1,8 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ from criotq import (BETA_CEIL, BETA_FLOOR, Constraints, CriticalResult,
                     build_transition_matrix, critical_beta, critical_lambda, evaluate_qos,
                     feasibility_check, params_with_activity, required_power, run_simulation,
                     slot_kernel, sweep, synchronized_baseline)
-from criotq import region
+from criotq import metrics, region
 from criotq.errors import MetricRangeError, NoConvergenceError
 from criotq.metrics import qos_reports, saturation
 from conftest import make_params, time_limit
@@ -198,17 +200,19 @@ def test_every_point_the_floors_rule_out_is_infeasible_when_solved(case):
 def _threshold_probe(cut, stacks, fails=()):
     """A stack probe whose x is feasible up to cut, raising at a point in fails.
 
-    Like qos_reports, it runs its points in order and raises at the first
-    failing one.  Each call's points are appended to stacks.
+    Like the region probe, a stack holding a failing point gives only its
+    first needed points (all when needed is None), taken in order, and
+    raises at the first failing one of those.  Each call's points are
+    appended to stacks.
     """
-    def probe(xs):
+    def probe(xs, needed=None):
         stacks.append(list(xs))
-        reports = []
+        if any(x in fails for x in xs):
+            xs = xs[:needed]
         for x in xs:
             if x in fails:
                 raise fails[x]
-            reports.append(SimpleNamespace(feasible=x <= cut))
-        return reports
+        return [SimpleNamespace(feasible=x <= cut) for x in xs]
     return probe
 
 
@@ -233,6 +237,42 @@ def test_bisection_raises_only_where_the_sequential_search_raises(error):
     with pytest.raises(type(error)):
         region._largest_feasible(_threshold_probe(cut, [], {sequential[-1]: error}),
                                  0.0, 1.0, tol)
+
+
+def test_a_pre_scan_holding_a_singular_point_raises_as_the_point_by_point_search(monkeypatch):
+    # The phase never moves within such a short slot and nothing arrives,
+    # so every law on the empty level is stationary.
+    singular = make_params(mu_on=1e-300, mu_off=1e-300, slot_d=1e-300, lam=0.0)
+    with pytest.raises(NoConvergenceError) as alone:
+        evaluate_qos(singular)
+    # At this light load flow balance overshoots by more than 1e-12 and
+    # warns, so the warnings show which points ran before the failing one.
+    noisy = make_params(lam=1.4e-6)
+    with pytest.warns(RuntimeWarning):
+        evaluate_qos(noisy)
+    # The 32 pre-scan points of [0, 31] are its integers; this axis takes
+    # each to one point of the list, so the singular point is the fourth.
+    points = [make_params(lam=0.0), noisy, make_params(lam=0.01), singular, *[noisy] * 28]
+    monkeypatch.setitem(region._AXES, "listed", lambda params, x: points[int(x)])
+    stacks = _counting_probes(monkeypatch)
+
+    def literal_probe(x):
+        return feasibility_check(points[int(x)], ANCHOR_CONSTRAINTS)
+    searches = [lambda: region._largest_feasible(
+                    region._prober(noisy, "listed", ANCHOR_CONSTRAINTS, 1e-3), 0.0, 31.0, 1e-3),
+                lambda: literal_largest_feasible(literal_probe, 0.0, 31.0, 1e-3)]
+    for search, calls in zip(searches, ([31, 1, 1, 1], [1, 1, 1, 1])):
+        stacks.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NoConvergenceError) as raised:
+                search()
+        assert str(raised.value) == str(alone.value)
+        assert raised.value.residual == math.inf
+        assert len(caught) == 1
+        # The search's whole stack failed, then its points ran alone up to
+        # the singular one; its drop floor skips the point at rate 0.01.
+        assert [len(stack) for stack in stacks] == calls
 
 
 def _counting_probes(monkeypatch, failing_lams=()):
@@ -298,6 +338,29 @@ def test_critical_lambda_doubling_past_a_failing_speculative_end(monkeypatch):
     assert [p.traffic.lam for p in stacks[1]] == [lam0]
 
 
+def test_a_doubling_stack_whose_speculative_end_fails_replays_only_its_first_end(monkeypatch):
+    params = make_params(p_detect=0.5, theta=0.0, xi=0.2)
+    lam0 = params.traffic.lam
+    want = critical_lambda(params, ANCHOR_CONSTRAINTS)
+    assert lam0 < want.value < 2 * lam0
+    builds = []
+    build = metrics.build_chains
+
+    def unbuildable_at_4_lam0(points, *, synchronized=False):
+        builds.append([p.traffic.lam for p in points])
+        if 4 * lam0 in builds[-1]:
+            raise InvalidParameterError("unbuildable rate")
+        return build(points, synchronized=synchronized)
+    monkeypatch.setattr(metrics, "build_chains", unbuildable_at_4_lam0)
+    assert repr(critical_lambda(params, ANCHOR_CONSTRAINTS)) == repr(want)
+    # Each failing stack is built once and then replayed as its first end
+    # alone: its speculative ends are never built one at a time.  The drop
+    # floor skips 8 * lam0, so the second stack builds two ends.
+    assert region._ruled_out(region._with_lambda(params, 8 * lam0), ANCHOR_CONSTRAINTS)
+    assert builds[:4] == [[lam0, 2 * lam0, 4 * lam0], [lam0], [2 * lam0, 4 * lam0], [2 * lam0]]
+    assert all(len(lams) > 1 or lams[0] <= 2 * lam0 for lams in builds)
+
+
 def test_critical_lambda_doubling_never_probes_past_the_cap(baseline_params, monkeypatch):
     stacks = _counting_probes(monkeypatch)
     res = critical_lambda(baseline_params, Constraints(max_drop=1.0, max_interference=1.0))
@@ -333,7 +396,8 @@ def test_constraints_validation():
         Constraints(max_drop=0.1, max_interference=1.5)
 
 
-@pytest.mark.parametrize("bad", [True, "0.1", 10**400], ids=["bool", "string", "int-overflow"])
+@pytest.mark.parametrize("bad", [True, "0.1", 10**400, np.False_, Decimal("0.1")],
+                         ids=["bool", "string", "int-overflow", "numpy-bool", "decimal"])
 def test_constraints_refuse_what_is_not_a_finite_number(bad):
     with pytest.raises(InvalidParameterError, match=r"max_drop must lie in \[0, 1\]"):
         Constraints(bad, 0.1)
@@ -384,7 +448,9 @@ def test_critical_beta_baseline_bracket(baseline_params):
 
 @pytest.mark.parametrize("search", [critical_beta, critical_lambda])
 @pytest.mark.parametrize("tol", [math.nan, math.inf, True, "1e-3",
-                                 pytest.param(10**400, id="int-overflow")])
+                                 pytest.param(10**400, id="int-overflow"),
+                                 pytest.param(np.True_, id="numpy-bool"),
+                                 pytest.param(Decimal("1e-3"), id="decimal")])
 def test_searches_reject_a_non_finite_tolerance(baseline_params, search, tol):
     with pytest.raises(InvalidParameterError, match="tol must be finite and positive"):
         search(baseline_params, ANCHOR_CONSTRAINTS, tol)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -49,11 +50,14 @@ def _with_radii(radii):
 # One case per check of the sensing, policy, power and system records, each
 # breaking only that check: with the check gone, the record is accepted or
 # raises another check's message.  The pnp and traffic cases are integers
-# past the float range, which float() cannot take.
+# past the float range, which float() cannot take.  numpy bools and Decimals
+# are not real numbers, whatever value they hold.
 _REFUSALS = {
     "pnp-int-overflow": (lambda: PnpModel(10**400, 1.0), "pnp rates must be finite"),
     "pnp-bool": (lambda: PnpModel(True, 1.0), "pnp rates must be finite"),
     "pnp-string": (lambda: PnpModel("1", 1.0), "pnp rates must be finite"),
+    "pnp-numpy-bool": (lambda: PnpModel(np.True_, 1.0), "pnp rates must be finite"),
+    "pnp-decimal": (lambda: PnpModel(Decimal("1"), 1.0), "pnp rates must be finite"),
     "lam-bool": (lambda: TrafficModel(2, True, 3, 1.0), "traffic parameters must be finite"),
     "slot_d-string": (lambda: TrafficModel(2, 0.001, 3, "1"), "traffic parameters must be finite"),
     "n-overflow": (lambda: TrafficModel(10**400, 0.001, 10, 1.0),
@@ -61,12 +65,17 @@ _REFUSALS = {
     "sensing-nan": (lambda: SensingModel(math.nan, 0.1), "sensing probabilities must be finite"),
     "sensing-inf": (lambda: SensingModel(0.9, math.inf), "sensing probabilities must be finite"),
     "sensing-bool": (lambda: SensingModel(True, False), "sensing probabilities must be finite"),
+    "sensing-numpy-bool": (lambda: SensingModel(np.True_, 0.1),
+                           "sensing probabilities must be finite"),
+    "sensing-decimal": (lambda: SensingModel(Decimal("0.5"), 0.1),
+                        "sensing probabilities must be finite"),
     "p_detect-above-1": (lambda: SensingModel(1.5, 0.1), r"p_detect must lie in \[0, 1\]"),
     "p_detect-negative": (lambda: SensingModel(-0.1, 0.1), r"p_detect must lie in \[0, 1\]"),
     "p_false_alarm-above-1": (lambda: SensingModel(0.9, 1.1),
                               r"p_false_alarm must lie in \[0, 1\]"),
     "policy-nan": (lambda: PolicyModel(math.nan, 0.5), "policy probabilities must be finite"),
     "policy-bool": (lambda: PolicyModel(False, True), "policy probabilities must be finite"),
+    "policy-numpy-bool": (lambda: PolicyModel(np.True_, 0.5), "policy probabilities must be finite"),
     "theta_idle-above-1": (lambda: PolicyModel(1.5, 0.5), r"theta_idle must lie in \[0, 1\]"),
     "xi_charge-negative": (lambda: PolicyModel(0.2, -0.5), r"xi_charge must lie in \[0, 1\]"),
     "power-nan": (lambda: _power(p_charge_min=math.nan), "power parameters must be finite"),
@@ -202,10 +211,11 @@ def test_kernel_rejects_negative_slot():
         slot_kernel(PnpModel(1.0, 1.0), -0.5)
 
 
-@pytest.mark.parametrize("slot_d", [True, "1.0", 10**400], ids=["bool", "string", "int-overflow"])
+@pytest.mark.parametrize("slot_d", [True, "1.0", 10**400, np.True_, Decimal("1")],
+                         ids=["bool", "string", "int-overflow", "numpy-bool", "decimal"])
 def test_kernel_refuses_a_slot_that_is_not_a_finite_number(slot_d):
-    # The kernel of slot_d = 1 is cached first: True equals 1 and hashes
-    # like it, and must still be refused rather than found.
+    # The kernel of slot_d = 1 is cached first: True and np.True_ equal 1
+    # and hash like it, and must still be refused rather than found.
     pnp = PnpModel(1.0, 1.0)
     slot_kernel(pnp, 1)
     with pytest.raises(InvalidParameterError, match="slot_d must be finite and nonnegative"):
