@@ -86,6 +86,13 @@ from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_ke
 #: Flat positions of (0, OFF, Serve) and (0, ON, Serve) in the full
 #: (K+1) x 2 x 3 grid, ordered queue-major, then phase, then action.
 _EXCLUDED = (int(Action.SERVE), 3 + int(Action.SERVE))
+#: w[ph, a, e, c] as a position in (a00, a01, a10, a11, a00 - succ, succ, 0):
+#: a slot ends in e with the kernel's weight and no departure, except that
+#: a serving OFF slot departs with succ, or ends OFF without one with the
+#: rest of a00; only it can clear a packet.
+_BRANCHES = np.array([[[[0, 6], [1, 6]], [[4, 5], [1, 6]], [[0, 6], [1, 6]]],
+                      [[[2, 6], [3, 6]]] * 3])
+_BRANCHES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,8 @@ class StateSpace:
     * per state, the mask ``serving`` (OFF and Serve, one state per
       level 1..K in order) that the post-departure law reads; the
       reports slice the stationary grid instead;
-    * per queue level, the index arrays of the build: ``lag[i, j]`` =
-      j - i clipped at 0, ``ahead[i, j]`` = j >= i, ``room[i]`` = K - i,
+    * the index arrays of the build: ``shift[c, i, j]``, the position of
+      q_c[i, j] in a point's padded arrival row [pmf(0..K), tail(0..K), 0],
       and ``empty[i]`` = 1 on level 0, the decision row the level uses.
     """
 
@@ -119,9 +126,7 @@ class StateSpace:
     phase: np.ndarray = field(compare=False, repr=False)
     action: np.ndarray = field(compare=False, repr=False)
     serving: np.ndarray = field(compare=False, repr=False)
-    lag: np.ndarray = field(compare=False, repr=False)
-    ahead: np.ndarray = field(compare=False, repr=False)
-    room: np.ndarray = field(compare=False, repr=False)
+    shift: np.ndarray = field(compare=False, repr=False)
     empty: np.ndarray = field(compare=False, repr=False)
 
     @property
@@ -156,10 +161,14 @@ def _state_space(capacity_k: int) -> StateSpace:
     queue, phase, action = np.indices((capacity_k + 1, 2, 3)).reshape(3, -1)[:, cell]
     levels = np.arange(capacity_k + 1)
     gap = levels[None, :] - levels[:, None]
+    # Column K takes tail(K - i); a departure shifts a row one column left.
+    shift = np.full((2, capacity_k + 1, capacity_k + 1), 2 * capacity_k + 2)
+    shift[0] = np.where(gap >= 0, gap, shift[0])
+    shift[0, :, capacity_k] = 2 * capacity_k + 1 - levels
+    shift[1, :, :-1] = shift[0, :, 1:]
     arrays = dict(cell=cell, queue=queue, phase=phase, action=action,
                   serving=(phase == Phase.OFF) & (action == Action.SERVE),
-                  lag=np.maximum(gap, 0), ahead=gap >= 0, room=capacity_k - levels,
-                  empty=(levels == 0).astype(int))
+                  shift=shift, empty=(levels == 0).astype(int))
     for array in arrays.values():
         array.setflags(write=False)
     return StateSpace(capacity_k=capacity_k, **arrays)
@@ -173,7 +182,7 @@ def _check_stochastic(p: np.ndarray) -> None:
     if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise InvalidParameterError("matrix entries outside [0, 1]")
     # Written so that a NaN entry, and with it a NaN row sum, fails here.
-    if not np.all(np.abs(p.sum(axis=2) - 1.0) <= 1e-10):
+    if not np.abs(p.sum(axis=2) - 1.0).max() <= 1e-10:
         raise InvalidParameterError("matrix rows must sum to 1 within 1e-10")
 
 
@@ -262,45 +271,40 @@ def build_chains(points: Sequence[SystemParams], *, synchronized: bool = False) 
         raise InvalidParameterError("stacked chains must share capacity_k")
     space = enumerate_states(k_cap)
 
-    # kern[:, :4] = (a00, a01, a10, a11); the success probability, a00 or
-    # off_persist, lies in [0, a00] by the kernel's own validation.
+    # The success probability, a00 or off_persist, lies in [0, a00] by the
+    # kernel's own validation; w[ph, a, e, c] gathers the phase branches
+    # from each point's (a00, a01, a10, a11, a00 - succ, succ, 0) through
+    # _BRANCHES.  A branch of weight <= 0 contributes nothing.
     kernels = [slot_kernel(p.pnp, p.traffic.slot_d) for p in points]
-    kern = np.array([(k.a00, k.a01, k.a10, k.a11, k.off_persist) for k in kernels])
-    succ = kern[:, 0 if synchronized else 4]
+    succ = np.array([k.a00 if synchronized else k.off_persist for k in kernels])
+    weights = np.array([(k.a00, k.a01, k.a10, k.a11, k.a00 - s, s, 0.0)
+                        for k, s in zip(kernels, succ.tolist())])
+    w = np.maximum(weights[:, _BRANCHES], 0.0)
     count = len(points)
-
-    # w[ph, a, e, c]: phase branches.  Only a serving OFF slot can clear a
-    # packet: success needs one OFF period covering the slot, and an
-    # interrupted attempt still ends OFF with the rest of a00 or ends ON
-    # with a01.  A branch of weight <= 0 contributes nothing.
-    w = np.zeros((count, 2, 3, 2, 2))
-    w[..., 0] = kern[:, :4].reshape(count, 2, 1, 2)
-    w[:, Phase.OFF, Action.SERVE, Phase.OFF, 0] = kern[:, 0] - succ
-    w[:, Phase.OFF, Action.SERVE, Phase.OFF, 1] = succ
-    w = np.maximum(w, 0.0)
 
     # q[c, i, j]: arrivals are admitted while the buffer (still holding any
     # in-service packet) has room, so column K takes every count >= K - i;
-    # a departure at the slot end shifts the row one column left.
-    pmf = np.array([arrival_pmf_row(p.traffic, k_cap) for p in points])
-    q = np.zeros((count, 2, k_cap + 1, k_cap + 1))
-    q[:, 0] = np.where(space.ahead, pmf[:, space.lag], 0.0)
-    q[:, 0, :, k_cap] = tail_rows(pmf)[:, space.room]
-    q[:, 1, :, :-1] = q[:, 0, :, 1:]
+    # a departure at the slot end shifts the row one column left.  Each is
+    # gathered from the point's row [pmf(0..K), tail(0..K), 0] through space.shift.
+    rows = np.zeros((count, 2 * k_cap + 3))
+    rows[:, :k_cap + 1] = [arrival_pmf_row(p.traffic, k_cap) for p in points]
+    rows[:, k_cap + 1:-1] = tail_rows(rows[:, :k_cap + 1])
+    q = rows[:, space.shift]
 
     # dec[empty, e, b]: the decision law depends only on the end phase and
     # on whether the queue is empty.
-    dec = np.stack([_decision_law(p.sensing, p.policy) for p in points])
+    dec = np.array([_decision_law(p.sensing, p.policy) for p in points])
 
     # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
-    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], formed with j
-    # innermost and copied into (i, ph) x (j, e) order one end phase at a time.
+    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], written into
+    # (i, ph) x (j, e) order one end phase at a time.  Off the OFF -> OFF
+    # plane W[..., 1] is +0.0 and no c = 0 product is -0.0, so the c = 1
+    # product is added there only, as in ``matrix``.
     lumped_w = (dec[..., None, None] * w[:, None]).sum(axis=3)[:, space.empty]
-    by_end = lumped_w[..., 0, None] * q[:, 0, :, None, None, :]
-    by_end += lumped_w[..., 1, None] * q[:, 1, :, None, None, :]
     lumped = np.empty((count, k_cap + 1, 2, k_cap + 1, 2))
     for e in range(2):
-        lumped[..., e] = by_end[:, :, :, e]
+        np.multiply(lumped_w[..., e, 0, None], q[:, 0, :, None], out=lumped[..., e])
+    lumped[:, :, Phase.OFF, :, Phase.OFF] += lumped_w[:, :, Phase.OFF, Phase.OFF, 1, None] * q[:, 1]
     lumped = lumped.reshape(count, 2 * (k_cap + 1), 2 * (k_cap + 1))
     _check_stochastic(lumped)
     return ChainStack(lumped=lumped, decision=dec, branches=w, shifts=q,
@@ -361,9 +365,12 @@ def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
     else:
         groups = {n: [b for b, size in enumerate(states) if size == n] for n in set(states)}
     for n, rows in groups.items():
-        # a is the transpose of p - I, so the difference reads p in order and
-        # the LU copies each matrix in column by column.
-        a = (p[rows, :n, :n] - np.eye(n)).transpose(0, 2, 1)
+        # a is the transpose of p - I, formed on a copy of p in its own order
+        # (the diagonal is every (n + 1)th entry), so the LU copies each
+        # matrix in column by column.
+        a = p[rows, :n, :n].copy()
+        a.reshape(len(a), -1)[:, ::n + 1] -= 1.0
+        a = a.transpose(0, 2, 1)
         a[:, 0, :] = 1.0  # replace one balance equation with normalization
         b = np.zeros((len(a), n, 1))
         b[:, 0] = 1.0
@@ -373,8 +380,8 @@ def _solve(p: np.ndarray, states: list[int]) -> tuple[np.ndarray, np.ndarray]:
             raise NoConvergenceError("singular balance equations", np.inf) from None
     # The normalization row makes each sum 1 and clipping only raises it,
     # so the division is safe; the test is written so that NaN fails too.
-    mu = np.where(mu < 0.0, 0.0, mu)
-    mu = mu / mu.sum(axis=1, keepdims=True)
+    mu[mu < 0.0] = 0.0
+    mu /= mu.sum(axis=1, keepdims=True)
     residual = np.abs((mu[:, None, :] @ p)[:, 0] - mu).max(axis=1)
     if not np.all(residual <= _RESIDUAL_BOUND):
         first = int(np.argmin(residual <= _RESIDUAL_BOUND))

@@ -34,7 +34,7 @@ import numpy as np
 from .chain import (SOLVER_METHOD, ChainStack, StationaryDistribution, _one_point,
                     build_chains, stationary_vectors)
 from .errors import DegenerateDistributionError, InvalidParameterError, MetricRangeError
-from .params import SystemParams, _finite, activity_factor
+from .params import PolicyModel, SystemParams, _finite, activity_factor
 from .slot import Action, Phase, slot_kernel
 
 _RANGE_SLACK = 1e-9
@@ -99,8 +99,12 @@ def nominal_charge_fraction(params: SystemParams) -> float:
     Sensing errors and queue dynamics perturb the realized fraction;
     this is the design value the power budget is sized with.
     """
-    beta = activity_factor(params.pnp)
-    return (1.0 - beta) * (1.0 - params.policy.theta_idle) * params.policy.xi_charge
+    return _charge_fraction(activity_factor(params.pnp), params.policy)
+
+
+def _charge_fraction(beta: float, policy: PolicyModel) -> float:
+    """``nominal_charge_fraction`` at activity factor beta."""
+    return (1.0 - beta) * (1.0 - policy.theta_idle) * policy.xi_charge
 
 
 class Saturation(NamedTuple):
@@ -160,10 +164,17 @@ def required_power(params: SystemParams, drop_prob: float) -> PowerRequirement:
     Each node must harvest, during the fraction of time the AP charges,
     the energy its effective packet stream spends: m * lam * (1 - P_B)
     divided by the nominal charging fraction (1 - beta)(1 - theta) xi,
-    floored by the hardware minimum p_charge_min.
+    floored by the hardware minimum p_charge_min.  drop_prob must be a
+    finite real number in [0, 1].
     """
+    if not (_finite(drop_prob) and 0.0 <= drop_prob <= 1.0):
+        raise InvalidParameterError(f"drop_prob must be a real number in [0, 1], got {drop_prob!r}")
+    return _power(params, drop_prob, nominal_charge_fraction(params))
+
+
+def _power(params: SystemParams, drop_prob: float, denom: float) -> PowerRequirement:
+    """``required_power`` at nominal charging fraction denom, with drop_prob unchecked."""
     power = params.power
-    denom = nominal_charge_fraction(params)
     if denom <= 0.0:
         dynamic = np.inf
     else:
@@ -236,8 +247,9 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, grid: np.ndarra
     out = []
     for params, rho_c, p_i, charge, queue, res in zip(points, carried, interfering, charging,
                                                       queued, residual):
+        rho = params.traffic.mean_arrivals_per_slot
         rho_c = _clamp_probability(rho_c, "carried load")
-        p_b = 0.0 if queue == 0.0 else 1.0 - rho_c / params.traffic.mean_arrivals_per_slot
+        p_b = 0.0 if queue == 0.0 else 1.0 - rho_c / rho
         if p_b < 0.0:
             if p_b < -_RANGE_SLACK:
                 raise MetricRangeError(f"drop probability {p_b} outside [0, 1]")
@@ -248,7 +260,9 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, grid: np.ndarra
                               RuntimeWarning)
             p_b = 0.0
         p_i = _clamp_probability(p_i, "interference probability")
-        pw = required_power(params, p_b)
+        beta = activity_factor(params.pnp)
+        nominal = _charge_fraction(beta, params.policy)
+        pw = _power(params, p_b, nominal)
         feasible = None
         if constraints is not None:
             feasible = bool(p_b <= constraints.max_drop
@@ -260,10 +274,10 @@ def _reports(points: Sequence[SystemParams], chains: ChainStack, grid: np.ndarra
             w_inv = p_b / lam_eff + 1.0 / lam_agg
             w_slot = queue / lam_eff
         out.append(QosReport(
-            beta=activity_factor(params.pnp), offered_load=params.traffic.mean_arrivals_per_slot,
+            beta=beta, offered_load=rho,
             carried_load=rho_c, drop_prob=p_b, wait_inverse_rate=w_inv, wait_slot_avg=w_slot,
             interference_prob=p_i, charge_frac=_clamp_probability(charge, "charge fraction"),
-            charge_frac_nominal=nominal_charge_fraction(params), power=pw, residual=res,
+            charge_frac_nominal=nominal, power=pw, residual=res,
             solver_method=SOLVER_METHOD, feasible=feasible))
     return out
 

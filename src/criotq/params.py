@@ -28,9 +28,11 @@ def _is_real(value) -> bool:
     """True for a ``numbers.Real`` that is not a bool.
 
     numpy's floats and integers are real numbers; numpy's bools, Decimals
-    and strings are not.
+    and strings are not.  A float, the common case, is answered before
+    the slower ABC check.
     """
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
 
 
 def _finite(*values: float) -> bool:
@@ -40,9 +42,12 @@ def _finite(*values: float) -> bool:
     raises OverflowError on it.
     """
     try:
-        return all(_is_real(v) and math.isfinite(v) for v in values)
+        for v in values:
+            if not (_is_real(v) and math.isfinite(v)):
+                return False
     except OverflowError:
         return False
+    return True
 
 
 def _is_int(value) -> bool:

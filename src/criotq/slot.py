@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .params import PnpModel, PolicyModel, SensingModel, TrafficModel, _finite
+from .params import PnpModel, PolicyModel, SensingModel, TrafficModel, _finite, _is_integral
 
 
 class Phase(IntEnum):
@@ -92,6 +92,12 @@ def slot_kernel(pnp: PnpModel, slot_d: float) -> SlotTransitionKernel:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _log_factorials(k_max: int) -> tuple[tuple[int, float], ...]:
+    """((k, lgamma(k + 1)) for k in 1..k_max), the terms every pmf row of k_max reads."""
+    return tuple((k, math.lgamma(k + 1)) for k in range(1, k_max + 1))
+
+
 @functools.lru_cache(maxsize=256)
 def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> tuple[float, ...]:
     """(P(exactly k arrivals in one slot) for k in 0..k_max).
@@ -106,8 +112,7 @@ def arrival_pmf_row(traffic: TrafficModel, k_max: int) -> tuple[float, ...]:
     if mean == 0.0:
         return (1.0,) + (0.0,) * k_max
     lm = math.log(mean)
-    return (math.exp(-mean), *[math.exp(k * lm - mean - math.lgamma(k + 1))
-                               for k in range(1, k_max + 1)])
+    return (math.exp(-mean), *[math.exp(k * lm - mean - lgk) for k, lgk in _log_factorials(k_max)])
 
 
 def tail_rows(pmf: np.ndarray) -> np.ndarray:
@@ -124,7 +129,12 @@ def tail_rows(pmf: np.ndarray) -> np.ndarray:
 
 
 def arrival_tail(traffic: TrafficModel, k_min: int) -> float:
-    """P(at least k_min arrivals in one slot): entry k_min of tail_rows."""
+    """P(at least k_min arrivals in one slot): entry k_min of tail_rows, 1 for k_min <= 0.
+
+    k_min is an int or a numpy integer, not a bool (``params._is_integral``).
+    """
+    if not _is_integral(k_min):
+        raise InvalidParameterError(f"k_min {k_min!r} is not an integer")
     return float(tail_rows(np.array(arrival_pmf_row(traffic, max(k_min, 0))))[-1])
 
 
@@ -145,8 +155,11 @@ def decision_distribution(phase_at_sense: Phase, sensing: SensingModel,
     busy, or an idle coin with probability theta_idle, forces Idle;
     otherwise the AP charges with probability xi_charge and serves with
     the complement.  With an empty queue the serve mass folds into Idle,
-    so the returned probabilities always sum to exactly 1.
+    so the returned probabilities always sum to exactly 1.  The phase is
+    an int or a numpy integer in 0..1, not a bool (``params._is_integral``).
     """
+    if not (_is_integral(phase_at_sense) and 0 <= phase_at_sense <= 1):
+        raise InvalidParameterError(f"phase {phase_at_sense!r} is not an integer in 0..1")
     if phase_at_sense == Phase.OFF:
         free = 1.0 - sensing.p_false_alarm
     else:

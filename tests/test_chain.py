@@ -170,11 +170,18 @@ def test_state_space_masks_and_level_arrays(k):
     # One serving state per level 1..K, in level order.
     assert space.queue[space.serving].tolist() == list(range(1, k + 1))
     levels = range(k + 1)
-    assert space.lag.tolist() == [[max(j - i, 0) for j in levels] for i in levels]
-    assert space.ahead.tolist() == [[j >= i for j in levels] for i in levels]
-    assert space.room.tolist() == [k - i for i in levels]
+    # Positions in the padded row [pmf(0..K), tail(0..K), 0]: pmf(m) at m,
+    # tail(m) at K + 1 + m, the zero at 2K + 2.
+    def position(i, j):
+        if j > k:
+            return 2 * k + 2
+        if j == k:
+            return k + 1 + (k - i)
+        return j - i if j >= i else 2 * k + 2
+    assert space.shift.tolist() == [[[position(i, j + c) for j in levels] for i in levels]
+                                    for c in (0, 1)]
     assert space.empty.tolist() == [int(i == 0) for i in levels]
-    for name in ("cell", "queue", "phase", "action", "serving", "lag", "ahead", "room", "empty"):
+    for name in ("cell", "queue", "phase", "action", "serving", "shift", "empty"):
         array = getattr(space, name)
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):
@@ -557,6 +564,30 @@ def test_a_stack_matrix_is_each_points_own_matrix_bit_for_bit(synchronized):
         for name in ("lumped", "decision", "branches", "shifts", "service_success"):
             assert getattr(alone, name).tobytes() == getattr(stack, name)[b:b + 1].tobytes()
         assert alone.space is stack.space
+
+
+@pytest.mark.parametrize("k", [1, 10, 200])
+@pytest.mark.parametrize("synchronized", [False, True])
+def test_lumped_is_the_two_branch_sum_on_every_plane_bit_for_bit(k, synchronized):
+    # A closed level (lam = 0), -0.0 policy coins, and xi = 0.1 with certain
+    # access in both phases, whose idle mass 1 - 0.9 - 0.1 rounds below 0.
+    points = [make_params(capacity_k=k, lam=0.0), make_params(capacity_k=k),
+              make_params(capacity_k=k, xi=-0.0, theta=-0.0),
+              make_params(capacity_k=k, xi=0.1, theta=0.0, p_false_alarm=0.0, p_detect=0.0)]
+    stack = build_chains(points, synchronized=synchronized)
+    assert stack.decision[3, 0, Phase.OFF, Action.IDLE] < 0.0
+    want = np.empty((len(points), k + 1, 2, k + 1, 2))
+    for b in range(len(points)):
+        d, w, q = stack.decision[b], stack.branches[b], stack.shifts[b]
+        for empty, rows in ((1, slice(0, 1)), (0, slice(1, None))):
+            for ph in (0, 1):
+                for e in (0, 1):
+                    # W_c = sum_a d[a] w[a, c], added left to right from the first term.
+                    big_w = [d[empty, ph, 0] * w[ph, 0, e, c] + d[empty, ph, 1] * w[ph, 1, e, c]
+                             + d[empty, ph, 2] * w[ph, 2, e, c] for c in (0, 1)]
+                    want[b, rows, ph, :, e] = big_w[0] * q[0, rows] + big_w[1] * q[1, rows]
+    want = want.reshape(len(points), 2 * (k + 1), 2 * (k + 1))
+    assert stack.lumped.tobytes() == want.tobytes()
 
 
 def test_stationary_distribution_refuses_a_stack_of_two():

@@ -197,6 +197,24 @@ def test_required_power_zero_charge_time_is_infeasible():
     assert req.clamped == params.power.p_max
 
 
+@pytest.mark.parametrize("drop", [math.nan, math.inf, -math.inf, 1.5, -3.0, -1e-300,
+                                  1.0 + 2.0 ** -52, True, False, np.True_, "0.1", None,
+                                  pytest.param(10 ** 400, id="int-past-float")])
+def test_required_power_refuses_a_drop_probability_outside_0_1(drop):
+    # NaN would pass every comparison as feasible; a bool or a string is no probability.
+    with pytest.raises(InvalidParameterError, match="drop_prob must be a real number in"):
+        required_power(make_params(), drop)
+
+
+def test_required_power_takes_any_real_drop_probability_in_0_1():
+    params = make_params(lam=0.05)
+    for drop in (0, 1, 0.0, 1.0, np.float64(0.25), np.float32(0.5)):
+        assert required_power(params, drop) == required_power(params, float(drop))
+    # _reports shares the formula, unchecked: the report's power is required_power's.
+    report = evaluate_qos(params)
+    assert report.power == required_power(params, report.drop_prob)
+
+
 def test_evaluate_qos_baseline_frozen(baseline_params):
     r = evaluate_qos(baseline_params, 0.1, 0.1)
     assert r.offered_load == pytest.approx(0.02, abs=1e-15)

@@ -339,6 +339,34 @@ def test_arrival_tail_consistent_with_pmf():
         assert diff == pytest.approx(pmf[k_min], rel=1e-9, abs=1e-15)
 
 
+@pytest.mark.parametrize("k_min", [2.5, "3", True, False, np.True_, 3.0, np.float64(2.0), None])
+def test_arrival_tail_refuses_a_k_min_that_is_not_an_integer(k_min):
+    traffic = TrafficModel(n=30, lam=0.05, capacity_k=10, slot_d=1.5)
+    with pytest.raises(InvalidParameterError, match="k_min .* is not an integer"):
+        arrival_tail(traffic, k_min)
+
+
+def test_arrival_tail_takes_numpy_integers_and_counts_below_zero():
+    traffic = TrafficModel(n=30, lam=0.05, capacity_k=10, slot_d=1.5)
+    assert arrival_tail(traffic, np.int64(3)) == arrival_tail(traffic, 3)
+    assert arrival_tail(traffic, -2) == arrival_tail(traffic, 0) == 1.0
+
+
+@pytest.mark.parametrize("phase", [5, -1, 2, 0.5, 1.0, "ON", True, np.True_, None])
+def test_decision_distribution_refuses_a_phase_that_is_not_0_or_1(phase):
+    sensing, policy = SensingModel(0.9, 0.1), PolicyModel(0.2, 0.5)
+    with pytest.raises(InvalidParameterError, match=r"phase .* is not an integer in 0\.\.1"):
+        decision_distribution(phase, sensing, policy)
+
+
+def test_decision_distribution_takes_ints_and_numpy_integers():
+    sensing, policy = SensingModel(0.9, 0.1), PolicyModel(0.2, 0.5)
+    for phase in Phase:
+        want = decision_distribution(phase, sensing, policy)
+        assert decision_distribution(int(phase), sensing, policy) == want
+        assert decision_distribution(np.int64(phase), sensing, policy) == want
+
+
 def test_decision_hand_values_off_phase():
     sensing = SensingModel(p_detect=0.9, p_false_alarm=0.1)
     policy = PolicyModel(theta_idle=0.2, xi_charge=0.5)
