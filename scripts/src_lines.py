@@ -6,11 +6,13 @@ Usage, from any directory:
 
 For each ``src/criotq/*.py`` module of the checkout this script sits in,
 and in total, it prints the line count that ``wc -l`` gives and the
-count of code lines.  A code line holds at least one token that is not
-a comment, and is not part of a docstring (the leading string of a
-module, class or function).  Blank lines, comment-only lines and
-docstring lines are therefore not code; a line that continues a
-statement, a string or a bracket is.
+count of code lines.  Under that table it prints the same two totals
+over the ``tests/*.py`` files, so a change that moves code between the
+package and its tests shows both sides.  A code line holds at least
+one token that is not a comment, and is not part of a docstring (the
+leading string of a module, class or function).  Blank lines,
+comment-only lines and docstring lines are therefore not code; a line
+that continues a statement, a string or a bracket is.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "criotq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "criotq"
+TESTS = ROOT / "tests"
 
 #: Tokens that are not code on their own.
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -50,16 +54,20 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def counts(path: Path) -> tuple[int, int]:
+    """The ``wc -l`` count and the code-line count of one file."""
+    source = path.read_text()
+    return source.count("\n"), code_lines(source)
+
+
 def main() -> None:
-    total_wc = total_code = 0
     print(f"{'module':<16}{'wc -l':>8}{'code':>8}")
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text()
-        wc, code = source.count("\n"), code_lines(source)
-        total_wc += wc
-        total_code += code
-        print(f"{path.name:<16}{wc:>8}{code:>8}")
-    print(f"{'total':<16}{total_wc:>8}{total_code:>8}")
+    rows = [(path.name, *counts(path)) for path in sorted(SRC.glob("*.py"))]
+    for name, wc, code in rows:
+        print(f"{name:<16}{wc:>8}{code:>8}")
+    print(f"{'total':<16}{sum(r[1] for r in rows):>8}{sum(r[2] for r in rows):>8}")
+    tests = [counts(path) for path in sorted(TESTS.glob("*.py"))]
+    print(f"{'tests/ total':<16}{sum(r[0] for r in tests):>8}{sum(r[1] for r in tests):>8}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constrain
                      CriticalResult, critical_beta, critical_lambda,
                      feasibility_check, params_with_activity, sweep, synchronized_baseline)
 from .simulate import (GENERATOR_NAME, NUM_BATCHES, Counts, Estimates, SimConfig, SimResult,
-                       estimate_slot_kernel, estimate_transition_row, run_simulation)
+                       run_simulation)
 from .slot import (Action, ActionPmf, Phase, SlotTransitionKernel, arrival_tail,
                    decision_distribution, slot_kernel)
 
@@ -39,8 +39,7 @@ __all__ = [
     "activity_factor", "arrival_tail",
     "build_transition_matrix", "critical_beta", "critical_lambda",
     "decision_distribution", "departure_distributions",
-    "enumerate_states", "estimate_slot_kernel", "estimate_transition_row",
-    "evaluate_qos", "feasibility_check", "nominal_charge_fraction",
+    "enumerate_states", "evaluate_qos", "feasibility_check", "nominal_charge_fraction",
     "params_with_activity", "required_power", "run_simulation", "slot_kernel",
     "stationary_distribution", "sweep", "synchronized_baseline",
 ]

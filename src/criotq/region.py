@@ -82,7 +82,7 @@ def params_with_activity(params: SystemParams, beta: float) -> SystemParams:
     keeping the mean busy period invariant while the primary's duty
     cycle moves.
     """
-    if not (BETA_FLOOR <= beta <= BETA_CEIL):
+    if not (_finite(beta) and BETA_FLOOR <= beta <= BETA_CEIL):
         raise InvalidParameterError(f"beta must lie in [{BETA_FLOOR}, {BETA_CEIL}]")
     mu_on = params.pnp.mu_on
     return SystemParams(PnpModel(mu_on, mu_on * beta / (1.0 - beta)), params.traffic,
@@ -207,10 +207,12 @@ def _prober(params: SystemParams, axis: str, constraints: Constraints, tol: floa
     reporting the points raises, the probe gives the reports of
     xs[:needed] (every point when needed is None), each probed alone,
     so that the first of them that fails raises its own error after the
-    points before it have run.  tol is checked here.
+    points before it have run.  tol and constraints are checked here.
     """
     if not (_finite(tol) and tol > 0):
         raise InvalidParameterError("tol must be finite and positive")
+    if not isinstance(constraints, Constraints):
+        raise InvalidParameterError(f"constraints must be a Constraints, got {constraints!r}")
     at = _AXES[axis]
     def probe(xs: list[float], needed: int | None = None) -> list[QosReport | None]:
         try:
@@ -271,11 +273,14 @@ def sweep(params: SystemParams, constraints: Constraints, axis: str,
         raise InvalidParameterError(f"axis must be one of {SWEEP_AXES}")
     if target not in SWEEP_TARGETS:
         raise InvalidParameterError(f"target must be one of {SWEEP_TARGETS}")
-    values = [float(v) for v in grid]
+    values = list(grid)
     if not values:
         raise InvalidParameterError("grid must be nonempty")
+    for v in values:
+        if not _finite(v):
+            raise InvalidParameterError(f"grid values must be finite real numbers, got {v!r}")
     search = critical_beta if target == "beta_c" else critical_lambda
-    return [search(_AXES[axis](params, v), constraints, tol) for v in values]
+    return [search(_AXES[axis](params, float(v)), constraints, tol) for v in values]
 
 
 def synchronized_baseline(params: SystemParams) -> QosReport:

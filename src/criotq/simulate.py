@@ -60,12 +60,12 @@ These steps draw the same numbers and do the same floating-point
 operations as a loop over slots, so the tallies equal that loop's bit
 for bit (tests/test_simulate.py keeps the loop as the reference).
 
-Every phase switch is drawn, so a replication, or an estimator call,
-whose expected switch count passes a fixed budget raises before its
-first draw instead of running for hours, or forever at the shortest
-mean durations.  Every arrival of a chunk is held at once, so a
-replication whose chunk expects more arrivals than a fixed budget
-raises before its first draw too, instead of exhausting memory.
+Every phase switch is drawn, so a replication whose expected switch
+count passes a fixed budget raises before its first draw instead of
+running for hours, or forever at the shortest mean durations.  Every
+arrival of a chunk is held at once, so a replication whose chunk
+expects more arrivals than a fixed budget raises before its first draw
+too, instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ import numpy as np
 
 from .chain import StateSpace, enumerate_states
 from .errors import InvalidParameterError
-from .params import PnpModel, SystemParams, _finite, _is_integral, activity_factor
-from .slot import Action, Phase, SlotTransitionKernel
+from .params import PnpModel, SystemParams, _is_integral, activity_factor
+from .slot import Action, Phase
 
 GENERATOR_NAME = "PCG64"
 
@@ -89,16 +89,10 @@ NUM_BATCHES = 32
 
 _CHUNK = 1 << 18
 
-#: Most phase switches a replication, or one start phase of an estimator,
-#: may expect.  The phase path draws about 3e7 switches/s (2-core x86 VM),
-#: so this many take about 30 s.  The shipped configs, tests and benchmark
-#: workloads reach at most 1e6 per replication, and 1.1e7 per start phase
-#: of an estimator (acceptance criterion 1).
+#: Most phase switches a replication may expect.  The phase path draws
+#: about 3e7 switches/s (2-core x86 VM), so this many take about 30 s.
+#: The shipped configs, tests and benchmark workloads reach at most 1e6.
 _MAX_SWITCHES = 1e9
-#: Most switches the one-slot sampler may expect in one slot.  Each is one
-#: pass of its loop, about 30 us at few trials, so this many take about
-#: 3 s.  The tests reach at most 10.7 (acceptance criterion 1).
-_MAX_SLOT_SWITCHES = 1e5
 #: Most arrivals a replication's chunk may expect.  A chunk holds every
 #: arrival's timestamp at once, about 22 bytes each at the peak (peak RSS
 #: over a warm process at 2.5e6 arrivals, 17 at 5e6), so this many take
@@ -313,16 +307,12 @@ def _phase_path(rng: np.random.Generator, pnp: PnpModel, slot_d: float, horizon:
         yield on, whole
 
 
-def _arrivals(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
-    """Poisson(mean) arrival counts of size slots; a mean past numpy's limit raises."""
-    try:
-        return rng.poisson(mean, size)
-    except ValueError:
-        raise InvalidParameterError(f"per-slot arrival mean {mean:g} is too large") from None
-
-
 def _check_arrivals(mean: float, slots: int) -> None:
-    """Raise unless a chunk of slots expects at most _MAX_CHUNK_ARRIVALS arrivals."""
+    """Raise unless a chunk of slots expects at most _MAX_CHUNK_ARRIVALS arrivals.
+
+    That holds the per-slot mean under 1e7, far below numpy's Poisson
+    limit, so the chunk's arrival draw never refuses its mean.
+    """
     count = mean * slots
     if not count <= _MAX_CHUNK_ARRIVALS:
         raise InvalidParameterError(
@@ -388,7 +378,7 @@ def _simulate_one(params: SystemParams, horizon: int, warmup: int,
         pending = worker.submit(next, phases)
         for s0 in range(0, horizon, _CHUNK):
             chunk = min(_CHUNK, horizon - s0)
-            n_arr = _arrivals(flow_rng, tr.mean_arrivals_per_slot, chunk)
+            n_arr = flow_rng.poisson(tr.mean_arrivals_per_slot, chunk)
             total = int(n_arr.sum())
             arr_at = np.flatnonzero(n_arr)  # the slots with an arrival
             ts = np.repeat((arr_at + s0).astype(np.float64), n_arr[arr_at])
@@ -539,85 +529,3 @@ def run_simulation(config: SimConfig) -> SimResult:
         generator=GENERATOR_NAME, horizon_slots=horizon, warmup_slots=warmup,
         replications=reps,
         reps=tuple(Estimates(**_estimates(t)) for t in tallies))
-
-
-def _check_estimator(slot_d: float, trials: int, seed: int) -> None:
-    """Raise unless an estimator's slot length, trial count and seed are valid."""
-    if not _finite(slot_d) or slot_d < 0:
-        raise InvalidParameterError("slot_d must be finite and nonnegative")
-    _check_count("trials", trials, 1)
-    _check_count("seed", seed, 0)
-
-
-def _renewal_endpoints(rng: np.random.Generator, pnp: PnpModel, start_phase: int,
-                       slot_d: float, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the end phase and whole-slot persistence of one slot.
-
-    Pure alternating-renewal sampling: repeatedly draw the residual of
-    the current phase and switch while it falls inside the slot.  Shares
-    nothing with the closed-form kernel.  Each switch is one pass of the
-    loop, so the switches per slot have their own budget.
-    """
-    _check_switches(pnp, slot_d, _MAX_SLOT_SWITCHES, "one slot")
-    _check_switches(pnp, trials * slot_d, _MAX_SWITCHES, f"a run of {trials} one-slot trials")
-    remaining = np.full(trials, float(slot_d))
-    cur = np.full(trials, int(start_phase), dtype=np.int64)
-    whole = np.ones(trials, dtype=bool)
-    active = np.arange(trials)
-    while active.size:
-        scales = np.where(cur[active] == 1, 1.0 / pnp.mu_on, 1.0 / pnp.mu_off)
-        draws = rng.exponential(scales)
-        sw = draws < remaining[active]
-        hit = active[sw]
-        whole[hit] = False
-        remaining[hit] -= draws[sw]
-        cur[hit] = 1 - cur[hit]
-        active = hit
-    return cur, whole
-
-
-def estimate_slot_kernel(pnp: PnpModel, slot_d: float, trials: int,
-                         seed: int) -> SlotTransitionKernel:
-    """Estimate the phase kernel by simulating `trials` slots from each phase.
-
-    The fields are the observed frequencies, in the record slot_kernel
-    returns for the closed form.
-    """
-    _check_estimator(slot_d, trials, seed)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    end_off, whole_off = _renewal_endpoints(rng, pnp, Phase.OFF, slot_d, trials)
-    end_on, whole_on = _renewal_endpoints(rng, pnp, Phase.ON, slot_d, trials)
-    a01 = float(np.count_nonzero(end_off == 1)) / trials
-    a10 = float(np.count_nonzero(end_on == 0)) / trials
-    offp = float(np.count_nonzero(whole_off)) / trials
-    onp = float(np.count_nonzero(whole_on)) / trials
-    return SlotTransitionKernel(a00=1.0 - a01, a01=a01, a10=a10, a11=1.0 - a10,
-                                off_persist=offp, on_persist=onp)
-
-
-def estimate_transition_row(params: SystemParams, source: tuple[int, Phase, Action],
-                            trials: int, seed: int) -> np.ndarray:
-    """Monte Carlo one-slot transition row from a fixed source state.
-
-    Simulates `trials` independent slots started in `source`: a renewal
-    phase path, a Poisson arrival count capped by the free buffer, the
-    head-of-line departure on a covered serving slot, and the next
-    decision draw.  Returns the destination frequencies in canonical
-    state order, shaped like the analytic row ``tm.matrix[0][src]``.
-    """
-    tr = params.traffic
-    _check_estimator(tr.slot_d, trials, seed)
-    space = enumerate_states(tr.capacity_k)
-    i, phase, action = source
-    space.index(i, phase, action)  # validates the triple
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-    end_phase, whole = _renewal_endpoints(rng, params.pnp, phase, tr.slot_d, trials)
-    n_arr = _arrivals(rng, tr.mean_arrivals_per_slot, trials)
-    admitted = np.minimum(n_arr, tr.capacity_k - i)
-    j = i + admitted - (whole & (action == Action.SERVE and phase == Phase.OFF))
-    charge, serving = _actions(_coins(rng, trials, params), end_phase == 1)
-    acts = 2 * charge + (serving & (j >= 1))
-
-    idx = np.searchsorted(space.cell, 6 * j + 3 * end_phase + acts)
-    return np.bincount(idx, minlength=space.size) / trials

@@ -21,12 +21,12 @@ import pytest
 
 from criotq import (Constraints, Phase, SimConfig, SystemParams,
                     activity_factor, build_transition_matrix, critical_beta,
-                    critical_lambda, estimate_slot_kernel,
-                    estimate_transition_row, evaluate_qos, feasibility_check,
+                    critical_lambda, evaluate_qos, feasibility_check,
                     params_with_activity, run_simulation, slot_kernel,
                     stationary_distribution, synchronized_baseline)
 from criotq.cli import main as cli_main
 from criotq.slot import PnpModel
+from montecarlo import estimate_slot_kernel, estimate_transition_row
 
 KERNEL_FIELDS = ("a00", "a01", "a10", "a11", "off_persist", "on_persist")
 LAMBDA_GRID = (0.0005, 0.001, 0.002, 0.004, 0.008)

@@ -1,9 +1,11 @@
 """Every name a module imports is read somewhere in that module.
 
 ``__init__.py`` is checked apart: it imports names to re-export them, so
-what it imports must be exactly what ``__all__`` lists.  The simulator's
-imports are also checked to take no transition law from the chain, and
-importing the package is checked to load no thread pool.
+what it imports must be exactly what ``__all__`` lists.  The test
+helper ``montecarlo.py`` is checked too.  The imports of the simulator
+and of that helper's estimators are also checked to take no transition
+law from the chain, and importing the package is checked to load no
+thread pool.
 """
 
 import ast
@@ -17,6 +19,8 @@ import criotq
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "criotq"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+#: The test helper that holds the one-slot Monte Carlo estimators.
+MONTECARLO = Path(__file__).resolve().parent / "montecarlo.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +44,7 @@ def test_finder_sees_unused_and_used_names():
     assert unused_imports(source) == ["os", "field"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, MONTECARLO], ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -56,8 +60,8 @@ def test_package_exports_what_it_imports():
     assert all(hasattr(criotq, name) for name in criotq.__all__)
 
 
-#: What the simulator may take from ``slot`` and ``chain``: records and the
-#: state enumeration.  Every other name there is a transition law.
+#: What the simulator and the estimators may take from ``slot`` and ``chain``:
+#: records and the state enumeration.  Every other name there is a transition law.
 SIM_RECORDS = {"Action", "Phase", "SlotTransitionKernel", "StateSpace", "enumerate_states"}
 
 
@@ -90,8 +94,9 @@ def test_law_finder_sees_laws_and_modules():
 
 
 def test_simulator_imports_no_transition_law():
-    # The simulator checks the closed forms, so it must not share them.
-    assert law_imports((PACKAGE / "simulate.py").read_text()) == []
+    # The simulator and the estimators check the closed forms, so they must not share them.
+    for path in (PACKAGE / "simulate.py", MONTECARLO):
+        assert law_imports(path.read_text()) == [], path.name
 
 
 def test_importing_the_package_loads_no_executor():

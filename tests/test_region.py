@@ -429,6 +429,9 @@ def test_params_with_activity():
         params_with_activity(params, 0.0)
     with pytest.raises(InvalidParameterError):
         params_with_activity(params, 1.0)
+    for bad in ("0.5", None, Decimal("0.5")):
+        with pytest.raises(InvalidParameterError, match=r"beta must lie in \["):
+            params_with_activity(params, bad)
 
 
 def test_critical_beta_baseline_bracket(baseline_params):
@@ -454,6 +457,18 @@ def test_critical_beta_baseline_bracket(baseline_params):
 def test_searches_reject_a_non_finite_tolerance(baseline_params, search, tol):
     with pytest.raises(InvalidParameterError, match="tol must be finite and positive"):
         search(baseline_params, ANCHOR_CONSTRAINTS, tol)
+
+
+@pytest.mark.parametrize("search", [
+    critical_beta, critical_lambda,
+    pytest.param(lambda p, c: sweep(p, c, "detection", [0.9], "beta_c"), id="sweep")])
+@pytest.mark.parametrize("bad", [None, (0.1, 0.1),
+                                 SimpleNamespace(max_drop=0.1, max_interference=0.1)],
+                         ids=["none", "tuple", "look-alike"])
+def test_searches_refuse_constraints_that_are_not_a_constraints_record(baseline_params, search,
+                                                                       bad):
+    with pytest.raises(InvalidParameterError, match="constraints must be a Constraints, got "):
+        search(baseline_params, bad)
 
 
 @pytest.mark.parametrize("search, tol, at", [
@@ -694,6 +709,17 @@ def test_sweep_rejects_bad_arguments(baseline_params):
     with pytest.raises(InvalidParameterError):
         sweep(baseline_params, ANCHOR_CONSTRAINTS, axis="detection", grid=[],
               target="beta_c")
+
+
+@pytest.mark.parametrize("bad", ["0.9", True, np.True_, Decimal("0.9"), 10**400],
+                         ids=["string", "bool", "numpy-bool", "decimal", "int-overflow"])
+def test_sweep_refuses_a_grid_value_that_is_not_a_finite_number(baseline_params, monkeypatch,
+                                                                bad):
+    searched = []
+    monkeypatch.setattr(region, "critical_beta", lambda *args: searched.append(args))
+    with pytest.raises(InvalidParameterError, match="grid values must be finite real numbers"):
+        sweep(baseline_params, ANCHOR_CONSTRAINTS, "detection", [0.9, bad], "beta_c")
+    assert searched == []  # refused before the first search
 
 
 def test_synchronized_baseline_bounds_perfect_sensing_cell(baseline_params):

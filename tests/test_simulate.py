@@ -9,13 +9,13 @@ import pytest
 
 from criotq import (Action, InvalidParameterError, Phase, PnpModel, SimConfig,
                     activity_factor, build_transition_matrix,
-                    departure_distributions, enumerate_states,
-                    estimate_slot_kernel, estimate_transition_row, evaluate_qos,
+                    departure_distributions, enumerate_states, evaluate_qos,
                     run_simulation, slot_kernel, stationary_distribution)
 from criotq import simulate
 from criotq.simulate import (_CHARGE, _CHUNK, _DROP, _GEN, _INTERF, _SERVE, _SLOTS,
-                             NUM_BATCHES, _renewal_endpoints, _simulate_one, _switch_rank)
+                             NUM_BATCHES, _simulate_one, _switch_rank)
 from conftest import make_params, time_limit
+from montecarlo import _renewal_endpoints, estimate_slot_kernel, estimate_transition_row
 
 
 class _DurationFeed:
@@ -596,12 +596,12 @@ def test_each_replication_joins_its_one_phase_worker(monkeypatch):
     assert threading.main_thread() not in ran_on
 
     # A failure on the drawing side, with the worker busy, joins it too.
-    error = RuntimeError("arrival draw failed")
+    error = RuntimeError("coin draw failed")
 
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(simulate, "_arrivals", failing)
+    monkeypatch.setattr(simulate, "_coins", failing)
     with time_limit(20.0), pytest.raises(RuntimeError) as caught:
         run_simulation(config)
     assert caught.value is error
