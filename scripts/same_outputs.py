@@ -30,16 +30,22 @@ Under OUT it writes:
 * ``inputs/``: the derived configs those commands read;
 * ``region-small-k/seed<N>.txt``: the ``repr`` of each search result of
   the first 8 rounds of the benchmark's ``region-small-k`` workload, seeds
-  11 to 13 (144 searches, each with its full report).
+  11 to 13 (144 searches, each with its full report);
+* ``sim-validate/seed<N>.txt``: for each op of the first round of the
+  benchmark's ``sim-validate`` workload, seeds 11 to 13 (24 ops), its
+  input, every ``SimResult`` field, arrays as ``tolist()``, and the
+  ``repr`` of its chain report and its synchronized baseline report.
 
 Run it on two checkouts and compare with ``diff -r OUT_A OUT_B``: an
-empty diff means every CLI output and every region-search answer, with
-its report, is the same to the last byte.
+empty diff means every CLI output, every region-search answer with its
+report, and every simulator result with both reports is the same to the
+last byte.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -47,6 +53,8 @@ import os
 import sys
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -59,6 +67,7 @@ NO_CONSTRAINTS = "default-no-constraints.json"
 MISSPELT_KEY = "default-misspelt-sim-key.json"
 REGION_SEEDS = (11, 12, 13)
 REGION_ROUNDS = 8
+SIM_SEEDS = (11, 12, 13)
 
 COMMANDS = [
     *((f"analyze-{config.stem}",
@@ -184,6 +193,24 @@ def run_region_searches(out: Path) -> None:
         (target / f"seed{seed}.txt").write_text("\n".join(lines) + "\n")
 
 
+def sim_lines(inp: workloads.SimInput) -> list[str]:
+    """The input of one sim-validate op, then every field of its output, no digit lost."""
+    out = workloads.sim_run(inp)
+    lines = [f"lam={inp.params.traffic.lam!r} sim_seed={inp.sim_seed}"]
+    for f in dataclasses.fields(out.sim):
+        value = getattr(out.sim, f.name)
+        lines.append(f"sim.{f.name}={value.tolist() if isinstance(value, np.ndarray) else value!r}")
+    return [*lines, f"full={out.full!r}", f"baseline={out.baseline!r}"]
+
+
+def run_sim_validate(out: Path) -> None:
+    target = out / "sim-validate"
+    target.mkdir(parents=True)
+    for seed in SIM_SEEDS:
+        lines = [line for inp in next(workloads.sim_rounds(seed)) for line in sim_lines(inp)]
+        (target / f"seed{seed}.txt").write_text("\n".join(lines) + "\n")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 scripts/same_outputs.py OUT", file=sys.stderr)
@@ -195,6 +222,7 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)  # the commands name their configs relative to the checkout
     run_cli(out)
     run_region_searches(out)
+    run_sim_validate(out)
     return 0
 
 

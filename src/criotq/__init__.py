@@ -22,8 +22,7 @@ from .region import (BETA_CEIL, BETA_FLOOR, SWEEP_AXES, SWEEP_TARGETS, Constrain
                      feasibility_check, params_with_activity, sweep, synchronized_baseline)
 from .simulate import (GENERATOR_NAME, NUM_BATCHES, Counts, Estimates, SimConfig, SimResult,
                        run_simulation)
-from .slot import (Action, ActionPmf, Phase, SlotTransitionKernel, arrival_tail,
-                   decision_distribution, slot_kernel)
+from .slot import Action, ActionPmf, Phase, SlotTransitionKernel, decision_distribution, slot_kernel
 
 __version__ = "0.1.0"
 
@@ -36,8 +35,7 @@ __all__ = [
     "PnpModel", "PolicyModel", "PowerModel", "PowerRequirement", "QosReport",
     "SensingModel", "SimConfig", "SimResult", "SlotTransitionKernel", "StateSpace",
     "StationaryDistribution", "SystemParams", "TrafficModel",
-    "activity_factor", "arrival_tail",
-    "build_transition_matrix", "critical_beta", "critical_lambda",
+    "activity_factor", "build_transition_matrix", "critical_beta", "critical_lambda",
     "decision_distribution", "departure_distributions",
     "enumerate_states", "evaluate_qos", "feasibility_check", "nominal_charge_fraction",
     "params_with_activity", "required_power", "run_simulation", "slot_kernel",

@@ -8,15 +8,21 @@ coming slot.  Serving an empty queue is impossible, so the two states
 
 A one-slot transition is a product of three independent laws:
 
-* a phase branch w[ph, a, e, c]: the boundary phase e the slot ends in,
-  and c = 1 when a serving OFF slot was covered by one OFF period (the
-  service succeeds only then),
-* the arrival shift q_c[i, j]: the Poisson count, truncated by the free
-  buffer space, that takes queue i to j after c departures,
+* a phase branch w[ph, a, e]: the boundary phase e the slot ends in,
+  with no departure,
+* the arrival shift q[i, j]: the Poisson count, truncated by the free
+  buffer space, that takes queue i to j,
 * the next decision draw d[j, e, b], conditioned on the end phase and
   on whether the resulting queue is empty.
 
-so P[(i, ph, a), (j, e, b)] = sum_c (w[ph, a, e, c] q_c[i, j]) d[j, e, b].
+A packet leaves only when a serving slot that starts OFF stays OFF
+throughout, which happens with the success probability succ.  The
+served packet leaves after the slot's arrivals are admitted, so the
+departure shift is q[i, j + 1], with q[i, K + 1] = 0.  That branch
+takes succ from the OFF -> OFF weight, which is a00 - succ there, so
+
+    P[(i, ph, a), (j, e, b)] = (w[ph, a, e] q[i, j]
+                                + [ph, a, e = OFF, Serve, OFF] succ q[i, j + 1]) d[j, e, b].
 
 The next action b is drawn fresh, and its law d depends on the target
 (j, e) alone, not on the source state.  The action coordinate is
@@ -27,8 +33,9 @@ therefore exactly lumpable (Kemeny and Snell, Finite Markov Chains,
 
 where nu is stationary for the 2(K+1)-state (queue, phase) chain
 
-    Q[(i, ph), (j, e)] = sum_c W_c[i, ph, e] q_c[i, j],
-    W_c[i, ph, e] = sum_a d[i, ph, a] w[ph, a, e, c],
+    Q[(i, ph), (j, e)] = W[i, ph, e] q[i, j]
+                         + [ph, e = OFF, OFF] d[i, OFF, Serve] succ q[i, j + 1],
+    W[i, ph, e] = sum_a d[i, ph, a] w[ph, a, e],
 
 the action marginal sum_a d sum_b P of the full chain.  Summing the full
 balance equations over b gives nu Q = nu, and pi P = pi follows back
@@ -86,12 +93,11 @@ from .slot import Action, Phase, arrival_pmf_row, decision_distribution, slot_ke
 #: Flat positions of (0, OFF, Serve) and (0, ON, Serve) in the full
 #: (K+1) x 2 x 3 grid, ordered queue-major, then phase, then action.
 _EXCLUDED = (int(Action.SERVE), 3 + int(Action.SERVE))
-#: w[ph, a, e, c] as a position in (a00, a01, a10, a11, a00 - succ, succ, 0):
-#: a slot ends in e with the kernel's weight and no departure, except that
-#: a serving OFF slot departs with succ, or ends OFF without one with the
-#: rest of a00; only it can clear a packet.
-_BRANCHES = np.array([[[[0, 6], [1, 6]], [[4, 5], [1, 6]], [[0, 6], [1, 6]]],
-                      [[[2, 6], [3, 6]]] * 3])
+#: w[ph, a, e] as a position in (a00, a01, a10, a11, a00 - succ): a slot
+#: ends in e with the kernel's weight and no departure, except that a
+#: serving OFF slot ends OFF without one with the rest of a00; the
+#: departure, with succ, is the one branch w leaves out.
+_BRANCHES = np.array([[[0, 1], [4, 1], [0, 1]], [[2, 3]] * 3])
 _BRANCHES.setflags(write=False)
 
 
@@ -115,8 +121,8 @@ class StateSpace:
     * per state, the mask ``serving`` (OFF and Serve, one state per
       level 1..K in order) that the post-departure law reads; the
       reports slice the stationary grid instead;
-    * the index arrays of the build: ``shift[c, i, j]``, the position of
-      q_c[i, j] in a point's padded arrival row [pmf(0..K), tail(0..K), 0],
+    * the index arrays of the build: ``shift[i, j]``, the position of
+      q[i, j] in a point's padded arrival row [pmf(0..K), tail(0..K), 0],
       and ``empty[i]`` = 1 on level 0, the decision row the level uses.
     """
 
@@ -161,11 +167,9 @@ def _state_space(capacity_k: int) -> StateSpace:
     queue, phase, action = np.indices((capacity_k + 1, 2, 3)).reshape(3, -1)[:, cell]
     levels = np.arange(capacity_k + 1)
     gap = levels[None, :] - levels[:, None]
-    # Column K takes tail(K - i); a departure shifts a row one column left.
-    shift = np.full((2, capacity_k + 1, capacity_k + 1), 2 * capacity_k + 2)
-    shift[0] = np.where(gap >= 0, gap, shift[0])
-    shift[0, :, capacity_k] = 2 * capacity_k + 1 - levels
-    shift[1, :, :-1] = shift[0, :, 1:]
+    # Column K takes tail(K - i); below the diagonal reads the zero.
+    shift = np.where(gap >= 0, gap, 2 * capacity_k + 2)
+    shift[:, capacity_k] = 2 * capacity_k + 1 - levels
     arrays = dict(cell=cell, queue=queue, phase=phase, action=action,
                   serving=(phase == Phase.OFF) & (action == Action.SERVE),
                   shift=shift, empty=(levels == 0).astype(int))
@@ -205,9 +209,14 @@ class ChainStack(NamedTuple):
       solve works on;
     * ``decision[b, empty, e, a]``: the decision law of action a given the
       end phase e and whether the queue is empty (0 = not empty);
-    * ``branches[b, ph, a, e, c]``: the phase branch weights w;
-    * ``shifts[b, c, i, j]``: the arrival shifts q;
-    * ``service_success[b]``: the success probability of a serving OFF slot.
+    * ``branches[b, ph, a, e]``: the phase branch weights w, with no departure;
+    * ``shifts[b, i, j]``: the arrival shifts q;
+    * ``service_success[b]``: the success probability succ of a serving
+      OFF slot, the only home of the departure: it adds
+      succ q[i, j + 1] to the OFF -> OFF branch of a serving OFF slot,
+      with q[i, K + 1] = 0, so that
+
+          P = (w q[i, j] + [OFF, Serve, OFF] succ q[i, j + 1]) d.
 
     ``space`` is the (queue, phase, action) state space every point shares.
     """
@@ -225,19 +234,18 @@ class ChainStack(NamedTuple):
 
         Assembled and validated on each read, so a caller binds it once.
         """
-        w, q = self.branches, self.shifts
+        w, q, succ = self.branches, self.shifts, self.service_success
         empty = self.space.empty
         d = self.decision[:, empty].transpose(0, 2, 3, 1)  # d[point, e, b, j]
 
         # t[point, ph, a, e, b, i, j]: each product is formed as (w q) d, the
         # same two roundings as weight * mass * decision, with the queue axes
-        # innermost.  Only a serving OFF slot that ends OFF has a departure
-        # branch; every other c = 1 weight is 0 and adds nothing.
-        t = ((w[..., 0, None, None, None] * q[:, 0, None, None, None, None])
+        # innermost.  Only a serving OFF slot that ends OFF departs, into
+        # column j < K; q[i, K + 1] = 0 adds nothing to column K.
+        t = ((w[..., None, None, None] * q[:, None, None, None, None])
              * d[:, None, None, :, :, None, :])
-        t[:, Phase.OFF, Action.SERVE, Phase.OFF] += (
-            (w[:, Phase.OFF, Action.SERVE, Phase.OFF, 1, None, None, None] * q[:, 1, None])
-            * d[:, Phase.OFF, :, None, :])
+        t[:, Phase.OFF, Action.SERVE, Phase.OFF, :, :, :-1] += (
+            (succ[:, None, None, None] * q[:, None, :, 1:]) * d[:, Phase.OFF, :, None, :-1])
 
         # Reorder into the (i, ph, a) x (j, e, b) grid and gather the
         # valid states of both axes.
@@ -272,20 +280,20 @@ def build_chains(points: Sequence[SystemParams], *, synchronized: bool = False) 
     space = enumerate_states(k_cap)
 
     # The success probability, a00 or off_persist, lies in [0, a00] by the
-    # kernel's own validation; w[ph, a, e, c] gathers the phase branches
-    # from each point's (a00, a01, a10, a11, a00 - succ, succ, 0) through
-    # _BRANCHES.  A branch of weight <= 0 contributes nothing.
+    # kernel's own validation; w[ph, a, e] gathers the phase branches from
+    # each point's (a00, a01, a10, a11, a00 - succ) through _BRANCHES.  A
+    # branch of weight <= 0 contributes nothing.
     kernels = [slot_kernel(p.pnp, p.traffic.slot_d) for p in points]
     succ = np.array([k.a00 if synchronized else k.off_persist for k in kernels])
-    weights = np.array([(k.a00, k.a01, k.a10, k.a11, k.a00 - s, s, 0.0)
+    weights = np.array([(k.a00, k.a01, k.a10, k.a11, k.a00 - s)
                         for k, s in zip(kernels, succ.tolist())])
     w = np.maximum(weights[:, _BRANCHES], 0.0)
     count = len(points)
 
-    # q[c, i, j]: arrivals are admitted while the buffer (still holding any
+    # q[i, j]: arrivals are admitted while the buffer (still holding any
     # in-service packet) has room, so column K takes every count >= K - i;
-    # a departure at the slot end shifts the row one column left.  Each is
-    # gathered from the point's row [pmf(0..K), tail(0..K), 0] through space.shift.
+    # a departure at the slot end reads q[i, j + 1].  Each is gathered
+    # from the point's row [pmf(0..K), tail(0..K), 0] through space.shift.
     rows = np.zeros((count, 2 * k_cap + 3))
     rows[:, :k_cap + 1] = [arrival_pmf_row(p.traffic, k_cap) for p in points]
     rows[:, k_cap + 1:-1] = tail_rows(rows[:, :k_cap + 1])
@@ -295,16 +303,16 @@ def build_chains(points: Sequence[SystemParams], *, synchronized: bool = False) 
     # on whether the queue is empty.
     dec = np.array([_decision_law(p.sensing, p.policy) for p in points])
 
-    # W[i, ph, e, c] = sum_a d[i, ph, a] w[ph, a, e, c], then
-    # Q[i, ph, j, e] = sum_c W[i, ph, e, c] q[c, i, j], written into
-    # (i, ph) x (j, e) order one end phase at a time.  Off the OFF -> OFF
-    # plane W[..., 1] is +0.0 and no c = 0 product is -0.0, so the c = 1
-    # product is added there only, as in ``matrix``.
-    lumped_w = (dec[..., None, None] * w[:, None]).sum(axis=3)[:, space.empty]
+    # W[i, ph, e] = sum_a d[i, ph, a] w[ph, a, e], then Q[i, ph, j, e] =
+    # W[i, ph, e] q[i, j], written into (i, ph) x (j, e) order one end
+    # phase at a time; the departure adds d[i, OFF, Serve] succ q[i, j + 1]
+    # to the OFF -> OFF plane in columns j < K, as in ``matrix``.
+    lumped_w = (dec[..., None] * w[:, None]).sum(axis=3)[:, space.empty]
     lumped = np.empty((count, k_cap + 1, 2, k_cap + 1, 2))
     for e in range(2):
-        np.multiply(lumped_w[..., e, 0, None], q[:, 0, :, None], out=lumped[..., e])
-    lumped[:, :, Phase.OFF, :, Phase.OFF] += lumped_w[:, :, Phase.OFF, Phase.OFF, 1, None] * q[:, 1]
+        np.multiply(lumped_w[..., e, None], q[:, :, None], out=lumped[..., e])
+    departs = dec[:, space.empty, Phase.OFF, Action.SERVE] * succ[:, None]
+    lumped[:, :, Phase.OFF, :-1, Phase.OFF] += departs[..., None] * q[:, :, 1:]
     lumped = lumped.reshape(count, 2 * (k_cap + 1), 2 * (k_cap + 1))
     _check_stochastic(lumped)
     return ChainStack(lumped=lumped, decision=dec, branches=w, shifts=q,
@@ -401,7 +409,7 @@ def stationary_vectors(chains: ChainStack) -> tuple[np.ndarray, np.ndarray]:
     k_cap = chains.space.capacity_k
     # A chain that admits no arrival is solved on its closed empty level.
     states = [2 if closed else 2 * (k_cap + 1)
-              for closed in (chains.shifts[:, 0, 0, 0] == 1.0).tolist()]
+              for closed in (chains.shifts[:, 0, 0] == 1.0).tolist()]
     nu, residual = _solve(chains.lumped, states)
     return nu.reshape(-1, k_cap + 1, 2, 1) * chains.decision[:, chains.space.empty], residual
 

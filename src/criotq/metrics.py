@@ -77,14 +77,14 @@ def departure_distributions(mu: StationaryDistribution,
 
     A departure comes from a serving OFF state at level j = 1..K with
     tm's success probability, and leaves behind the level the chain's
-    own one-departure shift q[1, j, i] gives: the slot's arrivals are
+    own departure shift q[j, i + 1] gives: the slot's arrivals are
     admitted up to the buffer limit, then the served packet leaves.  So
-    kappa[i] = succ sum_j pi(j, OFF, Serve) q[1, j, i], which at level
+    kappa[i] = succ sum_j pi(j, OFF, Serve) q[j, i + 1], which at level
     K - 1 takes every arrival count the full buffer turns away.  A stack
     of more points raises.
     """
     _one_point(tm)
-    kappa = tm.service_success[0] * (mu.vector[tm.space.serving] @ tm.shifts[0, 1, 1:, :-1])
+    kappa = tm.service_success[0] * (mu.vector[tm.space.serving] @ tm.shifts[0, 1:, 1:])
     norm = float(kappa.sum())
     if norm <= 0.0:
         raise DegenerateDistributionError("no departure mass; distributions undefined")
@@ -218,6 +218,12 @@ class Constraints:
                 raise InvalidParameterError(f"{name} must lie in [0, 1]")
 
 
+def _check_constraints(constraints: Constraints | None, optional: bool = False) -> None:
+    """Raise unless constraints is a ``Constraints`` record, or None when optional."""
+    if not (isinstance(constraints, Constraints) or (optional and constraints is None)):
+        raise InvalidParameterError(f"constraints must be a Constraints, got {constraints!r}")
+
+
 def _reports(points: Sequence[SystemParams], chains: ChainStack, grid: np.ndarray,
              residual: Sequence[float], constraints: Constraints | None) -> list[QosReport]:
     """The full report of each point, from its built chain, stationary law and residual.
@@ -296,8 +302,10 @@ def qos_reports(points: Sequence[SystemParams], constraints: Constraints | None,
     point past it, and a metric out of range in ``_reports`` raises at
     the first such point, after the points before it have warned.  Only
     the region searches replay a failing stack, one point at a time, for
-    the points they need (``region._prober``).
+    the points they need (``region._prober``).  Constraints that are
+    neither None nor a ``Constraints`` are refused before the build.
     """
+    _check_constraints(constraints, optional=True)
     chains = build_chains(points, synchronized=synchronized)
     grid, residual = stationary_vectors(chains)
     return _reports(points, chains, grid, residual.tolist(), constraints)

@@ -51,7 +51,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CriotqError, InvalidParameterError
-from .metrics import Constraints, QosReport, evaluate_qos, qos_reports, saturation
+from .metrics import (Constraints, QosReport, _check_constraints, evaluate_qos, qos_reports,
+                      saturation)
 from .params import PnpModel, SensingModel, SystemParams, TrafficModel, _finite
 
 #: Search bounds for the activity factor; open interval endpoints.
@@ -70,7 +71,11 @@ SWEEP_TARGETS = ("beta_c", "lambda_c")
 
 
 def feasibility_check(params: SystemParams, constraints: Constraints) -> tuple[bool, QosReport]:
-    """Evaluate one operating point against the constraints: ``qos_reports`` of the point."""
+    """Evaluate one operating point against the constraints: ``qos_reports`` of the point.
+
+    constraints must be a ``Constraints``; without one there is nothing to check.
+    """
+    _check_constraints(constraints)
     report = qos_reports([params], constraints)[0]
     return report.feasible, report
 
@@ -211,8 +216,7 @@ def _prober(params: SystemParams, axis: str, constraints: Constraints, tol: floa
     """
     if not (_finite(tol) and tol > 0):
         raise InvalidParameterError("tol must be finite and positive")
-    if not isinstance(constraints, Constraints):
-        raise InvalidParameterError(f"constraints must be a Constraints, got {constraints!r}")
+    _check_constraints(constraints)
     at = _AXES[axis]
     def probe(xs: list[float], needed: int | None = None) -> list[QosReport | None]:
         try:

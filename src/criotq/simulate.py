@@ -113,9 +113,9 @@ def _check_count(name: str, value, least: int | None = None) -> None:
 class SimConfig:
     """One simulation request.
 
-    warmup_slots defaults to 10% of the horizon; statistics exclude the
-    warmup window.  replications > 1 reruns the model with derived seeds
-    and pools the results.
+    params must be a ``SystemParams``.  warmup_slots defaults to 10% of
+    the horizon; statistics exclude the warmup window.  replications > 1
+    reruns the model with derived seeds and pools the results.
     """
 
     params: SystemParams
@@ -125,6 +125,8 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.params, SystemParams):
+            raise InvalidParameterError(f"params must be a SystemParams, got {self.params!r}")
         if self.warmup_slots is not None:
             _check_count("warmup_slots", self.warmup_slots)
         for name, least in (("seed", 0), ("horizon_slots", 1), ("replications", 1)):

@@ -128,16 +128,6 @@ def tail_rows(pmf: np.ndarray) -> np.ndarray:
     return tail
 
 
-def arrival_tail(traffic: TrafficModel, k_min: int) -> float:
-    """P(at least k_min arrivals in one slot): entry k_min of tail_rows, 1 for k_min <= 0.
-
-    k_min is an int or a numpy integer, not a bool (``params._is_integral``).
-    """
-    if not _is_integral(k_min):
-        raise InvalidParameterError(f"k_min {k_min!r} is not an integer")
-    return float(tail_rows(np.array(arrival_pmf_row(traffic, max(k_min, 0))))[-1])
-
-
 class ActionPmf(NamedTuple):
     """Distribution of the committed action at one slot boundary."""
 

@@ -6,14 +6,14 @@ import pytest
 import scipy.stats
 
 from criotq import (Action, InvalidParameterError, NoConvergenceError, Phase,
-                    StateSpace, StationaryDistribution, activity_factor, arrival_tail,
+                    StateSpace, StationaryDistribution, activity_factor,
                     build_transition_matrix, decision_distribution, enumerate_states,
                     evaluate_qos, params_with_activity, slot_kernel,
                     stationary_distribution)
 from criotq import chain
 from criotq.chain import (SOLVER_METHOD, _check_stochastic, _solve, build_chains,
                           stationary_vectors)
-from criotq.slot import arrival_pmf_row
+from criotq.slot import arrival_pmf_row, tail_rows
 from conftest import make_params
 
 
@@ -89,10 +89,10 @@ def full_grid_transition_matrix(params, service_success=None):
 
     Same factors and roundings as build_transition_matrix, laid out the
     straightforward way: each cell summed from 0 over both branches, the
-    tail column read one entry at a time from arrival_tail, the excluded
-    states dropped by index.  The builder must match it bit for bit.
-    arrival_tail shares the build's tail helper, so the tail column itself
-    is checked against an independent running-sum loop in test_slot.py.
+    tail column read from tail_rows of the pmf row, the excluded states
+    dropped by index.  The builder must match it bit for bit.  This
+    shares the build's tail helper, so the tail column itself is checked
+    against an independent running-sum loop in test_slot.py.
     """
     traffic = params.traffic
     k_cap = traffic.capacity_k
@@ -105,7 +105,7 @@ def full_grid_transition_matrix(params, service_success=None):
     w[Phase.OFF, Action.SERVE, Phase.OFF] = (kernel.a00 - succ, succ)
     w = np.maximum(w, 0.0)
     pmf = np.array(arrival_pmf_row(traffic, k_cap))
-    tail = np.array([arrival_tail(traffic, n) for n in range(k_cap + 1)])
+    tail = tail_rows(pmf)
     gap = levels[None, :] - levels[:, None]
     q = np.zeros((2, k_cap + 1, k_cap + 1))
     q[0] = np.where(gap >= 0, pmf[np.maximum(gap, 0)], 0.0)
@@ -172,14 +172,12 @@ def test_state_space_masks_and_level_arrays(k):
     levels = range(k + 1)
     # Positions in the padded row [pmf(0..K), tail(0..K), 0]: pmf(m) at m,
     # tail(m) at K + 1 + m, the zero at 2K + 2.
+    # The departure shift q[i, j + 1] reads position(i, j + 1) for j < K.
     def position(i, j):
-        if j > k:
-            return 2 * k + 2
         if j == k:
             return k + 1 + (k - i)
         return j - i if j >= i else 2 * k + 2
-    assert space.shift.tolist() == [[[position(i, j + c) for j in levels] for i in levels]
-                                    for c in (0, 1)]
+    assert space.shift.tolist() == [[position(i, j) for j in levels] for i in levels]
     assert space.empty.tolist() == [int(i == 0) for i in levels]
     for name in ("cell", "queue", "phase", "action", "serving", "shift", "empty"):
         array = getattr(space, name)
@@ -566,6 +564,17 @@ def test_a_stack_matrix_is_each_points_own_matrix_bit_for_bit(synchronized):
         assert alone.space is stack.space
 
 
+def test_stored_factors_hold_no_departure_axis():
+    # The departure lives in service_success alone: one shift plane and
+    # one branch weight per (ph, a, e).
+    stack = build_chains([make_params(capacity_k=7), make_params(capacity_k=7, lam=0.01)])
+    assert stack.shifts.shape == (2, 8, 8)
+    assert stack.branches.shape == (2, 2, 3, 2)
+    assert stack.service_success.shape == (2,)
+    assert stack.space.shift.shape == (8, 8)
+    assert not stack.space.shift.flags.writeable
+
+
 @pytest.mark.parametrize("k", [1, 10, 200])
 @pytest.mark.parametrize("synchronized", [False, True])
 def test_lumped_is_the_two_branch_sum_on_every_plane_bit_for_bit(k, synchronized):
@@ -578,7 +587,15 @@ def test_lumped_is_the_two_branch_sum_on_every_plane_bit_for_bit(k, synchronized
     assert stack.decision[3, 0, Phase.OFF, Action.IDLE] < 0.0
     want = np.empty((len(points), k + 1, 2, k + 1, 2))
     for b in range(len(points)):
-        d, w, q = stack.decision[b], stack.branches[b], stack.shifts[b]
+        # The two branches w[..., c] and shifts q[c] of c departures: the
+        # departure weighs succ on [OFF, Serve, OFF] and shifts by q[i, j + 1].
+        d = stack.decision[b]
+        w = np.zeros((2, 3, 2, 2))
+        w[..., 0] = stack.branches[b]
+        w[Phase.OFF, Action.SERVE, Phase.OFF, 1] = stack.service_success[b]
+        q = np.zeros((2, k + 1, k + 1))
+        q[0] = stack.shifts[b]
+        q[1, :, :-1] = stack.shifts[b, :, 1:]
         for empty, rows in ((1, slice(0, 1)), (0, slice(1, None))):
             for ph in (0, 1):
                 for e in (0, 1):

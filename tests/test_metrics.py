@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 
 from criotq import (Action, DegenerateDistributionError, InvalidParameterError,
                     MetricRangeError, NoConvergenceError, Phase, activity_factor,
-                    arrival_tail, build_transition_matrix, departure_distributions,
+                    build_transition_matrix, departure_distributions,
                     evaluate_qos, nominal_charge_fraction, required_power, slot_kernel,
                     stationary_distribution)
 from criotq import metrics
 from criotq.chain import build_chains, stationary_vectors
 from criotq.metrics import Constraints, _reports, qos_reports
-from criotq.slot import arrival_pmf_row
+from criotq.slot import arrival_pmf_row, tail_rows
 from conftest import make_params
 
 
@@ -72,10 +73,14 @@ def test_carried_load_out_of_range_raises():
 
 
 def test_departure_distributions_basics():
-    # At K = 1 every departure leaves the queue empty: delta is [1].
-    for k_cap, lam in ((10, 0.001), (10, 0.02), (1, 0.03)):
+    # At K = 1 every departure leaves the queue empty: delta is [1].  At
+    # K = 20 the departure shift reads its last column, and a synchronized
+    # chain departs with a00.
+    for k_cap, lam, synchronized in ((10, 0.001, False), (10, 0.02, False), (1, 0.03, False),
+                                     (20, 0.01, False), (10, 0.001, True), (20, 0.01, True)):
         params = make_params(capacity_k=k_cap, lam=lam)
-        tm, mu = solve(params)
+        tm = build_transition_matrix(params, synchronized=synchronized)
+        mu = stationary_distribution(tm)
         traffic = params.traffic
         serving = [mu.vector[tm.space.index(j, Phase.OFF, Action.SERVE)]
                    for j in range(1, k_cap + 1)]
@@ -85,10 +90,11 @@ def test_departure_distributions_basics():
         # behind, after i + 1 - j admitted arrivals; at the top level
         # i = K - 1 every count of K - j or more, the excess turned away.
         pmf = arrival_pmf_row(traffic, k_cap)
+        tails = tail_rows(np.array(pmf))
 
         def weight(i, j):
             if i == k_cap - 1:
-                return arrival_tail(traffic, k_cap - j)
+                return tails[k_cap - j]
             return pmf[i + 1 - j]
 
         want = [tm.service_success[0] * sum(serving[j - 1] * weight(i, j)
@@ -96,10 +102,19 @@ def test_departure_distributions_basics():
                 for i in range(k_cap)]
         assert dd.kappa == pytest.approx(want, rel=1e-12)
         # Every completed service is one departure.
-        rho_c = evaluate_qos(params).carried_load
+        rho_c = evaluate_qos(params, synchronized=synchronized).carried_load
         assert dd.kappa.sum() == pytest.approx(rho_c, rel=1e-12)
         assert dd.delta.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(dd.delta >= 0.0)
+
+
+@pytest.mark.parametrize("bad", [(0.1, 0.1), "0.1", 0.1,
+                                 SimpleNamespace(max_drop=0.1, max_interference=0.1)],
+                         ids=["tuple", "string", "float", "look-alike"])
+def test_qos_reports_refuses_constraints_that_are_neither_none_nor_a_record(monkeypatch, bad):
+    monkeypatch.setattr(metrics, "build_chains", lambda *args, **kwargs: pytest.fail("built"))
+    with pytest.raises(InvalidParameterError, match="constraints must be a Constraints, got "):
+        qos_reports([make_params()], bad)
 
 
 def test_departure_distributions_degenerate():

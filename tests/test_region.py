@@ -461,12 +461,16 @@ def test_searches_reject_a_non_finite_tolerance(baseline_params, search, tol):
 
 @pytest.mark.parametrize("search", [
     critical_beta, critical_lambda,
-    pytest.param(lambda p, c: sweep(p, c, "detection", [0.9], "beta_c"), id="sweep")])
+    pytest.param(lambda p, c: sweep(p, c, "detection", [0.9], "beta_c"), id="sweep"),
+    feasibility_check])
 @pytest.mark.parametrize("bad", [None, (0.1, 0.1),
-                                 SimpleNamespace(max_drop=0.1, max_interference=0.1)],
-                         ids=["none", "tuple", "look-alike"])
-def test_searches_refuse_constraints_that_are_not_a_constraints_record(baseline_params, search,
+                                 SimpleNamespace(max_drop=0.1, max_interference=0.1), "0.1", 0.1],
+                         ids=["none", "tuple", "look-alike", "string", "float"])
+def test_searches_refuse_constraints_that_are_not_a_constraints_record(monkeypatch,
+                                                                       baseline_params, search,
                                                                        bad):
+    # Refused before any chain is built; feasibility_check has nothing to check without one.
+    monkeypatch.setattr(metrics, "build_chains", lambda *args, **kwargs: pytest.fail("built"))
     with pytest.raises(InvalidParameterError, match="constraints must be a Constraints, got "):
         search(baseline_params, bad)
 

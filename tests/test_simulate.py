@@ -200,6 +200,9 @@ def test_config_validation():
             kwargs[field] = bad(kwargs[field])
             with pytest.raises(InvalidParameterError, match=field):
                 SimConfig(params=params, **kwargs)
+    for bad in (None, {"lam": 0.001}):
+        with pytest.raises(InvalidParameterError, match="params must be a SystemParams, got "):
+            SimConfig(params=bad, horizon_slots=10, seed=1)
     assert SimConfig(params=params, horizon_slots=1000, seed=1).resolved_warmup == 100
 
 

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from criotq import (Action, InvalidParameterError, Phase, PnpModel, PolicyModel, PowerModel,
-                    SensingModel, SystemParams, TrafficModel, activity_factor, arrival_tail,
+                    SensingModel, SystemParams, TrafficModel, activity_factor,
                     build_transition_matrix, decision_distribution, slot_kernel)
-from criotq.slot import arrival_pmf_row
+from criotq.slot import arrival_pmf_row, tail_rows
 from conftest import make_params
 
 
@@ -288,6 +288,11 @@ def _tails_by_loop(pmf):
     return tails
 
 
+def _tail(traffic, m):
+    """P(A >= m) for m >= 0: the last entry of tail_rows on the pmf row 0..m."""
+    return float(tail_rows(np.array(arrival_pmf_row(traffic, m)))[-1])
+
+
 #: Means whose running pmf sum passes 1 by K = 10, so that the tail's floor at 0 fires.
 _FLOORED_MEANS = (0.002976351441631313, 0.061584821106602294)
 
@@ -305,26 +310,26 @@ def test_arrival_pmf_row_is_the_per_k_pmf_bit_for_bit(mean, k_max):
     traffic = TrafficModel(n=1, lam=mean, capacity_k=10, slot_d=1.0)
     want = [_pmf_per_k(mean, k) for k in range(k_max + 1)]
     assert [x.hex() for x in arrival_pmf_row(traffic, k_max)] == [x.hex() for x in want]
-    tails = [arrival_tail(traffic, m) for m in range(k_max + 2)]
+    tails = [_tail(traffic, m) for m in range(k_max + 2)]
     assert [x.hex() for x in tails] == [x.hex() for x in _tails_by_loop(want)]
 
 
 @pytest.mark.parametrize("lam, floored", [(0.001, False), (0.00015, True),  # light
                                           (5.0, True), (9.0, False)])  # heavy
 def test_built_tail_column_is_the_running_sum_loop_bit_for_bit(lam, floored):
-    # Column K of the no-departure shift holds P(A >= K - i) in row i.
+    # Column K of the arrival shift holds P(A >= K - i) in row i.
     k_cap = 200
     params = make_params(capacity_k=k_cap, lam=lam)
     mean = params.traffic.mean_arrivals_per_slot
     tails = _tails_by_loop([_pmf_per_k(mean, k) for k in range(k_cap + 1)])
-    column = build_transition_matrix(params).shifts[0, 0, :, k_cap]
+    column = build_transition_matrix(params).shifts[0, :, k_cap]
     assert [x.hex() for x in column] == [tails[k_cap - i].hex() for i in range(k_cap + 1)]
     assert bool(np.any(column == 0.0)) == floored
 def test_arrival_pmf_edge_cases():
     quiet = TrafficModel(n=20, lam=0.0, capacity_k=10, slot_d=1.0)
     assert arrival_pmf_row(quiet, 3) == (1.0, 0.0, 0.0, 0.0)
-    assert arrival_tail(quiet, 1) == 0.0
-    assert arrival_tail(quiet, 0) == 1.0
+    assert _tail(quiet, 1) == 0.0
+    assert _tail(quiet, 0) == 1.0
 
 
 def test_arrival_tail_consistent_with_pmf():
@@ -333,23 +338,10 @@ def test_arrival_tail_consistent_with_pmf():
     pmf = arrival_pmf_row(traffic, 14)
     for k_min in range(0, 15):
         want = scipy.stats.poisson.sf(k_min - 1, mean)
-        assert arrival_tail(traffic, k_min) == pytest.approx(want, rel=1e-10)
+        assert _tail(traffic, k_min) == pytest.approx(want, rel=1e-10)
         # tail(k) - tail(k+1) telescopes back to the pmf
-        diff = arrival_tail(traffic, k_min) - arrival_tail(traffic, k_min + 1)
+        diff = _tail(traffic, k_min) - _tail(traffic, k_min + 1)
         assert diff == pytest.approx(pmf[k_min], rel=1e-9, abs=1e-15)
-
-
-@pytest.mark.parametrize("k_min", [2.5, "3", True, False, np.True_, 3.0, np.float64(2.0), None])
-def test_arrival_tail_refuses_a_k_min_that_is_not_an_integer(k_min):
-    traffic = TrafficModel(n=30, lam=0.05, capacity_k=10, slot_d=1.5)
-    with pytest.raises(InvalidParameterError, match="k_min .* is not an integer"):
-        arrival_tail(traffic, k_min)
-
-
-def test_arrival_tail_takes_numpy_integers_and_counts_below_zero():
-    traffic = TrafficModel(n=30, lam=0.05, capacity_k=10, slot_d=1.5)
-    assert arrival_tail(traffic, np.int64(3)) == arrival_tail(traffic, 3)
-    assert arrival_tail(traffic, -2) == arrival_tail(traffic, 0) == 1.0
 
 
 @pytest.mark.parametrize("phase", [5, -1, 2, 0.5, 1.0, "ON", True, np.True_, None])
